@@ -20,9 +20,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import StepTooCoarse, TrajectoryEscape
-from .geometry import (ESCAPE_GUARD, ChartSpace, PhasePoint, PotentialField,
-                       _as_vector, cometric_at, dcometric_at)
-from .integrate import HALVING_REL_TOL, rk4_step, variational_rhs
+from .geometry import (ChartSpace, PhasePoint, PotentialField, _as_vector,
+                       cometric_at, dcometric_at)
+from .integrate import ESCAPE_GUARD, HALVING_REL_TOL, rk4_step, variational_rhs
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from .dynamics import ControlSignal, HamiltonianSpec
 from .errors import (HypothesisViolated, OrderingViolated, StepTooCoarse,
                      TrajectoryEscape)
 from .geometry import BoxRegion, PhasePoint, cometric_at, dcometric_at
-from .integrate import bisect_event, rk4_step, rk4_trajectory
+from .integrate import (ESCAPE_GUARD, _nsteps, bisect_event, hermite_state,
+                        rk4_step, rk4_trajectory)
 
 ORDERING_SLACK = 1e-9
 EXIT_TIME_TOL = 1e-8
@@ -188,13 +189,33 @@ def _comparison_rhs(spec: HamiltonianSpec, n1_axes: Sequence[int],
     return rhs
 
 
+def _dense_gap(omega1: BoxRegion, axes, lo: float, hi: float,
+               z_lo: np.ndarray, z_hi: np.ndarray,
+               f_lo: np.ndarray, f_hi: np.ndarray) -> Callable[[float], float]:
+    """Signed gap to ∂Ω along the dense output of the step [lo, hi].
+
+    Probes evaluate the step's cubic Hermite interpolant, so they cost no rhs
+    call, and the bracket is consistent: the probe at hi sees z_hi itself.
+    """
+    h = hi - lo
+
+    def gap_at(t):
+        z = hermite_state(z_lo, z_hi, f_lo, f_hi, h, (t - lo) / h)
+        return omega1.signed_gap(z[axes])
+
+    return gap_at
+
+
 def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
                      horizon: float = 10.0, step: float = 1e-3) -> float:
     """Control-independent lower bound for the exit time from Ω.
 
-    Integrates the comparison system for every sign pattern and takes the
-    minimal exit time (events refined by bisection to 1e-8); trajectories
-    that never leave before the horizon contribute the horizon.
+    Marches the comparison system of every sign pattern on the fixed grid
+    h = horizon/n and takes the minimal exit time.  A march stops at the first
+    step that leaves Ω, whose exit is refined to 1e-8 by bisection on the
+    step's dense output, or once it reaches the best exit found so far, since
+    nothing later can lower the minimum.  Trajectories that never leave before
+    the horizon contribute the horizon.
     """
     n1_axes, _ = _split_axes(spec)
     check_w_constancy(spec, Omega, lam0)
@@ -204,33 +225,28 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     if omega1.signed_gap(x1_0) <= 0.0:
         return 0.0
     n1 = len(n1_axes)
+    n = _nsteps(0.0, horizon, step)
+    h = horizon / n
     best = horizon
     for bits in range(2 ** n1):
         signs = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n1)])
         rhs = _comparison_rhs(spec, n1_axes, signs, lam0)
-        times, states = rk4_trajectory(rhs, np.concatenate([x1_0, p1_0]),
-                                       0.0, horizon, step)
-        gaps = np.array([omega1.signed_gap(s[:n1]) for s in states])
-        out = np.where(gaps <= 0.0)[0]
-        if out.size == 0:
-            continue
-        k = int(out[0])
-        lo_t, lo_z = times[k - 1], states[k - 1]
-
-        def gap_at(t):
-            if t <= lo_t:
-                return float(gaps[k - 1])
-            z = lo_z
-            nsub = 8
-            h = (t - lo_t) / nsub
-            tt = lo_t
-            for _ in range(nsub):
-                z = rk4_step(rhs, tt, z, h)
-                tt += h
-            return omega1.signed_gap(z[:n1])
-
-        t_exit = bisect_event(gap_at, float(lo_t), float(times[k]), tol=EXIT_TIME_TOL)
-        best = min(best, t_exit)
+        z = np.concatenate([x1_0, p1_0])
+        for k in range(n):
+            t = h * k
+            if t >= best:
+                break
+            z_next = rk4_step(rhs, t, z, h)
+            if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > ESCAPE_GUARD:
+                raise TrajectoryEscape(
+                    f"state escaped the overflow guard near t={t + h:.6g}")
+            if omega1.signed_gap(z_next[:n1]) <= 0.0:
+                t_next = h * (k + 1)
+                gap_at = _dense_gap(omega1, slice(0, n1), t, t_next, z, z_next,
+                                    rhs(t, z), rhs(t_next, z_next))
+                best = min(best, bisect_event(gap_at, t, t_next, tol=EXIT_TIME_TOL))
+                break
+            z = z_next
     return best
 
 
@@ -254,32 +270,44 @@ def _batched_rhs(spec: HamiltonianSpec, u_values: np.ndarray) -> Callable:
     return rhs
 
 
-def _union_segments(controls: Sequence[ControlSignal], horizon: float) -> np.ndarray:
-    cuts = {0.0, horizon}
-    for u in controls:
-        cuts.update(float(b) for b in u.breakpoints if 0.0 < b < horizon)
-    return np.array(sorted(cuts))
+def _switch_schedule(controls: Sequence[ControlSignal], horizon: float
+                     ) -> tuple[np.ndarray, dict[float, list[int]]]:
+    """Cuts of the breakpoint union on [0, horizon] and, for each interior
+    cut, the members that have a breakpoint there."""
+    switches: dict[float, list[int]] = {}
+    for j, u in enumerate(controls):
+        for b in u.breakpoints:
+            if 0.0 < b < horizon:
+                switches.setdefault(float(b), []).append(j)
+    return np.array(sorted({0.0, horizon, *switches})), switches
 
 
 def _sweep_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                  controls: Sequence[ControlSignal], horizon: float,
                  step: float) -> np.ndarray:
-    """One batched pass; returns per-member exit times (horizon if none)."""
+    """One batched pass; returns per-member exit times (horizon if none).
+
+    The (m, n_controls) control values are looked up once for every member
+    and then, at each cut, only for the members that switch there: a member
+    without a breakpoint at a cut keeps its value across it.
+    """
     if not spec.space.is_flat:
         raise ValueError("ensemble sweep requires a flat chart")
-    n = spec.space.dimension
     m = len(controls)
     n1_axes, _ = _split_axes(spec)
+    axes = list(n1_axes)
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
     Z = np.tile(lam0.as_state(), (m, 1))
     alive = np.ones(m, dtype=bool)
     exit_times = np.full(m, horizon)
-    cuts = _union_segments(controls, horizon)
+    cuts, switches = _switch_schedule(controls, horizon)
+    u_vals = np.stack([np.atleast_1d(u.value_at(0.5 * cuts[1])) for u in controls])
     for a, b in zip(cuts[:-1], cuts[1:]):
         t_mid = 0.5 * (a + b)
-        u_vals = np.stack([np.atleast_1d(u.value_at(t_mid)) for u in controls])
+        for j in switches.get(float(a), ()):
+            u_vals[j] = controls[j].value_at(t_mid)
         rhs = _batched_rhs(spec, u_vals)
-        nseg = max(1, int(np.ceil((b - a) / step - 1e-12)))
+        nseg = _nsteps(a, b, step)
         h = (b - a) / nseg
         t = a
         for _ in range(nseg):
@@ -289,29 +317,21 @@ def _sweep_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
             Z_new = rk4_step(rhs, t, Z, h)
             Z = np.where(alive[:, None], Z_new, Z)
             t += h
-            live_states = Z[alive]
-            if not np.all(np.isfinite(live_states)) or np.max(np.abs(live_states)) > 1e12:
+            live = Z[alive]
+            if not np.all(np.isfinite(live)) or np.max(np.abs(live)) > ESCAPE_GUARD:
                 raise TrajectoryEscape("ensemble member escaped the overflow guard")
-            inside = omega1.contains(Z[:, list(n1_axes)])
-            crossed = alive & ~inside
-            for j in np.where(crossed)[0]:
-                rhs_j = _batched_rhs(spec, u_vals[j:j + 1])
-                z_pre = Z_prev[j]
-
-                def gap_at(tt, z_pre=z_pre, t0=t - h, rhs_j=rhs_j):
-                    z = z_pre[None, :]
-                    nsub = 8
-                    hh = (tt - t0) / nsub
-                    s = t0
-                    for _ in range(nsub):
-                        z = rk4_step(rhs_j, s, z, hh)
-                        s += hh
-                    return omega1.signed_gap(z[0, list(n1_axes)])
-
-                g_lo = omega1.signed_gap(Z_prev[j, list(n1_axes)])
-                if g_lo <= 0.0:
+            inside = omega1.contains(Z[:, axes])
+            crossed = np.where(alive & ~inside)[0]
+            if crossed.size == 0:
+                continue
+            rhs_x = _batched_rhs(spec, u_vals[crossed])
+            F_lo, F_hi = rhs_x(t - h, Z_prev[crossed]), rhs_x(t, Z[crossed])
+            for j, f_lo, f_hi in zip(crossed, F_lo, F_hi):
+                if omega1.signed_gap(Z_prev[j, axes]) <= 0.0:
                     exit_times[j] = t - h
                 else:
+                    gap_at = _dense_gap(omega1, axes, t - h, t, Z_prev[j], Z[j],
+                                        f_lo, f_hi)
                     exit_times[j] = bisect_event(gap_at, t - h, t, tol=EXIT_TIME_TOL)
                 alive[j] = False
     return exit_times
@@ -324,8 +344,10 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     """Minimum first-exit time of the base-factor projection over an ensemble.
 
     All members integrate in one vectorized batch that restarts at the union
-    of their breakpoints; a halved-step pass must reproduce every exit time
-    to 1e-5 or StepTooCoarse is raised.
+    of their breakpoints, where only the members that switch look up their
+    control again.  Each exit is located by bisection to 1e-8 on the cubic
+    Hermite dense output of the step that leaves Ω.  A halved-step pass must
+    reproduce every exit time to 1e-5 or StepTooCoarse is raised.
     """
     controls = list(ensemble)
     if analytic_bound is None:

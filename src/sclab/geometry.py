@@ -20,9 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidChart, MetricDegenerate, TrajectoryEscape
-
-# Overflow guard for all trajectory integration (finite-time escape detector).
-ESCAPE_GUARD = 1e12
+from .integrate import ESCAPE_GUARD
 
 # Central finite differences used for every callback-consistency check.
 FD_REL_STEP = 1e-5

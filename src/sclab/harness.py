@@ -293,6 +293,7 @@ def _run_spectral(config: ExperimentConfig) -> None:
     relation = spec_mod.gap_rational_relation(gaps,
                                               config["spectral.coeff_bound"],
                                               config["spectral.precision"])
+    floor = spec_mod.relation_floor(gaps, config["spectral.coeff_bound"])
     rng = np.random.default_rng(config.seed)
     controls = sample_controls(rng, config["spectral.disc_controls"],
                                config["spectral.disc_horizon"],
@@ -317,8 +318,13 @@ def _run_spectral(config: ExperimentConfig) -> None:
         "b01": float(B.entries[0, 1]),
         "zero_tol": zero_tol,
         "relation_found": None if relation is None else [int(v) for v in relation],
+        "relation_floor": floor,
+        "informative": config["spectral.precision"] < floor,
         "relation_note": ("a found relation refutes rational independence at "
-                          "this precision; none found is evidence only"),
+                          "this precision; none found is evidence only; a "
+                          "relation with residual ≤ relation_floor always "
+                          "exists, so the search is informative only if "
+                          "precision < relation_floor"),
         "gap_convention_note": ("operator -d²/dx² + x² has unperturbed gaps 2; "
                                 "the half-normalized oscillator would have gaps 1"),
         "disc_invariant": disc.invariant,

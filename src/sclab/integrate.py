@@ -3,8 +3,12 @@
 One integrator serves every module: classical explicit Runge–Kutta 4 with a
 deterministic step count per interval.  Acceptance rule: re-integrate with the
 step halved and require the endpoint to move by less than 1e-8 relative,
-otherwise StepTooCoarse.  Batched variants operate on (m, d) state arrays so
-control ensembles integrate in one vectorized pass.
+otherwise StepTooCoarse.  `rk4_step` is shape-agnostic, so an (m, d) array
+of states advances a whole control ensemble in one vectorized step.  Events
+inside a step are located on its dense output: `hermite_state` is the cubic
+Hermite interpolant built from the step's endpoint states and the field at
+them (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6), so a probe costs
+no rhs call.  `ESCAPE_GUARD` is the one overflow guard of every trajectory.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import StepTooCoarse, TrajectoryEscape
 
 HALVING_REL_TOL = 1e-8
+# Overflow guard for all trajectory integration (finite-time escape detector).
 ESCAPE_GUARD = 1e12
 
 
@@ -34,6 +39,20 @@ def rk4_step(rhs: Callable, t: float, z: np.ndarray, h: float) -> np.ndarray:
     k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
     k4 = rhs(t + h, z + h * k3)
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def hermite_state(z0, z1, f0, f1, h: float, s: float):
+    """Cubic Hermite interpolant of one step of length h at fraction s ∈ [0, 1].
+
+    z0, z1 are the states at the step's ends and f0, f1 the field there.  The
+    interpolant matches all four, so it returns z0 at s = 0 and z1 at s = 1
+    exactly, and it is exact for cubic trajectories.
+    """
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * z0 + h10 * h * f0 + h01 * z1 + h11 * h * f1
 
 
 def rk4_endpoint(rhs: Callable, z0: np.ndarray, t0: float, t1: float, step: float,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .dynamics import ControlSignal
@@ -35,6 +34,7 @@ from .errors import QuadratureDivergence, TruncationNotConverged
 from .integrate import bisect_event, rk4_step
 
 SEARCH_BUDGET = 10 ** 7
+CUTOFF_MAX_ORDER = 4096  # Gauss–Legendre order at which cutoff_coupling gives up
 
 
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,23 +226,29 @@ def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
                     ) -> tuple[CouplingMatrix, np.ndarray]:
     """Remove the central window: f_ij(ε) = ∫_{-ε}^{ε} φ_iφ_j e^{ax²+bx+c} dx.
 
-    Returns (coupling with entries b_ij − f_ij(ε), f matrix); adaptive
-    quadrature handles the window integral.
+    Returns (coupling with entries b_ij − f_ij(ε), f matrix).  The integrand
+    is entire, so one Gauss–Legendre rule on [−ε, ε] gives every entry at
+    once, f = Φ·diag(w·e^{ax²+bx+c})·Φᵀ with Φ the φ_i at the nodes; the order
+    doubles until two orders agree to 1e-13.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     full = gaussian_coupling(a, b, c, N, validate=False)
     f = np.zeros((N, N))
     if eps > 0:
-        for i in range(N):
-            for j in range(i, N):
-                def integrand(x, i=i, j=j):
-                    h = hermite_polynomial_values(max(i, j) + 1, np.asarray([x]))
-                    phi = h[:, 0] * math.exp(-0.5 * x * x)
-                    return phi[i] * phi[j] * math.exp(a * x * x + b * x + c)
-
-                val, _ = quad(integrand, -eps, eps, limit=200, epsabs=1e-13, epsrel=1e-12)
-                f[i, j] = f[j, i] = val
+        order, prev = 2 * N, None
+        while True:
+            nodes, weights = np.polynomial.legendre.leggauss(order)
+            x, w = eps * nodes, eps * weights
+            phi = hermite_polynomial_values(N, x) * np.exp(-0.5 * x * x)
+            f = (phi * (w * np.exp(a * x * x + b * x + c))) @ phi.T
+            f = 0.5 * (f + f.T)
+            if prev is not None and np.max(np.abs(f - prev)) <= 1e-13 * max(1.0, np.max(np.abs(f))):
+                break
+            if order >= CUTOFF_MAX_ORDER:
+                raise QuadratureDivergence(
+                    f"window integral not converged at Gauss–Legendre order {order}")
+            order, prev = 2 * order, f
     hat = full.entries - f
     hat = 0.5 * (hat + hat.T)
     return CouplingMatrix(hat, a, b, c, cutoff=eps), f
@@ -311,6 +317,21 @@ def _box_relation_search(g: np.ndarray, bound: int,
         if B == bound:
             return None
         B *= 2
+
+
+def relation_floor(gaps: GapVector | np.ndarray, coeff_bound: int) -> float:
+    """Dirichlet floor B·Σ|g_i|/((B+1)^m − 1) for m gaps and |λ_i| ≤ B.
+
+    By the pigeonhole principle some nontrivial λ in that box has |λ·g| at
+    most this floor, so a relation searched at a precision above it always
+    exists and refutes nothing.
+    """
+    g = gaps.gaps if isinstance(gaps, GapVector) else np.asarray(gaps, dtype=float)
+    total = coeff_bound * float(np.sum(np.abs(g)))
+    if total == 0.0:
+        return 0.0
+    # (B+1)^m overflows a float once m is large; math.log takes the exact int
+    return math.exp(math.log(total) - math.log((coeff_bound + 1) ** g.size - 1))
 
 
 def gap_rational_relation(gaps: GapVector | np.ndarray, coeff_bound: int,

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from .errors import (CausticReached, MaskViolation, StepTooCoarse,
                      TrajectoryEscape)
 from .geometry import BoxRegion, PotentialField
-from .integrate import HALVING_REL_TOL
+from .integrate import ESCAPE_GUARD, HALVING_REL_TOL, hermite_state
 from .schrodinger import SpatialGrid
 
 CAUSTIC_GUARD = 0.05
@@ -164,7 +164,7 @@ def shoot_characteristics(S0: PotentialField, V, seeds, T: float, step: float,
         for i in range(n):
             state = rk4_step(rhs, t, state, hh)
             t += hh
-            if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > 1e12:
+            if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > ESCAPE_GUARD:
                 raise TrajectoryEscape(f"characteristic escaped near t={t:.6g}")
             frames[i + 1] = state
         return times, frames
@@ -201,12 +201,7 @@ def first_conjugate_time(fan: CharacteristicFan) -> np.ndarray:
         d0, d1 = fan.delta_p[k, j], fan.delta_p[k + 1, j]
 
         def hermite(t):
-            s = (t - t0) / h
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            return h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
+            return hermite_state(f0, f1, d0, d1, h, (t - t0) / h)
 
         out[j] = brentq(hermite, t0, t1, xtol=1e-10)
     return out

@@ -100,6 +100,22 @@ class TestRunExperiment:
             text = (tmp_path / "spec" / name).read_text()
             assert text.startswith("# config_hash=")
 
+    def test_spectral_relation_floor_at_defaults(self, tmp_path):
+        # default spectral config; the disc ensemble, which the relation keys
+        # do not depend on, is cut to keep the test short
+        cfg = parse_config(f"experiment = spectral\nout = {tmp_path}/spec\n"
+                           "spectral.disc_controls = 2\n")
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
+        gaps_csv = (tmp_path / "spec" / "gaps.csv").read_text().splitlines()[2:]
+        gaps = np.array([float(row.split(",")[2]) for row in gaps_csv[:-1]])
+        assert gaps.size == 11
+        # B·Σ|g_i|/((B+1)^m − 1) with B = 50, m = 11
+        assert summary["relation_floor"] == pytest.approx(
+            50 * np.sum(gaps) / (51.0 ** 11 - 1), rel=1e-12)
+        assert 1e-16 < summary["relation_floor"] < 3e-16
+        assert summary["informative"] is False
+
     def test_steer_runner(self, tmp_path):
         cfg = parse_config(STEER_DEMO + f"out = {tmp_path}/steer\n")
         assert run_experiment(cfg) == 0

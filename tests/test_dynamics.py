@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclab.dynamics import (ControlSignal, HamiltonianSpec, evolve,
                             flow_jacobian, hamiltonian, sample_controls)
 from sclab.errors import TrajectoryEscape
 from sclab.geometry import ChartSpace, PhasePoint, make_potential
+from sclab.integrate import hermite_state
 
 
 def harmonic_linear_spec():
@@ -193,3 +196,32 @@ class TestControlSignal:
                                  scheme="lhs", include_extremes=True):
             assert u.duration == pytest.approx(2.0)
             assert np.max(np.abs(u.values)) <= 5.0 + 1e-12
+
+
+finite = st.floats(-10.0, 10.0)
+
+
+class TestHermiteState:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(finite, min_size=4, max_size=4), finite, st.floats(1e-3, 2.0),
+           st.floats(0.0, 1.0))
+    def test_reproduces_cubics(self, coeffs, t0, h, s):
+        c0, c1, c2, c3 = coeffs
+
+        def z(t):
+            return c0 + c1 * t + c2 * t ** 2 + c3 * t ** 3
+
+        def dz(t):
+            return c1 + 2 * c2 * t + 3 * c3 * t ** 2
+
+        t1 = t0 + h
+        got = hermite_state(z(t0), z(t1), dz(t0), dz(t1), h, s)
+        scale = 1.0 + sum(abs(c) for c in coeffs) * (1.0 + abs(t0) + h) ** 3
+        assert got == pytest.approx(z(t0 + s * h), abs=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(finite, min_size=4, max_size=4), st.floats(1e-3, 2.0))
+    def test_endpoints_exact(self, vals, h):
+        z0, z1, f0, f1 = (np.array([v, -v]) for v in vals)
+        assert np.array_equal(hermite_state(z0, z1, f0, f1, h, 0.0), z0)
+        assert np.array_equal(hermite_state(z0, z1, f0, f1, h, 1.0), z1)

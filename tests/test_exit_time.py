@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sclab.exit_time as exit_mod
 from sclab.dynamics import ControlSignal, HamiltonianSpec, sample_controls
 from sclab.errors import HypothesisViolated, OrderingViolated
-from sclab.exit_time import (chaplygin_compare, check_w_constancy,
+from sclab.exit_time import (EXIT_TIME_TOL, chaplygin_compare, check_w_constancy,
                              exit_lower_bound, sampled_exit_time)
 from sclab.geometry import BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential
+from sclab.integrate import bisect_event, hermite_state, rk4_trajectory
 
 
 def product_spec(c=1.0):
@@ -56,6 +60,29 @@ class TestChaplygin:
                               [0.0], [0.0], 1.0, 1e-2)
 
 
+def full_horizon_bound(spec, lam0, horizon, step):
+    """exit_lower_bound on the flat 1-D base, marched to the horizon first."""
+    omega1 = BoxRegion(((-1.0, 1.0),))
+    best = horizon
+    for sign in (-1.0, 1.0):
+        rhs = exit_mod._comparison_rhs(spec, (0,), np.array([sign]), lam0)
+        times, states = rk4_trajectory(rhs, np.array([lam0.x[0], lam0.p[0]]),
+                                       0.0, horizon, step)
+        out = np.where([omega1.signed_gap(z[:1]) <= 0.0 for z in states])[0]
+        if out.size == 0:
+            continue
+        k = int(out[0])
+        lo, hi, z0, z1 = times[k - 1], times[k], states[k - 1], states[k]
+        f0, f1 = rhs(lo, z0), rhs(hi, z1)
+
+        def gap(t):
+            return omega1.signed_gap(hermite_state(z0, z1, f0, f1, hi - lo,
+                                                   (t - lo) / (hi - lo))[:1])
+
+        best = min(best, bisect_event(gap, lo, hi, tol=EXIT_TIME_TOL))
+    return best
+
+
 class TestExitLowerBound:
     def test_constant_force_closed_form(self):
         # flat 1D factor, c const, rest state at the center: t* = √(2/c)
@@ -64,6 +91,25 @@ class TestExitLowerBound:
             lam0 = PhasePoint(np.zeros(2), np.zeros(2))
             bound = exit_lower_bound(spec, omega_unit(), lam0, horizon=10.0)
             assert bound == pytest.approx(np.sqrt(2.0 / c), abs=1e-3)
+
+    def test_early_stop_matches_full_horizon(self, monkeypatch):
+        # the same case marched over the whole horizon and scanned afterwards
+        horizon, step = 10.0, 1e-3
+        calls = []
+        real_step = exit_mod.rk4_step
+        monkeypatch.setattr(exit_mod, "rk4_step",
+                            lambda *args: calls.append(1) or real_step(*args))
+        for c in (1.0, 4.0):
+            spec = product_spec(c=c)
+            for p0 in (0.0, 0.7):
+                lam0 = PhasePoint(np.zeros(2), np.array([p0, 0.0]))
+                calls.clear()
+                bound = exit_lower_bound(spec, omega_unit(), lam0, horizon=horizon,
+                                         step=step)
+                assert bound == full_horizon_bound(spec, lam0, horizon, step)
+                if p0 == 0.0:
+                    # both sign patterns stop at the exit √(2/c), not at the horizon
+                    assert len(calls) <= 2 * (np.ceil(np.sqrt(2.0 / c) / step) + 1)
 
     def test_boundary_start_is_zero(self):
         spec = product_spec()
@@ -160,3 +206,73 @@ class TestSampledExit:
         text = report.to_csv(header_comment="seed=1")
         assert text.splitlines()[0] == "# seed=1"
         assert len(text.strip().splitlines()) == 3 + 5
+
+    def test_crossing_at_default_step(self):
+        # x = 1.5·sin t under V = ½x² whatever the control on y: exit at asin(2/3)
+        spec = product_spec()
+        lam0 = PhasePoint(np.zeros(2), np.array([1.5, 0.0]))
+        report = sampled_exit_time(spec, lam0, omega_unit(),
+                                   sample_controls(0, 10, 3.0, 100.0), horizon=3.0)
+        assert report.sampled_min_exit == pytest.approx(np.arcsin(2.0 / 3.0), abs=1e-8)
+        assert np.allclose(report.exit_times, np.arcsin(2.0 / 3.0), rtol=0.0, atol=1e-8)
+
+
+def line_spec(columns):
+    """Flat line, V = ½x², and W = x (one column) or W = (x, x/2) (two)."""
+    space = ChartSpace(dimension=1, product_split=((0,), ()))
+    W = [make_potential("linear", 1, slope=1.0), make_potential("linear", 1, slope=0.5)]
+    return HamiltonianSpec(space=space, V=make_potential("harmonic", 1), W=W[:columns])
+
+
+@st.composite
+def control_ensembles(draw):
+    """Controls on a 1/4 grid, so breakpoints often coincide across members;
+    durations run from well short of the horizon 1 to past it."""
+    columns = draw(st.sampled_from([1, 2]))
+    controls = []
+    for _ in range(draw(st.integers(1, 5))):
+        ticks = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True))
+        bp = np.array([0.0] + sorted(0.25 * k for k in ticks))
+        shape = (bp.size - 1,) if columns == 1 else (bp.size - 1, 2)
+        values = draw(st.lists(st.floats(-5.0, 5.0), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        controls.append(ControlSignal(bp, np.reshape(values, shape)))
+    return controls
+
+
+class TestSweepControlLookup:
+    @settings(max_examples=40, deadline=None)
+    @given(control_ensembles())
+    def test_values_match_value_at_every_cut(self, controls):
+        horizon = 1.0
+        seen = []
+        real_rhs = exit_mod._batched_rhs
+
+        def recording_rhs(spec, u_values):
+            seen.append(np.array(u_values, copy=True))
+            return real_rhs(spec, u_values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exit_mod, "_batched_rhs", recording_rhs)
+            # Ω is unbounded: nobody exits, so every rhs built is a cut's
+            exit_mod._sweep_exits(line_spec(controls[0].n_controls),
+                                  PhasePoint(np.zeros(1), np.zeros(1)),
+                                  BoxRegion(((-1e9, 1e9),)), controls, horizon, 0.05)
+        cuts = sorted({0.0, horizon} | {float(b) for u in controls
+                                         for b in u.breakpoints if 0.0 < b < horizon})
+        assert len(seen) == len(cuts) - 1
+        for u_vals, a, b in zip(seen, cuts[:-1], cuts[1:]):
+            want = np.stack([np.atleast_1d(u.value_at(0.5 * (a + b))) for u in controls])
+            assert np.array_equal(u_vals, want)
+
+    def test_lookups_only_at_switches(self, monkeypatch):
+        controls = sample_controls(3, 40, 3.0, 100.0, max_breakpoints=6)
+        calls = []
+        real_value_at = ControlSignal.value_at
+        monkeypatch.setattr(ControlSignal, "value_at",
+                            lambda self, t: calls.append(1) or real_value_at(self, t))
+        exit_mod._sweep_exits(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
+                              omega_unit(), controls, 3.0, 2e-3)
+        switches = sum(int(np.sum((u.breakpoints > 0.0) & (u.breakpoints < 3.0)))
+                       for u in controls)
+        assert 0 < len(calls) <= len(controls) + switches

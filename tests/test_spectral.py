@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import QuadratureDivergence, TruncationNotConverged
@@ -7,7 +11,7 @@ from sclab.spectral import (CouplingMatrix, GapVector, HermiteBasis,
                             cutoff_coupling, default_zero_tol,
                             gap_rational_relation, gaussian_coupling,
                             invariant_disc_check, minor_connectivity,
-                            perturbed_spectrum)
+                            perturbed_spectrum, relation_floor)
 
 
 class TestHermiteBasis:
@@ -91,6 +95,21 @@ class TestCutoffCoupling:
         assert slope == pytest.approx(1.0, abs=0.05)
 
 
+    def test_matches_elementwise_quadrature(self):
+        # scipy's adaptive quad, one entry at a time, is the reference
+        from scipy.integrate import quad
+        a, b, c, eps, N = -0.5, 0.3, -0.2, 2.0, 5
+        _, f = cutoff_coupling(a, b, c, eps, N)
+        for i in range(N):
+            for j in range(i, N):
+                def integrand(x):
+                    phi = HermiteBasis(N).eigenfunctions(np.array([x]))[:, 0]
+                    return phi[i] * phi[j] * np.exp(a * x * x + b * x + c)
+                ref, _ = quad(integrand, -eps, eps, epsabs=1e-14, epsrel=1e-13)
+                assert f[i, j] == pytest.approx(ref, abs=1e-12)
+        assert np.array_equal(f, f.T)
+
+
 class TestConnectivity:
     def test_identity_disconnected(self):
         B = CouplingMatrix(np.eye(2), -1.0, 0.0, 0.0)
@@ -144,6 +163,26 @@ class TestRationalRelations:
         if rel is not None:
             assert np.max(np.abs(rel)) <= 50
             assert abs(rel @ g) < 1e-9
+
+
+class TestRelationFloor:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=3),
+           st.integers(1, 4))
+    def test_some_relation_within_floor(self, gaps, bound):
+        g = np.array(gaps)
+        best = min(abs(np.dot(lam, g))
+                   for lam in itertools.product(range(-bound, bound + 1), repeat=g.size)
+                   if any(lam))
+        assert best <= relation_floor(g, bound) * (1 + 1e-12)
+
+    def test_default_size(self):
+        g = perturbed_spectrum(1.0, -1.0, 1.0, 0.0, 12, 48).gaps
+        assert relation_floor(g, 50) == pytest.approx(
+            50 * np.sum(g) / (51.0 ** 11 - 1), rel=1e-12)
+
+    def test_huge_box_underflows_to_zero(self):
+        assert relation_floor(np.full(400, 2.0), 50) == 0.0
 
 
 class TestPerturbedSpectrum:
