@@ -227,21 +227,34 @@ def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
     """Remove the central window: f_ij(ε) = ∫_{-ε}^{ε} φ_iφ_j e^{ax²+bx+c} dx.
 
     Returns (coupling with entries b_ij − f_ij(ε), f matrix).  The integrand
-    is entire, so one Gauss–Legendre rule on [−ε, ε] gives every entry at
-    once, f = Φ·diag(w·e^{ax²+bx+c})·Φᵀ with Φ the φ_i at the nodes; the order
-    doubles until two orders agree to 1e-13.
+    is entire, so one Gauss–Legendre rule gives every entry at once,
+    f = Φ·diag(w·e^{ax²+bx+c})·Φᵀ with Φ the φ_i at the nodes; the order
+    doubles until two orders agree to 1e-13.  The integrand is a polynomial
+    of degree ≤ 2N−2 times a Gaussian of width σ = 1/√(2(1−a)) centred at
+    x_c = b/(2(1−a)), so the rule runs on [−ε, ε] ∩ [x_c − L, x_c + L] with
+    L = (√(4N) + 9)·σ, outside which it is below e^{−40} of its peak.  Without
+    the clip a wide window puts every node of the first orders outside the
+    bump, and two orders "agree" on f = 0.  Each side of the product carries
+    half of the Gaussian, e^{((a−1)x²+bx+c)/2}, so e^{ax²} never overflows
+    for 0 < a < 1.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     full = gaussian_coupling(a, b, c, N, validate=False)
     f = np.zeros((N, N))
-    if eps > 0:
+    sigma = 1.0 / math.sqrt(2.0 * (1.0 - a))
+    centre = b * sigma * sigma
+    half = (math.sqrt(4 * N) + 9.0) * sigma
+    lo, hi = max(-eps, centre - half), min(eps, centre + half)
+    if hi > lo:
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
         order, prev = 2 * N, None
         while True:
             nodes, weights = np.polynomial.legendre.leggauss(order)
-            x, w = eps * nodes, eps * weights
-            phi = hermite_polynomial_values(N, x) * np.exp(-0.5 * x * x)
-            f = (phi * (w * np.exp(a * x * x + b * x + c))) @ phi.T
+            x, w = mid + rad * nodes, rad * weights
+            root = hermite_polynomial_values(N, x) * np.exp(
+                0.5 * ((a - 1.0) * x * x + b * x + c))
+            f = (root * w) @ root.T
             f = 0.5 * (f + f.T)
             if prev is not None and np.max(np.abs(f - prev)) <= 1e-13 * max(1.0, np.max(np.abs(f))):
                 break

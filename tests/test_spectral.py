@@ -82,6 +82,18 @@ class TestCutoffCoupling:
         assert np.max(np.abs(f - full.entries)) < 1e-10
         assert np.max(np.abs(hat.entries)) < 1e-10
 
+    @pytest.mark.parametrize("a, b, eps, N", [
+        (-1.0, 1.0, 1000.0, 12), (-1.0, 1.0, 200.0, 6), (-1.0, -1.0, 1e5, 8),
+        (0.5, 1.0, 300.0, 12), (0.9, 3.0, 500.0, 24)])
+    def test_wide_window_empties_coupling(self, a, b, eps, N):
+        # a window far wider than the Gaussian bump: an unclipped rule of
+        # order 2N-4N misses the bump and would return f = 0
+        hat, f = cutoff_coupling(a, b, 0.0, eps, N)
+        full = gaussian_coupling(a, b, 0.0, N).entries
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(f - full)) < 1e-10 * scale
+        assert np.max(np.abs(hat.entries)) < 1e-10 * scale
+
     def test_f00_monotone_in_eps(self):
         vals = [cutoff_coupling(-1.0, 0.0, 0.0, e, 4)[1][0, 0]
                 for e in (0.1, 0.3, 0.7, 1.5)]
