@@ -144,11 +144,6 @@ class PhasePoint:
         """Flat state vector (x_1..x_n, p_1..p_n) for integrators."""
         return np.concatenate([self.x, self.p])
 
-    @staticmethod
-    def from_state(z: np.ndarray) -> "PhasePoint":
-        n = z.size // 2
-        return PhasePoint(z[:n], z[n:])
-
 
 @dataclass(frozen=True)
 class PotentialField:
@@ -207,10 +202,6 @@ class BoxRegion:
                 raise ValueError(f"degenerate interval {b}")
             clean.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(clean))
-
-    @property
-    def constrained_axes(self) -> tuple[int, ...]:
-        return tuple(k for k, b in enumerate(self.bounds) if b is not None)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Membership mask, broadcasting over batched points (..., dim)."""

@@ -260,11 +260,15 @@ def _run_obstruction(config: ExperimentConfig) -> None:
         target_distance_floor=config["obstruction.distance_floor"],
         enforce_hypothesis=config["obstruction.enforce_hypothesis"],
     )
-    report = obs_mod.run_localization_experiment(ocfg)
+    # one fan serves both stages; a config that breaks the hypothesis fails
+    # before it is shot
+    obs_mod.check_hypothesis(ocfg)
+    engine = obs_mod.AnsatzEngine(ocfg, max(ocfg.eps_grid), allow_caustic=True)
+    report = obs_mod.run_localization_experiment(ocfg, engine)
     _write(config.out, "records.csv", report.to_csv(_header(config)))
     _write(config.out, "report.json", report.to_json())
     tq = obs_mod.estimate_Tq_lower_bound(
-        ocfg, threshold=1.0 - config["obstruction.distance_floor"])
+        ocfg, threshold=1.0 - config["obstruction.distance_floor"], engine=engine)
     _write_summary(config, {
         "certified_bound": report.certified_bound,
         "tq_lower_bound": tq,

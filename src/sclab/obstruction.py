@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import ControlSignal, sample_controls
 from .errors import CausticReached, HypothesisViolated
 from .geometry import BoxRegion, PotentialField, make_potential
-from .schrodinger import (SpatialGrid, WaveGrid, l2_distance,
+from .schrodinger import (SpatialGrid, WaveGrid, WaveStack,
                           region_probability, split_step_evolve)
 from .wkb import (CAUSTIC_GUARD, CutoffFunction, duhamel_delta,
                   first_conjugate_time, shoot_characteristics, wkb_field,
@@ -157,22 +157,34 @@ class ObstructionReport:
         return buf.getvalue()
 
 
-def _hypothesis_scan(config: ObstructionConfig) -> float:
-    """Max |W'| over an Ω grid on the base factor (0 for the product pullback)."""
+def check_hypothesis(config: ObstructionConfig) -> float:
+    """Max |W'| over an Ω grid on the base factor (0 for the product pullback);
+    raises HypothesisViolated when the config enforces a constant W on Ω."""
     if config.is_product or config.W is None:
         return 0.0
     lo, hi = config.omega.bounds[0]
     xs = np.linspace(lo, hi, 257)[:, None]
     grads = np.asarray(config.W.gradient(xs), dtype=float)
-    return float(np.max(np.abs(grads)))
+    max_d1w = float(np.max(np.abs(grads)))
+    if config.enforce_hypothesis and max_d1w >= 1e-9:
+        raise HypothesisViolated(
+            f"control potential varies on Ω (max |W'| = {max_d1w:.3e})")
+    return max_d1w
 
 
-class _AnsatzEngine:
-    """Precomputes the fan, cutoff arrays, and residual series for one config."""
+class AnsatzEngine:
+    """Precomputes the fan, cutoff arrays, and residual series for one config.
+
+    One engine serves `run_localization_experiment` and
+    `estimate_Tq_lower_bound` when their horizons agree.  Built with
+    allow_caustic=True it records the guard floor instead of raising, and
+    `require_valid` raises the same CausticReached later.
+    """
 
     def __init__(self, config: ObstructionConfig, horizon: float,
                  allow_caustic: bool = False):
         self.config = config
+        self.horizon = horizon
         self.grid = config.grid
         lo_o, hi_o = config.omega.bounds[0]
         margin = 0.02 * (hi_o - lo_o)
@@ -200,10 +212,8 @@ class _AnsatzEngine:
         else:
             cover_floor = self.fan.horizon
         self.guard_floor = min(guard_floor, cover_floor)
-        if not allow_caustic and self.guard_floor < self.fan.horizon:
-            raise CausticReached(
-                f"ansatz validity ends at t={self.guard_floor:.4g} inside the "
-                f"horizon {horizon:.4g}; shrink the ε grid")
+        if not allow_caustic:
+            self.require_valid()
         # normalization scale so that ‖χ·a0‖ = 1 on the grid
         field0 = wkb_field(self.fan, config.a0, self.grid, 0.0)
         chi_vals = (self.chi.chi(self.grid.mesh()) if self.chi is not None
@@ -225,6 +235,14 @@ class _AnsatzEngine:
                                       + config.omega_prime.bounds[0][1])])
             self.c_ref = float(np.asarray(config.W.value(center[None, :])).reshape(-1)[0])
         self._field_cache: dict[int, object] = {}
+        self._norm_cache: dict[int, float] = {}
+
+    def require_valid(self) -> None:
+        """Raise CausticReached if the ansatz stops being valid inside the horizon."""
+        if self.guard_floor < self.fan.horizon:
+            raise CausticReached(
+                f"ansatz validity ends at t={self.guard_floor:.4g} inside the "
+                f"horizon {self.horizon:.4g}; shrink the ε grid")
 
     def field_at(self, t: float):
         k = self.fan.time_index(t)
@@ -237,16 +255,28 @@ class _AnsatzEngine:
         """Residual grid without any control phase (scalar factor)."""
         return wkb_residual(self.field_at(t), self.chi)
 
+    def residual_norms(self, idx) -> np.ndarray:
+        """‖r(t_k)‖ of the control-free residual at fan indices idx; each
+        index is computed once per engine."""
+        for k in idx:
+            if k not in self._norm_cache:
+                r = self.bare_residual(float(self.fan.times[k]))
+                self._norm_cache[k] = np.sqrt(np.sum(np.abs(r) ** 2)
+                                              * self.grid.cell_volume)
+        return np.array([self._norm_cache[k] for k in idx])
+
+    def phase(self, u: ControlSignal, t: float) -> complex:
+        """The control phase e^{-ic∫₀ᵗu} of the scalar ansatz."""
+        return np.exp(-1j * self.c_ref * u.integral(min(t, u.duration)))
+
     def phi_scalar(self, u: ControlSignal, t: float) -> WaveGrid:
-        field = self.field_at(t)
-        phase = np.exp(-1j * self.c_ref * u.integral(min(t, u.duration)))
-        vals = self.chi_vals * field.psi_tilde() * phase
+        vals = self.chi_vals * self.field_at(t).psi_tilde() * self.phase(u, t)
         return WaveGrid(self.grid, vals, self.config.hbar)
 
     def residual_for(self, u: ControlSignal, t: float) -> np.ndarray:
         """Full residual including the control-dependent term when the
         constancy hypothesis is deliberately broken."""
-        phase = complex(np.exp(-1j * self.c_ref * u.integral(min(t, u.duration))))
+        phase = complex(self.phase(u, t))
         r = wkb_residual(self.field_at(t), self.chi, control_phase=phase)
         if not self.config.enforce_hypothesis and not self.config.is_product \
                 and self.config.W is not None:
@@ -258,15 +288,15 @@ class _AnsatzEngine:
         return r
 
 
-def _sample_times(engine: _AnsatzEngine, eps: float, n_samples: int) -> np.ndarray:
-    """Fan-grid times covering [0, ε] with about n_samples entries."""
+def _sample_indices(engine: AnsatzEngine, eps: float, n_samples: int) -> np.ndarray:
+    """Fan-grid indices of times covering [0, ε] with about n_samples entries."""
     times = engine.fan.times
     k_end = int(np.argmin(np.abs(times - eps)))
     if abs(times[k_end] - eps) > engine.config.fan_step:
         raise ValueError(f"ε={eps} is beyond the fan horizon")
     stride = max(1, k_end // max(2, n_samples - 1))
     idx = list(range(0, k_end, stride)) + [k_end]
-    return times[np.array(sorted(set(idx)))]
+    return np.array(sorted(set(idx)))
 
 
 def _witness_state(config: ObstructionConfig) -> WaveGrid:
@@ -307,11 +337,11 @@ def _pullback_2d(field_1d: Optional[PotentialField], axis: int) -> Optional[Pote
 
 
 def build_ansatz(config: ObstructionConfig, u: ControlSignal, t: float,
-                 engine: Optional[_AnsatzEngine] = None) -> WaveGrid:
+                 engine: Optional[AnsatzEngine] = None) -> WaveGrid:
     """The cutoff approximate solution φ(t) for the given control law."""
     if engine is None:
         horizon = max(max(config.eps_grid), t)
-        engine = _AnsatzEngine(config, horizon)
+        engine = AnsatzEngine(config, horizon)
     if not config.is_product:
         return engine.phi_scalar(u, t)
     # product case: ψ₂ evolves under the x-frozen potential V2 + u·W2 on N₂
@@ -333,16 +363,37 @@ def _gaussian_on(grid: SpatialGrid, center: float, sigma: float,
     return WaveGrid(grid, vals, hbar).normalized()
 
 
-def run_localization_experiment(config: ObstructionConfig) -> ObstructionReport:
+def _engine_for(config: ObstructionConfig, horizon: float,
+                engine: Optional[AnsatzEngine], allow_caustic: bool) -> AnsatzEngine:
+    """The given engine if it was built for this config and horizon, else a new one."""
+    if engine is None or engine.config is not config or engine.horizon != horizon:
+        return AnsatzEngine(config, horizon, allow_caustic)
+    if not allow_caustic:
+        engine.require_valid()
+    return engine
+
+
+def run_localization_experiment(config: ObstructionConfig,
+                                engine: Optional[AnsatzEngine] = None
+                                ) -> ObstructionReport:
     """Evolve the true equation over a control ensemble and verify, per record,
     the Duhamel bound, the control uniformity of δ, and the witness-distance
-    floor; certify the largest ε with uniform δ(ε) < 1 − floor."""
-    max_d1w = _hypothesis_scan(config)
-    if config.enforce_hypothesis and max_d1w >= 1e-9:
-        raise HypothesisViolated(
-            f"control potential varies on Ω (max |W'| = {max_d1w:.3e})")
+    floor; certify the largest ε with uniform δ(ε) < 1 − floor.
+
+    For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
+    scalar case and (m, n1, n2) in the product case: one split_step_evolve
+    call per sample window advances every member under its own control.  At
+    each sample time φ is built for every row (in the scalar case the shared
+    χ·ψ̃(t_k) times each member's phase e^{-ic∫u}), and ‖ψ − φ‖, the witness
+    distance and the Duhamel margin are taken per row.  The working set is
+    the stack and its fixed buffers, updated in place: φ is built in the
+    stack's scratch buffer, and no array of the stack's size is allocated
+    per window.  `engine`, when built for this config at the horizon
+    max(eps_grid), is used instead of shooting a new fan.
+    """
+    max_d1w = check_hypothesis(config)
     horizon = max(config.eps_grid)
-    engine = _AnsatzEngine(config, horizon)
+    engine = _engine_for(config, horizon, engine, allow_caustic=False)
     rng = np.random.default_rng(config.seed)
     controls = sample_controls(rng, config.ensemble_count, horizon,
                                config.ensemble_amplitude,
@@ -356,67 +407,69 @@ def run_localization_experiment(config: ObstructionConfig) -> ObstructionReport:
     initial_tail = None
 
     if config.is_product:
-        full_grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
-        V_full = _pullback_2d(config.V2, 1)
-        W_full = _pullback_2d(config.W2, 1)
+        grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
+        V_run = _pullback_2d(config.V2, 1)
+        W_run = _pullback_2d(config.W2, 1)
         outside_region = BoxRegion((config.omega.bounds[0], None))
     else:
+        grid, V_run, W_run = config.grid, config.V, config.W
         outside_region = config.omega
+    m = len(controls)
+    stack = WaveStack(grid, np.zeros((m,) + grid.shape), config.hbar)
+    psi, phi = stack.values, stack.scratch  # φ rows go to the stack's scratch
+
+    def set_phi(t: float) -> None:
+        if config.is_product:
+            for j, u in enumerate(controls):
+                phi[j] = build_ansatz(config, u.restricted(t) if 0 < t < u.duration
+                                      else u, t, engine).values
+        else:
+            base = engine.chi_vals * engine.field_at(t).psi_tilde()
+            phases = np.array([engine.phase(u, t) for u in controls])
+            np.multiply(base, phases[:, None], out=phi)
 
     for eps in config.eps_grid:
-        times = _sample_times(engine, eps, config.n_samples)
+        idx = _sample_indices(engine, eps, config.n_samples)
+        times = engine.fan.times[idx]
         eps_eff = float(times[-1])
-        # control-independent residual norms on the fan sample grid
-        base_norms = np.array([
-            np.sqrt(np.sum(np.abs(engine.bare_residual(t)) ** 2)
-                    * config.grid.cell_volume) for t in times])
-        deltas_ctrl = []
-        for j, u in enumerate(controls):
-            if config.enforce_hypothesis:
-                norms = base_norms
-            else:
-                norms = np.array([
-                    np.sqrt(np.sum(np.abs(engine.residual_for(u, t)) ** 2)
-                            * config.grid.cell_volume) for t in times])
-            delta_t = _cumulative_trapezoid(norms, times)
-            delta_eps = float(delta_t[-1])
-            deltas_ctrl.append(delta_eps)
+        if config.enforce_hypothesis:
+            # control-independent residual norms on the fan sample grid
+            norms = engine.residual_norms(idx)[None, :]
+        else:
+            norms = np.array([[
+                np.sqrt(np.sum(np.abs(engine.residual_for(u, t)) ** 2)
+                        * config.grid.cell_volume) for t in times] for u in controls])
+        delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms])
+        deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
-            if config.is_product:
-                phi0 = build_ansatz(config, u, 0.0, engine)
-            else:
-                phi0 = engine.phi_scalar(u, 0.0)
-            psi = WaveGrid(phi0.grid, phi0.values, config.hbar)
-            if initial_tail is None:
-                initial_tail = 1.0 - region_probability(psi.normalized(),
-                                                        outside_region)
-            max_dev = 0.0
-            min_margin = np.inf
-            min_witness = l2_distance(psi1, psi)
-            dt_run = config.dt or min(1e-3, eps_eff / 64.0)
-            for k in range(1, times.size):
-                seg = u.window(times[k - 1], times[k])
-                if config.is_product:
-                    psi = split_step_evolve(psi, V_full, W_full, seg,
-                                            seg.duration, dt=dt_run)
-                    phi = build_ansatz(config, u.restricted(times[k]) if
-                                       times[k] < u.duration else u,
-                                       float(times[k]), engine)
-                else:
-                    psi = split_step_evolve(psi, config.V, config.W, seg,
-                                            seg.duration, dt=dt_run)
-                    phi = engine.phi_scalar(u, float(times[k]))
-                dev = l2_distance(psi, phi)
-                max_dev = max(max_dev, dev)
-                min_margin = min(min_margin, float(delta_t[k]) + DUHAMEL_SLACK - dev)
-                min_witness = min(min_witness, l2_distance(psi1, psi))
+        set_phi(0.0)
+        psi[...] = phi
+        if initial_tail is None:
+            initial_tail = 1.0 - region_probability(stack.member(0).normalized(),
+                                                    outside_region)
+        max_dev = np.zeros(m)
+        min_margin = np.full(m, np.inf)
+        min_witness = stack.distances(psi1.values)
+        dt_run = config.dt or min(1e-3, eps_eff / 64.0)
+        for k in range(1, times.size):
+            split_step_evolve(stack, V_run, W_run, controls, float(times[k]), dt_run,
+                              t0=float(times[k - 1]), check_input=k == 1)
+            set_phi(float(times[k]))
+            dev = stack.distances(phi)
+            max_dev = np.maximum(max_dev, dev)
+            min_margin = np.minimum(min_margin,
+                                    delta_t[:, k] + DUHAMEL_SLACK - dev)
+            min_witness = np.minimum(min_witness, stack.distances(psi1.values))
+        for j in range(m):
             records.append(ObstructionRecord(
-                eps=eps_eff, control_index=j, delta=delta_eps,
-                max_deviation=max_dev, min_witness_distance=min_witness,
-                outside_probability=1.0 - region_probability(psi, outside_region),
-                duhamel_margin=float(min_margin)))
-        delta_by_eps[eps_eff] = float(np.max(deltas_ctrl))
-        spread_by_eps[eps_eff] = float(np.max(deltas_ctrl) - np.min(deltas_ctrl))
+                eps=eps_eff, control_index=j, delta=float(deltas[j]),
+                max_deviation=float(max_dev[j]),
+                min_witness_distance=float(min_witness[j]),
+                outside_probability=1.0 - region_probability(stack.member(j),
+                                                             outside_region),
+                duhamel_margin=float(min_margin[j])))
+        delta_by_eps[eps_eff] = float(np.max(deltas))
+        spread_by_eps[eps_eff] = float(np.max(deltas) - np.min(deltas))
 
     threshold = 1.0 - config.target_distance_floor
     certified = 0.0
@@ -443,13 +496,15 @@ def _cumulative_trapezoid(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def estimate_Tq_lower_bound(config: ObstructionConfig,
-                            threshold: float = 1.0) -> float:
+                            threshold: float = 1.0,
+                            engine: Optional[AnsatzEngine] = None) -> float:
     """Largest horizon with δ(ε) < threshold, found on the cumulative residual
     integral (monotone in ε, so the grid bisection reduces to an inversion);
     capped by the caustic guard floor.  Returns 0 when even the first sample
-    exceeds the threshold."""
+    exceeds the threshold.  `engine`, when built for this config at the
+    horizon tq_horizon or max(eps_grid), is used instead of a new fan."""
     horizon = config.tq_horizon or max(config.eps_grid)
-    engine = _AnsatzEngine(config, horizon, allow_caustic=True)
+    engine = _engine_for(config, horizon, engine, allow_caustic=True)
     usable = horizon if engine.guard_floor >= engine.fan.horizon \
         else engine.guard_floor - config.fan_step
     times = engine.fan.times
@@ -460,10 +515,7 @@ def estimate_Tq_lower_bound(config: ObstructionConfig,
     stride = max(1, times.size // 256)
     idx = np.array(sorted(set(list(range(0, times.size, stride)) + [times.size - 1])))
     ts = times[idx]
-    norms = np.array([
-        np.sqrt(np.sum(np.abs(engine.bare_residual(t)) ** 2)
-                * config.grid.cell_volume) for t in ts])
-    delta = _cumulative_trapezoid(norms, ts)
+    delta = _cumulative_trapezoid(engine.residual_norms(idx), ts)
     below = delta < threshold
     if delta[0] >= threshold:
         return 0.0

@@ -9,12 +9,20 @@ Second order in dt, exactly norm preserving, and exact whenever the potential
 commutes with the kinetic term (constant W gives the global phase e^{-ic∫u}).
 Periodic boxes stand in for the line: callers keep states away from the
 boundary and monitor the outer-mass / top-mode diagnostics.
+
+`split_step_evolve` advances one `WaveGrid` or a `WaveStack` of m states,
+each under its own control, over a common window.  Every member keeps its
+own substep schedule and the stack steps in lockstep, with one FFT over the
+whole stack per step; a single state is the m = 1 stack.  The resolution
+check (`TOP_MODE_MASS_TOL`) runs as one batched spectrum on the input and on
+every member at each of its own control segment ends.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -88,8 +96,7 @@ class WaveGrid:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError("wavefunction values must be finite")
+        _require_finite(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -129,18 +136,69 @@ class WaveGrid:
         return cls(grid, vals.reshape(grid.shape), hbar)
 
 
+class WaveStack:
+    """m states on one grid, values of shape (m, *grid.shape), evolved in place.
+
+    The stack owns the buffers `split_step_evolve` works in (the spectra,
+    each member's half potential phase and kinetic phase, and a real power
+    buffer), so evolving it window after window allocates no array of its
+    size.  Between calls the spectra buffer is free as `scratch`, and
+    `distances` uses it.
+    """
+
+    def __init__(self, grid: SpatialGrid, values, hbar: float = 1.0):
+        vals = np.array(values, dtype=complex)
+        if vals.shape[1:] != grid.shape or vals.ndim != grid.dim + 1:
+            raise ValueError(f"values shape {vals.shape} != (m, *{grid.shape})")
+        _require_finite(vals)
+        self.grid, self.values, self.hbar = grid, vals, float(hbar)
+        self.scratch = np.empty_like(vals)
+        self._half = np.empty_like(vals)
+        self._kin = np.empty_like(vals)
+        self._power = np.empty(vals.shape)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def member(self, j: int) -> WaveGrid:
+        """Member j as a validated WaveGrid (a copy)."""
+        return WaveGrid(self.grid, self.values[j].copy(), self.hbar)
+
+    def distances(self, other: np.ndarray) -> np.ndarray:
+        """‖ψ_j − other_j‖ for every member; other is one state's values or a
+        stack's, and may be `scratch`, which this overwrites."""
+        diff = np.subtract(self.values, other, out=self.scratch)
+        power = np.abs(diff, out=self._power)
+        np.square(power, out=power)
+        axes = tuple(range(1, self.grid.dim + 1))
+        return np.sqrt(power.sum(axis=axes) * self.grid.cell_volume)
+
+
 def top_mode_mass(psi: WaveGrid) -> float:
     """Fraction of spectral mass in the top 10% of |k| modes."""
-    spec = np.abs(np.fft.fftn(psi.values)) ** 2
-    total = float(np.sum(spec))
-    if total == 0.0:
-        return 0.0
-    if psi.grid.dim == 1:
-        kmag = np.abs(psi.grid.wavenumbers(0))
+    return float(_top_mode_masses(psi.values[None], psi.grid)[0])
+
+
+def _top_mode_masses(values: np.ndarray, grid: SpatialGrid,
+                     work: Optional[np.ndarray] = None,
+                     power: Optional[np.ndarray] = None) -> np.ndarray:
+    """top_mode_mass of each state in a stack (m, *grid.shape).
+
+    work (complex) and power (real) are optional buffers of at least m rows.
+    """
+    m = values.shape[0]
+    axes = tuple(range(1, grid.dim + 1))
+    spec = np.fft.fftn(values, grid.shape, axes, out=None if work is None else work[:m])
+    spec = np.abs(spec, out=None if power is None else power[:m])
+    np.square(spec, out=spec)
+    total = spec.sum(axis=axes)
+    if grid.dim == 1:
+        kmag = np.abs(grid.wavenumbers(0))
     else:
-        kmag = np.sqrt(psi.grid.k_squared())
+        kmag = np.sqrt(grid.k_squared())
     cut = (1.0 - TOP_MODE_FRACTION) * float(np.max(kmag))
-    return float(np.sum(spec[kmag >= cut])) / total
+    top = spec[:, kmag >= cut].sum(axis=-1)
+    return np.divide(top, total, out=np.zeros(m), where=total != 0.0)
 
 
 def boundary_mass(psi: WaveGrid, fraction: float = 0.10) -> float:
@@ -156,11 +214,18 @@ def boundary_mass(psi: WaveGrid, fraction: float = 0.10) -> float:
     return float(np.sum(prob[mask]))
 
 
-def _check_resolution(psi: WaveGrid) -> None:
-    mass = top_mode_mass(psi)
+def _check_resolution(values: np.ndarray, grid: SpatialGrid,
+                      work: Optional[np.ndarray] = None,
+                      power: Optional[np.ndarray] = None) -> None:
+    mass = float(np.max(_top_mode_masses(values, grid, work, power)))
     if mass > TOP_MODE_MASS_TOL:
         raise GridTooCoarse(
             f"top-mode spectral mass {mass:.3e} exceeds {TOP_MODE_MASS_TOL:.0e}")
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values.view(float))):
+        raise ValueError("wavefunction values must be finite")
 
 
 def _potential_array(grid: SpatialGrid, field: Optional[PotentialField]) -> np.ndarray:
@@ -176,23 +241,54 @@ def default_dt(u: ControlSignal, grid: SpatialGrid, hbar: float = 1.0) -> float:
     return min(min_seg / 64.0, 2 * np.pi / (8.0 * e_max))
 
 
-def split_step_evolve(psi0: WaveGrid, V: Optional[PotentialField],
-                      W: Optional[PotentialField | Sequence[PotentialField]],
-                      u: ControlSignal, T: float,
-                      dt: Optional[float] = None) -> WaveGrid:
-    """Evolve ψ₀ over [0, T] under V + u(t)·W with Strang splitting.
+def _pieces(u: ControlSignal, t0: float, t1: float, dt: float):
+    """(h, substeps, value) of each piece of u on [t0, t1], cut at u's
+    breakpoints strictly inside; nseg = ceil(len/dt − 1e-12), h = len/nseg."""
+    if t1 <= t0:
+        return []
+    bp = u.breakpoints
+    lo = int(np.searchsorted(bp, t0, side="right"))
+    hi = int(np.searchsorted(bp, t1, side="left"))
+    rel = [float(c) - t0 for c in (t0, *bp[lo:hi], t1)]
+    last = u.values.shape[0] - 1
+    pieces = []
+    for k in range(len(rel) - 1):
+        length = rel[k + 1] - rel[k]
+        nseg = max(1, math.ceil(length / dt - 1e-12))
+        pieces.append((length / nseg, nseg, u.values[min(lo - 1 + k, last)]))
+    return pieces
 
-    dt is adjusted downward so it divides every control subinterval; norms are
-    preserved to machine precision and the momentum-resolution guard is
-    checked at every control breakpoint.
+
+def split_step_evolve(psi0, V: Optional[PotentialField],
+                      W: Optional[PotentialField | Sequence[PotentialField]],
+                      u, T: float, dt: Optional[float] = None, *,
+                      t0: float = 0.0, check_input: bool = True):
+    """Evolve over [t0, T] under V + u(t)·W with Strang splitting.
+
+    psi0 is a WaveGrid evolved under the ControlSignal u (a new WaveGrid is
+    returned), or a WaveStack of m states evolved in place under the m
+    controls in u (the stack is returned).  Each member cuts [t0, T] at its
+    own breakpoints; on each piece dt is adjusted downward to divide it and
+    the member applies half_v, then (FFT, kin, IFFT, half_v²)…, then half_v.
+    The members step in lockstep on the step index, one FFT over the whole
+    stack per step, and a member with fewer steps is left unchanged once
+    done.  Norms are preserved to machine precision.  The momentum-resolution
+    guard runs on the input (unless check_input is False, for an input the
+    previous window already checked) and on every member at each of its
+    piece ends; every returned state is checked finite.  dt=None takes
+    default_dt of each member's control.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if T > u.duration + 1e-12:
+    single = isinstance(psi0, WaveGrid)
+    stack = WaveStack(psi0.grid, psi0.values[None], psi0.hbar) if single else psi0
+    controls = [u] if single else list(u)
+    grid, hbar, psi = stack.grid, stack.hbar, stack.values
+    m = len(stack)
+    if len(controls) != m:
+        raise ValueError(f"{len(controls)} controls for {m} states")
+    if T < t0 or t0 < 0:
+        raise ValueError("need 0 ≤ t0 ≤ T")
+    if any(T > c.duration + 1e-12 for c in controls):
         raise ValueError("control law shorter than the requested horizon")
-    if dt is None:
-        dt = default_dt(u, psi0.grid, psi0.hbar)
-    grid, hbar = psi0.grid, psi0.hbar
     Varr = _potential_array(grid, V)
     if W is None:
         Warrs = []
@@ -201,23 +297,73 @@ def split_step_evolve(psi0: WaveGrid, V: Optional[PotentialField],
     else:
         Warrs = [_potential_array(grid, Wa) for Wa in W]
     k2 = grid.k_squared()
-    psi = np.array(psi0.values, dtype=complex)
-    _check_resolution(psi0)
-    for a, b, uval in u.restricted(T).segments():
-        uvec = np.atleast_1d(np.asarray(uval, dtype=float))
-        Vtot = Varr + sum(ua * Wa for ua, Wa in zip(uvec, Warrs))
-        nseg = max(1, int(np.ceil((b - a) / dt - 1e-12)))
-        h = (b - a) / nseg
-        half_v = np.exp(-0.5j * h * Vtot / hbar)
-        kin = np.exp(-0.5j * h * hbar * k2)
-        psi = half_v * psi
-        for step_idx in range(nseg):
-            psi = np.fft.ifftn(kin * np.fft.fftn(psi))
-            if step_idx < nseg - 1:
-                psi = (half_v * half_v) * psi
-        psi = half_v * psi
-        _check_resolution(WaveGrid(grid, psi, hbar))
-    return WaveGrid(grid, psi, hbar)
+    axes = tuple(range(1, grid.dim + 1))  # with s given too, fftn skips a shape look-up
+    rows = (m,) + (1,) * grid.dim  # a per-member mask broadcast over the grid
+    spectra, power, half, kin = stack.scratch, stack._power, stack._half, stack._kin
+    if check_input:
+        _check_resolution(psi, grid, spectra, power)
+    plans = [_pieces(c, t0, T, dt if dt is not None else default_dt(c, grid, hbar))
+             for c in controls]
+    total = np.array([sum(n for _, n, _ in plan) for plan in plans], dtype=int)
+    n_steps = int(total.max(initial=0))
+    # lockstep schedule: opens[g] lists the (member, piece) pairs whose piece
+    # starts at step g; closing[g, j] marks the last substep of a piece
+    opens = [[] for _ in range(n_steps)]
+    opening = np.zeros((n_steps, m), dtype=bool)
+    closing = np.zeros((n_steps, m), dtype=bool)
+    for j, plan in enumerate(plans):
+        g = 0
+        for k, (_, nseg, _) in enumerate(plan):
+            opens[g].append((j, k))
+            opening[g, j] = True
+            g += nseg
+            closing[g - 1, j] = True
+    active = np.arange(n_steps)[:, None] < total
+    # a member's last piece ends the window: checked once, after the loop
+    inner_end = closing & (np.arange(n_steps)[:, None] < total - 1)
+    kin_by_h: dict[float, np.ndarray] = {}
+    masks = zip(*(_row_masks(flags, rows)
+                  for flags in (active, opening, active & ~opening, closing)))
+    for pairs, (act, start, mid, close), ends in zip(opens, masks, inner_end):
+        for j, k in pairs:
+            h, _, uval = plans[j][k]
+            Vtot = Varr + sum(ua * Wa for ua, Wa in zip(np.atleast_1d(uval), Warrs))
+            np.exp(-0.5j * h * Vtot / hbar, out=half[j])
+            if h not in kin_by_h:
+                kin_by_h[h] = np.exp(-0.5j * h * hbar * k2)
+            kin[j] = kin_by_h[h]
+        _multiply_rows(half, psi, start)
+        if mid is not None:
+            np.multiply(half, half, out=spectra)  # half_v², spectra still free
+            _multiply_rows(spectra, psi, mid)
+        np.fft.fftn(psi, grid.shape, axes, out=spectra)
+        _multiply_rows(kin, spectra, act)
+        if act is True:
+            np.fft.ifftn(spectra, grid.shape, axes, out=psi)
+        else:
+            np.fft.ifftn(spectra, grid.shape, axes, out=spectra)
+            np.copyto(psi, spectra, where=act)
+        _multiply_rows(half, psi, close)
+        if ends.any():
+            _check_resolution(psi[ends], grid, spectra, power)
+    if n_steps:
+        _check_resolution(psi, grid, spectra, power)
+    _require_finite(psi)
+    return WaveGrid(grid, psi[0], hbar) if single else stack
+
+
+def _row_masks(flags: np.ndarray, rows: tuple[int, ...]) -> list:
+    """Per step (row of flags): True if every member is flagged, None if none
+    is, else the flags shaped to broadcast over a stack."""
+    every, some = flags.all(axis=1).tolist(), flags.any(axis=1).tolist()
+    return [True if e else f.reshape(rows) if s else None
+            for f, e, s in zip(flags, every, some)]
+
+
+def _multiply_rows(factor: np.ndarray, psi: np.ndarray, where) -> None:
+    """psi[j] = factor[j]·psi[j] in place for the members `where` selects."""
+    if where is not None:
+        np.multiply(factor, psi, out=psi, where=where)
 
 
 def region_probability(psi: WaveGrid, region: BoxRegion) -> float:

@@ -31,7 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .dynamics import ControlSignal
 from .errors import QuadratureDivergence, TruncationNotConverged
-from .integrate import bisect_event, rk4_step
+from .integrate import bisect_event, hermite_state, rk4_step
 
 SEARCH_BUDGET = 10 ** 7
 CUTOFF_MAX_ORDER = 4096  # Gauss–Legendre order at which cutoff_coupling gives up
@@ -418,9 +418,7 @@ class DiscInvarianceReport:
         return self.max_drift < 1e-6
 
 
-def _cutoff_gaussian_force(x: float, eps: float, a: float, b: float, c: float) -> float:
-    if x <= eps:
-        return 0.0
+def _gaussian_force(x: float, a: float, b: float, c: float) -> float:
     return (2 * a * x + b) * math.exp(a * x * x + b * x + c)
 
 
@@ -430,9 +428,12 @@ def invariant_disc_check(eps: float, ensemble: Sequence[ControlSignal],
                          step: float = 1e-3) -> DiscInvarianceReport:
     """Track p² + x² from (r₀, 0) under H = p² + x² + u·1_{x>ε}·e^{ax²+bx+c}.
 
-    The flow is ẋ = 2p, ṗ = -2x - u·∂ₓ(cutoff Gaussian); crossings of x = ε
-    are located by bisection to 1e-10 before the dynamics switch, so RK4
-    never integrates across the potential's discontinuity.
+    The flow is ẋ = 2p, ṗ = -2x - u·∂ₓ(cutoff Gaussian).  A step takes the
+    smooth field of the side it starts on (outside, the Gaussian force is
+    extended past x = ε), so RK4 never integrates across the potential's
+    discontinuity.  A crossing of x = ε is located by bisection to 1e-10 on
+    the step's cubic Hermite dense output (`integrate.hermite_state`), which
+    also gives the state there; the dynamics switch at that state.
     """
     drifts = np.empty(len(ensemble))
     for idx, u in enumerate(ensemble):
@@ -446,7 +447,7 @@ def invariant_disc_check(eps: float, ensemble: Sequence[ControlSignal],
 
             def rhs_forced(_t, zz):
                 return np.array([2.0 * zz[1],
-                                 -2.0 * zz[0] - uu * _cutoff_gaussian_force(zz[0], eps, a, b, c)])
+                                 -2.0 * zz[0] - uu * _gaussian_force(zz[0], a, b, c)])
 
             t = seg_a
             while t < seg_b - 1e-15:
@@ -465,25 +466,16 @@ def invariant_disc_check(eps: float, ensemble: Sequence[ControlSignal],
                 z_new = rk4_step(rhs, t, z, h)
                 crossed = (z_new[0] - eps) * (z[0] - eps) < 0
                 if crossed:
-                    # locate the crossing, advance exactly to it, then switch
-                    def xgap(tt, z0=z.copy(), t0=t):
-                        zz = z0
-                        nsub = 4
-                        hh = (tt - t0) / nsub
-                        s = t0
-                        for _ in range(nsub):
-                            zz = rk4_step(rhs, s, zz, hh)
-                            s += hh
-                        return zz[0] - eps
+                    # locate the crossing on the step's dense output, take the
+                    # state there from it, then switch
+                    f0, f1 = rhs(t, z), rhs(t + h, z_new)
 
-                    t_cross = bisect_event(xgap, t, t + h, tol=1e-10)
-                    nsub = 4
-                    hh = (t_cross - t) / nsub
-                    s = t
-                    for _ in range(nsub):
-                        z = rk4_step(rhs, s, z, hh)
-                        s += hh
-                    t = t_cross
+                    def dense(tt):
+                        return hermite_state(z, z_new, f0, f1, h, (tt - t) / h)
+
+                    t_cross = bisect_event(lambda tt: dense(tt)[0] - eps, t, t + h,
+                                           tol=1e-10)
+                    z, t = dense(t_cross), t_cross
                 else:
                     z = z_new
                     t += h

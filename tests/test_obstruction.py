@@ -1,13 +1,23 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sclab.obstruction
+from sclab.config import parse_config
 from sclab.dynamics import ControlSignal
-from sclab.errors import HypothesisViolated
+from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential
-from sclab.obstruction import (ObstructionConfig, build_ansatz,
+from sclab.harness import run_experiment
+from sclab.obstruction import (AnsatzEngine, ObstructionConfig, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
 from sclab.schrodinger import SpatialGrid, region_probability
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 def scalar_config(**overrides):
@@ -183,3 +193,58 @@ class TestTqEstimate:
                             tq_horizon=2.0, eps_grid=(0.05,))
         bound = estimate_Tq_lower_bound(cfg, threshold=1e9)
         assert 0.0 < bound < 1.0
+
+
+def _load_bench_run(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSharedEngine:
+    def test_harness_shoots_one_fan(self, tmp_path, monkeypatch):
+        calls = []
+        shoot = sclab.obstruction.shoot_characteristics
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])  # the horizon
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(sclab.obstruction, "shoot_characteristics", counted)
+        cfg = parse_config("experiment = obstruction\nseed = 5\n"
+                           "obstruction.eps_grid = 0.01,0.02\n"
+                           "obstruction.ensemble = 3\nobstruction.n_seeds = 600\n"
+                           "obstruction.w.name = linear\nobstruction.w.slope = 0.0\n"
+                           f"obstruction.w.offset = 1.0\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 0
+        assert calls == [0.02]
+
+    def test_shared_engine_gives_the_same_numbers(self):
+        cfg = scalar_config(ensemble_count=3)
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid), allow_caustic=True)
+        shared = run_localization_experiment(cfg, engine)
+        assert shared.to_json() == run_localization_experiment(cfg).to_json()
+        assert shared.records == run_localization_experiment(cfg).records
+        assert (estimate_Tq_lower_bound(cfg, 0.9, engine=engine)
+                == estimate_Tq_lower_bound(cfg, 0.9))
+
+    def test_shared_engine_still_raises_at_a_caustic(self):
+        cfg = scalar_config(S0=make_potential("harmonic", 1, k=-1.0),
+                            a0=make_potential("gaussian", 1, width=0.3),
+                            eps_grid=(1.5,), ensemble_count=1)
+        engine = AnsatzEngine(cfg, 1.5, allow_caustic=True)
+        with pytest.raises(CausticReached):
+            run_localization_experiment(cfg, engine)
+        assert 0.0 < estimate_Tq_lower_bound(cfg, 1e9, engine=engine) < 1.0
+
+    def test_benchmark_reference_summary(self, tmp_path, monkeypatch):
+        # the obstruction workload of perfbench/run.py at seed 0
+        bench = _load_bench_run(monkeypatch)
+        workload = bench.WORKLOADS["obstruction"]
+        out = tmp_path / "out"
+        cfg = parse_config(bench.config_text(workload, 0, out, shipped_sizes=False))
+        assert run_experiment(cfg) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert bench.check_summary(workload, summary, use_reference=True) == []

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclab.dynamics import ControlSignal
 from sclab.errors import GridMismatch, GridTooCoarse
 from sclab.geometry import BoxRegion, make_potential
-from sclab.schrodinger import (SpatialGrid, WaveGrid, boundary_mass,
+from sclab.schrodinger import (SpatialGrid, WaveGrid, WaveStack, boundary_mass,
                                gaussian_packet, l2_distance, plane_wave,
                                region_probability, split_step_evolve,
                                top_mode_mass)
@@ -88,6 +90,125 @@ class TestSplitStep:
         with pytest.raises(GridTooCoarse):
             split_step_evolve(psi0, None, None, ControlSignal.constant(0.0, 0.1), 0.1,
                               dt=1e-2)
+
+
+HORIZON = 0.06
+
+
+@st.composite
+def controls(draw):
+    """A piecewise-constant scalar control on [0, HORIZON]."""
+    cuts = draw(st.lists(st.floats(1e-3, HORIZON - 1e-3), max_size=4, unique=True))
+    bp = np.concatenate([[0.0], np.sort(cuts), [HORIZON]])
+    if np.min(np.diff(bp)) < 1e-4:
+        bp = np.array([0.0, HORIZON])
+    vals = draw(st.lists(st.floats(-30.0, 30.0), min_size=bp.size - 1,
+                         max_size=bp.size - 1))
+    return ControlSignal(bp, np.array(vals))
+
+
+@st.composite
+def stack_case(draw):
+    """Grid, potentials, members, controls and a window [t0, t1] ⊂ [0, HORIZON]."""
+    dim = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 4))
+    if dim == 1:
+        grid = torus(64)
+        V, W = make_potential("cosine", 1), make_potential("cosine", 1, freq=2.0)
+    else:
+        grid = SpatialGrid(((-np.pi, 2 * np.pi, 24), (-np.pi, 2 * np.pi, 24)))
+        V = make_potential("cosine", 2, amplitude=[1.0, 0.5])
+        W = make_potential("cosine", 2, amplitude=[0.0, 1.0])
+    members = [gaussian_packet(grid, draw(st.lists(st.floats(-0.5, 0.5), min_size=dim,
+                                                   max_size=dim)),
+                               0.5, momentum=draw(st.lists(st.floats(-2.0, 2.0),
+                                                           min_size=dim, max_size=dim)))
+               for _ in range(m)]
+    laws = [draw(controls()) for _ in range(m)]
+    t0, t1 = sorted(draw(st.lists(st.floats(0.0, HORIZON), min_size=2, max_size=2)))
+    if t1 - t0 < 1e-4:
+        t0, t1 = 0.0, HORIZON
+    dt = draw(st.sampled_from([1e-3, 2.7e-3, 6e-3]))
+    return grid, V, W, members, laws, t0, t1, dt
+
+
+class TestBatchedEvolution:
+    @settings(max_examples=40)
+    @given(stack_case())
+    def test_rows_match_single_state_windows(self, case):
+        # each row equals the m = 1 evolution of that member under its own
+        # control cut to the window, with breakpoints inside and outside it
+        grid, V, W, members, laws, t0, t1, dt = case
+        stack = WaveStack(grid, [p.values for p in members])
+        split_step_evolve(stack, V, W, laws, t1, dt, t0=t0)
+        for j, (psi0, u) in enumerate(zip(members, laws)):
+            seg = u.window(t0, t1)
+            single = split_step_evolve(psi0, V, W, seg, seg.duration, dt=dt)
+            assert np.max(np.abs(stack.values[j] - single.values)) < 1e-13
+            assert abs(stack.member(j).norm() - psi0.norm()) < 1e-12
+
+    def test_members_with_different_step_counts(self):
+        grid = torus(64)
+        V, W = make_potential("cosine", 1), make_potential("cosine", 1, freq=2.0)
+        psi0 = gaussian_packet(grid, 0.1, 0.4)
+        laws = [ControlSignal.constant(3.0, 0.1),
+                ControlSignal(np.array([0.0, 0.0137, 0.0311, 0.1]),
+                              np.array([-5.0, 8.0, 1.0]))]
+        stack = WaveStack(grid, [psi0.values, psi0.values])
+        split_step_evolve(stack, V, W, laws, 0.1, 1e-2)
+        for j, u in enumerate(laws):
+            single = split_step_evolve(psi0, V, W, u, 0.1, dt=1e-2)
+            # every row takes the operations of its own m = 1 run, and the
+            # FFT treats rows independently, so the rows agree bit for bit;
+            # a finished member must not take the stack's FFT round trip
+            assert np.array_equal(stack.values[j], single.values)
+
+    # W = x kicks the momentum by −∫u.  With u = ±2000 and h = 1e-3 every
+    # half step multiplies by e^{∓ix}, an exact shift by one mode on the
+    # torus, so 0.008 of it moves a packet between k = 0 and |k| = 16, the
+    # top decile of a 32-point grid (|k| ≥ 14.4), without spectral leakage.
+
+    def test_one_unresolved_input_member_raises(self):
+        grid = torus(32)
+        W = make_potential("linear", 1, slope=1.0)
+        fine = gaussian_packet(grid, 0.0, 0.4).values
+        fast = gaussian_packet(grid, 0.0, 0.4, momentum=16.0).values
+        rest = ControlSignal.constant(0.0, 0.008)
+        brake = ControlSignal.constant(2000.0, 0.008)
+        braked = WaveStack(grid, [fast])
+        split_step_evolve(braked, None, W, [brake], 0.008, 1e-3, check_input=False)
+        assert top_mode_mass(braked.member(0)) < 1e-12  # only the input is unresolved
+        stack = WaveStack(grid, [fine, fast, fine])
+        with pytest.raises(GridTooCoarse):
+            split_step_evolve(stack, None, W, [rest, brake, rest], 0.008, 1e-3)
+
+    def test_one_member_losing_resolution_raises(self):
+        grid = torus(32)
+        W = make_potential("linear", 1, slope=1.0)
+        psi0 = gaussian_packet(grid, 0.0, 0.4).values
+        there_and_back = ControlSignal(np.array([0.0, 0.008, 0.016]),
+                                       np.array([2000.0, -2000.0]))
+        rest = ControlSignal.constant(0.0, 0.016)
+        stack = WaveStack(grid, [psi0, psi0])
+        with pytest.raises(GridTooCoarse):  # at the inner breakpoint only
+            split_step_evolve(stack, None, W, [rest, there_and_back], 0.016, 1e-3)
+        # window by window: the state at the breakpoint is unresolved, the
+        # end state is not, so the call above raised at the inner check
+        alone = WaveStack(grid, [psi0])
+        with pytest.raises(GridTooCoarse):
+            split_step_evolve(alone, None, W, [there_and_back], 0.008, 1e-3)
+        split_step_evolve(alone, None, W, [there_and_back], 0.016, 1e-3,
+                          t0=0.008, check_input=False)
+        assert top_mode_mass(alone.member(0)) < 1e-12
+
+    def test_stack_shape_and_control_count_checked(self):
+        grid = torus(32)
+        with pytest.raises(ValueError):
+            WaveStack(grid, np.zeros((2, 16)))
+        stack = WaveStack(grid, [gaussian_packet(grid, 0.0, 0.5).values])
+        with pytest.raises(ValueError):
+            split_step_evolve(stack, None, None,
+                              [ControlSignal.constant(0.0, 0.1)] * 2, 0.1, 1e-2)
 
 
 class TestMeasures:

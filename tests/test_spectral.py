@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sclab.spectral
+
 from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import QuadratureDivergence, TruncationNotConverged
 from sclab.spectral import (CouplingMatrix, GapVector, HermiteBasis,
@@ -239,3 +241,23 @@ class TestInvariantDisc:
                         9, 3, duration=1.0, amplitude=1000.0)
         report = invariant_disc_check(0.5, controls, horizon=1.0, r0=1.2)
         assert report.max_drift > 1e-3
+
+    def test_crossing_drift_converges_under_step_halving(self, monkeypatch):
+        # forced trajectories cross x = ε many times; each step takes the
+        # smooth field of its starting side and each crossing is located on
+        # the dense output, so halving the step barely moves the drift
+        # (integrating the cut-off field across x = ε moved it by 9e-3 here)
+        crossings = []
+        bisect = sclab.spectral.bisect_event
+
+        def counted(*args, **kwargs):
+            crossings.append(1)
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(sclab.spectral, "bisect_event", counted)
+        controls = sample_controls(np.random.default_rng(2), 6, 1.0, 1000.0)
+        coarse = invariant_disc_check(0.05, controls, 1.0, 0.1, step=1e-3)
+        fine = invariant_disc_check(0.05, controls, 1.0, 0.1, step=5e-4)
+        assert len(crossings) >= 10
+        assert coarse.max_drift > 1.0
+        assert np.max(np.abs(coarse.per_control_drift - fine.per_control_drift)) < 1e-3
