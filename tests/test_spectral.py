@@ -243,10 +243,9 @@ class TestInvariantDisc:
         assert report.max_drift > 1e-3
 
     def test_crossing_drift_converges_under_step_halving(self, monkeypatch):
-        # forced trajectories cross x = ε many times; each step takes the
-        # smooth field of its starting side and each crossing is located on
-        # the dense output, so halving the step barely moves the drift
-        # (integrating the cut-off field across x = ε moved it by 9e-3 here)
+        # forced trajectories cross x = ε many times; no RK4 stage may see
+        # the jump in the force, or halving the step moves the drift at
+        # first order
         crossings = []
         bisect = sclab.spectral.bisect_event
 
