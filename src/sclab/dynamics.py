@@ -15,14 +15,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import StepTooCoarse, TrajectoryEscape
-from .geometry import (ChartSpace, PhasePoint, PotentialField, _as_vector,
-                       cometric_at, dcometric_at)
-from .integrate import ESCAPE_GUARD, HALVING_REL_TOL, rk4_step, variational_rhs
+from .geometry import ChartSpace, PhasePoint, PotentialField, cometric_at
+from .integrate import halving_checked, rk4_trajectory, variational_rhs
+# Not called here: perfbench/test_tracer.py reads sclab.dynamics.rk4_step to
+# check that its tracer restores every binding it patched.
+from .integrate import rk4_step  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -228,31 +229,16 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> "callable":
     return rhs
 
 
-def _segment_counts(u: ControlSignal, step: float) -> list[int]:
-    return [max(1, int(np.ceil((b - a) / step - 1e-12))) for a, b, _ in u.segments()]
-
-
-def _run_segments(spec: HamiltonianSpec, z0: np.ndarray, u: ControlSignal,
-                  step: float, record: bool):
-    """March through control segments with RK4; optionally record every step."""
-    times = [0.0]
-    states = [np.array(z0, dtype=float)]
-    z = np.array(z0, dtype=float)
-    for (a, b, uval), nseg in zip(u.segments(), _segment_counts(u, step)):
-        rhs = controlled_rhs(spec, uval)
-        h = (b - a) / nseg
-        t = a
-        for _ in range(nseg):
-            z = rk4_step(rhs, t, z, h)
-            t += h
-            if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > ESCAPE_GUARD:
-                raise TrajectoryEscape(f"trajectory escaped the overflow guard near t={t:.6g}")
-            if record:
-                times.append(t)
-                states.append(z.copy())
-    if not record:
-        return z
-    return np.asarray(times), np.asarray(states)
+def _march_segments(rhs_for: Callable, z0: np.ndarray, u: ControlSignal,
+                    step: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 through the control's segments, restarting at every breakpoint so
+    no step straddles a jump; rhs_for(value) is the field under that value."""
+    times, states = [np.zeros(1)], [np.asarray(z0, dtype=float)[None]]
+    for a, b, uval in u.segments():
+        t, z = rk4_trajectory(rhs_for(uval), states[-1][-1], a, b, step)
+        times.append(t[1:])
+        states.append(z[1:])
+    return np.concatenate(times), np.concatenate(states)
 
 
 def evolve(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
@@ -262,12 +248,9 @@ def evolve(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
     The integrator restarts at each breakpoint; acceptance requires the
     halved-step endpoint to agree to 1e-8 relative (StepTooCoarse otherwise).
     """
-    z0 = lam0.as_state()
-    coarse = _run_segments(spec, z0, u, step, record=False)
-    times, states = _run_segments(spec, z0, u, 0.5 * step, record=True)
-    scale = max(1.0, float(np.max(np.abs(states[-1]))))
-    if np.max(np.abs(coarse - states[-1])) > HALVING_REL_TOL * scale:
-        raise StepTooCoarse("control segments need a finer step for this trajectory")
+    times, states = halving_checked(
+        lambda h: _march_segments(lambda uval: controlled_rhs(spec, uval),
+                                  lam0.as_state(), u, h), step)
     n = spec.space.dimension
     return Trajectory(times=times, xs=states[:, :n], ps=states[:, n:],
                       control_used=u, space=spec.space)
@@ -279,34 +262,22 @@ def flow_jacobian(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
 
     Integrates the variational system alongside the trajectory; the
     linearization of the field is taken by central finite differences, so the
-    result inherits the same accuracy budget as the flow itself.
+    result inherits the same accuracy budget as the flow itself.  T may not
+    exceed the control's duration.
     """
     n2 = 2 * spec.space.dimension
     if T < 0:
         raise ValueError("T must be nonnegative")
+    if T > u.duration + 1e-12:
+        raise ValueError(f"T={T} exceeds the control's duration {u.duration}")
     if T == 0:
         return np.eye(n2)
     u = u.restricted(T)
     w = np.concatenate([lam0.as_state(), np.eye(n2).ravel()])
-
-    def run(h: float) -> np.ndarray:
-        state = w.copy()
-        for (a, b, uval), nseg in zip(u.segments(), _segment_counts(u, h)):
-            aug = variational_rhs(controlled_rhs(spec, uval), n2)
-            hh = (b - a) / nseg
-            t = a
-            for _ in range(nseg):
-                state = rk4_step(aug, t, state, hh)
-                t += hh
-                if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > ESCAPE_GUARD:
-                    raise TrajectoryEscape("variational state escaped the overflow guard")
-        return state
-
-    coarse, fine = run(step), run(0.5 * step)
-    scale = max(1.0, float(np.max(np.abs(fine))))
-    if np.max(np.abs(coarse - fine)) > HALVING_REL_TOL * scale:
-        raise StepTooCoarse("variational integration needs a finer step")
-    return fine[n2:].reshape(n2, n2)
+    _, states = halving_checked(
+        lambda h: _march_segments(
+            lambda uval: variational_rhs(controlled_rhs(spec, uval), n2), w, u, h), step)
+    return states[-1, n2:].reshape(n2, n2)
 
 
 # ---------------------------------------------------------------------------

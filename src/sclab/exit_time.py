@@ -22,10 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import ControlSignal, HamiltonianSpec
-from .errors import (HypothesisViolated, OrderingViolated, StepTooCoarse,
-                     TrajectoryEscape)
+from .errors import HypothesisViolated, OrderingViolated, StepTooCoarse
 from .geometry import BoxRegion, PhasePoint, cometric_at, dcometric_at
-from .integrate import (ESCAPE_GUARD, _nsteps, bisect_event, hermite_state,
+from .integrate import (_nsteps, bisect_event, check_escape, hermite_state,
                         rk4_step, rk4_trajectory)
 
 ORDERING_SLACK = 1e-9
@@ -237,9 +236,7 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
             if t >= best:
                 break
             z_next = rk4_step(rhs, t, z, h)
-            if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > ESCAPE_GUARD:
-                raise TrajectoryEscape(
-                    f"state escaped the overflow guard near t={t + h:.6g}")
+            check_escape(z_next, t + h)
             if omega1.signed_gap(z_next[:n1]) <= 0.0:
                 t_next = h * (k + 1)
                 gap_at = _dense_gap(omega1, slice(0, n1), t, t_next, z, z_next,
@@ -317,9 +314,7 @@ def _sweep_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
             Z_new = rk4_step(rhs, t, Z, h)
             Z = np.where(alive[:, None], Z_new, Z)
             t += h
-            live = Z[alive]
-            if not np.all(np.isfinite(live)) or np.max(np.abs(live)) > ESCAPE_GUARD:
-                raise TrajectoryEscape("ensemble member escaped the overflow guard")
+            check_escape(Z[alive], t)
             inside = omega1.contains(Z[:, axes])
             crossed = np.where(alive & ~inside)[0]
             if crossed.size == 0:

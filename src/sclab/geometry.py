@@ -14,16 +14,13 @@ for grid work, accept batched inputs of shape (..., dim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidChart, MetricDegenerate, TrajectoryEscape
-from .integrate import ESCAPE_GUARD
-
-# Central finite differences used for every callback-consistency check.
-FD_REL_STEP = 1e-5
+from .errors import InvalidChart, MetricDegenerate
+from .integrate import fd_jacobian, halving_checked, rk4_trajectory
 
 
 def _as_vector(x, dim: int) -> np.ndarray:
@@ -31,19 +28,6 @@ def _as_vector(x, dim: int) -> np.ndarray:
     if x.shape != (dim,):
         raise ValueError(f"expected coordinate vector of length {dim}, got shape {x.shape}")
     return x
-
-
-def fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with h = 1e-5·(1+|x_k|) per axis."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for k in range(x.size):
-        h = FD_REL_STEP * (1.0 + abs(x[k]))
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        g[k] = (f(xp) - f(xm)) / (2 * h)
-    return g
 
 
 @dataclass(frozen=True)
@@ -106,15 +90,10 @@ class ChartSpace:
                 continue
             dg = np.asarray(self.dcometric(np.asarray(x, dtype=float)), dtype=float)
             scale = max(1.0, np.max(np.abs(g)))
-            for k in range(self.dimension):
-                h = FD_REL_STEP * (1.0 + abs(x[k]))
-                xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-                xp[k] += h
-                xm[k] -= h
-                fd = (np.asarray(self.cometric(xp)) - np.asarray(self.cometric(xm))) / (2 * h)
-                if np.max(np.abs(fd - dg[:, :, k])) > 1e-6 * scale:
-                    raise InvalidChart(
-                        f"dcometric disagrees with finite differences at x={x} axis {k}")
+            err = np.max(np.abs(fd_jacobian(self.cometric, x) - dg), axis=(0, 1))
+            if np.max(err) > 1e-6 * scale:
+                raise InvalidChart(f"dcometric disagrees with finite differences at "
+                                   f"x={x} axis {int(np.argmax(err))}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +150,7 @@ class PotentialField:
         for x in points:
             x = np.asarray(x, dtype=float)
             g = self.grad(x)
-            fd = fd_gradient(self.__call__, x)
+            fd = fd_jacobian(self.__call__, x)
             scale = max(1.0, float(np.max(np.abs(g))))
             if np.max(np.abs(g - fd)) > 1e-6 * scale:
                 raise ValueError(f"gradient of '{self.name}' disagrees with finite differences at {x}")
@@ -296,8 +275,6 @@ def geodesic_endpoint(space: ChartSpace, x0, p0, t: float, step: float) -> Phase
     Kinetic energy ½‖p‖² is conserved along the way; exceeding the overflow
     guard raises TrajectoryEscape, a failed halving check StepTooCoarse.
     """
-    from .integrate import rk4_endpoint_checked
-
     if t < 0:
         raise ValueError("t must be nonnegative")
     if step <= 0:
@@ -305,9 +282,8 @@ def geodesic_endpoint(space: ChartSpace, x0, p0, t: float, step: float) -> Phase
     z0 = np.concatenate([_as_vector(x0, space.dimension), _as_vector(p0, space.dimension)])
     if t == 0:
         return space.phase_point(z0[: space.dimension], z0[space.dimension:])
-    z = rk4_endpoint_checked(lambda _t, zz: geodesic_rhs(space, zz), z0, 0.0, t, step)
-    if np.max(np.abs(z)) > ESCAPE_GUARD:
-        raise TrajectoryEscape("geodesic exceeded the coordinate overflow guard")
+    z = halving_checked(lambda h: rk4_trajectory(
+        lambda _t, zz: geodesic_rhs(space, zz), z0, 0.0, t, h), step)[1][-1]
     n = space.dimension
     return space.phase_point(z[:n], z[n:])
 

@@ -21,14 +21,13 @@ from . import obstruction as obs_mod
 from . import spectral as spec_mod
 from . import steering as steer_mod
 from .config import ExperimentConfig, build_potential
-from .dynamics import ControlSignal, HamiltonianSpec, sample_controls
+from .dynamics import HamiltonianSpec, sample_controls
 from .errors import HypothesisViolated, SclabError
 from .geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField,
                        make_potential)
 from .obstruction import ObstructionConfig
 from .schrodinger import SpatialGrid
-from .wkb import (first_conjugate_time, shoot_characteristics, wkb_field,
-                  wkb_residual)
+from .wkb import first_conjugate_time, shoot_characteristics, wkb_field
 
 STATUS_OK = 0
 STATUS_ERROR = 1

@@ -1,14 +1,24 @@
-"""Fixed-step RK4 integration with step-halving acceptance checks.
+"""Fixed-step RK4 integration, its certificates and finite differences.
 
-One integrator serves every module: classical explicit Runge–Kutta 4 with a
-deterministic step count per interval.  Acceptance rule: re-integrate with the
-step halved and require the endpoint to move by less than 1e-8 relative,
-otherwise StepTooCoarse.  `rk4_step` is shape-agnostic, so an (m, d) array
-of states advances a whole control ensemble in one vectorized step.  Events
-inside a step are located on its dense output: `hermite_state` is the cubic
-Hermite interpolant built from the step's endpoint states and the field at
-them (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6), so a probe costs
-no rhs call.  `ESCAPE_GUARD` is the one overflow guard of every trajectory.
+Every module integrates through this one: classical explicit Runge–Kutta 4
+with a deterministic step count per interval.
+
+* `rk4_trajectory` is the one fixed-interval marcher.  It returns every state
+  on the grid h = (t1 − t0)/n, n = ⌈(t1 − t0)/step⌉, both ends included.  The
+  state may have any shape (an (m, d) array advances a whole ensemble at
+  once), and the result keeps it: (n + 1, *z0.shape).
+* `check_escape` is the one overflow guard.  The marcher applies it to the
+  whole state after every step, and so do the event-driven loops elsewhere;
+  a non-finite entry or one above `ESCAPE_GUARD` raises TrajectoryEscape.
+* `halving_checked` is the acceptance rule: run again with the step halved
+  and require the endpoint to move by less than `HALVING_REL_TOL` relative,
+  otherwise StepTooCoarse.  It returns the fine run.
+* `fd_jacobian` is the one finite-difference helper: central differences with
+  the step `FD_REL_STEP`·(1 + |x_k|) on each axis k.
+* Events inside a step are located on its dense output: `hermite_state` is
+  the cubic Hermite interpolant built from the step's endpoint states and the
+  field at them (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6), so a
+  probe costs no rhs call.
 """
 
 from __future__ import annotations
@@ -22,6 +32,10 @@ from .errors import StepTooCoarse, TrajectoryEscape
 HALVING_REL_TOL = 1e-8
 # Overflow guard for all trajectory integration (finite-time escape detector).
 ESCAPE_GUARD = 1e12
+# Relative step of fd_jacobian's central differences (callback checks, V″).
+FD_REL_STEP = 1e-5
+# Relative step of the linearized field in the variational system.
+VARIATIONAL_FD_STEP = 1e-6
 
 
 def _nsteps(t0: float, t1: float, step: float) -> int:
@@ -41,6 +55,47 @@ def rk4_step(rhs: Callable, t: float, z: np.ndarray, h: float) -> np.ndarray:
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def check_escape(z: np.ndarray, t: float) -> None:
+    """Raise TrajectoryEscape if z is not finite or leaves the overflow guard."""
+    if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > ESCAPE_GUARD:
+        raise TrajectoryEscape(f"state escaped the overflow guard near t={t:.6g}")
+
+
+def rk4_trajectory(rhs: Callable, z0: np.ndarray, t0: float, t1: float,
+                   step: float) -> tuple[np.ndarray, np.ndarray]:
+    """All states on the fixed-step grid over [t0, t1], including both ends.
+
+    Returns (times, states) with states of shape (n + 1, *z0.shape).  rhs sees
+    the accumulated time t += h; every step is checked against the guard.
+    """
+    n = _nsteps(t0, t1, step)
+    h = (t1 - t0) / n
+    z = np.array(z0, dtype=float)
+    out = np.empty((n + 1,) + z.shape)
+    out[0] = z
+    t = t0
+    for i in range(n):
+        z = rk4_step(rhs, t, z, h)
+        t += h
+        check_escape(z, t)
+        out[i + 1] = z
+    return t0 + h * np.arange(n + 1), out
+
+
+def halving_checked(run: Callable[[float], tuple[np.ndarray, np.ndarray]],
+                    step: float) -> tuple[np.ndarray, np.ndarray]:
+    """run(step) and run(step/2) must end within HALVING_REL_TOL relative of
+    each other (StepTooCoarse otherwise); returns the fine run's (times, states).
+    """
+    coarse = run(step)[1][-1]
+    fine = run(0.5 * step)
+    scale = max(1.0, float(np.max(np.abs(fine[1][-1]))))
+    if np.max(np.abs(coarse - fine[1][-1])) > HALVING_REL_TOL * scale:
+        raise StepTooCoarse(
+            f"halving the step moved the endpoint by more than {HALVING_REL_TOL} relative")
+    return fine
+
+
 def hermite_state(z0, z1, f0, f1, h: float, s: float):
     """Cubic Hermite interpolant of one step of length h at fraction s ∈ [0, 1].
 
@@ -53,52 +108,6 @@ def hermite_state(z0, z1, f0, f1, h: float, s: float):
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     return h00 * z0 + h10 * h * f0 + h01 * z1 + h11 * h * f1
-
-
-def rk4_endpoint(rhs: Callable, z0: np.ndarray, t0: float, t1: float, step: float,
-                 guard: float = ESCAPE_GUARD) -> np.ndarray:
-    """Endpoint after fixed-step RK4 over [t0, t1] (no halving check)."""
-    n = _nsteps(t0, t1, step)
-    h = (t1 - t0) / n
-    z = np.array(z0, dtype=float)
-    t = t0
-    for _ in range(n):
-        z = rk4_step(rhs, t, z, h)
-        t += h
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > guard:
-            raise TrajectoryEscape(f"state escaped the overflow guard near t={t:.6g}")
-    return z
-
-
-def rk4_endpoint_checked(rhs: Callable, z0: np.ndarray, t0: float, t1: float,
-                         step: float, guard: float = ESCAPE_GUARD) -> np.ndarray:
-    """Endpoint with the step-halving acceptance check; returns the fine run."""
-    coarse = rk4_endpoint(rhs, z0, t0, t1, step, guard)
-    fine = rk4_endpoint(rhs, z0, t0, t1, 0.5 * step, guard)
-    scale = max(1.0, float(np.max(np.abs(fine))))
-    if np.max(np.abs(coarse - fine)) > HALVING_REL_TOL * scale:
-        raise StepTooCoarse(
-            f"halving the step moved the endpoint by more than {HALVING_REL_TOL} relative")
-    return fine
-
-
-def rk4_trajectory(rhs: Callable, z0: np.ndarray, t0: float, t1: float, step: float,
-                   guard: float = ESCAPE_GUARD) -> tuple[np.ndarray, np.ndarray]:
-    """All intermediate states on the fixed-step grid, including both ends."""
-    n = _nsteps(t0, t1, step)
-    h = (t1 - t0) / n
-    times = t0 + h * np.arange(n + 1)
-    out = np.empty((n + 1, np.size(z0)))
-    z = np.array(z0, dtype=float)
-    out[0] = z
-    t = t0
-    for i in range(n):
-        z = rk4_step(rhs, t, z, h)
-        t += h
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > guard:
-            raise TrajectoryEscape(f"state escaped the overflow guard near t={t:.6g}")
-        out[i + 1] = z
-    return times, out
 
 
 def bisect_event(f: Callable[[float], float], lo: float, hi: float,
@@ -124,7 +133,25 @@ def bisect_event(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def variational_rhs(rhs: Callable, dim: int, fd_scale: float = 1e-6) -> Callable:
+def fd_jacobian(f: Callable, x, rel_step: float = FD_REL_STEP) -> np.ndarray:
+    """Central differences: out[..., k] = ∂f/∂x_k with h = rel_step·(1 + |x_k|).
+
+    x has shape (..., d) and axis k is its last axis.  A batch of points
+    (m, d) is perturbed all at once, so f must act row-wise and its output
+    must broadcast against x[..., k].
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.shape[-1]):
+        h = rel_step * (1.0 + np.abs(x[..., k]))
+        xp, xm = x.copy(), x.copy()
+        xp[..., k] += h
+        xm[..., k] -= h
+        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def variational_rhs(rhs: Callable, dim: int) -> Callable:
     """Augment a phase-space field with its linearization J̇ = DF·J.
 
     DF is evaluated by central finite differences of rhs, so only the field
@@ -134,14 +161,7 @@ def variational_rhs(rhs: Callable, dim: int, fd_scale: float = 1e-6) -> Callable
     def aug(t: float, w: np.ndarray) -> np.ndarray:
         z = w[:dim]
         J = w[dim:].reshape(dim, dim)
-        f0 = rhs(t, z)
-        DF = np.empty((dim, dim))
-        for k in range(dim):
-            h = fd_scale * (1.0 + abs(z[k]))
-            zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
-            DF[:, k] = (rhs(t, zp) - rhs(t, zm)) / (2 * h)
-        return np.concatenate([f0, (DF @ J).ravel()])
+        DF = fd_jacobian(lambda y: rhs(t, y), z, VARIATIONAL_FD_STEP)
+        return np.concatenate([rhs(t, z), (DF @ J).ravel()])
 
     return aug

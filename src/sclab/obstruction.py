@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .errors import CausticReached, HypothesisViolated
 from .geometry import BoxRegion, PotentialField, make_potential
 from .schrodinger import (SpatialGrid, WaveGrid, WaveStack,
                           region_probability, split_step_evolve)
-from .wkb import (CAUSTIC_GUARD, CutoffFunction, duhamel_delta,
-                  first_conjugate_time, shoot_characteristics, wkb_field,
-                  wkb_residual)
+from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
+                  shoot_characteristics, wkb_field, wkb_residual)
 
 DUHAMEL_SLACK = 1e-6
 UNIFORMITY_TOL = 1e-9

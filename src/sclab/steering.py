@@ -16,8 +16,8 @@ to fix the momentum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .dynamics import (ControlSignal, HamiltonianSpec, combined_control_spec,
                        evolve)
 from .errors import (DegenerateDirection, LinearSolveFailed, TargetOffCurve,
                      WedgeDegenerate)
-from .geometry import ChartSpace, PhasePoint, cometric_at, riemannian_gradient
-from .integrate import rk4_endpoint, rk4_step, variational_rhs
+from .geometry import (ChartSpace, PhasePoint, cometric_at, geodesic_endpoint,
+                       geodesic_rhs, riemannian_gradient)
+from .integrate import rk4_step, rk4_trajectory, variational_rhs
 
 WEDGE_TOL = 1e-10
 
@@ -124,7 +125,6 @@ def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k: float,
     kick = ControlSignal.constant(-(k / eps) / eps_inner, eps_inner)
     flight = ControlSignal.constant(0.0, eps)
     # limit target: time-1 geodesic point for covector k dW(x0), at the boosted momentum
-    from .geometry import geodesic_endpoint
     if k == 0.0:
         target = PhasePoint(lam0.x, lam0.p)
     else:
@@ -269,7 +269,6 @@ def _solve_coefficients(frame: np.ndarray, target_covector: np.ndarray) -> np.nd
 def _geodesic_bvp(space: ChartSpace, x0: np.ndarray, x1: np.ndarray,
                   step: float = 1e-3, newton_iters: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """Initial and final covectors of a time-1 geodesic from x0 to x1 (shooting)."""
-    from .geometry import geodesic_rhs
     n = space.dimension
     p = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)  # exact when flat
     if space.is_flat:
@@ -277,14 +276,15 @@ def _geodesic_bvp(space: ChartSpace, x0: np.ndarray, x1: np.ndarray,
     aug = variational_rhs(lambda t, z: geodesic_rhs(space, z), 2 * n)
     for _ in range(newton_iters):
         w0 = np.concatenate([x0, p, np.eye(2 * n).ravel()])
-        w = rk4_endpoint(aug, w0, 0.0, 1.0, step)
+        w = rk4_trajectory(aug, w0, 0.0, 1.0, step)[1][-1]
         x_end = w[:n]
         resid = x_end - x1
         if np.linalg.norm(resid) < 1e-10:
             break
         J = w[2 * n:].reshape(2 * n, 2 * n)[:n, n:]  # ∂x(1)/∂p(0)
         p = p - np.linalg.solve(J, resid)
-    w = rk4_endpoint(aug, np.concatenate([x0, p, np.eye(2 * n).ravel()]), 0.0, 1.0, step)
+    w = rk4_trajectory(aug, np.concatenate([x0, p, np.eye(2 * n).ravel()]),
+                       0.0, 1.0, step)[1][-1]
     return p, w[n:2 * n]
 
 

@@ -17,20 +17,18 @@ residual ħ²Δa/2; multiplying by a compactly supported cutoff χ adds the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import (CausticReached, MaskViolation, StepTooCoarse,
-                     TrajectoryEscape)
+from .errors import CausticReached, MaskViolation
 from .geometry import BoxRegion, PotentialField
-from .integrate import ESCAPE_GUARD, HALVING_REL_TOL, hermite_state
+from .integrate import fd_jacobian, halving_checked, hermite_state, rk4_trajectory
 from .schrodinger import SpatialGrid
 
 CAUSTIC_GUARD = 0.05
-FD_REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -142,40 +140,18 @@ def shoot_characteristics(S0: PotentialField, V, seeds, T: float, step: float,
     # δx(0) = 1, δp(0) = S0″(x0): variation along the Lagrangian graph of dS0
     d2S0 = fd_derivative(p0, float(gaps[0]))
 
-    def hessian_V(t: float, x: np.ndarray) -> np.ndarray:
-        h = FD_REL_STEP * (1.0 + np.abs(x))
-        return (Vt.gradient(t, x + h) - Vt.gradient(t, x - h)) / (2 * h)
-
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         x, p, S, dx, dp = state
         dV = Vt.gradient(t, x)
-        return np.stack([p, -dV, 0.5 * p * p - Vt.value(t, x),
-                         dp, -hessian_V(t, x) * dx])
-
-    def run(h: float):
-        n = max(1, int(np.ceil(T / h - 1e-12)))
-        hh = T / n
-        state = np.stack([seeds, p0, S_init, np.ones_like(seeds), d2S0])
-        times = hh * np.arange(n + 1)
-        frames = np.empty((n + 1,) + state.shape)
-        frames[0] = state
-        t = 0.0
-        from .integrate import rk4_step
-        for i in range(n):
-            state = rk4_step(rhs, t, state, hh)
-            t += hh
-            if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > ESCAPE_GUARD:
-                raise TrajectoryEscape(f"characteristic escaped near t={t:.6g}")
-            frames[i + 1] = state
-        return times, frames
+        # V″ per seed: each seed's x is its own one-point batch row
+        d2V = fd_jacobian(lambda y: Vt.gradient(t, y[:, 0]), x[:, None])[:, 0]
+        return np.stack([p, -dV, 0.5 * p * p - Vt.value(t, x), dp, -d2V * dx])
 
     if T <= 0:
         raise ValueError("T must be positive")
-    _, coarse = run(step)
-    times, frames = run(0.5 * step)
-    scale = max(1.0, float(np.max(np.abs(frames[-1]))))
-    if np.max(np.abs(coarse[-1] - frames[-1][..., :])) > HALVING_REL_TOL * scale:
-        raise StepTooCoarse("characteristic fan needs a finer step")
+    state0 = np.stack([seeds, p0, S_init, np.ones_like(seeds), d2S0])
+    times, frames = halving_checked(
+        lambda h: rk4_trajectory(rhs, state0, 0.0, T, h), step)
     return CharacteristicFan(seeds=seeds, times=times,
                              x=frames[:, 0], p=frames[:, 1], S=frames[:, 2],
                              J=frames[:, 3], delta_p=frames[:, 4], hbar=hbar)
@@ -275,17 +251,14 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
 
     gx = grid.points(0)
     covered = (gx >= xs[0]) & (gx <= xs[-1])
-    fields = {}
-    for name, data in (("S", S_seed), ("a", a_seed), ("dS", p_seed),
-                       ("da", da_seed), ("lap_a", d2a_seed), ("J", J)):
-        spline = CubicSpline(xs, data)
-        arr = np.zeros_like(gx)
-        arr[covered] = spline(gx[covered])
-        fields[name] = arr
-    valid = covered & (np.abs(fields["J"]) >= CAUSTIC_GUARD)
-    return WKBField(grid=grid, t=float(fan.times[k]), S=fields["S"], a=fields["a"],
-                    valid_mask=valid, dS=fields["dS"], da=fields["da"],
-                    lap_a=fields["lap_a"], J=fields["J"], hbar=fan.hbar)
+    # one spline through all six columns factors the knot system once
+    spline = CubicSpline(xs, np.stack([S_seed, a_seed, p_seed, da_seed, d2a_seed, J], axis=1))
+    vals = np.zeros((6, gx.size))
+    vals[:, covered] = spline(gx[covered]).T
+    S, a, dS, da, lap_a, J_grid = vals
+    valid = covered & (np.abs(J_grid) >= CAUSTIC_GUARD)
+    return WKBField(grid=grid, t=float(fan.times[k]), S=S, a=a, valid_mask=valid,
+                    dS=dS, da=da, lap_a=lap_a, J=J_grid, hbar=fan.hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sclab.dynamics import (ControlSignal, HamiltonianSpec, evolve,
                             flow_jacobian, hamiltonian, sample_controls)
-from sclab.errors import TrajectoryEscape
+from sclab.errors import StepTooCoarse, TrajectoryEscape
 from sclab.geometry import ChartSpace, PhasePoint, make_potential
 from sclab.integrate import hermite_state
 
@@ -97,6 +97,12 @@ class TestEvolve:
         with pytest.raises(TrajectoryEscape):
             evolve(spec, PhasePoint(np.array([1.0]), np.array([0.0])), u, 1e-3)
 
+    def test_coarse_step_rejected(self):
+        spec = harmonic_linear_spec()
+        u = ControlSignal(np.array([0.0, 0.7, 2.0]), np.array([1.0, -3.0]))
+        with pytest.raises(StepTooCoarse):
+            evolve(spec, PhasePoint(np.array([1.0]), np.array([0.0])), u, 0.5)
+
     def test_csv_export(self):
         spec = free_spec()
         u = ControlSignal.constant(2.0, 0.1)
@@ -145,6 +151,24 @@ class TestFlowJacobian:
             em = evolve(spec, PhasePoint(zm[:1], zm[1:]), u, 1e-3).endpoint.as_state()
             fd[:, k] = (ep - em) / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-3 * max(1.0, np.max(np.abs(fd)))
+
+    def test_coarse_step_rejected(self):
+        spec = harmonic_linear_spec()
+        u = ControlSignal(np.array([0.0, 0.7, 2.0]), np.array([1.0, -3.0]))
+        with pytest.raises(StepTooCoarse):
+            flow_jacobian(spec, PhasePoint(np.array([1.0]), np.array([0.0])), u, 2.0,
+                          step=0.5)
+
+    def test_horizon_past_control_rejected(self):
+        # a 1 s control cannot carry the flow to T = 2; it used to return the
+        # Jacobian at T = 1 without a word
+        spec = harmonic_linear_spec()
+        lam0 = PhasePoint(np.array([0.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="exceeds"):
+            flow_jacobian(spec, lam0, ControlSignal.constant(0.0, 1.0), 2.0)
+        J = flow_jacobian(spec, lam0, ControlSignal.constant(0.0, 1.0), 1.0 + 1e-13)
+        assert np.max(np.abs(J - np.array([[np.cos(1.0), np.sin(1.0)],
+                                           [-np.sin(1.0), np.cos(1.0)]]))) < 1e-6
 
     def test_symplectic_determinant_sweep(self):
         rng = np.random.default_rng(7)

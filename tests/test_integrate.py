@@ -1,0 +1,88 @@
+import numpy as np
+import pytest
+
+from sclab.errors import StepTooCoarse, TrajectoryEscape
+from sclab.geometry import default_validation_points, make_metric
+from sclab.integrate import fd_jacobian, halving_checked, rk4_trajectory
+
+
+def five_row_rhs(t, z):
+    """A column-wise nonlinear field on a (5, ...) state, polynomial only so
+    each column's arithmetic is the same whether it runs alone or batched."""
+    x, p, s, dx, dp = z
+    return np.stack([p, -x - 0.1 * x ** 3 + t, 0.5 * p * p - 0.5 * x * x,
+                     dp, -(1.0 + 0.3 * x * x) * dx])
+
+
+class TestTrajectory:
+    def test_batched_state_keeps_shape_and_matches_columns(self):
+        rng = np.random.default_rng(3)
+        z0 = rng.normal(size=(5, 7))
+        times, states = rk4_trajectory(five_row_rhs, z0, 0.2, 1.1, 0.05)
+        assert states.shape == (times.size, 5, 7)
+        assert np.array_equal(states[0], z0)
+        for j in range(z0.shape[1]):
+            t_j, col = rk4_trajectory(five_row_rhs, z0[:, j], 0.2, 1.1, 0.05)
+            assert np.array_equal(t_j, times)
+            assert np.array_equal(col, states[:, :, j])
+
+    def test_grid_covers_interval(self):
+        times, states = rk4_trajectory(lambda t, z: -z, np.ones(2), 0.5, 1.25, 0.1)
+        assert times.size == 9 and times[0] == 0.5
+        assert times[-1] == pytest.approx(1.25, abs=1e-15)
+        assert states[-1] == pytest.approx(np.exp(-0.75) * np.ones(2), abs=1e-6)
+
+    def test_guard_covers_every_component(self):
+        # the position stays at 0; only the momentum grows past the guard
+        def rhs(t, z):
+            return np.array([0.0, 1e14])
+
+        with pytest.raises(TrajectoryEscape):
+            rk4_trajectory(rhs, np.zeros(2), 0.0, 1.0, 0.1)
+
+    def test_non_finite_state_escapes(self):
+        with pytest.raises(TrajectoryEscape):
+            rk4_trajectory(lambda t, z: np.full_like(z, np.nan), np.zeros(3), 0.0, 1.0, 0.5)
+
+
+class TestHalvingChecked:
+    def test_returns_the_fine_run(self):
+        def run(h):
+            return rk4_trajectory(lambda t, z: -z, np.ones(1), 0.0, 1.0, h)
+
+        times, states = halving_checked(run, 1e-2)
+        assert times.size == 201
+        assert np.array_equal(states, run(5e-3)[1])
+
+    def test_coarse_step_raises(self):
+        def run(h):
+            return rk4_trajectory(lambda t, z: -4.0 * z, np.ones(1), 0.0, 2.0, h)
+
+        with pytest.raises(StepTooCoarse):
+            halving_checked(run, 0.25)
+
+
+class TestFdJacobian:
+    def test_polynomial_diagonal_cometric(self):
+        space = make_metric("polynomial-diagonal", 2, c0=[1.0, 0.5, 0.2],
+                            c1=[2.0, -0.3, 0.1, 0.05])
+        for x in default_validation_points(2):
+            fd = fd_jacobian(space.cometric, x)
+            assert fd.shape == (2, 2, 2)
+            assert np.max(np.abs(fd - space.dcometric(x))) < 1e-6
+
+    def test_scalar_function_gives_gradient(self):
+        x = np.array([0.3, -1.2, 2.0])
+        grad = fd_jacobian(lambda y: float(np.sum(y ** 3)), x)
+        assert grad == pytest.approx(3 * x ** 2, rel=1e-8)
+
+    def test_batch_rows_match_single_points(self):
+        # a (m, d) batch is perturbed row by row at once, as for one point
+        def f(y):
+            return y[..., 0] ** 3 - 2.0 * y[..., 0] * y[..., 1]
+
+        X = np.random.default_rng(1).normal(size=(6, 2))
+        batched = fd_jacobian(f, X)
+        assert batched.shape == (6, 2)
+        for i in range(6):
+            assert np.array_equal(batched[i], fd_jacobian(f, X[i]))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sclab.errors import CausticReached, MaskViolation
+from sclab.errors import (CausticReached, MaskViolation, StepTooCoarse,
+                          TrajectoryEscape)
 from sclab.geometry import BoxRegion, PotentialField, make_potential
 from sclab.schrodinger import SpatialGrid
 from sclab.wkb import (CutoffFunction, TimePotential, duhamel_delta,
@@ -60,6 +61,20 @@ class TestShootCharacteristics:
         k = fan.time_index(0.5)
         expect = fan.seeds + fan.seeds * 0.5 - 0.5 ** 3 / 6.0
         assert np.max(np.abs(fan.x[k] - expect)) < 1e-8
+
+
+    def test_coarse_step_rejected(self):
+        V = make_potential("harmonic", 1, k=4.0)
+        with pytest.raises(StepTooCoarse):
+            shoot_characteristics(quad_phase(+1.0), V, seeds_on(n=40), 1.0, 0.25)
+
+    def test_guard_covers_action(self):
+        # x and p stay put while S = 1e14·t crosses the overflow guard; a guard
+        # on the position alone let this fan through
+        Vt = TimePotential(value=lambda t, x: np.full_like(x, -1e14),
+                           gradient=lambda t, x: np.zeros_like(x))
+        with pytest.raises(TrajectoryEscape):
+            shoot_characteristics(make_potential("zero", 1), Vt, seeds_on(n=40), 0.1, 1e-2)
 
 
 class TestConjugateTime:
