@@ -37,7 +37,6 @@ class Field:
     caster: Callable[[str], Any]
     default: Any = None
     check: Optional[Callable[[Any], bool]] = None
-    help: str = ""
 
 
 POTENTIAL_FIELDS = {
@@ -160,9 +159,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "spectral.mu": Field(float, 1.0),
         "spectral.N_big": Field(int, 48, lambda v: v >= 4),
         "spectral.disc_r0": Field(float, 0.1, _positive),
-        "spectral.disc_controls": Field(int, 100, _nonnegative),
-        "spectral.disc_amplitude": Field(float, 1000.0, _positive),
-        "spectral.disc_horizon": Field(float, 3.0, _positive),
     },
 }
 

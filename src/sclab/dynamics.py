@@ -12,8 +12,6 @@ conserved quantity, which the tests use as the primary integration oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -105,30 +103,6 @@ class ControlSignal:
                 for lo, hi in zip(bp[:-1], bp[1:])]
         return ControlSignal(bp, np.asarray(vals))
 
-    def to_text(self) -> str:
-        lines = ["breakpoints = " + ",".join(repr(float(b)) for b in self.breakpoints)]
-        if self.values.ndim == 1:
-            lines.append("values = " + ",".join(repr(float(v)) for v in self.values))
-        else:
-            for j in range(self.values.shape[1]):
-                lines.append(f"values{j} = " + ",".join(repr(float(v)) for v in self.values[:, j]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ControlSignal":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rhs = line.partition("=")
-            fields[key.strip()] = np.array([float(v) for v in rhs.split(",")])
-        bp = fields.pop("breakpoints")
-        if "values" in fields:
-            return cls(bp, fields["values"])
-        cols = [fields[f"values{j}"] for j in range(len(fields))]
-        return cls(bp, np.stack(cols, axis=1))
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -184,25 +158,6 @@ class Trajectory:
     @property
     def endpoint(self) -> PhasePoint:
         return self.state(-1)
-
-    def to_csv(self, header_comment: str = "") -> str:
-        """CSV with columns t, x_1..x_n, p_1..p_n, u (scalar or u_1..u_m)."""
-        n = self.xs.shape[1]
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        writer = csv.writer(buf)
-        m = self.control_used.n_controls
-        ucols = ["u"] if m == 1 else [f"u_{j+1}" for j in range(m)]
-        writer.writerow(["t"] + [f"x_{i+1}" for i in range(n)]
-                        + [f"p_{i+1}" for i in range(n)] + ucols)
-        for k, t in enumerate(self.times):
-            u = np.atleast_1d(self.control_used.value_at(float(t)))
-            writer.writerow([repr(float(t))]
-                            + [repr(float(v)) for v in self.xs[k]]
-                            + [repr(float(v)) for v in self.ps[k]]
-                            + [repr(float(v)) for v in u])
-        return buf.getvalue()
 
 
 def hamiltonian(spec: HamiltonianSpec, lam: PhasePoint, u) -> float:

@@ -37,10 +37,6 @@ class LinearSolveFailed(SclabError):
     """Coefficient solve failed despite a nondegenerate wedge."""
 
 
-class OrderingViolated(SclabError):
-    """Componentwise comparison certificate failed along the trajectories."""
-
-
 class HypothesisViolated(SclabError):
     """A structural hypothesis check (e.g. control-potential constancy) failed."""
 

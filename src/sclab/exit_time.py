@@ -22,27 +22,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import ControlSignal, HamiltonianSpec
-from .errors import HypothesisViolated, OrderingViolated, StepTooCoarse
+from .errors import HypothesisViolated, StepTooCoarse
 from .geometry import BoxRegion, PhasePoint, cometric_at, dcometric_at
-from .integrate import (_nsteps, bisect_event, check_escape, hermite_state,
-                        rk4_step, rk4_trajectory)
+from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_step
 
-ORDERING_SLACK = 1e-9
 EXIT_TIME_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ComparisonCertificate:
-    """Trajectories of both systems plus the componentwise ordering margin."""
-
-    times: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    max_violation: float
-
-    @property
-    def ordered(self) -> bool:
-        return self.max_violation <= ORDERING_SLACK
 
 
 @dataclass(frozen=True)
@@ -74,36 +58,6 @@ class ExitReport:
         for i, t in enumerate(self.exit_times):
             writer.writerow([i, repr(float(t))])
         return buf.getvalue()
-
-
-def chaplygin_compare(f: Callable, f_tilde: Callable, z0, z0_tilde,
-                      T: float, step: float) -> ComparisonCertificate:
-    """Integrate ż = f(z) and ż̃ = f̃(z̃) and certify z(t) ≤ z̃(t) componentwise.
-
-    Hypotheses (f ≤ f̃ on the sampled states, z0 ≤ z̃0) are checked along the
-    way; any breach beyond a 1e-9 slack raises OrderingViolated.
-    """
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    z0t = np.asarray(z0_tilde, dtype=float).reshape(-1)
-    if np.any(z0 > z0t + ORDERING_SLACK):
-        raise OrderingViolated("initial states are not ordered")
-    t_lo, lower = rk4_trajectory(lambda t, z: np.asarray(f(z), dtype=float),
-                                 z0, 0.0, T, step)
-    t_hi, upper = rk4_trajectory(lambda t, z: np.asarray(f_tilde(z), dtype=float),
-                                 z0t, 0.0, T, step)
-    if t_lo.size != t_hi.size:
-        raise ValueError("internal grid mismatch")
-    margin = lower - upper
-    max_violation = float(np.max(margin))
-    if max_violation > ORDERING_SLACK:
-        k = np.unravel_index(np.argmax(margin), margin.shape)
-        raise OrderingViolated(
-            f"ordering failed at t={t_lo[k[0]]:.6g} by {max_violation:.3e}")
-    # field-ordering spot check along the certified lower trajectory
-    for z in lower[:: max(1, lower.shape[0] // 64)]:
-        if np.any(np.asarray(f(z)) > np.asarray(f_tilde(z)) + ORDERING_SLACK):
-            raise OrderingViolated("field ordering f ≤ f̃ fails on the sampled domain")
-    return ComparisonCertificate(t_lo, lower, upper, max_violation)
 
 
 def _split_axes(spec: HamiltonianSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -213,8 +167,10 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     h = horizon/n and takes the minimal exit time.  A march stops at the first
     step that leaves Ω, whose exit is refined to 1e-8 by bisection on the
     step's dense output, or once it reaches the best exit found so far, since
-    nothing later can lower the minimum.  Trajectories that never leave before
-    the horizon contribute the horizon.
+    nothing later can lower the minimum.  The bisection's final bracket is at
+    most EXIT_TIME_TOL wide, so its midpoint minus ½·EXIT_TIME_TOL lies at or
+    below the bracket's inside end; that is the exit a march reports.
+    Trajectories that never leave before the horizon contribute the horizon.
     """
     n1_axes, _ = _split_axes(spec)
     check_w_constancy(spec, Omega, lam0)
@@ -241,7 +197,8 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
                 t_next = h * (k + 1)
                 gap_at = _dense_gap(omega1, slice(0, n1), t, t_next, z, z_next,
                                     rhs(t, z), rhs(t_next, z_next))
-                best = min(best, bisect_event(gap_at, t, t_next, tol=EXIT_TIME_TOL))
+                t_exit = bisect_event(gap_at, t, t_next, tol=EXIT_TIME_TOL)
+                best = min(best, t_exit - 0.5 * EXIT_TIME_TOL)
                 break
             z = z_next
     return best

@@ -196,10 +196,6 @@ class BoxRegion:
                 inside &= (x[..., k] >= b[0]) & (x[..., k] <= b[1])
         return bool(inside[0]) if squeeze else inside
 
-    def shrink(self, margin: float) -> "BoxRegion":
-        return BoxRegion(tuple(None if b is None else (b[0] + margin, b[1] - margin)
-                               for b in self.bounds))
-
     def signed_gap(self, x: np.ndarray) -> float:
         """Smallest distance from x to the boundary (negative if outside)."""
         gaps = []
@@ -249,11 +245,6 @@ def riemannian_gradient(space: ChartSpace, f: PotentialField, x) -> np.ndarray:
     """∇f = g^{ij} ∂_j f, the metric gradient as a tangent vector."""
     x = _as_vector(x, space.dimension)
     return cometric_at(space, x) @ f.grad(x)
-
-
-def kinetic_energy(space: ChartSpace, x, p) -> float:
-    p = _as_vector(p, space.dimension)
-    return 0.5 * float(p @ cometric_at(space, x) @ p)
 
 
 def geodesic_rhs(space: ChartSpace, z: np.ndarray) -> np.ndarray:
@@ -427,15 +418,3 @@ def make_metric(name: str, dim: int = 1, **coeffs) -> ChartSpace:
 
         return ChartSpace(dimension=dim, cometric=met, dcometric=dmet)
     raise ValueError(f"unknown metric '{name}'")
-
-
-def default_validation_points(dim: int, extent: float = 1.5) -> list[np.ndarray]:
-    """Small deterministic point cloud for callback-consistency checks."""
-    pts = [np.zeros(dim)]
-    for k in range(dim):
-        for s in (-extent, 0.5 * extent, extent):
-            v = np.zeros(dim)
-            v[k] = s
-            pts.append(v)
-    pts.append(np.full(dim, 0.3 * extent))
-    return pts

@@ -297,14 +297,9 @@ def _run_spectral(config: ExperimentConfig) -> None:
                                               config["spectral.coeff_bound"],
                                               config["spectral.precision"])
     floor = spec_mod.relation_floor(gaps, config["spectral.coeff_bound"])
-    rng = np.random.default_rng(config.seed)
-    controls = sample_controls(rng, config["spectral.disc_controls"],
-                               config["spectral.disc_horizon"],
-                               config["spectral.disc_amplitude"])
-    disc = spec_mod.invariant_disc_check(config["spectral.eps"], controls,
-                                         config["spectral.disc_horizon"],
-                                         config["spectral.disc_r0"],
-                                         a=a, b=b, c=c)
+    # the free rotation keeps the disc of radius r0 out of the control's
+    # support {x > eps}, so it is invariant under every control, iff r0 <= eps
+    eps, r0 = config["spectral.eps"], config["spectral.disc_r0"]
     _write(config.out, "coupling.csv", _csv_table(
         _header(config), ["i", "j", "b_ij", "b_hat_ij", "f_ij"],
         [[i, j, float(B.entries[i, j]), float(hat.entries[i, j]), float(f[i, j])]
@@ -330,6 +325,6 @@ def _run_spectral(config: ExperimentConfig) -> None:
                           "precision < relation_floor"),
         "gap_convention_note": ("operator -d²/dx² + x² has unperturbed gaps 2; "
                                 "the half-normalized oscillator would have gaps 1"),
-        "disc_invariant": disc.invariant,
-        "disc_max_drift": disc.max_drift,
+        "disc_invariant": r0 <= eps,
+        "disc_margin": eps - r0,
     })

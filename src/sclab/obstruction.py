@@ -3,11 +3,11 @@
 Protocol, for a control potential constant (= c) on a box Ω of the base
 factor: build the cutoff ansatz
 
-    φ(t) = χ·a·e^{iS}·e^{-ic∫₀ᵗu}        (scalar factor case)
+    φ(t) = χ·a·e^{iS/ħ}·e^{-ic∫₀ᵗu/ħ}    (scalar factor case)
     φ(t) = χ(x)·ψ₁(t,x)·ψ₂(t,y)          (product case, ψ₂ split-step on N₂)
 
 whose Schrödinger residual r is control independent; by Duhamel and unitarity
-‖ψ(t) − φ(t)‖ ≤ δ(t) = ∫₀ᵗ‖r‖.  Any witness ψ₁ supported outside Ω keeps
+‖ψ(t) − φ(t)‖ ≤ δ(t) = (1/ħ)∫₀ᵗ‖r‖.  Any witness ψ₁ supported outside Ω keeps
 ‖ψ₁ − φ(t)‖ ≥ 1, so for every control ‖ψ₁ − ψ(t)‖ ≥ 1 − δ(t): as long as
 δ stays below 1 the true state cannot approach anything supported outside
 Ω (× N₂) — a quantitative obstruction horizon.
@@ -265,8 +265,8 @@ class AnsatzEngine:
         return np.array([self._norm_cache[k] for k in idx])
 
     def phase(self, u: ControlSignal, t: float) -> complex:
-        """The control phase e^{-ic∫₀ᵗu} of the scalar ansatz."""
-        return np.exp(-1j * self.c_ref * u.integral(min(t, u.duration)))
+        """The control phase e^{-ic∫₀ᵗu/ħ} of the scalar ansatz."""
+        return np.exp(-1j * self.c_ref * u.integral(min(t, u.duration)) / self.config.hbar)
 
     def phi_scalar(self, u: ControlSignal, t: float) -> WaveGrid:
         vals = self.chi_vals * self.field_at(t).psi_tilde() * self.phase(u, t)
@@ -377,13 +377,14 @@ def run_localization_experiment(config: ObstructionConfig,
                                 ) -> ObstructionReport:
     """Evolve the true equation over a control ensemble and verify, per record,
     the Duhamel bound, the control uniformity of δ, and the witness-distance
-    floor; certify the largest ε with uniform δ(ε) < 1 − floor.
+    floor; certify the largest ε with uniform δ(ε) < 1 − floor, or 0 when
+    any record fails its Duhamel or witness check.
 
     For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
     scalar case and (m, n1, n2) in the product case: one split_step_evolve
     call per sample window advances every member under its own control.  At
     each sample time φ is built for every row (in the scalar case the shared
-    χ·ψ̃(t_k) times each member's phase e^{-ic∫u}), and ‖ψ − φ‖, the witness
+    χ·ψ̃(t_k) times each member's phase e^{-ic∫u/ħ}), and ‖ψ − φ‖, the witness
     distance and the Duhamel margin are taken per row.  The working set is
     the stack and its fixed buffers, updated in place: φ is built in the
     stack's scratch buffer, and no array of the stack's size is allocated
@@ -438,7 +439,7 @@ def run_localization_experiment(config: ObstructionConfig,
             norms = np.array([[
                 np.sqrt(np.sum(np.abs(engine.residual_for(u, t)) ** 2)
                         * config.grid.cell_volume) for t in times] for u in controls])
-        delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms])
+        delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms]) / config.hbar
         deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
         set_phi(0.0)
@@ -470,14 +471,15 @@ def run_localization_experiment(config: ObstructionConfig,
         delta_by_eps[eps_eff] = float(np.max(deltas))
         spread_by_eps[eps_eff] = float(np.max(deltas) - np.min(deltas))
 
-    threshold = 1.0 - config.target_distance_floor
-    certified = 0.0
-    for eps_eff, dmax in sorted(delta_by_eps.items()):
-        if dmax < threshold:
-            certified = eps_eff
     duh_bad = sum(1 for r in records if not r.duhamel_ok)
     wit_bad = sum(1 for r in records
                   if r.min_witness_distance < 1.0 - r.delta - DUHAMEL_SLACK)
+    threshold = 1.0 - config.target_distance_floor
+    certified = 0.0
+    if duh_bad == 0 and wit_bad == 0:  # a run whose own checks fail certifies nothing
+        for eps_eff, dmax in sorted(delta_by_eps.items()):
+            if dmax < threshold:
+                certified = eps_eff
     return ObstructionReport(
         records=tuple(records), eps_grid=tuple(sorted(delta_by_eps)),
         delta_by_eps=delta_by_eps, delta_spread_by_eps=spread_by_eps,
@@ -514,7 +516,7 @@ def estimate_Tq_lower_bound(config: ObstructionConfig,
     stride = max(1, times.size // 256)
     idx = np.array(sorted(set(list(range(0, times.size, stride)) + [times.size - 1])))
     ts = times[idx]
-    delta = _cumulative_trapezoid(engine.residual_norms(idx), ts)
+    delta = _cumulative_trapezoid(engine.residual_norms(idx), ts) / config.hbar
     below = delta < threshold
     if delta[0] >= threshold:
         return 0.0

@@ -6,9 +6,9 @@ Strang splitting for  iħ ∂_t ψ = -ħ²Δψ/2 + (V + u(t)W)ψ:
       → exp(-i(V+uW)dt/2ħ)·ψ
 
 Second order in dt, exactly norm preserving, and exact whenever the potential
-commutes with the kinetic term (constant W gives the global phase e^{-ic∫u}).
+commutes with the kinetic term (constant W gives the global phase e^{-ic∫u/ħ}).
 Periodic boxes stand in for the line: callers keep states away from the
-boundary and monitor the outer-mass / top-mode diagnostics.
+boundary and monitor the top-mode diagnostic.
 
 `split_step_evolve` advances one `WaveGrid` or a `WaveStack` of m states,
 each under its own control, over a common window.  Every member keeps its
@@ -20,8 +20,6 @@ every member at each of its own control segment ends.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -115,26 +113,6 @@ class WaveGrid:
         return complex(np.sum(np.conj(self.values) * other.values)
                        * self.grid.cell_volume)
 
-    def to_csv(self, header_comment: str = "") -> str:
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        writer = csv.writer(buf)
-        writer.writerow([f"x_{a+1}" for a in range(self.grid.dim)] + ["re", "im"])
-        coords = self.grid.mesh().reshape(-1, self.grid.dim)
-        flat = self.values.reshape(-1)
-        for xy, v in zip(coords, flat):
-            writer.writerow([repr(float(c)) for c in xy]
-                            + [repr(float(v.real)), repr(float(v.imag))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, grid: SpatialGrid, hbar: float = 1.0) -> "WaveGrid":
-        rows = [r for r in csv.reader(io.StringIO(text))
-                if r and not r[0].startswith("#") and not r[0].startswith("x_")]
-        vals = np.array([complex(float(r[-2]), float(r[-1])) for r in rows])
-        return cls(grid, vals.reshape(grid.shape), hbar)
-
 
 class WaveStack:
     """m states on one grid, values of shape (m, *grid.shape), evolved in place.
@@ -199,19 +177,6 @@ def _top_mode_masses(values: np.ndarray, grid: SpatialGrid,
     cut = (1.0 - TOP_MODE_FRACTION) * float(np.max(kmag))
     top = spec[:, kmag >= cut].sum(axis=-1)
     return np.divide(top, total, out=np.zeros(m), where=total != 0.0)
-
-
-def boundary_mass(psi: WaveGrid, fraction: float = 0.10) -> float:
-    """Probability mass in the outer `fraction` of the box along every axis."""
-    prob = np.abs(psi.values) ** 2 * psi.grid.cell_volume
-    mask = np.zeros(psi.grid.shape, dtype=bool)
-    for a, (s, L, n) in enumerate(psi.grid.axes):
-        edge = int(np.ceil(0.5 * fraction * n))
-        idx = np.zeros(n, dtype=bool)
-        idx[:edge] = True
-        idx[-edge:] = True
-        mask |= idx.reshape([-1 if i == a else 1 for i in range(psi.grid.dim)])
-    return float(np.sum(prob[mask]))
 
 
 def _check_resolution(values: np.ndarray, grid: SpatialGrid,

@@ -10,47 +10,29 @@ potential,
 are computed exactly, with no quadrature: completing the square makes x an
 affine function of a new variable y, the Hermite recurrence expands each
 polynomial factor φ_i·e^{x²/2} in orthonormal Hermite polynomials of y, and
-(b_ij) is a scaled Gram matrix of those coefficient rows (the
-``quadrature_order`` keyword of `gaussian_coupling` no longer changes the
-result).  The criteria checked downstream:
-connectivity of the leading minors of (b_ij) and absence of rational
-relations among the spectral gaps (a finite search can refute independence,
-never prove it).  The classical counterpart: with the control cut off to
-{x > ε}, phase-space discs of radius < ε are flow-invariant for every
-control, witnessing classical non-controllability.
+(b_ij) is a scaled Gram matrix of those coefficient rows.  The criteria
+checked downstream: connectivity of the leading minors of (b_ij) and absence
+of rational relations among the spectral gaps (a finite search can refute
+independence, never prove it).  The classical counterpart is a theorem, not
+a simulation: with the control cut off to {x > ε}, the classical flow of
+p² + x² is the free rotation wherever x ≤ ε, so a phase-space disc of radius
+r₀ ≤ ε never meets the control's support and is invariant under every
+control.  The verdict is r₀ ≤ ε with margin ε − r₀, which witnesses
+classical non-controllability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .dynamics import ControlSignal
 from .errors import QuadratureDivergence, TruncationNotConverged
-from .integrate import bisect_event, hermite_state, rk4_step
 
 SEARCH_BUDGET = 10 ** 7
 CUTOFF_MAX_ORDER = 4096  # Gauss–Legendre order at which cutoff_coupling gives up
-
-
-def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for ∫f(x)e^{-x²}dx by the Golub–Welsch eigenproblem.
-
-    The symmetric Jacobi matrix keeps this stable at orders where the direct
-    polynomial-root route overflows.
-    """
-    if n < 1:
-        raise ValueError("quadrature order must be positive")
-    if n == 1:
-        return np.zeros(1), np.array([np.sqrt(np.pi)])
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    nodes, vecs = eigh_tridiagonal(np.zeros(n), off)
-    weights = np.sqrt(np.pi) * vecs[0] ** 2
-    return nodes, weights
 
 
 def _hermite_recurrence(N: int, h0: np.ndarray, times_x) -> np.ndarray:
@@ -73,41 +55,6 @@ def hermite_polynomial_values(N: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return _hermite_recurrence(N, np.full(x.shape, np.pi ** -0.25), lambda v: x * v)
-
-
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Truncated oscillator eigenbasis with Gauss–Hermite quadrature attached."""
-
-    N: int
-    quadrature_order: int = 0
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("need at least two basis functions")
-        if self.quadrature_order <= 0:
-            object.__setattr__(self, "quadrature_order", max(4 * self.N, 40))
-        nodes, weights = gauss_hermite(self.quadrature_order)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_weights", weights)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    def eigenfunctions(self, x: np.ndarray) -> np.ndarray:
-        """φ_i(x) = h_i(x)·e^{-x²/2} for i < N, rows stacked."""
-        x = np.asarray(x, dtype=float)
-        return hermite_polynomial_values(self.N, x) * np.exp(-0.5 * x * x)
-
-    def gram(self) -> np.ndarray:
-        """⟨φ_i, φ_j⟩ under the quadrature (identity to 1e-10 by construction)."""
-        h = hermite_polynomial_values(self.N, self.nodes)
-        return (h * self.weights) @ h.T
 
 
 @dataclass(frozen=True)
@@ -178,7 +125,7 @@ def _gaussian_moment_entry(i: int, j: int, a: float, b: float, c: float) -> floa
 
 
 def gaussian_coupling(a: float, b: float, c: float, N: int,
-                      quadrature_order: int = 0, validate: bool = True) -> CouplingMatrix:
+                      validate: bool = True) -> CouplingMatrix:
     """b_ij = ∫ φ_i φ_j e^{ax²+bx+c} dx, exact by Hermite expansion.
 
     With s = 1-a, the substitution x = y/√s + b/(2s) turns the integral into
@@ -188,9 +135,8 @@ def gaussian_coupling(a: float, b: float, c: float, N: int,
     coefficient vectors gives the lower-triangular C with
     h_i(x(y)) = Σ_k C_ik h_k(y), and B = e^{b²/(4s)+c}/√s · C·Cᵀ.  (Gauss–
     Hermite quadrature of the undamped h_i fails once N is moderate: its
-    small weights are accurate only in absolute terms.)  ``quadrature_order``
-    is accepted for compatibility and no longer changes the result.  Entries
-    with i+j ≤ 4 are cross-checked against the moment recursion.
+    small weights are accurate only in absolute terms.)  Entries with
+    i+j ≤ 4 are cross-checked against the moment recursion.
     """
     if a >= 1.0:
         raise QuadratureDivergence("need a < 1 for a normalizable integrand")
@@ -402,85 +348,3 @@ def perturbed_spectrum(mu: float, a: float, b: float, c: float, N: int,
         raise TruncationNotConverged(
             f"doubling the truncation moved eigenvalues by {np.max(np.abs(ev - ev2)):.3e}")
     return GapVector(ev2)
-
-
-@dataclass(frozen=True)
-class DiscInvarianceReport:
-    """Radius drift of p² + x² = r₀² circles under the cutoff-Gaussian flow."""
-
-    r0: float
-    eps: float
-    max_drift: float
-    per_control_drift: np.ndarray
-
-    @property
-    def invariant(self) -> bool:
-        return self.max_drift < 1e-6
-
-
-def _gaussian_force(x: float, a: float, b: float, c: float) -> float:
-    return (2 * a * x + b) * math.exp(a * x * x + b * x + c)
-
-
-def invariant_disc_check(eps: float, ensemble: Sequence[ControlSignal],
-                         horizon: float, r0: float,
-                         a: float = -1.0, b: float = 1.0, c: float = 0.0,
-                         step: float = 1e-3) -> DiscInvarianceReport:
-    """Track p² + x² from (r₀, 0) under H = p² + x² + u·1_{x>ε}·e^{ax²+bx+c}.
-
-    The flow is ẋ = 2p, ṗ = -2x - u·∂ₓ(cutoff Gaussian).  A step takes the
-    smooth field of the side it starts on (outside, the Gaussian force is
-    extended past x = ε), so RK4 never integrates across the potential's
-    discontinuity.  A crossing of x = ε is located by bisection to 1e-10 on
-    the step's cubic Hermite dense output (`integrate.hermite_state`), which
-    also gives the state there; the dynamics switch at that state.
-    """
-    drifts = np.empty(len(ensemble))
-    for idx, u in enumerate(ensemble):
-        z = np.array([r0, 0.0])
-        worst = 0.0
-        for seg_a, seg_b, uval in u.restricted(min(horizon, u.duration)).segments():
-            uu = float(np.atleast_1d(uval)[0])
-
-            def rhs_free(_t, zz):
-                return np.array([2.0 * zz[1], -2.0 * zz[0]])
-
-            def rhs_forced(_t, zz):
-                return np.array([2.0 * zz[1],
-                                 -2.0 * zz[0] - uu * _gaussian_force(zz[0], a, b, c)])
-
-            t = seg_a
-            while t < seg_b - 1e-15:
-                h = min(step, seg_b - t)
-                near_boundary = abs(z[0] - eps) <= 1e-9
-                if near_boundary:
-                    # sitting on the switching surface: pick the side the
-                    # velocity ẋ = 2p is heading into and step straight off it
-                    rhs = rhs_forced if z[1] > 0 else rhs_free
-                    z = rk4_step(rhs, t, z, h)
-                    t += h
-                    worst = max(worst, abs(math.hypot(z[0], z[1]) - r0))
-                    continue
-                inside = z[0] <= eps
-                rhs = rhs_free if inside else rhs_forced
-                z_new = rk4_step(rhs, t, z, h)
-                crossed = (z_new[0] - eps) * (z[0] - eps) < 0
-                if crossed:
-                    # locate the crossing on the step's dense output, take the
-                    # state there from it, then switch
-                    f0, f1 = rhs(t, z), rhs(t + h, z_new)
-
-                    def dense(tt):
-                        return hermite_state(z, z_new, f0, f1, h, (tt - t) / h)
-
-                    t_cross = bisect_event(lambda tt: dense(tt)[0] - eps, t, t + h,
-                                           tol=1e-10)
-                    z, t = dense(t_cross), t_cross
-                else:
-                    z = z_new
-                    t += h
-                worst = max(worst, abs(math.hypot(z[0], z[1]) - r0))
-        drifts[idx] = worst
-    return DiscInvarianceReport(r0=r0, eps=eps,
-                                max_drift=float(np.max(drifts)) if len(ensemble) else 0.0,
-                                per_control_drift=drifts)

@@ -57,15 +57,6 @@ class SteeringPlan:
     def total_duration(self) -> float:
         return float(sum(d for _, d in self.segments))
 
-    def to_text(self) -> str:
-        chunks = [f"epsilon = {self.epsilon!r}",
-                  "predicted_x = " + ",".join(repr(float(v)) for v in self.predicted_endpoint.x),
-                  "predicted_p = " + ",".join(repr(float(v)) for v in self.predicted_endpoint.p)]
-        for i, (u, _) in enumerate(self.segments):
-            for line in u.to_text().strip().splitlines():
-                chunks.append(f"segment{i}.{line}")
-        return "\n".join(chunks) + "\n"
-
 
 def execute_plan(spec: HamiltonianSpec, lam0: PhasePoint, plan: SteeringPlan,
                  substeps: int = 2000) -> SteeringPlan:
@@ -323,22 +314,3 @@ def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
     err = float(np.linalg.norm(np.concatenate([lam_end.x - lam1.x, lam_end.p - lam1.p])))
     return SteeringPlan(segments, lam1, eps, realized_endpoint=lam_end,
                         achieved_error=err)
-
-
-def steer_until(maneuver, tol: float, eps_start: float = 0.1,
-                eps_floor: float = 1e-6) -> SteeringPlan:
-    """Halve ε from eps_start until the maneuver lands within tol.
-
-    maneuver(eps) must return an executed SteeringPlan; the best plan achieved
-    is returned even when the tolerance was never met.
-    """
-    best = None
-    eps = eps_start
-    while eps >= eps_floor:
-        plan = maneuver(eps)
-        if best is None or plan.achieved_error < best.achieved_error:
-            best = plan
-        if plan.achieved_error is not None and plan.achieved_error < tol:
-            return plan
-        eps *= 0.5
-    return best

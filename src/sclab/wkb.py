@@ -105,19 +105,16 @@ class CharacteristicFan:
         return self.delta_p / self.J
 
     def to_csv(self, header_comment: str = "") -> str:
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        w = _csv.writer(buf)
-        w.writerow(["t", "seed", "x", "p", "S", "J"])
-        for k, t in enumerate(self.times):
-            for j, s in enumerate(self.seeds):
-                w.writerow([repr(float(t)), repr(float(s)), repr(float(self.x[k, j])),
-                            repr(float(self.p[k, j])), repr(float(self.S[k, j])),
-                            repr(float(self.J[k, j]))])
-        return buf.getvalue()
+        """Rows t, seed, x, p, S, J of float reprs, ended by "\\r\\n" as
+        csv.writer ends them (a repr never needs quoting)."""
+        out = [f"# {header_comment}\n"] if header_comment else []
+        out.append("t,seed,x,p,S,J\r\n")
+        seeds = [repr(s) for s in self.seeds.tolist()]
+        for t, xs, ps, Ss, Js in zip(self.times.tolist(), self.x.tolist(),
+                                     self.p.tolist(), self.S.tolist(), self.J.tolist()):
+            out.extend(f"{t!r},{s},{x!r},{p!r},{S!r},{J!r}\r\n"
+                       for s, x, p, S, J in zip(seeds, xs, ps, Ss, Js))
+        return "".join(out)
 
 
 def shoot_characteristics(S0: PotentialField, V, seeds, T: float, step: float,
@@ -411,8 +408,6 @@ class CutoffFunction:
 
 
 def wkb_residual(field: WKBField, chi: Optional[CutoffFunction],
-                 lap_a: Optional[np.ndarray] = None,
-                 psi_tilde: Optional[np.ndarray] = None,
                  hbar: Optional[float] = None,
                  control_phase: complex = 1.0) -> np.ndarray:
     """Residual of the cutoff ansatz under the Schrödinger operator:
@@ -423,7 +418,6 @@ def wkb_residual(field: WKBField, chi: Optional[CutoffFunction],
     control only enters through the global phase factor.
     """
     hbar = field.hbar if hbar is None else hbar
-    lap_a = field.lap_a if lap_a is None else np.asarray(lap_a)
     if chi is None:
         chi_vals = np.ones(field.grid.shape)
         grad = np.zeros(field.grid.shape + (1,))
@@ -437,22 +431,11 @@ def wkb_residual(field: WKBField, chi: Optional[CutoffFunction],
         if np.any(support & ~field.valid_mask):
             raise MaskViolation("cutoff support extends beyond the valid WKB region")
     phase = np.exp(1j * field.S / hbar)
-    if psi_tilde is None:
-        psi_tilde = field.psi_tilde()
+    psi_tilde = field.psi_tilde()
     grad_psi = (field.da + 1j * field.a * field.dS / hbar) * phase
     grad_psi = np.where(field.valid_mask, grad_psi, 0.0)
-    lap_term = np.where(field.valid_mask, 0.5 * lap_a * phase, 0.0)
+    lap_term = np.where(field.valid_mask, 0.5 * field.lap_a * phase, 0.0)
     r = hbar ** 2 * control_phase * (chi_vals * lap_term
                                      + grad[..., 0] * grad_psi
                                      + 0.5 * lap_chi * psi_tilde)
     return r
-
-
-def duhamel_delta(norms: np.ndarray, dt: float) -> float:
-    """Trapezoid quadrature of a uniformly sampled residual-norm series."""
-    norms = np.asarray(norms, dtype=float)
-    if norms.size < 2:
-        return 0.0
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return float(np.trapezoid(norms, dx=dt))

@@ -89,8 +89,7 @@ class TestParseConfig:
 
 class TestRunExperiment:
     def test_spectral_runner(self, tmp_path):
-        cfg = parse_config(MINIMAL_SPECTRAL + f"out = {tmp_path}/spec\n"
-                           + "spectral.disc_controls = 10\n")
+        cfg = parse_config(MINIMAL_SPECTRAL + f"out = {tmp_path}/spec\n")
         assert run_experiment(cfg) == 0
         summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
         # (1-a)^{-1/2}·e^{b²/(4(1-a))+c} at the defaults a=-1, b=1, c=0
@@ -101,10 +100,7 @@ class TestRunExperiment:
             assert text.startswith("# config_hash=")
 
     def test_spectral_relation_floor_at_defaults(self, tmp_path):
-        # default spectral config; the disc ensemble, which the relation keys
-        # do not depend on, is cut to keep the test short
-        cfg = parse_config(f"experiment = spectral\nout = {tmp_path}/spec\n"
-                           "spectral.disc_controls = 2\n")
+        cfg = parse_config(f"experiment = spectral\nout = {tmp_path}/spec\n")
         assert run_experiment(cfg) == 0
         summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
         gaps_csv = (tmp_path / "spec" / "gaps.csv").read_text().splitlines()[2:]
@@ -167,7 +163,7 @@ class TestRunExperiment:
 class TestCLI:
     def test_cli_spectral_with_flags(self, tmp_path, capsys):
         cfg_path = tmp_path / "spec.cfg"
-        cfg_path.write_text(MINIMAL_SPECTRAL + "spectral.disc_controls = 5\n")
+        cfg_path.write_text(MINIMAL_SPECTRAL)
         status = cli_main(["spectral", "--config", str(cfg_path),
                            "--out", str(tmp_path / "out"), "--a", "-1.0",
                            "--b", "0.0", "--N", "6"])

@@ -103,17 +103,6 @@ class TestEvolve:
         with pytest.raises(StepTooCoarse):
             evolve(spec, PhasePoint(np.array([1.0]), np.array([0.0])), u, 0.5)
 
-    def test_csv_export(self):
-        spec = free_spec()
-        u = ControlSignal.constant(2.0, 0.1)
-        traj = evolve(spec, PhasePoint(np.array([0.0]), np.array([1.0])), u, 0.05)
-        text = traj.to_csv(header_comment="seed=0")
-        lines = text.strip().splitlines()
-        assert lines[0] == "# seed=0"
-        assert lines[1] == "t,x_1,p_1,u"
-        assert len(lines) == 2 + len(traj)
-
-
 class TestFlowJacobian:
     def test_time_zero_identity(self):
         spec = harmonic_linear_spec()
@@ -195,12 +184,6 @@ class TestControlSignal:
         r = u.restricted(0.5)
         assert r.duration == 0.5
         assert r.values.shape[0] == 1
-
-    def test_round_trip_text(self):
-        u = ControlSignal(np.array([0.0, 0.25, 1.0]), np.array([[1.0, 2.0], [-0.5, 0.0]]))
-        v = ControlSignal.from_text(u.to_text())
-        assert np.array_equal(u.breakpoints, v.breakpoints)
-        assert np.array_equal(u.values, v.values)
 
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import sclab.exit_time as exit_mod
 from sclab.dynamics import ControlSignal, HamiltonianSpec, sample_controls
-from sclab.errors import HypothesisViolated, OrderingViolated
-from sclab.exit_time import (EXIT_TIME_TOL, chaplygin_compare, check_w_constancy,
-                             exit_lower_bound, sampled_exit_time)
+from sclab.errors import HypothesisViolated
+from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
+                             sampled_exit_time)
 from sclab.geometry import BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential
 from sclab.integrate import bisect_event, hermite_state, rk4_trajectory
 
@@ -31,37 +31,9 @@ def omega_unit():
     return BoxRegion(((-1.0, 1.0), None))
 
 
-class TestChaplygin:
-    def test_exponential_ordering(self):
-        cert = chaplygin_compare(lambda z: z, lambda z: 2 * z,
-                                 [1.0], [1.0], 1.0, 1e-3)
-        assert cert.ordered
-        assert np.allclose(cert.lower[-1], np.e, rtol=1e-6)
-        assert np.allclose(cert.upper[-1], np.e ** 2, rtol=1e-6)
-
-    def test_equal_fields_degenerate(self):
-        f = lambda z: -0.5 * z
-        cert = chaplygin_compare(f, f, [2.0], [2.0], 2.0, 1e-3)
-        assert cert.max_violation <= 1e-9
-
-    def test_zero_versus_unit_drift(self):
-        cert = chaplygin_compare(lambda z: 0.0 * z, lambda z: np.ones_like(z),
-                                 [0.0], [0.0], 1.0, 1e-3)
-        assert cert.ordered
-        assert np.allclose(cert.upper[-1], 1.0, atol=1e-9)
-
-    def test_unordered_start_raises(self):
-        with pytest.raises(OrderingViolated):
-            chaplygin_compare(lambda z: z, lambda z: z, [1.0], [0.0], 1.0, 1e-2)
-
-    def test_field_violation_detected(self):
-        with pytest.raises(OrderingViolated):
-            chaplygin_compare(lambda z: np.ones_like(z), lambda z: 0.0 * z,
-                              [0.0], [0.0], 1.0, 1e-2)
-
-
 def full_horizon_bound(spec, lam0, horizon, step):
-    """exit_lower_bound on the flat 1-D base, marched to the horizon first."""
+    """exit_lower_bound on the flat 1-D base, marched to the horizon first,
+    with the same final step from the bisection midpoint to its safe side."""
     omega1 = BoxRegion(((-1.0, 1.0),))
     best = horizon
     for sign in (-1.0, 1.0):
@@ -79,7 +51,7 @@ def full_horizon_bound(spec, lam0, horizon, step):
             return omega1.signed_gap(hermite_state(z0, z1, f0, f1, hi - lo,
                                                    (t - lo) / (hi - lo))[:1])
 
-        best = min(best, bisect_event(gap, lo, hi, tol=EXIT_TIME_TOL))
+        best = min(best, bisect_event(gap, lo, hi, tol=EXIT_TIME_TOL) - 0.5 * EXIT_TIME_TOL)
     return best
 
 
@@ -91,6 +63,14 @@ class TestExitLowerBound:
             lam0 = PhasePoint(np.zeros(2), np.zeros(2))
             bound = exit_lower_bound(spec, omega_unit(), lam0, horizon=10.0)
             assert bound == pytest.approx(np.sqrt(2.0 / c), abs=1e-3)
+
+    def test_default_bound_below_exact_exit(self):
+        # the default exit-time case: RK4 is exact on x = t²/2, so the
+        # comparison system leaves Ω at exactly √2, which the bound must not
+        # exceed, while staying within the event tolerance of it
+        lam0 = PhasePoint(np.zeros(2), np.zeros(2))
+        bound = exit_lower_bound(product_spec(), omega_unit(), lam0, horizon=3.0)
+        assert np.sqrt(2.0) - EXIT_TIME_TOL <= bound <= np.sqrt(2.0)
 
     def test_early_stop_matches_full_horizon(self, monkeypatch):
         # the same case marched over the whole horizon and scanned afterwards

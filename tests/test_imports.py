@@ -1,8 +1,12 @@
-"""Every name a `sclab` module imports is used in it.
+"""Every name a `sclab` module imports is used in it, and every module-level
+function and class is used somewhere in `sclab`.
 
-Each module is parsed with `ast`; an imported name that no `Name` node in the
+Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
-`# noqa: F401` (an import kept for a reason the code itself cannot show).
+`# noqa: F401` (an import kept for a reason the code itself cannot show).  A
+module-level function or class that no `Name`, `Attribute` or import alias in
+any `sclab` module refers to, outside its own definition, is reported unless
+`UNREFERENCED_ALLOWED` gives the reason it stays.
 """
 
 import ast
@@ -12,6 +16,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sclab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# definitions nothing in sclab calls, each with the reason it is kept
+UNREFERENCED_ALLOWED = {
+    "schrodinger.py:gaussian_packet": "perfbench/probes.py builds its states with it",
+    "schrodinger.py:l2_distance": "perfbench/tracer.py times it",
+    "schrodinger.py:plane_wave": "the split-step tests' reference state",
+    "schrodinger.py:top_mode_mass": "perfbench/tracer.py times it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +55,46 @@ def test_checker_sees_unused_and_noqa():
               "from typing import (Callable,\n    Optional)  # noqa: F401\n"
               "from math import pi, tau\nprint(pi)\n")
     assert unused_imports(source) == ["os (line 1)", "tau (line 5)"]
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """"module:name" of each module-level function or class that no Name,
+    Attribute or import alias in `sources` refers to outside its own body."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    refs = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((mod, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((mod, node.lineno, node.name))
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not any(name == node.name
+                       and not (where == mod and node.lineno <= line <= node.end_lineno)
+                       for where, line, name in refs):
+                dead.append(f"{mod}:{node.name}")
+    return sorted(dead)
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_checker_sees_unreferenced_definitions():
+    sources = {
+        "a.py": ("def used():\n    pass\n\n"
+                 "def by_attribute():\n    pass\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "class Dead:\n    pass\n"),
+        "b.py": ("from . import a\nfrom .a import used\n\n"
+                 "def caller():\n    return used(), a.by_attribute()\n"),
+    }
+    assert unreferenced_definitions(sources) == [
+        "a.py:Dead", "a.py:recursive", "b.py:caller"]

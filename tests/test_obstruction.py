@@ -124,6 +124,24 @@ class TestLocalizationExperiment:
         ratios = [d / e for d, e in zip(deltas, eps)]
         assert max(ratios) - min(ratios) < 1e-6 * max(ratios)
 
+    @pytest.mark.parametrize("hbar, certified", [(0.5, 0.08), (0.25, 0.16)])
+    def test_duhamel_bound_holds_below_unit_hbar(self, hbar, certified):
+        # the control phase and δ both carry 1/ħ; for S0 = V = 0 the residual
+        # is ∝ ħ², so δ ∝ ħ and the certified ε grows as 1/ħ
+        rep = run_localization_experiment(scalar_config(
+            hbar=hbar, ensemble_count=4, eps_grid=(0.04, 0.08, 0.16)))
+        assert rep.duhamel_violations == 0
+        assert rep.witness_violations == 0
+        assert rep.certified_bound == certified
+
+    def test_violation_withholds_certificate(self, monkeypatch):
+        monkeypatch.setattr(sclab.obstruction, "DUHAMEL_SLACK", -1.0)
+        rep = run_localization_experiment(scalar_config(ensemble_count=2,
+                                                        eps_grid=(0.02,)))
+        assert rep.duhamel_violations > 0
+        assert max(rep.delta_by_eps.values()) < 1.0 - 0.1  # δ alone would certify
+        assert rep.certified_bound == 0.0
+
     def test_distance_floor_holds_per_record(self):
         rep = run_localization_experiment(scalar_config(ensemble_count=4))
         for r in rep.records:
@@ -185,6 +203,13 @@ class TestTqEstimate:
         thr = 0.9
         bound = estimate_Tq_lower_bound(cfg, threshold=thr)
         assert bound == pytest.approx(thr / slope, rel=1e-2)
+
+    def test_bound_grows_as_inverse_hbar(self):
+        # for S0 = V = 0 the residual is ∝ ħ², so δ = (1/ħ)∫‖r‖ is ∝ ħ
+        bound = estimate_Tq_lower_bound(scalar_config(tq_horizon=0.3), threshold=0.9)
+        half = estimate_Tq_lower_bound(scalar_config(hbar=0.5, tq_horizon=0.3),
+                                       threshold=0.9)
+        assert half == pytest.approx(2.0 * bound, rel=1e-6)
 
     def test_caustic_caps_the_bound(self):
         # contracting phase S0 = -x²/2 focuses at t = 1: guard must cap earlier

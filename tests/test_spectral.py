@@ -1,32 +1,39 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sclab.spectral
-
-from sclab.dynamics import ControlSignal, sample_controls
+from sclab.config import parse_config
 from sclab.errors import QuadratureDivergence, TruncationNotConverged
-from sclab.spectral import (CouplingMatrix, GapVector, HermiteBasis,
-                            cutoff_coupling, default_zero_tol,
-                            gap_rational_relation, gaussian_coupling,
-                            invariant_disc_check, minor_connectivity,
-                            perturbed_spectrum, relation_floor)
+from sclab.harness import run_experiment
+from sclab.spectral import (CouplingMatrix, GapVector, cutoff_coupling,
+                            default_zero_tol, gap_rational_relation,
+                            gaussian_coupling, hermite_polynomial_values,
+                            minor_connectivity, perturbed_spectrum,
+                            relation_floor)
+
+
+def eigenfunctions(N, x):
+    """Rows φ_i(x) = h_i(x)·e^{−x²/2}, i < N: the oscillator eigenbasis."""
+    x = np.asarray(x, dtype=float)
+    return hermite_polynomial_values(N, x) * np.exp(-0.5 * x * x)
 
 
 class TestHermiteBasis:
     def test_orthonormal_under_quadrature(self):
-        basis = HermiteBasis(12)
-        gram = basis.gram()
+        # numpy's Gauss–Hermite rule integrates h_i·h_j·e^{−x²} exactly
+        nodes, weights = np.polynomial.hermite.hermgauss(40)
+        h = hermite_polynomial_values(12, nodes)
+        gram = (h * weights) @ h.T
         assert np.max(np.abs(gram - np.eye(12))) < 1e-10
 
     def test_eigenfunction_normalization_on_grid(self):
         # independent Riemann-sum check of ∫φ_3² = 1
         x = np.linspace(-12, 12, 20001)
-        basis = HermiteBasis(6)
-        phi = basis.eigenfunctions(x)
+        phi = eigenfunctions(6, x)
         val = np.trapezoid(phi[3] ** 2, x)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -45,12 +52,6 @@ class TestGaussianCoupling:
         # ∫φ0 φ1 e^{-x²+x} = (√2/√π)∫x e^{-2x²+x} dx = e^{1/8}/4
         B = gaussian_coupling(-1.0, 1.0, 0.0, 8)
         assert B.entries[0, 1] == pytest.approx(np.exp(0.125) / 4.0, abs=1e-10)
-
-    def test_quadrature_doubling_stable(self):
-        B1 = gaussian_coupling(-1.0, 1.0, 0.0, 10)
-        B2 = gaussian_coupling(-1.0, 1.0, 0.0, 10,
-                               quadrature_order=2 * max(40, 40))
-        assert np.max(np.abs(B1.entries - B2.entries)) < 1e-10
 
     def test_bounded_and_nested_at_large_truncation(self):
         # |b_ij| ≤ ‖φ_i‖‖φ_j‖·sup e^{-x²+x} = e^{1/4}, and the leading block
@@ -117,7 +118,7 @@ class TestCutoffCoupling:
         for i in range(N):
             for j in range(i, N):
                 def integrand(x):
-                    phi = HermiteBasis(N).eigenfunctions(np.array([x]))[:, 0]
+                    phi = eigenfunctions(N, [x])[:, 0]
                     return phi[i] * phi[j] * np.exp(a * x * x + b * x + c)
                 ref, _ = quad(integrand, -eps, eps, epsabs=1e-14, epsrel=1e-13)
                 assert f[i, j] == pytest.approx(ref, abs=1e-12)
@@ -224,39 +225,28 @@ class TestPerturbedSpectrum:
 
 
 class TestInvariantDisc:
-    def test_disc_inside_cutoff_is_invariant(self):
-        controls = sample_controls(5, 30, duration=3.0, amplitude=1000.0)
-        report = invariant_disc_check(0.5, controls, horizon=3.0, r0=0.1)
-        assert report.invariant
-        assert report.max_drift < 1e-6
+    """The spectral run's disc verdict: the free rotation keeps the disc of
+    radius r0 out of the control's support {x > ε} iff r0 ≤ ε."""
 
-    def test_uncontrolled_rotation_conserves_radius(self):
-        report = invariant_disc_check(0.5, [ControlSignal.constant(0.0, 3.0)],
-                                      horizon=3.0, r0=1.7)
-        assert report.max_drift < 1e-6
+    @staticmethod
+    def summary(tmp_path, r0):
+        cfg = parse_config(f"experiment = spectral\nout = {tmp_path}/spec\n"
+                           f"spectral.N = 8\nspectral.eps = 0.5\nspectral.disc_r0 = {r0}\n")
+        assert run_experiment(cfg) == 0
+        return json.loads((tmp_path / "spec" / "summary.json").read_text())
 
-    def test_large_disc_not_invariant(self):
-        controls = [ControlSignal.constant(300.0, 1.0),
-                    ControlSignal.constant(-300.0, 1.0)] + sample_controls(
-                        9, 3, duration=1.0, amplitude=1000.0)
-        report = invariant_disc_check(0.5, controls, horizon=1.0, r0=1.2)
-        assert report.max_drift > 1e-3
+    def test_disc_inside_cutoff_is_invariant(self, tmp_path):
+        summary = self.summary(tmp_path, 0.1)
+        assert summary["disc_invariant"] is True
+        assert summary["disc_margin"] == pytest.approx(0.4, abs=1e-15)
 
-    def test_crossing_drift_converges_under_step_halving(self, monkeypatch):
-        # forced trajectories cross x = ε many times; no RK4 stage may see
-        # the jump in the force, or halving the step moves the drift at
-        # first order
-        crossings = []
-        bisect = sclab.spectral.bisect_event
+    def test_disc_touching_cutoff_is_invariant(self, tmp_path):
+        # the support is open, so the circle r0 = ε only touches its edge
+        summary = self.summary(tmp_path, 0.5)
+        assert summary["disc_invariant"] is True
+        assert summary["disc_margin"] == 0.0
 
-        def counted(*args, **kwargs):
-            crossings.append(1)
-            return bisect(*args, **kwargs)
-
-        monkeypatch.setattr(sclab.spectral, "bisect_event", counted)
-        controls = sample_controls(np.random.default_rng(2), 6, 1.0, 1000.0)
-        coarse = invariant_disc_check(0.05, controls, 1.0, 0.1, step=1e-3)
-        fine = invariant_disc_check(0.05, controls, 1.0, 0.1, step=5e-4)
-        assert len(crossings) >= 10
-        assert coarse.max_drift > 1.0
-        assert np.max(np.abs(coarse.per_control_drift - fine.per_control_drift)) < 1e-3
+    def test_large_disc_not_invariant(self, tmp_path):
+        summary = self.summary(tmp_path, 1.2)
+        assert summary["disc_invariant"] is False
+        assert summary["disc_margin"] == pytest.approx(-0.7, abs=1e-15)

@@ -5,7 +5,7 @@ from sclab.dynamics import ControlSignal, HamiltonianSpec
 from sclab.errors import DegenerateDirection, TargetOffCurve, WedgeDegenerate
 from sclab.geometry import ChartSpace, PhasePoint, make_potential
 from sclab.steering import (execute_plan, full_rank_steer, geodesic_burst,
-                            gradient_curve_steer, impulse_steer, steer_until)
+                            gradient_curve_steer, impulse_steer)
 
 
 def spec_1d(V="harmonic", W="linear", **wkw):
@@ -188,28 +188,3 @@ class TestFullRank:
         lam1 = PhasePoint(np.array([2.0]), np.array([3.0]))
         plan = full_rank_steer(spec, lam0, lam1, eps=1e-3, tol=1e-2)
         assert plan.achieved_error < 1e-2
-
-
-class TestSteerUntil:
-    def test_halving_search(self):
-        spec = spec_1d()
-        lam0 = PhasePoint(np.array([0.0]), np.array([0.0]))
-
-        def maneuver(eps):
-            return execute_plan(spec, lam0, impulse_steer(spec, lam0, 1.0, eps))
-
-        plan = steer_until(maneuver, tol=1e-3)
-        assert plan.achieved_error < 1e-3
-
-
-class TestPlanSerialization:
-    def test_text_round_trip_segments(self):
-        spec = spec_1d()
-        lam0 = PhasePoint(np.array([0.0]), np.array([0.0]))
-        plan = geodesic_burst(spec, lam0, 1.0, 1e-2)
-        text = plan.to_text()
-        assert "epsilon" in text and "segment0.breakpoints" in text
-        seg0 = "\n".join(line.split("segment0.", 1)[1]
-                         for line in text.splitlines() if line.startswith("segment0."))
-        u = ControlSignal.from_text(seg0)
-        assert u.duration == pytest.approx(plan.segments[0][1])

@@ -1,13 +1,16 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from sclab.errors import (CausticReached, MaskViolation, StepTooCoarse,
                           TrajectoryEscape)
 from sclab.geometry import BoxRegion, PotentialField, make_potential
+from sclab.obstruction import _cumulative_trapezoid
 from sclab.schrodinger import SpatialGrid
-from sclab.wkb import (CutoffFunction, TimePotential, duhamel_delta,
-                       first_conjugate_time, shoot_characteristics, wkb_field,
-                       wkb_residual)
+from sclab.wkb import (CutoffFunction, TimePotential, first_conjugate_time,
+                       shoot_characteristics, wkb_field, wkb_residual)
 
 
 def quad_phase(sign=1.0):
@@ -62,6 +65,19 @@ class TestShootCharacteristics:
         expect = fan.seeds + fan.seeds * 0.5 - 0.5 ** 3 / 6.0
         assert np.max(np.abs(fan.x[k] - expect)) < 1e-8
 
+
+    def test_csv_matches_csv_writer(self):
+        # csv.writer, which the fan's f-string rows replaced, is the reference
+        fan = shoot_characteristics(quad_phase(+1.0), None, seeds_on(n=16), 0.05, 1e-2)
+        buf = io.StringIO()
+        buf.write("# seed=0\n")
+        writer = csv.writer(buf)
+        writer.writerow(["t", "seed", "x", "p", "S", "J"])
+        for k, t in enumerate(fan.times):
+            for j, s in enumerate(fan.seeds):
+                writer.writerow([repr(float(v)) for v in (t, s, fan.x[k, j], fan.p[k, j],
+                                                          fan.S[k, j], fan.J[k, j])])
+        assert fan.to_csv("seed=0") == buf.getvalue()
 
     def test_coarse_step_rejected(self):
         V = make_potential("harmonic", 1, k=4.0)
@@ -233,6 +249,13 @@ class TestResidual:
         chi = CutoffFunction(BoxRegion(((-2.0, 2.0),)))  # wider than the fan
         with pytest.raises(MaskViolation):
             wkb_residual(field, chi)
+
+
+def duhamel_delta(norms, dt):
+    """δ = ∫‖r‖ over a uniformly sampled residual-norm series, as the
+    localization experiment takes it."""
+    norms = np.asarray(norms, dtype=float)
+    return _cumulative_trapezoid(norms, dt * np.arange(norms.size))[-1]
 
 
 class TestDuhamelDelta:
