@@ -31,6 +31,8 @@ from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
 
 DUHAMEL_SLACK = 1e-6
 UNIFORMITY_TOL = 1e-9
+# max |W'| on Ω at or above which W counts as varying there
+W_CONSTANCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def check_hypothesis(config: ObstructionConfig) -> float:
     xs = np.linspace(lo, hi, 257)[:, None]
     grads = np.asarray(config.W.gradient(xs), dtype=float)
     max_d1w = float(np.max(np.abs(grads)))
-    if config.enforce_hypothesis and max_d1w >= 1e-9:
+    if config.enforce_hypothesis and max_d1w >= W_CONSTANCY_TOL:
         raise HypothesisViolated(
             f"control potential varies on Ω (max |W'| = {max_d1w:.3e})")
     return max_d1w
@@ -503,7 +505,14 @@ def estimate_Tq_lower_bound(config: ObstructionConfig,
     integral (monotone in ε, so the grid bisection reduces to an inversion);
     capped by the caustic guard floor.  Returns 0 when even the first sample
     exceeds the threshold.  `engine`, when built for this config at the
-    horizon tq_horizon or max(eps_grid), is used instead of a new fan."""
+    horizon tq_horizon or max(eps_grid), is used instead of a new fan.
+
+    δ here is the integral of the control-free ‖r‖, which bounds the true δ
+    only while W is constant on Ω: a config that enforces the hypothesis and
+    breaks it raises HypothesisViolated, and one that does not enforce it
+    gets 0, since then no horizon is certified."""
+    if check_hypothesis(config) >= W_CONSTANCY_TOL:
+        return 0.0
     horizon = config.tq_horizon or max(config.eps_grid)
     engine = _engine_for(config, horizon, engine, allow_caustic=True)
     usable = horizon if engine.guard_floor >= engine.fan.horizon \

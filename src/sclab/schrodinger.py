@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+# numpy loads numpy.fft lazily; importing it here loads it with sclab, so
+# perfbench/tracer.py can wrap fftn/ifftn before a run makes its first FFT
+from numpy import fft
 
 from .dynamics import ControlSignal
 from .errors import GridMismatch, GridTooCoarse
@@ -72,7 +75,7 @@ class SpatialGrid:
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         _, L, n = self.axes[axis]
-        return 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+        return 2 * np.pi * fft.fftfreq(n, d=L / n)
 
     def k_squared(self) -> np.ndarray:
         if self.dim == 1:
@@ -166,7 +169,7 @@ def _top_mode_masses(values: np.ndarray, grid: SpatialGrid,
     """
     m = values.shape[0]
     axes = tuple(range(1, grid.dim + 1))
-    spec = np.fft.fftn(values, grid.shape, axes, out=None if work is None else work[:m])
+    spec = fft.fftn(values, grid.shape, axes, out=None if work is None else work[:m])
     spec = np.abs(spec, out=None if power is None else power[:m])
     np.square(spec, out=spec)
     total = spec.sum(axis=axes)
@@ -301,12 +304,12 @@ def split_step_evolve(psi0, V: Optional[PotentialField],
         if mid is not None:
             np.multiply(half, half, out=spectra)  # half_v², spectra still free
             _multiply_rows(spectra, psi, mid)
-        np.fft.fftn(psi, grid.shape, axes, out=spectra)
+        fft.fftn(psi, grid.shape, axes, out=spectra)
         _multiply_rows(kin, spectra, act)
         if act is True:
-            np.fft.ifftn(spectra, grid.shape, axes, out=psi)
+            fft.ifftn(spectra, grid.shape, axes, out=psi)
         else:
-            np.fft.ifftn(spectra, grid.shape, axes, out=spectra)
+            fft.ifftn(spectra, grid.shape, axes, out=spectra)
             np.copyto(psi, spectra, where=act)
         _multiply_rows(half, psi, close)
         if ends.any():

@@ -12,6 +12,13 @@ J = 0, so fields are only assembled while |J| stays above a guard.  The
 assembled ansatz a·e^{iS/ħ} solves the Schrödinger equation up to the
 residual ħ²Δa/2; multiplying by a compactly supported cutoff χ adds the
 ⟨∇χ, ∇ψ̃⟩ + ψ̃Δχ/2 terms that drive the localization experiments.
+
+Fields on a grid come from the transported seed data by the not-a-knot cubic
+spline in the arrival coordinate.  Its knot slopes solve a tridiagonal system
+by parallel cyclic reduction, and each grid point is evaluated as the cubic
+Hermite interpolant of its knot interval (`integrate.hermite_state`), so the
+module needs numpy alone.  First conjugate times are roots of the same
+Hermite interpolant in time, located by `integrate.bisect_event`.
 """
 
 from __future__ import annotations
@@ -20,12 +27,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import CausticReached, MaskViolation
 from .geometry import BoxRegion, PotentialField
-from .integrate import fd_jacobian, halving_checked, hermite_state, rk4_trajectory
+from .integrate import (bisect_event, fd_jacobian, halving_checked, hermite_state,
+                        rk4_trajectory)
 from .schrodinger import SpatialGrid
 
 CAUSTIC_GUARD = 0.05
@@ -176,8 +182,72 @@ def first_conjugate_time(fan: CharacteristicFan) -> np.ndarray:
         def hermite(t):
             return hermite_state(f0, f1, d0, d1, h, (t - t0) / h)
 
-        out[j] = brentq(hermite, t0, t1, xtol=1e-10)
+        out[j] = bisect_event(hermite, t0, t1, tol=1e-10)
     return out
+
+
+def _pcr_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+               rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system lower_i·z_{i-1} + diag_i·z_i + upper_i·z_{i+1}
+    = rhs_i for every column of rhs by parallel cyclic reduction.
+
+    Each pass eliminates the couplings at distance s from every row at once
+    and doubles s, so ⌈log₂ n⌉ vectorised passes leave a diagonal system.
+    The rows are padded by n identity rows on each side, so a coupling that
+    reaches past either end reads a zero.
+    """
+    n = diag.size
+    a, b, c = np.zeros(3 * n), np.ones(3 * n), np.zeros(3 * n)
+    d = np.zeros((rhs.shape[1], 3 * n))  # one row per column of rhs
+    mid = slice(n, 2 * n)
+    a[mid], b[mid], c[mid], d[:, mid] = lower, diag, upper, rhs.T
+    s = 1
+    while s < n:
+        lo, hi = slice(n - s, 2 * n - s), slice(n + s, 2 * n + s)
+        alpha, gamma = -a[mid] / b[lo], -c[mid] / b[hi]
+        a[mid], b[mid], c[mid], d[:, mid] = (
+            alpha * a[lo], b[mid] + alpha * c[lo] + gamma * a[hi], gamma * c[hi],
+            d[:, mid] + alpha * d[:, lo] + gamma * d[:, hi])
+        s *= 2
+    return (d[:, mid] / b[mid]).T
+
+
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through the columns of y.
+
+    Interior rows are the C² continuity conditions; the end rows make the
+    third derivative continuous at x[1] and x[-2] (de Boor, *A Practical Guide
+    to Splines*, ch. IV), the system of scipy's CubicSpline default.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    lower, diag, upper = np.zeros(x.size), np.empty(x.size), np.zeros(x.size)
+    rhs = np.empty_like(y)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:-1] = dx[:-1]
+    lower[1:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    return _pcr_solve(lower, diag, upper, rhs)
+
+
+def not_a_knot_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Values at the points `at` ⊂ [x[0], x[-1]] of the not-a-knot cubic spline
+    through the columns of y (knots x strictly increasing, at least 4).
+
+    Each point is evaluated as the cubic Hermite interpolant of its knot
+    interval, with the spline's slopes at the interval's two knots.
+    """
+    slopes = _not_a_knot_slopes(x, y)
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+    h = (x[i + 1] - x[i])[:, None]
+    return hermite_state(y[i], y[i + 1], slopes[i], slopes[i + 1], h,
+                         (at - x[i])[:, None] / h)
 
 
 @dataclass(frozen=True)
@@ -222,7 +292,10 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
               t: float) -> WKBField:
     """Assemble (S, a) and their transverse derivatives on the grid at time t.
 
-    Transported seed data are splined in the arrival coordinate; amplitude
+    Transported seed data are splined in the arrival coordinate by one
+    not-a-knot cubic spline through all six columns (`not_a_knot_spline`: a
+    parallel-cyclic-reduction solve for the knot slopes, then the cubic
+    Hermite interpolant of each grid point's knot interval).  Amplitude
     derivatives are taken by seed-space finite differences first (smooth
     data), so no second difference ever touches interpolated values.
     """
@@ -248,10 +321,10 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
 
     gx = grid.points(0)
     covered = (gx >= xs[0]) & (gx <= xs[-1])
-    # one spline through all six columns factors the knot system once
-    spline = CubicSpline(xs, np.stack([S_seed, a_seed, p_seed, da_seed, d2a_seed, J], axis=1))
+    # one spline through all six columns solves the knot system once
+    cols = np.stack([S_seed, a_seed, p_seed, da_seed, d2a_seed, J], axis=1)
     vals = np.zeros((6, gx.size))
-    vals[:, covered] = spline(gx[covered]).T
+    vals[:, covered] = not_a_knot_spline(xs, cols, gx[covered]).T
     S, a, dS, da, lap_a, J_grid = vals
     valid = covered & (np.abs(J_grid) >= CAUSTIC_GUARD)
     return WKBField(grid=grid, t=float(fan.times[k]), S=S, a=a, valid_mask=valid,

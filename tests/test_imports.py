@@ -1,5 +1,6 @@
-"""Every name a `sclab` module imports is used in it, and every module-level
-function and class is used somewhere in `sclab`.
+"""Every name a `sclab` module imports is used in it, every module-level
+function and class is used somewhere in `sclab`, and nothing in `sclab`
+imports scipy, which is a test-only reference.
 
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
@@ -10,11 +11,17 @@ any `sclab` module refers to, outside its own definition, is reported unless
 """
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sclab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sclab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # definitions nothing in sclab calls, each with the reason it is kept
@@ -98,3 +105,40 @@ def test_checker_sees_unreferenced_definitions():
     }
     assert unreferenced_definitions(sources) == [
         "a.py:Dead", "a.py:recursive", "b.py:caller"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every absolute import in source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # sclab runs on numpy alone; scipy is a test-only reference
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import json, sys\nimport sclab.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']"
+            " + ['numpy.fft' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    # no scipy module, and numpy.fft loaded (scipy used to load it; the
+    # tracer of perfbench/tracer.py binds to it before a run starts)
+    assert json.loads(out.stdout) == [True]
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = {re.match(r"[\w.-]+", r).group() for r in project["dependencies"]}
+    test = {re.match(r"[\w.-]+", r).group() for r in project["optional-dependencies"]["test"]}
+    assert "scipy" not in runtime
+    assert "scipy" in test

@@ -211,6 +211,25 @@ class TestTqEstimate:
                                        threshold=0.9)
         assert half == pytest.approx(2.0 * bound, rel=1e-6)
 
+    def test_varying_w_certifies_no_horizon(self, tmp_path):
+        # W = x breaks the constancy hypothesis: the control-free ‖r‖ then
+        # misses the u·(W − c)·φ term, and the run's own δ passes the
+        # threshold at ε = 0.02 although that ‖r‖ stays below it to 0.04
+        cfg = parse_config("experiment = obstruction\nseed = 5\n"
+                           "obstruction.w.name = linear\nobstruction.w.slope = 1.0\n"
+                           "obstruction.amplitude = 400\nobstruction.ensemble = 4\n"
+                           "obstruction.eps_grid = 0.01,0.02,0.04\n"
+                           f"obstruction.enforce_hypothesis = false\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["delta_by_eps"]["0.02"] > 0.9
+        assert summary["tq_lower_bound"] == 0.0
+
+    def test_varying_w_raises_when_enforced(self):
+        with pytest.raises(HypothesisViolated):
+            estimate_Tq_lower_bound(scalar_config(W=make_potential("linear", 1, slope=1.0)))
+
     def test_caustic_caps_the_bound(self):
         # contracting phase S0 = -x²/2 focuses at t = 1: guard must cap earlier
         cfg = scalar_config(S0=make_potential("harmonic", 1, k=-1.0),

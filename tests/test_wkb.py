@@ -1,15 +1,23 @@
 import csv
 import io
+import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sclab.config import parse_config
 from sclab.errors import (CausticReached, MaskViolation, StepTooCoarse,
                           TrajectoryEscape)
 from sclab.geometry import BoxRegion, PotentialField, make_potential
+from sclab.harness import run_experiment
+from sclab.integrate import hermite_state
 from sclab.obstruction import _cumulative_trapezoid
 from sclab.schrodinger import SpatialGrid
-from sclab.wkb import (CutoffFunction, TimePotential, first_conjugate_time,
+from sclab.wkb import (CutoffFunction, TimePotential, _not_a_knot_slopes,
+                       first_conjugate_time, not_a_knot_spline,
                        shoot_characteristics, wkb_field, wkb_residual)
 
 
@@ -111,6 +119,55 @@ class TestConjugateTime:
         fan = shoot_characteristics(quad_phase(-1.0), make_potential("cosine", 1),
                                     seeds_on(n=120), 2.0, 1e-3)
         assert float(np.min(first_conjugate_time(fan))) > 0.0
+
+    def test_matches_brentq_on_the_hermite_root(self):
+        # scipy's brentq on the same bracketing step's Hermite interpolant is
+        # the reference; a test-only dependency
+        from scipy.optimize import brentq
+        fan = shoot_characteristics(quad_phase(-1.0), make_potential("cosine", 1),
+                                    seeds_on(n=120), 2.0, 1e-3)
+        tc = first_conjugate_time(fan)
+        focused = 0
+        for j in range(fan.seeds.size):
+            J, dJ = fan.J[:, j], fan.delta_p[:, j]
+            k = np.flatnonzero(J[:-1] * J[1:] <= 0)
+            if k.size == 0:
+                assert tc[j] == fan.horizon
+                continue
+            k = int(k[0])
+            t0, h = fan.times[k], fan.times[k + 1] - fan.times[k]
+            ref = brentq(lambda t: hermite_state(J[k], J[k + 1], dJ[k], dJ[k + 1], h,
+                                                 (t - t0) / h),
+                         t0, t0 + h, xtol=1e-10)
+            assert abs(tc[j] - ref) <= 2e-10
+            focused += 1
+        assert focused > 20  # 54 of the 120 seeds focus before the horizon
+
+
+class TestNotAKnotSpline:
+    @given(n=st.integers(8, 2000), columns=st.integers(1, 6),
+           log_ratio=st.floats(4.0, 8.0), noise=st.sampled_from([0.0, 1e-6, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_matches_scipy_cubic_spline(self, n, columns, log_ratio, noise, seed):
+        # scipy's CubicSpline (not-a-knot by default) is the test-only reference
+        from scipy.interpolate import CubicSpline
+        rng = np.random.default_rng(seed)
+        log_gaps = rng.uniform(0.0, log_ratio, n - 1)
+        log_gaps[rng.choice(n - 1, 2, replace=False)] = (0.0, log_ratio)
+        x = rng.normal() + np.concatenate([[0.0], np.cumsum(np.exp(log_gaps))]) \
+            * 10.0 ** rng.uniform(-3, 1)
+        phase = (x - x[0]) / (x[-1] - x[0])
+        y = np.stack([np.sin(2 * np.pi * (c + 1) * phase + c) for c in range(columns)], 1) \
+            + noise * rng.normal(size=(n, columns))
+        ref = CubicSpline(x, y)
+        slopes = _not_a_knot_slopes(x, y)
+        want = ref(x, 1)
+        assert np.max(np.abs(slopes - want)) <= 1e-12 * np.max(np.abs(want))
+        at = np.concatenate([x, rng.uniform(x[0], x[-1], 500)])
+        want = ref(at)
+        assert np.max(np.abs(not_a_knot_spline(x, y, at) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
 
 
 def demo_grid(n=512):
@@ -296,3 +353,18 @@ class TestSchrodingerOperatorCheck:
         err = np.max(np.abs(lhs[window] - rhs[window]))
         # discretization floor: O(h²·scales) + O(dt²); generous envelope
         assert err < 5e-3
+
+
+class TestHarnessJacobianIdentity:
+    def test_focusing_fan_checks_only_up_to_the_conjugate_time(self, tmp_path):
+        # S0 = -x²/2 focuses every seed at t = 1 inside the horizon; past it
+        # exp∫ΔS and J part ways, and exp overflowed on the way
+        cfg = parse_config("experiment = wkb\nwkb.s0.name = harmonic\n"
+                           "wkb.s0.k = -1.0\nwkb.horizon = 1.5\nwkb.n_seeds = 64\n"
+                           f"out = {tmp_path}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["conjugate_floor"] == pytest.approx(1.0, abs=1e-6)
+        assert summary["jacobian_identity_max_rel_error"] < 1e-4
