@@ -10,6 +10,13 @@ sandwiched between the autonomous comparison systems
 one per sign pattern.  Their exit time from Ω is therefore a lower bound for
 the true exit time under *every* admissible control, which the ensemble
 sampler probes empirically.
+
+The sampler marches every member on its own grid, cut at its own switches,
+and runs the step-halving check in the same lockstep stack: one row per
+(pass, member), each with its own step, leaving when it exits or when its
+schedule ends.  A member's exit time therefore depends on its control alone.
+The report's `ensemble_spread` (max − min of the exits) is event-location
+noise up to EXIT_TIME_TOL.
 """
 
 from __future__ import annotations
@@ -47,6 +54,17 @@ class ExitReport:
     @property
     def bound_respected(self) -> bool:
         return self.sampled_min_exit >= self.analytic_bound - 1e-12
+
+    @property
+    def ensemble_spread(self) -> float:
+        """max − min of the exit times; up to EXIT_TIME_TOL it is event-location
+        noise, so members that exit at one time read as spread ≤ EXIT_TIME_TOL."""
+        return float(np.ptp(self.exit_times)) if self.exit_times.size else 0.0
+
+    @property
+    def members_exited(self) -> int:
+        """Members that leave Ω before the horizon."""
+        return int(np.count_nonzero(self.exit_times < self.horizon))
 
     def to_csv(self, header_comment: str = "") -> str:
         buf = io.StringIO()
@@ -215,35 +233,52 @@ def _batched_rhs(spec: HamiltonianSpec, u_values: np.ndarray) -> Callable:
     u_values = np.atleast_2d(np.asarray(u_values, dtype=float).T).T  # (m, n_controls)
 
     def rhs(_t, Z):
-        X, P = Z[:, :n], Z[:, n:]
-        force = np.asarray(spec.V.gradient(X), dtype=float).copy()
+        X = Z[:, :n]
+        force = np.asarray(spec.V.gradient(X), dtype=float)
         for a, W in enumerate(spec.W):
-            force += u_values[:, a, None] * np.asarray(W.gradient(X), dtype=float)
-        return np.concatenate([P, -force], axis=1)
+            force = force + u_values[:, a, None] * np.asarray(W.gradient(X), dtype=float)
+        out = np.empty_like(Z)
+        out[:, :n] = Z[:, n:]
+        np.negative(force, out=out[:, n:])
+        return out
 
     return rhs
 
 
-def _switch_schedule(controls: Sequence[ControlSignal], horizon: float
-                     ) -> tuple[np.ndarray, dict[float, list[int]]]:
-    """Cuts of the breakpoint union on [0, horizon] and, for each interior
-    cut, the members that have a breakpoint there."""
-    switches: dict[float, list[int]] = {}
-    for j, u in enumerate(controls):
-        for b in u.breakpoints:
-            if 0.0 < b < horizon:
-                switches.setdefault(float(b), []).append(j)
-    return np.array(sorted({0.0, horizon, *switches})), switches
+def _member_schedule(controls: Sequence[ControlSignal], horizon: float, step: float):
+    """Every member's own segments, flat: member j owns [first[j], first[j+1]).
+
+    A member's cuts are 0, the horizon and its breakpoints in between.  A
+    segment [a, b] has n = ⌈(b − a)/step_p⌉ steps of h = (b − a)/n, with
+    step_p = step for the coarse pass (row 0 of n and h) and step/2 for the
+    fine pass (row 1).  Each segment's control value is looked up once, at
+    its midpoint, and serves both passes.  Returns (first, a, n, h, u).
+    """
+    cuts = []
+    for ctrl in controls:
+        bp = ctrl.breakpoints
+        cuts.append(np.concatenate(([0.0], bp[(bp > 0.0) & (bp < horizon)], [horizon])))
+    first = np.cumsum([0] + [c.size - 1 for c in cuts])
+    a = np.concatenate([c[:-1] for c in cuts])
+    b = np.concatenate([c[1:] for c in cuts])
+    u = np.stack([np.atleast_1d(ctrl.value_at(t_mid)) for ctrl, c in zip(controls, cuts)
+                  for t_mid in 0.5 * (c[:-1] + c[1:])])
+    n = np.stack([_nsteps(a, b, step), _nsteps(a, b, 0.5 * step)])
+    return first, a, n, (b - a) / n, u
 
 
-def _sweep_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
+def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                  controls: Sequence[ControlSignal], horizon: float,
                  step: float) -> np.ndarray:
-    """One batched pass; returns per-member exit times (horizon if none).
+    """Exit times of every member at step and at step/2; (2, m), horizon if none.
 
-    The (m, n_controls) control values are looked up once for every member
-    and then, at each cut, only for the members that switch there: a member
-    without a breakpoint at a cut keeps its value across it.
+    One stack holds a row per (pass, member), in that order, and advances
+    all live rows together, each with its own step h as an (M, 1) column:
+    the batched field is autonomous given u, so a row's own time t only
+    brackets its events.  At the end of a segment a row takes its next
+    segment's h, t and u; it leaves the stack when it leaves Ω or when its
+    schedule ends.  Every row's arithmetic is its own, so a member's exit
+    does not depend on the rest of the ensemble.
     """
     if not spec.space.is_flat:
         raise ValueError("ensemble sweep requires a flat chart")
@@ -251,42 +286,61 @@ def _sweep_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     n1_axes, _ = _split_axes(spec)
     axes = list(n1_axes)
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
-    Z = np.tile(lam0.as_state(), (m, 1))
-    alive = np.ones(m, dtype=bool)
-    exit_times = np.full(m, horizon)
-    cuts, switches = _switch_schedule(controls, horizon)
-    u_vals = np.stack([np.atleast_1d(u.value_at(0.5 * cuts[1])) for u in controls])
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        t_mid = 0.5 * (a + b)
-        for j in switches.get(float(a), ()):
-            u_vals[j] = controls[j].value_at(t_mid)
-        rhs = _batched_rhs(spec, u_vals)
-        nseg = _nsteps(a, b, step)
-        h = (b - a) / nseg
-        t = a
-        for _ in range(nseg):
-            if not np.any(alive):
-                return exit_times
-            Z_prev = Z
-            Z_new = rk4_step(rhs, t, Z, h)
-            Z = np.where(alive[:, None], Z_new, Z)
-            t += h
-            check_escape(Z[alive], t)
-            inside = omega1.contains(Z[:, axes])
-            crossed = np.where(alive & ~inside)[0]
-            if crossed.size == 0:
-                continue
-            rhs_x = _batched_rhs(spec, u_vals[crossed])
-            F_lo, F_hi = rhs_x(t - h, Z_prev[crossed]), rhs_x(t, Z[crossed])
+    first, seg_a, seg_n, seg_h, seg_u = _member_schedule(controls, horizon, step)
+    exits = np.full((2, m), horizon)
+    # per live row: its index into exits.flat, its pass (1 = fine), its
+    # segment, its member's last segment and the tick its segment ends
+    row = np.arange(2 * m)
+    seg = np.tile(first[:-1], 2)
+    last = np.tile(first[1:] - 1, 2)
+    fine = np.repeat([0, 1], m)
+    end = seg_n[fine, seg]
+    H = seg_h[fine, seg][:, None]
+    T = np.zeros((2 * m, 1))
+    U = seg_u[seg]
+    Z = np.tile(lam0.as_state(), (2 * m, 1))
+    rhs = _batched_rhs(spec, U)
+    tick, next_end = 0, end.min()
+    while True:
+        Z_prev, T_prev = Z, T
+        Z = rk4_step(rhs, T, Z, H)
+        T = T + H
+        tick += 1
+        check_escape(Z, T)
+        keep = omega1.contains(Z[:, axes])
+        if not keep.all():
+            crossed = np.flatnonzero(~keep)
+            rhs_x = _batched_rhs(spec, U[crossed])
+            F_lo, F_hi = rhs_x(T_prev[crossed], Z_prev[crossed]), rhs_x(T[crossed], Z[crossed])
             for j, f_lo, f_hi in zip(crossed, F_lo, F_hi):
+                lo, hi = T_prev[j, 0], T[j, 0]
                 if omega1.signed_gap(Z_prev[j, axes]) <= 0.0:
-                    exit_times[j] = t - h
+                    t_exit = lo
                 else:
-                    gap_at = _dense_gap(omega1, axes, t - h, t, Z_prev[j], Z[j],
-                                        f_lo, f_hi)
-                    exit_times[j] = bisect_event(gap_at, t - h, t, tol=EXIT_TIME_TOL)
-                alive[j] = False
-    return exit_times
+                    gap_at = _dense_gap(omega1, axes, lo, hi, Z_prev[j], Z[j], f_lo, f_hi)
+                    t_exit = bisect_event(gap_at, lo, hi, tol=EXIT_TIME_TOL)
+                exits.flat[row[j]] = t_exit
+        switched = tick == next_end
+        if switched:
+            switch = np.flatnonzero(keep & (end == tick))
+            done = seg[switch] == last[switch]
+            keep[switch[done]] = False
+            switch = switch[~done]
+            seg[switch] += 1
+            s, p = seg[switch], fine[switch]
+            end[switch] = tick + seg_n[p, s]
+            H[switch, 0] = seg_h[p, s]
+            T[switch, 0] = seg_a[s]
+            U[switch] = seg_u[s]
+        if not keep.all():
+            row, seg, last, fine, end = row[keep], seg[keep], last[keep], fine[keep], end[keep]
+            H, T, U, Z = H[keep], T[keep], U[keep], Z[keep]
+            if not row.size:
+                return exits
+        elif not switched:
+            continue
+        rhs = _batched_rhs(spec, U)
+        next_end = end.min()
 
 
 def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
@@ -295,11 +349,15 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                       analytic_bound: Optional[float] = None) -> ExitReport:
     """Minimum first-exit time of the base-factor projection over an ensemble.
 
-    All members integrate in one vectorized batch that restarts at the union
-    of their breakpoints, where only the members that switch look up their
-    control again.  Each exit is located by bisection to 1e-8 on the cubic
-    Hermite dense output of the step that leaves Ω.  A halved-step pass must
-    reproduce every exit time to 1e-5 or StepTooCoarse is raised.
+    Each member marches on its own grid: its cuts are 0, the horizon and its
+    breakpoints in between, and each segment between cuts gets a whole number
+    of equal steps no longer than step.  The control is looked up once per
+    segment, at its midpoint.  The pass at step and the halved-step pass run
+    as one lockstep stack (`_march_exits`), so a member's exit time depends on
+    its own control alone.  Each exit is located by bisection to 1e-8 on the
+    cubic Hermite dense output of the step that leaves Ω.  The halved-step
+    pass must reproduce every exit time to 1e-5 or StepTooCoarse is raised;
+    the report carries the halved-step exits.
     """
     controls = list(ensemble)
     if analytic_bound is None:
@@ -307,8 +365,7 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     if not controls:
         return ExitReport(analytic_bound, horizon, 0, None,
                           np.empty(0), horizon)
-    exits = _sweep_exits(spec, lam0, Omega, controls, horizon, step)
-    exits_fine = _sweep_exits(spec, lam0, Omega, controls, horizon, 0.5 * step)
+    exits, exits_fine = _march_exits(spec, lam0, Omega, controls, horizon, step)
     if np.max(np.abs(exits - exits_fine)) > 1e-5 * max(1.0, horizon):
         raise StepTooCoarse("exit times move under step halving; refine the step")
     k = int(np.argmin(exits_fine))

@@ -279,6 +279,21 @@ def geodesic_endpoint(space: ChartSpace, x0, p0, t: float, step: float) -> Phase
     return space.phase_point(z[:n], z[n:])
 
 
+def pullback(field: PotentialField, axis: int) -> PotentialField:
+    """The 1-D field f as a field on a product chart: F(x) = f(x[axis])."""
+
+    def val(x):
+        return np.asarray(field.value(np.asarray(x)[..., axis:axis + 1]))
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros_like(x)
+        g[..., axis] = np.asarray(field.gradient(x[..., axis:axis + 1]))[..., 0]
+        return g
+
+    return PotentialField(val, grad, name=f"pullback-axis{axis}")
+
+
 # ---------------------------------------------------------------------------
 # Built-in registry of potentials and metrics (config-facing)
 

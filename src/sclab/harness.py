@@ -24,7 +24,7 @@ from .config import ExperimentConfig, build_potential
 from .dynamics import HamiltonianSpec, sample_controls
 from .errors import HypothesisViolated, SclabError
 from .geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField,
-                       make_potential)
+                       make_potential, pullback)
 from .obstruction import ObstructionConfig
 from .schrodinger import SpatialGrid
 from .wkb import first_conjugate_time, shoot_characteristics, wkb_field
@@ -141,11 +141,18 @@ def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
     """Canned product family: flat (x) × (y), V = ½c·x² + cos y, W on N2."""
     c = config["exit.force_bound"]
     space = ChartSpace(dimension=2, product_split=((0,), (1,)))
+
+    def grad_V(xy):
+        xy = np.asarray(xy, dtype=float)
+        g = np.empty_like(xy)
+        g[..., 0] = c * xy[..., 0]
+        g[..., 1] = -np.sin(xy[..., 1])
+        return g
+
     V = PotentialField(
         value=lambda xy: 0.5 * c * np.asarray(xy)[..., 0] ** 2
         + np.cos(np.asarray(xy)[..., 1]),
-        gradient=lambda xy: np.stack([c * np.asarray(xy)[..., 0],
-                                      -np.sin(np.asarray(xy)[..., 1])], axis=-1),
+        gradient=grad_V,
         c_bound=lambda xy: c,
         name="exit-demo")
     if config["exit.w_on_base"]:
@@ -153,18 +160,8 @@ def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
     else:
         w2 = build_potential(config, "exit.w2", 1)
         if w2.name == "zero":
-            W = make_potential("cosine", 2, amplitude=[0.0, 1.0])
-        else:
-            def val(xy):
-                return np.asarray(w2.value(np.asarray(xy)[..., 1:2]))
-
-            def grad(xy):
-                xy = np.asarray(xy, dtype=float)
-                g = np.zeros_like(xy)
-                g[..., 1] = np.asarray(w2.gradient(xy[..., 1:2]))[..., 0]
-                return g
-
-            W = PotentialField(val, grad, name="exit-w2")
+            w2 = make_potential("cosine", 1)
+        W = pullback(w2, 1)
     return HamiltonianSpec(space=space, V=V, W=W)
 
 
@@ -187,6 +184,8 @@ def _run_exit_time(config: ExperimentConfig) -> None:
         "bound_respected": report.bound_respected,
         "ensemble_size": report.ensemble_size,
         "horizon": report.horizon,
+        "ensemble_spread": report.ensemble_spread,
+        "members_exited": report.members_exited,
     })
 
 

@@ -7,6 +7,9 @@ with a deterministic step count per interval.
   on the grid h = (t1 − t0)/n, n = ⌈(t1 − t0)/step⌉, both ends included.  The
   state may have any shape (an (m, d) array advances a whole ensemble at
   once), and the result keeps it: (n + 1, *z0.shape).
+* `rk4_step` is the step itself.  A batch of rows may step with an (m, 1)
+  column of steps, one per row; each row then gets the arithmetic of its
+  own scalar step.
 * `check_escape` is the one overflow guard.  The marcher applies it to the
   whole state after every step, and so do the event-driven loops elsewhere;
   a non-finite entry or one above `ESCAPE_GUARD` raises TrajectoryEscape.
@@ -38,16 +41,23 @@ FD_REL_STEP = 1e-5
 VARIATIONAL_FD_STEP = 1e-6
 
 
-def _nsteps(t0: float, t1: float, step: float) -> int:
-    span = t1 - t0
-    if span < 0:
+def _nsteps(t0, t1, step: float):
+    """Steps of at most step over [t0, t1]; elementwise for arrays of ends."""
+    span = np.subtract(t1, t0)
+    if np.any(span < 0):
         raise ValueError("integration interval reversed")
     if step <= 0:
         raise ValueError("step must be positive")
-    return max(1, int(np.ceil(span / step - 1e-12)))
+    n = np.maximum(1, np.ceil(span / step - 1e-12).astype(int))
+    return int(n) if n.ndim == 0 else n
 
 
-def rk4_step(rhs: Callable, t: float, z: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(rhs: Callable, t, z: np.ndarray, h) -> np.ndarray:
+    """One classical RK4 step of length h from (t, z).
+
+    For a batch z of shape (m, d), h may be an (m, 1) column, one step per
+    row; t is then a scalar or a matching column, as rhs needs it.
+    """
     k1 = rhs(t, z)
     k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
@@ -55,10 +65,14 @@ def rk4_step(rhs: Callable, t: float, z: np.ndarray, h: float) -> np.ndarray:
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def check_escape(z: np.ndarray, t: float) -> None:
-    """Raise TrajectoryEscape if z is not finite or leaves the overflow guard."""
+def check_escape(z: np.ndarray, t) -> None:
+    """Raise TrajectoryEscape if z is not finite or leaves the overflow guard.
+
+    t is the time of z, or a column of per-row times; the message names the
+    latest.
+    """
     if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > ESCAPE_GUARD:
-        raise TrajectoryEscape(f"state escaped the overflow guard near t={t:.6g}")
+        raise TrajectoryEscape(f"state escaped the overflow guard near t={np.max(t):.6g}")
 
 
 def rk4_trajectory(rhs: Callable, z0: np.ndarray, t0: float, t1: float,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import ControlSignal, sample_controls
 from .errors import CausticReached, HypothesisViolated
-from .geometry import BoxRegion, PotentialField, make_potential
+from .geometry import BoxRegion, PotentialField, make_potential, pullback
 from .schrodinger import (SpatialGrid, WaveGrid, WaveStack,
                           region_probability, split_step_evolve)
 from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
@@ -321,22 +321,6 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
     return WaveGrid(config.grid, psi1_1d, config.hbar).normalized()
 
 
-def _pullback_2d(field_1d: Optional[PotentialField], axis: int) -> Optional[PotentialField]:
-    if field_1d is None:
-        return None
-
-    def val(xy):
-        return np.asarray(field_1d.value(np.asarray(xy)[..., axis:axis + 1]))
-
-    def grad(xy):
-        xy = np.asarray(xy, dtype=float)
-        g = np.zeros_like(xy)
-        g[..., axis] = np.asarray(field_1d.gradient(xy[..., axis:axis + 1]))[..., 0]
-        return g
-
-    return PotentialField(val, grad, name=f"pullback-axis{axis}")
-
-
 def build_ansatz(config: ObstructionConfig, u: ControlSignal, t: float,
                  engine: Optional[AnsatzEngine] = None) -> WaveGrid:
     """The cutoff approximate solution φ(t) for the given control law."""
@@ -410,8 +394,8 @@ def run_localization_experiment(config: ObstructionConfig,
 
     if config.is_product:
         grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
-        V_run = _pullback_2d(config.V2, 1)
-        W_run = _pullback_2d(config.W2, 1)
+        V_run = None if config.V2 is None else pullback(config.V2, 1)
+        W_run = None if config.W2 is None else pullback(config.W2, 1)
         outside_region = BoxRegion((config.omega.bounds[0], None))
     else:
         grid, V_run, W_run = config.grid, config.V, config.W

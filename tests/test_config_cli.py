@@ -9,6 +9,7 @@ import pytest
 from sclab.cli import main as cli_main
 from sclab.config import parse_config
 from sclab.errors import ParseError, ValidationError
+from sclab.exit_time import EXIT_TIME_TOL
 from sclab.harness import run_experiment
 
 
@@ -141,6 +142,22 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "exit" / "summary.json").read_text())
         assert summary["bound_respected"] is True
         assert summary["analytic_bound"] == pytest.approx(np.sqrt(2.0), abs=1e-3)
+
+    @pytest.mark.parametrize("p0", ["0.0,0.0", "1.5,0.0"])
+    def test_exit_time_summary_spread(self, tmp_path, p0):
+        # the benchmark's two exit-time configs at 12 controls: from rest no
+        # member exits; from p0 = 1.5 all exit at asin(2/3), so their spread
+        # is event-location noise, within EXIT_TIME_TOL
+        cfg = parse_config(f"experiment = exit-time\nexit.ensemble = 12\nexit.p0 = {p0}\n"
+                           + f"out = {tmp_path}/exit\n")
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "exit" / "summary.json").read_text())
+        if p0 == "0.0,0.0":
+            assert summary["ensemble_spread"] == 0.0
+            assert summary["members_exited"] == 0
+        else:
+            assert 0.0 <= summary["ensemble_spread"] <= EXIT_TIME_TOL
+            assert summary["members_exited"] == 12
 
     def test_exit_time_hypothesis_status(self, tmp_path):
         cfg = parse_config(

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sclab.exit_time as exit_mod
+from sclab.config import parse_config
 from sclab.dynamics import ControlSignal, HamiltonianSpec, sample_controls
 from sclab.errors import HypothesisViolated
 from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
                              sampled_exit_time)
 from sclab.geometry import BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential
-from sclab.integrate import bisect_event, hermite_state, rk4_trajectory
+from sclab.harness import _exit_time_spec
+from sclab.integrate import _nsteps, bisect_event, hermite_state, rk4_trajectory
 
 
 def product_spec(c=1.0):
@@ -220,30 +222,58 @@ def control_ensembles(draw):
     return controls
 
 
+def member_schedule(u, horizon, step):
+    """Independent model of one member's grid: its cuts and, per segment,
+    the step count and the step."""
+    cuts = [0.0] + [float(b) for b in u.breakpoints if 0.0 < b < horizon] + [horizon]
+    n = [_nsteps(a, b, step) for a, b in zip(cuts[:-1], cuts[1:])]
+    return cuts, n, [(b - a) / k for a, b, k in zip(cuts[:-1], cuts[1:], n)]
+
+
 class TestSweepControlLookup:
     @settings(max_examples=40, deadline=None)
     @given(control_ensembles())
     def test_values_match_value_at_every_cut(self, controls):
-        horizon = 1.0
-        seen = []
-        real_rhs = exit_mod._batched_rhs
+        # at every tick, each live row (coarse then fine pass, members in
+        # order) carries its own segment's step, time and value_at(midpoint)
+        horizon, step = 1.0, 0.05
+        built, seen, lookups = {}, [], []
+        real_rhs, real_step = exit_mod._batched_rhs, exit_mod.rk4_step
+        real_value_at = ControlSignal.value_at
 
         def recording_rhs(spec, u_values):
-            seen.append(np.array(u_values, copy=True))
-            return real_rhs(spec, u_values)
+            rhs = real_rhs(spec, u_values)
+            built[rhs] = u_values
+            return rhs
+
+        def recording_step(rhs, t, z, h):
+            seen.append((np.array(built[rhs]), np.array(t), np.array(h)))
+            return real_step(rhs, t, z, h)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exit_mod, "_batched_rhs", recording_rhs)
-            # Ω is unbounded: nobody exits, so every rhs built is a cut's
-            exit_mod._sweep_exits(line_spec(controls[0].n_controls),
+            mp.setattr(exit_mod, "rk4_step", recording_step)
+            mp.setattr(ControlSignal, "value_at",
+                       lambda self, t: lookups.append(1) or real_value_at(self, t))
+            # Ω is unbounded: nobody exits, so each row runs its whole schedule
+            exit_mod._march_exits(line_spec(controls[0].n_controls),
                                   PhasePoint(np.zeros(1), np.zeros(1)),
-                                  BoxRegion(((-1e9, 1e9),)), controls, horizon, 0.05)
-        cuts = sorted({0.0, horizon} | {float(b) for u in controls
-                                         for b in u.breakpoints if 0.0 < b < horizon})
-        assert len(seen) == len(cuts) - 1
-        for u_vals, a, b in zip(seen, cuts[:-1], cuts[1:]):
-            want = np.stack([np.atleast_1d(u.value_at(0.5 * (a + b))) for u in controls])
-            assert np.array_equal(u_vals, want)
+                                  BoxRegion(((-1e9, 1e9),)), controls, horizon, step)
+        rows = [(u, *member_schedule(u, horizon, step_p))
+                for step_p in (step, 0.5 * step) for u in controls]
+        assert len(lookups) == sum(len(n) for _, _, n, _ in rows[:len(controls)])
+        assert len(seen) == max(sum(n) for _, _, n, _ in rows)
+        for tick, (u_vals, t, h) in enumerate(seen):
+            live = [r for r in rows if tick < sum(r[2])]
+            assert u_vals.shape[0] == t.shape[0] == h.shape[0] == len(live)
+            for i, (u, cuts, n, hs) in enumerate(live):
+                s = int(np.searchsorted(np.cumsum(n), tick, side="right"))
+                t_want = cuts[s]
+                for _ in range(tick - sum(n[:s])):
+                    t_want += hs[s]
+                assert h[i, 0] == hs[s] and t[i, 0] == t_want
+                want = np.atleast_1d(u.value_at(0.5 * (cuts[s] + cuts[s + 1])))
+                assert np.array_equal(u_vals[i], want)
 
     def test_lookups_only_at_switches(self, monkeypatch):
         controls = sample_controls(3, 40, 3.0, 100.0, max_breakpoints=6)
@@ -251,8 +281,39 @@ class TestSweepControlLookup:
         real_value_at = ControlSignal.value_at
         monkeypatch.setattr(ControlSignal, "value_at",
                             lambda self, t: calls.append(1) or real_value_at(self, t))
-        exit_mod._sweep_exits(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
+        exit_mod._march_exits(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
                               omega_unit(), controls, 3.0, 2e-3)
         switches = sum(int(np.sum((u.breakpoints > 0.0) & (u.breakpoints < 3.0)))
                        for u in controls)
         assert 0 < len(calls) <= len(controls) + switches
+
+
+class TestMemberSchedules:
+    def test_member_exit_independent_of_ensemble(self):
+        # W = x acts on the base, so the exits spread; each member marched
+        # alone must give, bitwise, its exit inside the ensemble
+        config = parse_config("experiment = exit-time\nexit.w_on_base = true\n")
+        spec = _exit_time_spec(config)
+        lam0 = PhasePoint(np.zeros(2), np.array([1.5, 0.0]))
+        controls = sample_controls(0, 60, 3.0, 0.5, 6)
+        together = sampled_exit_time(spec, lam0, omega_unit(), controls, 3.0,
+                                     analytic_bound=0.0).exit_times
+        alone = [sampled_exit_time(spec, lam0, omega_unit(), [u], 3.0,
+                                   analytic_bound=0.0).exit_times[0] for u in controls]
+        assert np.ptp(together) > 0.1
+        assert np.array_equal(together, alone)
+
+    def test_ticks_equal_longest_fine_schedule(self, monkeypatch):
+        # nobody exits, so the stack runs until the longest fine-pass
+        # schedule ends: one rk4_step per tick, for both passes at once
+        controls = sample_controls(0, 300, 3.0, 100.0, max_breakpoints=6)
+        calls = []
+        real_step = exit_mod.rk4_step
+        monkeypatch.setattr(exit_mod, "rk4_step",
+                            lambda *args: calls.append(1) or real_step(*args))
+        report = sampled_exit_time(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
+                                   omega_unit(), controls, 3.0, step=2e-3,
+                                   analytic_bound=0.0)
+        assert report.members_exited == 0
+        longest = max(sum(member_schedule(u, 3.0, 1e-3)[1]) for u in controls)
+        assert len(calls) == longest == 3004

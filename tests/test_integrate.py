@@ -3,7 +3,7 @@ import pytest
 
 from sclab.errors import StepTooCoarse, TrajectoryEscape
 from sclab.geometry import make_metric
-from sclab.integrate import fd_jacobian, halving_checked, rk4_trajectory
+from sclab.integrate import fd_jacobian, halving_checked, rk4_step, rk4_trajectory
 
 
 def five_row_rhs(t, z):
@@ -43,6 +43,23 @@ class TestTrajectory:
     def test_non_finite_state_escapes(self):
         with pytest.raises(TrajectoryEscape):
             rk4_trajectory(lambda t, z: np.full_like(z, np.nan), np.zeros(3), 0.0, 1.0, 0.5)
+
+
+class TestRk4Step:
+    def test_step_column_matches_row_by_row_steps(self):
+        # an autonomous row-wise field, as in the exit-time stack: each row
+        # steps with its own h and gets, bitwise, its own scalar step
+        def rhs(_t, z):
+            x, p = z[..., :1], z[..., 1:]
+            return np.concatenate([p, -x - 0.1 * x ** 3], axis=-1)
+
+        rng = np.random.default_rng(5)
+        Z = rng.normal(size=(6, 2))
+        h = rng.uniform(1e-3, 1e-1, size=(6, 1))
+        batched = rk4_step(rhs, 0.0, Z, h)
+        assert batched.shape == Z.shape
+        for z, h_row, out in zip(Z, h[:, 0], batched):
+            assert np.array_equal(rk4_step(rhs, 0.0, z, float(h_row)), out)
 
 
 class TestHalvingChecked:
