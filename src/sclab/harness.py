@@ -275,6 +275,7 @@ def _run_obstruction(config: ExperimentConfig) -> None:
         "duhamel_violations": report.duhamel_violations,
         "witness_violations": report.witness_violations,
         "delta_spread_max": max(report.delta_spread_by_eps.values()),
+        "ensemble_spread": report.ensemble_spread,
         "hypothesis_uniform": report.hypothesis_uniform,
         "initial_tail": report.initial_tail,
         "caustic_floor": report.caustic_floor,

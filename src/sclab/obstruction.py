@@ -16,7 +16,7 @@ whose Schrödinger residual r is control independent; by Duhamel and unitarity
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,8 @@ from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
                   shoot_characteristics, wkb_field, wkb_residual)
 
 DUHAMEL_SLACK = 1e-6
+# split-step dt of the product case's second factor ψ₂ when config.dt is unset
+PSI2_DT = 5e-4
 UNIFORMITY_TOL = 1e-9
 # max |W'| on Ω at or above which W counts as varying there
 W_CONSTANCY_TOL = 1e-9
@@ -125,6 +127,15 @@ class ObstructionReport:
     hypothesis_uniform: bool
     max_d1w: float
 
+    @property
+    def ensemble_spread(self) -> float:
+        """Max over ε of the spread (max − min) of max_deviation across the
+        ensemble: round-off size when the control cannot move ψ off φ."""
+        by_eps: dict[float, list[float]] = {}
+        for r in self.records:
+            by_eps.setdefault(r.eps, []).append(r.max_deviation)
+        return max((max(v) - min(v) for v in by_eps.values()), default=0.0)
+
     def to_json(self) -> str:
         payload = {
             "eps_grid": list(self.eps_grid),
@@ -217,7 +228,7 @@ class AnsatzEngine:
             self.require_valid()
         # normalization scale so that ‖χ·a0‖ = 1 on the grid
         field0 = wkb_field(self.fan, config.a0, self.grid, 0.0)
-        chi_vals = (self.chi.chi(self.grid.mesh()) if self.chi is not None
+        chi_vals = (self.chi.on_grid(self.grid).chi if self.chi is not None
                     else np.ones(self.grid.shape))
         raw = chi_vals * field0.a
         nrm = np.sqrt(np.sum(raw ** 2) * self.grid.cell_volume)
@@ -235,6 +246,10 @@ class AnsatzEngine:
             center = np.array([0.5 * (config.omega_prime.bounds[0][0]
                                       + config.omega_prime.bounds[0][1])])
             self.c_ref = float(np.asarray(config.W.value(center[None, :])).reshape(-1)[0])
+        # W on the grid, for the control term of a deliberately broken hypothesis
+        self.w_vals = (np.asarray(config.W.value(self.grid.mesh()), dtype=float)
+                       if not (config.enforce_hypothesis or config.is_product
+                               or config.W is None) else None)
         self._field_cache: dict[int, object] = {}
         self._norm_cache: dict[int, float] = {}
 
@@ -266,24 +281,24 @@ class AnsatzEngine:
                                               * self.grid.cell_volume)
         return np.array([self._norm_cache[k] for k in idx])
 
-    def phase(self, u: ControlSignal, t: float) -> complex:
-        """The control phase e^{-ic∫₀ᵗu/ħ} of the scalar ansatz."""
-        return np.exp(-1j * self.c_ref * u.integral(min(t, u.duration)) / self.config.hbar)
+    def phase(self, integral):
+        """The control phase e^{-ic∫₀ᵗu/ħ} of the scalar ansatz, from ∫₀ᵗu
+        (one value or an array of them)."""
+        return np.exp(-1j * self.c_ref * integral / self.config.hbar)
 
     def phi_scalar(self, u: ControlSignal, t: float) -> WaveGrid:
-        vals = self.chi_vals * self.field_at(t).psi_tilde() * self.phase(u, t)
+        vals = (self.chi_vals * self.field_at(t).psi_tilde()
+                * self.phase(u.integral(min(t, u.duration))))
         return WaveGrid(self.grid, vals, self.config.hbar)
 
     def residual_for(self, u: ControlSignal, t: float) -> np.ndarray:
         """Full residual including the control-dependent term when the
         constancy hypothesis is deliberately broken."""
-        phase = complex(self.phase(u, t))
+        phase = complex(self.phase(u.integral(min(t, u.duration))))
         r = wkb_residual(self.field_at(t), self.chi, control_phase=phase)
-        if not self.config.enforce_hypothesis and not self.config.is_product \
-                and self.config.W is not None:
-            w_vals = np.asarray(self.config.W.value(self.grid.mesh()), dtype=float)
+        if self.w_vals is not None:
             uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
-            extra = uval * self.chi_vals * (w_vals - self.c_ref) \
+            extra = uval * self.chi_vals * (self.w_vals - self.c_ref) \
                 * self.field_at(t).psi_tilde() * phase
             r = r + extra
         return r
@@ -322,30 +337,74 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
 
 
 def build_ansatz(config: ObstructionConfig, u: ControlSignal, t: float,
-                 engine: Optional[AnsatzEngine] = None) -> WaveGrid:
-    """The cutoff approximate solution φ(t) for the given control law."""
+                 engine: Optional[AnsatzEngine] = None,
+                 psi2: Optional[np.ndarray] = None) -> WaveGrid:
+    """The cutoff approximate solution φ(t) for the given control law.
+
+    In the product case psi2 holds the values of the second factor ψ₂ at t;
+    when it is not given, ψ₂ is evolved here from t = 0.
+    """
     if engine is None:
         horizon = max(max(config.eps_grid), t)
         engine = AnsatzEngine(config, horizon)
     if not config.is_product:
         return engine.phi_scalar(u, t)
-    # product case: ψ₂ evolves under the x-frozen potential V2 + u·W2 on N₂
-    psi2_0 = _gaussian_on(config.n2_grid, config.psi2_center, config.psi2_sigma,
-                          config.hbar)
-    psi2 = split_step_evolve(psi2_0, config.V2, config.W2,
-                             u if t > 0 else ControlSignal.constant(0.0, 1.0),
-                             t, dt=config.dt or 5e-4) if t > 0 else psi2_0
-    field = engine.field_at(t)
-    psi1_vals = engine.chi_vals * field.psi_tilde()
+    if psi2 is None:
+        psi2 = _second_factor(config)
+        if t > 0:
+            psi2 = split_step_evolve(psi2, config.V2, config.W2, u, t,
+                                     dt=config.dt or PSI2_DT)
+        psi2 = psi2.values
+    psi1_vals = engine.chi_vals * engine.field_at(t).psi_tilde()
     full_grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
-    return WaveGrid(full_grid, np.outer(psi1_vals, psi2.values), config.hbar)
+    return WaveGrid(full_grid, np.outer(psi1_vals, psi2), config.hbar)
 
 
-def _gaussian_on(grid: SpatialGrid, center: float, sigma: float,
-                 hbar: float) -> WaveGrid:
-    gx = grid.points(0)
-    vals = np.exp(-0.25 * ((gx - center) / sigma) ** 2).astype(complex)
-    return WaveGrid(grid, vals, hbar).normalized()
+def _second_factor(config: ObstructionConfig) -> WaveGrid:
+    """ψ₂ at t = 0, a normalized Gaussian on N₂."""
+    gy = config.n2_grid.points(0)
+    vals = np.exp(-0.25 * ((gy - config.psi2_center) / config.psi2_sigma) ** 2)
+    return WaveGrid(config.n2_grid, vals.astype(complex), config.hbar).normalized()
+
+
+def _second_factor_at(config: ObstructionConfig, controls: list,
+                      times: np.ndarray) -> np.ndarray:
+    """ψ₂ of every member at every sample time, shape (times, m, n₂): the
+    product case's second factor, evolved under the x-frozen potential
+    V2 + u·W2 on N₂ as one stack that stops at each sample time."""
+    psi2_0 = _second_factor(config)
+    out = np.empty((times.size, len(controls)) + psi2_0.values.shape, dtype=complex)
+    out[0] = psi2_0.values
+    if times.size > 1:
+        stack = WaveStack(config.n2_grid, out[0], config.hbar)
+
+        def keep(k: int, evolved: WaveStack) -> None:
+            out[k + 1] = evolved.values
+
+        split_step_evolve(stack, config.V2, config.W2, controls, times[1:],
+                          config.dt or PSI2_DT, t0=float(times[0]), on_stop=keep)
+    return out
+
+
+def _integrals_at(controls: list):
+    """t ↦ [∫₀^min(t, T_j) u_j] over scalar controls, each summed segment by
+    segment in the order `ControlSignal.integral` sums it, so every entry
+    equals that method's value bit for bit."""
+    n = max(u.values.shape[0] for u in controls)
+    # pad each law with empty segments at its own end, where t never passes
+    bp = np.array([np.pad(u.breakpoints, (0, n + 1 - u.breakpoints.size), mode="edge")
+                   for u in controls])
+    vals = np.array([np.pad(u.values, (0, n - u.values.shape[0])) for u in controls])
+
+    def at(t: float) -> np.ndarray:
+        t = np.minimum(t, bp[:, -1])
+        total = np.zeros(len(controls))
+        for k in range(n):
+            a, b = bp[:, k], bp[:, k + 1]
+            total += np.where(t > a, vals[:, k] * (np.minimum(t, b) - a), 0.0)
+        return total
+
+    return at
 
 
 def _engine_for(config: ObstructionConfig, horizon: float,
@@ -368,13 +427,15 @@ def run_localization_experiment(config: ObstructionConfig,
 
     For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
     scalar case and (m, n1, n2) in the product case: one split_step_evolve
-    call per sample window advances every member under its own control.  At
-    each sample time φ is built for every row (in the scalar case the shared
-    χ·ψ̃(t_k) times each member's phase e^{-ic∫u/ħ}), and ‖ψ − φ‖, the witness
+    call advances every member under its own control and stops at each
+    sample time.  At each stop φ is built for every row (in the scalar case
+    the shared χ·ψ̃(t_k) times each member's phase e^{-ic∫u/ħ}, all phases in
+    one np.exp; in the product case χ·ψ̃(t_k) ⊗ ψ₂, with ψ₂ carried through
+    the same stops as a second stack (m, n2)), and ‖ψ − φ‖, the witness
     distance and the Duhamel margin are taken per row.  The working set is
     the stack and its fixed buffers, updated in place: φ is built in the
     stack's scratch buffer, and no array of the stack's size is allocated
-    per window.  `engine`, when built for this config at the horizon
+    per stop.  `engine`, when built for this config at the horizon
     max(eps_grid), is used instead of shooting a new fan.
     """
     max_d1w = check_hypothesis(config)
@@ -400,19 +461,19 @@ def run_localization_experiment(config: ObstructionConfig,
     else:
         grid, V_run, W_run = config.grid, config.V, config.W
         outside_region = config.omega
+        integrals_at = _integrals_at(controls)
     m = len(controls)
     stack = WaveStack(grid, np.zeros((m,) + grid.shape), config.hbar)
     psi, phi = stack.values, stack.scratch  # φ rows go to the stack's scratch
 
-    def set_phi(t: float) -> None:
+    def set_phi(t: float, psi2: Optional[np.ndarray]) -> None:
+        """φ of every member at t; psi2 holds each member's ψ₂ (product case)."""
         if config.is_product:
             for j, u in enumerate(controls):
-                phi[j] = build_ansatz(config, u.restricted(t) if 0 < t < u.duration
-                                      else u, t, engine).values
+                phi[j] = build_ansatz(config, u, t, engine, psi2[j]).values
         else:
             base = engine.chi_vals * engine.field_at(t).psi_tilde()
-            phases = np.array([engine.phase(u, t) for u in controls])
-            np.multiply(base, phases[:, None], out=phi)
+            np.multiply(base, engine.phase(integrals_at(t))[:, None], out=phi)
 
     for eps in config.eps_grid:
         idx = _sample_indices(engine, eps, config.n_samples)
@@ -428,7 +489,9 @@ def run_localization_experiment(config: ObstructionConfig,
         delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms]) / config.hbar
         deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
-        set_phi(0.0)
+        psi2_at = (_second_factor_at(config, controls, times) if config.is_product
+                   else [None] * times.size)
+        set_phi(0.0, psi2_at[0])
         psi[...] = phi
         if initial_tail is None:
             initial_tail = 1.0 - region_probability(stack.member(0).normalized(),
@@ -436,16 +499,20 @@ def run_localization_experiment(config: ObstructionConfig,
         max_dev = np.zeros(m)
         min_margin = np.full(m, np.inf)
         min_witness = stack.distances(psi1.values)
-        dt_run = config.dt or min(1e-3, eps_eff / 64.0)
-        for k in range(1, times.size):
-            split_step_evolve(stack, V_run, W_run, controls, float(times[k]), dt_run,
-                              t0=float(times[k - 1]), check_input=k == 1)
-            set_phi(float(times[k]))
+
+        def compare(k: int, _stack: WaveStack) -> None:
+            """Fold ‖ψ − φ‖, the Duhamel margin and the witness distance at
+            sample k + 1 into the per-member extremes."""
+            set_phi(float(times[k + 1]), psi2_at[k + 1])
             dev = stack.distances(phi)
-            max_dev = np.maximum(max_dev, dev)
-            min_margin = np.minimum(min_margin,
-                                    delta_t[:, k] + DUHAMEL_SLACK - dev)
-            min_witness = np.minimum(min_witness, stack.distances(psi1.values))
+            np.maximum(max_dev, dev, out=max_dev)
+            np.minimum(min_margin, delta_t[:, k + 1] + DUHAMEL_SLACK - dev, out=min_margin)
+            np.minimum(min_witness, stack.distances(psi1.values), out=min_witness)
+
+        if times.size > 1:
+            split_step_evolve(stack, V_run, W_run, controls, times[1:],
+                              config.dt or min(1e-3, eps_eff / 64.0),
+                              t0=float(times[0]), on_stop=compare)
         for j in range(m):
             records.append(ObstructionRecord(
                 eps=eps_eff, control_index=j, delta=float(deltas[j]),

@@ -11,18 +11,23 @@ Periodic boxes stand in for the line: callers keep states away from the
 boundary and monitor the top-mode diagnostic.
 
 `split_step_evolve` advances one `WaveGrid` or a `WaveStack` of m states,
-each under its own control, over a common window.  Every member keeps its
-own substep schedule and the stack steps in lockstep, with one FFT over the
-whole stack per step; a single state is the m = 1 stack.  The resolution
-check (`TOP_MODE_MASS_TOL`) runs as one batched spectrum on the input and on
-every member at each of its own control segment ends.
+each under its own control, over a common window, and may stop at a
+sequence of times inside it to hand the stack to a callback.  Every member
+keeps its own substep schedule and the stack steps in lockstep, with one
+FFT over the whole stack per step; a single state is the m = 1 stack.  The
+work that does not change from step to step is done once per call: the
+potentials, k², the top-mode mask and the piece plans are built once, and a
+member's phase factors are exponentiated again only when its step size or
+control value changes.  The resolution check (`TOP_MODE_MASS_TOL`) runs as
+one batched spectrum on the input, on every member at each of its own
+control segment ends, and on the whole stack at every stop.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 # numpy loads numpy.fft lazily; importing it here loads it with sclab, so
@@ -160,12 +165,20 @@ def top_mode_mass(psi: WaveGrid) -> float:
     return float(_top_mode_masses(psi.values[None], psi.grid)[0])
 
 
+def _top_modes(grid: SpatialGrid) -> np.ndarray:
+    """Mask of the modes in the top TOP_MODE_FRACTION of |k|."""
+    kmag = np.abs(grid.wavenumbers(0)) if grid.dim == 1 else np.sqrt(grid.k_squared())
+    return kmag >= (1.0 - TOP_MODE_FRACTION) * float(np.max(kmag))
+
+
 def _top_mode_masses(values: np.ndarray, grid: SpatialGrid,
                      work: Optional[np.ndarray] = None,
-                     power: Optional[np.ndarray] = None) -> np.ndarray:
+                     power: Optional[np.ndarray] = None,
+                     top: Optional[np.ndarray] = None) -> np.ndarray:
     """top_mode_mass of each state in a stack (m, *grid.shape).
 
-    work (complex) and power (real) are optional buffers of at least m rows.
+    work (complex) and power (real) are optional buffers of at least m rows;
+    top is `_top_modes(grid)`, when the caller holds it.
     """
     m = values.shape[0]
     axes = tuple(range(1, grid.dim + 1))
@@ -173,19 +186,15 @@ def _top_mode_masses(values: np.ndarray, grid: SpatialGrid,
     spec = np.abs(spec, out=None if power is None else power[:m])
     np.square(spec, out=spec)
     total = spec.sum(axis=axes)
-    if grid.dim == 1:
-        kmag = np.abs(grid.wavenumbers(0))
-    else:
-        kmag = np.sqrt(grid.k_squared())
-    cut = (1.0 - TOP_MODE_FRACTION) * float(np.max(kmag))
-    top = spec[:, kmag >= cut].sum(axis=-1)
-    return np.divide(top, total, out=np.zeros(m), where=total != 0.0)
+    top_mass = spec[:, _top_modes(grid) if top is None else top].sum(axis=-1)
+    return np.divide(top_mass, total, out=np.zeros(m), where=total != 0.0)
 
 
 def _check_resolution(values: np.ndarray, grid: SpatialGrid,
                       work: Optional[np.ndarray] = None,
-                      power: Optional[np.ndarray] = None) -> None:
-    mass = float(np.max(_top_mode_masses(values, grid, work, power)))
+                      power: Optional[np.ndarray] = None,
+                      top: Optional[np.ndarray] = None) -> None:
+    mass = float(np.max(_top_mode_masses(values, grid, work, power, top)))
     if mass > TOP_MODE_MASS_TOL:
         raise GridTooCoarse(
             f"top-mode spectral mass {mass:.3e} exceeds {TOP_MODE_MASS_TOL:.0e}")
@@ -209,53 +218,104 @@ def default_dt(u: ControlSignal, grid: SpatialGrid, hbar: float = 1.0) -> float:
     return min(min_seg / 64.0, 2 * np.pi / (8.0 * e_max))
 
 
-def _pieces(u: ControlSignal, t0: float, t1: float, dt: float):
-    """(h, substeps, value) of each piece of u on [t0, t1], cut at u's
-    breakpoints strictly inside; nseg = ceil(len/dt − 1e-12), h = len/nseg."""
-    if t1 <= t0:
-        return []
+def _pieces(u: ControlSignal, bounds: np.ndarray, dt: float):
+    """u's pieces on the windows between consecutive bounds, cut at every
+    bound and at u's breakpoints strictly inside a window.
+
+    Returns arrays over the pieces in time order: window index, h, substeps
+    and u's value.  Lengths are measured from the window's
+    start, nseg = ceil(len/dt − 1e-12) and h = len/nseg, so a window's
+    pieces are the same whether it is marched alone or with others.
+    """
     bp = u.breakpoints
-    lo = int(np.searchsorted(bp, t0, side="right"))
-    hi = int(np.searchsorted(bp, t1, side="left"))
-    rel = [float(c) - t0 for c in (t0, *bp[lo:hi], t1)]
-    last = u.values.shape[0] - 1
-    pieces = []
-    for k in range(len(rel) - 1):
-        length = rel[k + 1] - rel[k]
-        nseg = max(1, math.ceil(length / dt - 1e-12))
-        pieces.append((length / nseg, nseg, u.values[min(lo - 1 + k, last)]))
-    return pieces
+    cuts = np.unique(np.concatenate([bounds, bp[(bp > bounds[0]) & (bp < bounds[-1])]]))
+    starts, ends = cuts[:-1], cuts[1:]
+    window = np.searchsorted(bounds, starts, side="right") - 1
+    origin = bounds[window]
+    length = (ends - origin) - (starts - origin)
+    nseg = np.maximum(1.0, np.ceil(length / dt - 1e-12))
+    value = np.minimum(np.searchsorted(bp, starts, side="right") - 1, u.values.shape[0] - 1)
+    return window, length / nseg, nseg.astype(int), u.values[value]
+
+
+def _lockstep_schedule(plans: list, n_windows: int):
+    """The step schedule of a march of the members through consecutive windows.
+
+    plans[j] is member j's `_pieces`.  The members step together, and
+    window k takes as many steps as its longest plan, so every member
+    reaches each window's end at the same step.  Returns (n_win, opens,
+    flags): n_win[k] is window k's step count; opens[g] lists the (member,
+    h, value) of each piece that starts at step g; flags holds the (G, m)
+    masks active, opening, closing and inner_end (a piece ends at step g
+    before its member's window does).
+    """
+    m = len(plans)
+    steps = np.zeros((n_windows, m), dtype=int)
+    for j, (window, _, nseg, _) in enumerate(plans):
+        np.add.at(steps[:, j], window, nseg)
+    n_win = steps.max(axis=1, initial=0)
+    start = np.concatenate([[0], np.cumsum(n_win)])
+    G = int(start[-1])
+    opens = [[] for _ in range(G)]
+    opening = np.zeros((G, m), dtype=bool)
+    closing = np.zeros((G, m), dtype=bool)
+    for j, (window, h, nseg, values) in enumerate(plans):
+        # a piece's first step: its window's first step plus the substeps
+        # of the member's earlier pieces in that window
+        before = np.cumsum(nseg) - nseg
+        first = start[window] + before - np.concatenate([[0], np.cumsum(steps[:, j])])[window]
+        opening[first, j] = True
+        closing[first + nseg - 1, j] = True
+        for g, hp, uval in zip(first.tolist(), h.tolist(), values):
+            opens[g].append((j, hp, uval))
+    # each step's index inside its window, and its window's per-member totals
+    local = (np.arange(G) - np.repeat(start[:-1], n_win))[:, None]
+    totals = np.repeat(steps, n_win, axis=0)
+    active = local < totals
+    inner_end = closing & (local < totals - 1)
+    return n_win.tolist(), opens, (active, opening, closing, inner_end)
 
 
 def split_step_evolve(psi0, V: Optional[PotentialField],
                       W: Optional[PotentialField | Sequence[PotentialField]],
-                      u, T: float, dt: Optional[float] = None, *,
-                      t0: float = 0.0, check_input: bool = True):
+                      u, T, dt: Optional[float] = None, *,
+                      t0: float = 0.0, check_input: bool = True,
+                      on_stop: Optional[Callable[[int, "WaveStack"], None]] = None):
     """Evolve over [t0, T] under V + u(t)·W with Strang splitting.
 
     psi0 is a WaveGrid evolved under the ControlSignal u (a new WaveGrid is
     returned), or a WaveStack of m states evolved in place under the m
-    controls in u (the stack is returned).  Each member cuts [t0, T] at its
-    own breakpoints; on each piece dt is adjusted downward to divide it and
-    the member applies half_v, then (FFT, kin, IFFT, half_v²)…, then half_v.
-    The members step in lockstep on the step index, one FFT over the whole
-    stack per step, and a member with fewer steps is left unchanged once
-    done.  Norms are preserved to machine precision.  The momentum-resolution
-    guard runs on the input (unless check_input is False, for an input the
-    previous window already checked) and on every member at each of its
-    piece ends; every returned state is checked finite.  dt=None takes
-    default_dt of each member's control.
+    controls in u (the stack is returned).  T is the end time, or an
+    increasing sequence of stop times; on_stop(k, stack), when given, runs
+    once the whole stack has reached stop k.  During it the stack's scratch
+    is free.
+
+    Each member cuts [t0, T] at every stop and at its own breakpoints; on
+    each piece dt is adjusted downward to divide it and the member applies
+    half_v, then (FFT, kin, IFFT, half_v²)…, then half_v.  The members step
+    in lockstep on the step index, one FFT over the whole stack per step,
+    and a member with fewer steps in a window waits, unchanged, for the
+    others at the window's stop.  Potentials, k² and the piece plans are
+    built once per call; a member's half phase is exponentiated again only
+    when its (h, u) changes, the step's new ones in one batched np.exp, and
+    its kinetic phase only when its h changes.  Norms are preserved to
+    machine precision.  The momentum-resolution guard runs on the input
+    (unless check_input is False, for an input a previous call already
+    checked), on every member at each of its piece ends and on the whole
+    stack at each stop, where every state is also checked finite.  dt=None
+    takes default_dt of each member's control.
     """
     single = isinstance(psi0, WaveGrid)
     stack = WaveStack(psi0.grid, psi0.values[None], psi0.hbar) if single else psi0
     controls = [u] if single else list(u)
     grid, hbar, psi = stack.grid, stack.hbar, stack.values
     m = len(stack)
+    stops = [float(s) for s in np.atleast_1d(np.asarray(T, dtype=float))]
     if len(controls) != m:
         raise ValueError(f"{len(controls)} controls for {m} states")
-    if T < t0 or t0 < 0:
-        raise ValueError("need 0 ≤ t0 ≤ T")
-    if any(T > c.duration + 1e-12 for c in controls):
+    if not stops or stops[0] < t0 or t0 < 0 or any(b <= a for a, b in zip(stops, stops[1:])):
+        raise ValueError("need 0 ≤ t0 ≤ T, and stop times increasing")
+    if any(stops[-1] > c.duration + 1e-12 for c in controls):
         raise ValueError("control law shorter than the requested horizon")
     Varr = _potential_array(grid, V)
     if W is None:
@@ -265,58 +325,60 @@ def split_step_evolve(psi0, V: Optional[PotentialField],
     else:
         Warrs = [_potential_array(grid, Wa) for Wa in W]
     k2 = grid.k_squared()
+    top = _top_modes(grid)
     axes = tuple(range(1, grid.dim + 1))  # with s given too, fftn skips a shape look-up
     rows = (m,) + (1,) * grid.dim  # a per-member mask broadcast over the grid
     spectra, power, half, kin = stack.scratch, stack._power, stack._half, stack._kin
     if check_input:
-        _check_resolution(psi, grid, spectra, power)
-    plans = [_pieces(c, t0, T, dt if dt is not None else default_dt(c, grid, hbar))
+        _check_resolution(psi, grid, spectra, power, top)
+    bounds = np.array([t0] + stops)
+    plans = [_pieces(c, bounds, dt if dt is not None else default_dt(c, grid, hbar))
              for c in controls]
-    total = np.array([sum(n for _, n, _ in plan) for plan in plans], dtype=int)
-    n_steps = int(total.max(initial=0))
-    # lockstep schedule: opens[g] lists the (member, piece) pairs whose piece
-    # starts at step g; closing[g, j] marks the last substep of a piece
-    opens = [[] for _ in range(n_steps)]
-    opening = np.zeros((n_steps, m), dtype=bool)
-    closing = np.zeros((n_steps, m), dtype=bool)
-    for j, plan in enumerate(plans):
-        g = 0
-        for k, (_, nseg, _) in enumerate(plan):
-            opens[g].append((j, k))
-            opening[g, j] = True
-            g += nseg
-            closing[g - 1, j] = True
-    active = np.arange(n_steps)[:, None] < total
-    # a member's last piece ends the window: checked once, after the loop
-    inner_end = closing & (np.arange(n_steps)[:, None] < total - 1)
-    kin_by_h: dict[float, np.ndarray] = {}
+    n_win, opens, (active, opening, closing, inner_end) = _lockstep_schedule(plans, len(stops))
     masks = zip(*(_row_masks(flags, rows)
                   for flags in (active, opening, active & ~opening, closing)))
-    for pairs, (act, start, mid, close), ends in zip(opens, masks, inner_end):
-        for j, k in pairs:
-            h, _, uval = plans[j][k]
-            Vtot = Varr + sum(ua * Wa for ua, Wa in zip(np.atleast_1d(uval), Warrs))
-            np.exp(-0.5j * h * Vtot / hbar, out=half[j])
-            if h not in kin_by_h:
-                kin_by_h[h] = np.exp(-0.5j * h * hbar * k2)
-            kin[j] = kin_by_h[h]
-        _multiply_rows(half, psi, start)
-        if mid is not None:
-            np.multiply(half, half, out=spectra)  # half_v², spectra still free
-            _multiply_rows(spectra, psi, mid)
-        fft.fftn(psi, grid.shape, axes, out=spectra)
-        _multiply_rows(kin, spectra, act)
-        if act is True:
-            fft.ifftn(spectra, grid.shape, axes, out=psi)
-        else:
-            fft.ifftn(spectra, grid.shape, axes, out=spectra)
-            np.copyto(psi, spectra, where=act)
-        _multiply_rows(half, psi, close)
-        if ends.any():
-            _check_resolution(psi[ends], grid, spectra, power)
-    if n_steps:
-        _check_resolution(psi, grid, spectra, power)
-    _require_finite(psi)
+    schedule = zip(opens, masks, inner_end)
+    half_key = [None] * m  # the (h, u bytes) each member's half phase was made for
+    kin_h = [None] * m  # the h each member's kinetic phase was made for
+    for k, n_steps in enumerate(n_win):
+        for pairs, (act, start, mid, close), ends in itertools.islice(schedule, n_steps):
+            fresh = []  # members whose half phase changes; their exponents go to spectra
+            kin_new = {}
+            for j, h, uval in pairs:
+                key = (h, uval.tobytes())
+                if key != half_key[j]:
+                    half_key[j] = key
+                    Vtot = Varr + sum(ua * Wa for ua, Wa in zip(np.atleast_1d(uval), Warrs))
+                    np.multiply(-0.5j * h, Vtot, out=spectra[len(fresh)])
+                    fresh.append(j)
+                if h != kin_h[j]:
+                    kin_h[j] = h
+                    if h not in kin_new:
+                        kin_new[h] = np.exp(-0.5j * h * hbar * k2)
+                    kin[j] = kin_new[h]
+            if fresh:
+                exponents = spectra[:len(fresh)]
+                np.divide(exponents, hbar, out=exponents)
+                half[fresh] = np.exp(exponents, out=exponents)
+            _multiply_rows(half, psi, start)
+            if mid is not None:
+                np.multiply(half, half, out=spectra)  # half_v², spectra still free
+                _multiply_rows(spectra, psi, mid)
+            fft.fftn(psi, grid.shape, axes, out=spectra)
+            _multiply_rows(kin, spectra, act)
+            if act is True:
+                fft.ifftn(spectra, grid.shape, axes, out=psi)
+            else:
+                fft.ifftn(spectra, grid.shape, axes, out=spectra)
+                np.copyto(psi, spectra, where=act)
+            _multiply_rows(half, psi, close)
+            if ends.any():
+                _check_resolution(psi[ends], grid, spectra, power, top)
+        if n_steps:
+            _check_resolution(psi, grid, spectra, power, top)
+        _require_finite(psi)
+        if on_stop is not None:
+            on_stop(k, stack)
     return WaveGrid(grid, psi[0], hbar) if single else stack
 
 

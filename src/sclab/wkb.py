@@ -410,12 +410,24 @@ def _smooth_step(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class CutoffTable:
+    """A cutoff tabulated on a grid: χ, ∇χ (shape (*grid.shape, dim)), Δχ,
+    and the support where any of them is nonzero; arrays are read-only."""
+
+    chi: np.ndarray
+    grad: np.ndarray
+    lap: np.ndarray
+    support: np.ndarray
+
+
+@dataclass(frozen=True)
 class CutoffFunction:
     """Smooth cutoff with support exactly the closure of a box.
 
     Default profile: product of bumps exp(1 − 1/(1−s²)).  With plateau > 0
     the profile equals 1 on the inner fraction and falls to 0 through a C∞
-    step, which keeps χ ≡ 1 wherever localized data live.
+    step, which keeps χ ≡ 1 wherever localized data live.  `on_grid`
+    tabulates it once per grid.
     """
 
     box: BoxRegion
@@ -430,6 +442,7 @@ class CutoffFunction:
         halfw = np.array([(hi - lo) / 2 for lo, hi in self.box.bounds])
         object.__setattr__(self, "_centers", centers)
         object.__setattr__(self, "_halfw", halfw)
+        object.__setattr__(self, "_tables", {})
 
     def _profile(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.plateau == 0.0:
@@ -446,30 +459,38 @@ class CutoffFunction:
         return (np.where(outside, 0.0, val), np.where(outside, 0.0, dv),
                 np.where(outside, 0.0, d2v))
 
-    def _s(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x - self._centers) / self._halfw
+    def _values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(χ, ∇χ, Δχ) at the points x (last axis the coordinates), from one
+        profile evaluation."""
+        s = (np.asarray(x, dtype=float) - self._centers) / self._halfw
+        val, d1, d2 = self._profile(s)
+        grad = np.empty_like(s)
+        lap = np.zeros(s.shape[:-1])
+        for a in range(s.shape[-1]):
+            others = self._partial_prod(val, a)
+            grad[..., a] = (d1[..., a] / self._halfw[a]) * others
+            lap = lap + (d2[..., a] / self._halfw[a] ** 2) * others
+        return np.prod(val, axis=-1), grad, lap
 
     def chi(self, x) -> np.ndarray:
-        s = self._s(x)
-        val, _, _ = self._profile(s)
-        return np.prod(val, axis=-1)
+        return self._values(x)[0]
 
     def grad_chi(self, x) -> np.ndarray:
-        s = self._s(x)
-        val, d1, _ = self._profile(s)
-        out = np.empty_like(s)
-        for a in range(s.shape[-1]):
-            out[..., a] = (d1[..., a] / self._halfw[a]) * self._partial_prod(val, a)
-        return out
+        return self._values(x)[1]
 
     def laplacian_chi(self, x) -> np.ndarray:
-        s = self._s(x)
-        val, _, d2 = self._profile(s)
-        total = np.zeros(s.shape[:-1])
-        for a in range(s.shape[-1]):
-            total = total + (d2[..., a] / self._halfw[a] ** 2) * self._partial_prod(val, a)
-        return total
+        return self._values(x)[2]
+
+    def on_grid(self, grid: SpatialGrid) -> CutoffTable:
+        """The cutoff tabulated on the grid's mesh, computed once per grid."""
+        table = self._tables.get(grid)
+        if table is None:
+            chi, grad, lap = self._values(grid.mesh())
+            support = (chi != 0.0) | np.any(grad != 0.0, axis=-1) | (lap != 0.0)
+            for arr in (chi, grad, lap, support):
+                arr.setflags(write=False)
+            table = self._tables[grid] = CutoffTable(chi, grad, lap, support)
+        return table
 
     @staticmethod
     def _partial_prod(val: np.ndarray, skip: int) -> np.ndarray:
@@ -496,12 +517,9 @@ def wkb_residual(field: WKBField, chi: Optional[CutoffFunction],
         grad = np.zeros(field.grid.shape + (1,))
         lap_chi = np.zeros(field.grid.shape)
     else:
-        mesh = field.grid.mesh()
-        chi_vals = chi.chi(mesh)
-        grad = chi.grad_chi(mesh)
-        lap_chi = chi.laplacian_chi(mesh)
-        support = (chi_vals != 0.0) | (np.abs(grad[..., 0]) != 0.0) | (lap_chi != 0.0)
-        if np.any(support & ~field.valid_mask):
+        table = chi.on_grid(field.grid)
+        chi_vals, grad, lap_chi = table.chi, table.grad, table.lap
+        if np.any(table.support & ~field.valid_mask):
             raise MaskViolation("cutoff support extends beyond the valid WKB region")
     phase = np.exp(1j * field.S / hbar)
     psi_tilde = field.psi_tilde()

@@ -8,7 +8,7 @@ import pytest
 
 import sclab.obstruction
 from sclab.config import parse_config
-from sclab.dynamics import ControlSignal
+from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential
 from sclab.harness import run_experiment
@@ -16,6 +16,7 @@ from sclab.obstruction import (AnsatzEngine, ObstructionConfig, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
 from sclab.schrodinger import SpatialGrid, region_probability
+from sclab.wkb import CutoffFunction
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -94,6 +95,20 @@ class TestBuildAnsatz:
         rank1 = np.outer(vals[:, j0], vals[i0, :]) / vals[i0, j0]
         assert np.max(np.abs(vals - rank1)) < 1e-10
 
+    def test_ensemble_phases_match_each_control_alone(self):
+        # the ensemble's ∫u and control phases are those of
+        # ControlSignal.integral and the one-control phase, bit for bit
+        cfg = scalar_config(W=make_potential("linear", 1, slope=0.0, offset=0.7))
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid))
+        controls = sample_controls(7, 30, 0.04, 50.0, 8, scheme="lhs",
+                                   include_extremes=True)
+        integrals_at = sclab.obstruction._integrals_at(controls)
+        for t in np.linspace(0.0, 0.05, 51):  # past the horizon too
+            alone = np.array([u.integral(min(t, u.duration)) for u in controls])
+            assert np.array_equal(integrals_at(t), alone)
+            assert np.array_equal(engine.phase(integrals_at(t)),
+                                  [engine.phase(a) for a in alone])
+
     def test_degenerate_second_factor_matches_scalar_delta(self):
         # constant W2 on N2 reproduces the scalar experiment's δ exactly
         scal = run_localization_experiment(scalar_config(
@@ -163,6 +178,23 @@ class TestLocalizationExperiment:
         assert rep.duhamel_violations == 0  # modified residual still certifies
         assert not rep.hypothesis_uniform   # but δ is control dependent
         assert max(rep.delta_spread_by_eps.values()) > 1e-9
+
+    def test_ensemble_spread_is_round_off_for_constant_w(self):
+        # W ≡ 1 makes u·W a global phase, which φ carries: no control moves
+        # ψ off φ, so max_deviation agrees across the ensemble
+        rep = run_localization_experiment(scalar_config())
+        assert rep.ensemble_spread <= 1e-12
+
+    def test_ensemble_spread_sees_a_varying_w(self):
+        # the config of test_broken_hypothesis_flagged_not_failed: with W = x
+        # each control moves ψ off φ by its own amount
+        cfg = scalar_config(W=make_potential("linear", 1, slope=1.0),
+                            enforce_hypothesis=False,
+                            ensemble_count=4, ensemble_amplitude=5.0,
+                            ensemble_max_breakpoints=1,
+                            eps_grid=(0.02,), dt=2.5e-4)
+        rep = run_localization_experiment(cfg)
+        assert rep.ensemble_spread > 1e-6
 
     def test_product_outside_probability_bounded(self):
         rep = run_localization_experiment(product_config())
@@ -237,6 +269,53 @@ class TestTqEstimate:
                             tq_horizon=2.0, eps_grid=(0.05,))
         bound = estimate_Tq_lower_bound(cfg, threshold=1e9)
         assert 0.0 < bound < 1.0
+
+
+class TestWorkCounts:
+    """The time-independent tables are made once, whatever the sample count."""
+
+    def test_cutoff_tabulated_once_per_engine(self, monkeypatch):
+        profiles = []
+        profile = CutoffFunction._profile
+        monkeypatch.setattr(CutoffFunction, "_profile",
+                            lambda chi, s: profiles.append(s.shape) or profile(chi, s))
+        counts = []
+        for eps_grid in ((0.01,), (0.01, 0.02, 0.04)):
+            cfg = scalar_config(eps_grid=eps_grid, ensemble_count=2)
+            engine = AnsatzEngine(cfg, max(eps_grid), allow_caustic=True)
+            run_localization_experiment(cfg, engine)
+            estimate_Tq_lower_bound(cfg, engine=engine)
+            counts.append(len(profiles))
+            profiles.clear()
+        assert counts == [1, 1]
+
+    def test_one_split_step_call_per_eps(self, monkeypatch):
+        windows = []
+        evolve = sclab.obstruction.split_step_evolve
+
+        def counted(stack, V, W, controls, T, *args, **kwargs):
+            windows.append(np.size(T))
+            return evolve(stack, V, W, controls, T, *args, **kwargs)
+
+        monkeypatch.setattr(sclab.obstruction, "split_step_evolve", counted)
+        cfg = scalar_config(ensemble_count=3)
+        run_localization_experiment(cfg)
+        assert len(windows) == len(cfg.eps_grid)
+        assert min(windows) > 1  # each call stops at every sample time
+
+    def test_w_tabulated_once_when_the_hypothesis_is_broken(self):
+        calls = []
+        slope = make_potential("linear", 1, slope=1.0)
+        W = PotentialField(value=lambda x: calls.append(1) or slope.value(x),
+                           gradient=slope.gradient, name="counted-linear")
+        counts = []
+        for count in (2, 4):
+            cfg = scalar_config(W=W, enforce_hypothesis=False, ensemble_count=count,
+                                ensemble_amplitude=5.0, eps_grid=(0.02,), dt=2.5e-4)
+            run_localization_experiment(cfg)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1]
 
 
 def _load_bench_run(monkeypatch):

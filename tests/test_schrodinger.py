@@ -161,6 +161,47 @@ class TestBatchedEvolution:
             # a finished member must not take the stack's FFT round trip
             assert np.array_equal(stack.values[j], single.values)
 
+    @settings(max_examples=40)
+    @given(stack_case(), st.data())
+    def test_one_call_through_stops_matches_window_calls(self, case, data):
+        # one call that stops at each time equals one call per window, bit
+        # for bit, at every stop; stops may fall on a member's breakpoint
+        grid, V, W, members, laws, t0, t1, dt = case
+        inside = sorted({float(b) for u in laws for b in u.breakpoints if t0 < b < t1})
+        picked = data.draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+        drawn = data.draw(st.lists(st.floats(t0, t1), max_size=4))
+        stops = sorted({t1, *picked, *(t for t in drawn if t0 < t < t1)})
+        if any(b - a < 1e-6 for a, b in zip([t0] + stops, stops)):
+            stops = [t1]
+        values = [p.values for p in members]
+        seen = []
+        split_step_evolve(WaveStack(grid, values), V, W, laws, stops, dt, t0=t0,
+                          on_stop=lambda k, s: seen.append((k, s.values.copy())))
+        windows = WaveStack(grid, values)
+        assert [k for k, _ in seen] == list(range(len(stops)))
+        for (k, state), a, b in zip(seen, [t0] + stops, stops):
+            split_step_evolve(windows, V, W, laws, b, dt, t0=a, check_input=k == 0)
+            assert np.array_equal(state, windows.values)
+
+    def test_stop_on_a_breakpoint_with_unequal_step_counts(self):
+        grid = torus(64)
+        V, W = make_potential("cosine", 1), make_potential("cosine", 1, freq=2.0)
+        psi0 = gaussian_packet(grid, 0.1, 0.4)
+        laws = [ControlSignal.constant(3.0, 0.1),
+                ControlSignal(np.array([0.0, 0.0137, 0.0311, 0.1]),
+                              np.array([-5.0, 8.0, 1.0]))]
+        stops = [0.0137, 0.06, 0.1]  # the first is the second law's breakpoint
+        seen = []
+        split_step_evolve(WaveStack(grid, [psi0.values] * 2), V, W, laws, stops, 7e-3,
+                          on_stop=lambda k, s: seen.append(s.values.copy()))
+        windows = WaveStack(grid, [psi0.values] * 2)
+        for state, a, b in zip(seen, [0.0] + stops, stops):
+            split_step_evolve(windows, V, W, laws, b, 7e-3, t0=a, check_input=a == 0.0)
+            assert np.array_equal(state, windows.values)
+        # on [0.0137, 0.06] the members take 7 and 8 steps, so the first waits
+        with pytest.raises(ValueError):  # stop times must increase
+            split_step_evolve(windows, V, W, laws, [0.05, 0.05], 7e-3)
+
     # W = x kicks the momentum by −∫u.  With u = ±2000 and h = 1e-3 every
     # half step multiplies by e^{∓ix}, an exact shift by one mode on the
     # torus, so 0.008 of it moves a packet between k = 0 and |k| = 16, the

@@ -307,6 +307,25 @@ class TestResidual:
         with pytest.raises(MaskViolation):
             wkb_residual(field, chi)
 
+    def test_tabulated_cutoff_still_checked_at_later_times(self, monkeypatch):
+        # S0 = −x²/2 carries the seeds on [−1, 1] to [−(1 − t), 1 − t]: a
+        # cutoff on [−0.8, 0.8] is covered at t = 0 and leaves the valid
+        # region by t = 0.3, after its table was made at t = 0
+        profiles = []
+        profile = CutoffFunction._profile
+        monkeypatch.setattr(CutoffFunction, "_profile",
+                            lambda chi, s: profiles.append(s.shape) or profile(chi, s))
+        fan = shoot_characteristics(quad_phase(-1.0), None, seeds_on(), 0.3, 1e-3)
+        a0 = make_potential("gaussian", 1, width=0.2)
+        chi = CutoffFunction(BoxRegion(((-0.8, 0.8),)))
+        grid = demo_grid()
+        wkb_residual(wkb_field(fan, a0, grid, 0.0), chi)
+        wkb_residual(wkb_field(fan, a0, grid, 0.1), chi)
+        with pytest.raises(MaskViolation):
+            wkb_residual(wkb_field(fan, a0, grid, 0.3), chi)
+        assert len(profiles) == 1  # one table, made at the first call
+        assert chi.on_grid(grid) is chi.on_grid(SpatialGrid(grid.axes))
+
 
 def duhamel_delta(norms, dt):
     """δ = ∫‖r‖ over a uniformly sampled residual-norm series, as the
