@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import ChartSpace, PhasePoint, PotentialField, cometric_at
+from .geometry import ChartSpace, PhasePoint, PotentialField, cometric_at, geodesic_rhs
 from .integrate import halving_checked, rk4_trajectory, variational_rhs
 # Not called here: perfbench/test_tracer.py reads sclab.dynamics.rk4_step to
 # check that its tracer restores every binding it patched.
@@ -126,17 +126,16 @@ class HamiltonianSpec:
     def n_controls(self) -> int:
         return len(self.W)
 
-    def control_gradient(self, x: np.ndarray, u) -> np.ndarray:
+    def control_rows(self, u, table: bool = False) -> np.ndarray:
+        """u as a row of n_controls values (a scalar if one) or, if table, an
+        (m, n_controls) table too; ValueError for any other shape."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        g = np.zeros_like(np.asarray(x, dtype=float))
-        for ua, Wa in zip(u, self.W):
-            if ua != 0.0:
-                g = g + ua * Wa.grad(x)
-        return g
+        if u.ndim > 1 + table or u.shape[-1] != self.n_controls:
+            raise ValueError(f"need {self.n_controls} control values per row, got {u.shape}")
+        return u
 
     def control_value(self, x: np.ndarray, u) -> float:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return float(sum(ua * Wa(x) for ua, Wa in zip(u, self.W)))
+        return float(sum(ua * Wa(x) for ua, Wa in zip(self.control_rows(u), self.W)))
 
 
 @dataclass(frozen=True)
@@ -166,20 +165,32 @@ def hamiltonian(spec: HamiltonianSpec, lam: PhasePoint, u) -> float:
     return 0.5 * float(lam.p @ g @ lam.p) + spec.V(lam.x) + spec.control_value(lam.x, u)
 
 
-def controlled_rhs(spec: HamiltonianSpec, u) -> "callable":
-    """Phase-space vector field for a frozen control value u."""
+def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
+    """Phase-space vector field for frozen control values u.
+
+    u is a row of n_controls values (a scalar for one control) and the field
+    maps a state (2n,) to (2n,), or u is a table (m, n_controls) and it maps
+    a stack (m, 2n) to (m, 2n), row j under u[j].  A table needs a flat chart
+    (ValueError here otherwise) and batched potential callbacks.  Columns
+    that are zero in every row are dropped here, once.
+    """
     n = spec.space.dimension
     flat = spec.space.is_flat
+    u = spec.control_rows(u, table=True)
+    if u.ndim == 2 and not flat:
+        raise ValueError("a control table needs a flat chart")
+    terms = [(u[..., a, None], W) for a, W in enumerate(spec.W) if u[..., a].any()]
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        x, p = z[:n], z[n:]
-        dV = spec.V.grad(x) + spec.control_gradient(x, u)
+    def rhs(_t: float, z: np.ndarray) -> np.ndarray:
+        x = z[..., :n]
+        force = spec.V.grad(x)
+        for ua, W in terms:
+            force = force + ua * W.grad(x)
         if flat:
-            return np.concatenate([p, -dV])
-        g = np.asarray(spec.space.cometric(x), dtype=float)
-        dg = np.asarray(spec.space.dcometric(x), dtype=float)
-        pdot = -0.5 * np.einsum("jki,j,k->i", dg, p, p) - dV
-        return np.concatenate([g @ p, pdot])
+            return np.concatenate([z[..., n:], -force], axis=-1)
+        out = geodesic_rhs(spec.space, z)
+        out[n:] -= force
+        return out
 
     return rhs
 

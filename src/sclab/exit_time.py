@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ControlSignal, HamiltonianSpec
+from .dynamics import ControlSignal, HamiltonianSpec, controlled_rhs
 from .errors import HypothesisViolated, StepTooCoarse
 from .geometry import BoxRegion, PhasePoint, cometric_at, dcometric_at
 from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_step
@@ -50,6 +50,12 @@ class ExitReport:
     witness_control: Optional[ControlSignal]
     exit_times: np.ndarray
     horizon: float
+    halving_drift: float = 0.0
+
+    @property
+    def halving_allowed(self) -> float:
+        """Largest accepted max over members of |exit(step) − exit(step/2)|."""
+        return 1e-5 * max(1.0, self.horizon)
 
     @property
     def bound_respected(self) -> bool:
@@ -226,25 +232,6 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
 # Ensemble sampling
 
 
-def _batched_rhs(spec: HamiltonianSpec, u_values: np.ndarray) -> Callable:
-    """Vectorized flow over a (m, 2n) batch; requires a flat chart and
-    vectorized potential callbacks (registry fields qualify)."""
-    n = spec.space.dimension
-    u_values = np.atleast_2d(np.asarray(u_values, dtype=float).T).T  # (m, n_controls)
-
-    def rhs(_t, Z):
-        X = Z[:, :n]
-        force = np.asarray(spec.V.gradient(X), dtype=float)
-        for a, W in enumerate(spec.W):
-            force = force + u_values[:, a, None] * np.asarray(W.gradient(X), dtype=float)
-        out = np.empty_like(Z)
-        out[:, :n] = Z[:, n:]
-        np.negative(force, out=out[:, n:])
-        return out
-
-    return rhs
-
-
 def _member_schedule(controls: Sequence[ControlSignal], horizon: float, step: float):
     """Every member's own segments, flat: member j owns [first[j], first[j+1]).
 
@@ -274,14 +261,12 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
 
     One stack holds a row per (pass, member), in that order, and advances
     all live rows together, each with its own step h as an (M, 1) column:
-    the batched field is autonomous given u, so a row's own time t only
-    brackets its events.  At the end of a segment a row takes its next
-    segment's h, t and u; it leaves the stack when it leaves Ω or when its
-    schedule ends.  Every row's arithmetic is its own, so a member's exit
-    does not depend on the rest of the ensemble.
+    `controlled_rhs` under the rows' control table is autonomous, so a row's
+    own time t only brackets its events.  At the end of a segment a row
+    takes its next segment's h, t and u; it leaves the stack when it leaves
+    Ω or when its schedule ends.  Every row's arithmetic is its own, so a
+    member's exit does not depend on the rest of the ensemble.
     """
-    if not spec.space.is_flat:
-        raise ValueError("ensemble sweep requires a flat chart")
     m = len(controls)
     n1_axes, _ = _split_axes(spec)
     axes = list(n1_axes)
@@ -299,7 +284,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     T = np.zeros((2 * m, 1))
     U = seg_u[seg]
     Z = np.tile(lam0.as_state(), (2 * m, 1))
-    rhs = _batched_rhs(spec, U)
+    rhs = controlled_rhs(spec, U)
     tick, next_end = 0, end.min()
     while True:
         Z_prev, T_prev = Z, T
@@ -310,7 +295,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
         keep = omega1.contains(Z[:, axes])
         if not keep.all():
             crossed = np.flatnonzero(~keep)
-            rhs_x = _batched_rhs(spec, U[crossed])
+            rhs_x = controlled_rhs(spec, U[crossed])
             F_lo, F_hi = rhs_x(T_prev[crossed], Z_prev[crossed]), rhs_x(T[crossed], Z[crossed])
             for j, f_lo, f_hi in zip(crossed, F_lo, F_hi):
                 lo, hi = T_prev[j, 0], T[j, 0]
@@ -339,7 +324,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                 return exits
         elif not switched:
             continue
-        rhs = _batched_rhs(spec, U)
+        rhs = controlled_rhs(spec, U)
         next_end = end.min()
 
 
@@ -356,8 +341,8 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     as one lockstep stack (`_march_exits`), so a member's exit time depends on
     its own control alone.  Each exit is located by bisection to 1e-8 on the
     cubic Hermite dense output of the step that leaves Ω.  The halved-step
-    pass must reproduce every exit time to 1e-5 or StepTooCoarse is raised;
-    the report carries the halved-step exits.
+    pass must reproduce every exit time to `halving_allowed` (StepTooCoarse
+    otherwise); the report carries the halved-step exits and `halving_drift`.
     """
     controls = list(ensemble)
     if analytic_bound is None:
@@ -366,12 +351,15 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
         return ExitReport(analytic_bound, horizon, 0, None,
                           np.empty(0), horizon)
     exits, exits_fine = _march_exits(spec, lam0, Omega, controls, horizon, step)
-    if np.max(np.abs(exits - exits_fine)) > 1e-5 * max(1.0, horizon):
-        raise StepTooCoarse("exit times move under step halving; refine the step")
     k = int(np.argmin(exits_fine))
-    return ExitReport(analytic_bound=analytic_bound,
-                      sampled_min_exit=float(exits_fine[k]),
-                      ensemble_size=len(controls),
-                      witness_control=controls[k],
-                      exit_times=exits_fine,
-                      horizon=horizon)
+    report = ExitReport(analytic_bound=analytic_bound,
+                        sampled_min_exit=float(exits_fine[k]),
+                        ensemble_size=len(controls),
+                        witness_control=controls[k],
+                        exit_times=exits_fine,
+                        horizon=horizon,
+                        halving_drift=float(np.max(np.abs(exits - exits_fine))))
+    if report.halving_drift > report.halving_allowed:
+        raise StepTooCoarse(f"exit times move by {report.halving_drift:.3e} under step "
+                            f"halving (allowed {report.halving_allowed:.3e}); refine the step")
+    return report

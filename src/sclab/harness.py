@@ -186,6 +186,8 @@ def _run_exit_time(config: ExperimentConfig) -> None:
         "horizon": report.horizon,
         "ensemble_spread": report.ensemble_spread,
         "members_exited": report.members_exited,
+        "halving_drift": report.halving_drift,
+        "halving_allowed": report.halving_allowed,
     })
 
 

@@ -472,15 +472,6 @@ class CutoffFunction:
             lap = lap + (d2[..., a] / self._halfw[a] ** 2) * others
         return np.prod(val, axis=-1), grad, lap
 
-    def chi(self, x) -> np.ndarray:
-        return self._values(x)[0]
-
-    def grad_chi(self, x) -> np.ndarray:
-        return self._values(x)[1]
-
-    def laplacian_chi(self, x) -> np.ndarray:
-        return self._values(x)[2]
-
     def on_grid(self, grid: SpatialGrid) -> CutoffTable:
         """The cutoff tabulated on the grid's mesh, computed once per grid."""
         table = self._tables.get(grid)

@@ -152,12 +152,15 @@ class TestRunExperiment:
                            + f"out = {tmp_path}/exit\n")
         assert run_experiment(cfg) == 0
         summary = json.loads((tmp_path / "exit" / "summary.json").read_text())
+        assert summary["halving_allowed"] == 1e-5 * 3.0
         if p0 == "0.0,0.0":
             assert summary["ensemble_spread"] == 0.0
             assert summary["members_exited"] == 0
+            assert summary["halving_drift"] == 0.0
         else:
             assert 0.0 <= summary["ensemble_spread"] <= EXIT_TIME_TOL
             assert summary["members_exited"] == 12
+            assert 0.0 < summary["halving_drift"] <= summary["halving_allowed"]
 
     def test_exit_time_hypothesis_status(self, tmp_path):
         cfg = parse_config(

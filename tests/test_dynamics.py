@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclab.dynamics import (ControlSignal, HamiltonianSpec, evolve,
+from sclab.dynamics import (ControlSignal, HamiltonianSpec, controlled_rhs, evolve,
                             flow_jacobian, hamiltonian, sample_controls)
 from sclab.errors import StepTooCoarse, TrajectoryEscape
-from sclab.geometry import ChartSpace, PhasePoint, make_potential
+from sclab.geometry import ChartSpace, PhasePoint, geodesic_rhs, make_metric, make_potential
 from sclab.integrate import hermite_state
 
 
@@ -232,3 +232,78 @@ class TestHermiteState:
         z0, z1, f0, f1 = (np.array([v, -v]) for v in vals)
         assert np.array_equal(hermite_state(z0, z1, f0, f1, h, 0.0), z0)
         assert np.array_equal(hermite_state(z0, z1, f0, f1, h, 1.0), z1)
+
+
+def registry_fields(dim):
+    """A few vectorized registry potentials on a dim-axis chart."""
+    return st.sampled_from([
+        make_potential("harmonic", dim, k=[1.0, 2.5][:dim], center=0.3),
+        make_potential("linear", dim, slope=[1.0, -0.5][:dim], offset=0.2),
+        make_potential("cosine", dim, amplitude=[0.0, 1.0][-dim:], freq=1.7, phase=0.4),
+        make_potential("gaussian", dim, amplitude=2.0, center=-0.2, width=0.7),
+    ])
+
+
+@st.composite
+def flat_stacks(draw):
+    """A flat spec with 1-2 controls, and a control table (some columns
+    all zero) with a state stack of 1-8 rows."""
+    dim = draw(st.sampled_from([1, 2]))
+    fields = registry_fields(dim)
+    W = draw(st.lists(fields, min_size=1, max_size=2))
+    spec = HamiltonianSpec(space=ChartSpace(dimension=dim), V=draw(fields), W=W)
+    m = draw(st.integers(1, 8))
+    U = np.reshape(draw(st.lists(finite, min_size=m * len(W), max_size=m * len(W))),
+                   (m, len(W)))
+    U[:, draw(st.lists(st.booleans(), min_size=len(W), max_size=len(W)))] = 0.0
+    Z = np.reshape(draw(st.lists(finite, min_size=2 * m * dim, max_size=2 * m * dim)),
+                   (m, 2 * dim))
+    return spec, U, Z
+
+
+class TestControlledRhs:
+    def two_control_spec(self):
+        # W₁ = x, W₂ = 5x: a value row (1, 1) pushes with force −6
+        return HamiltonianSpec(space=ChartSpace(dimension=1), V=make_potential("zero", 1),
+                               W=[make_potential("linear", 1, slope=1.0),
+                                  make_potential("linear", 1, slope=5.0)])
+
+    def test_value_row_of_wrong_length_rejected(self):
+        spec = self.two_control_spec()
+        lam = PhasePoint(np.array([1.0]), np.array([0.0]))
+        assert controlled_rhs(spec, [1.0, 1.0])(0.0, lam.as_state())[1] == -6.0
+        assert hamiltonian(spec, lam, [1.0, 1.0]) == 6.0
+        for u in (2.0, [1.0, 1.0, 7.0], [[1.0, 1.0, 7.0]]):
+            with pytest.raises(ValueError):
+                controlled_rhs(spec, u)
+            with pytest.raises(ValueError):
+                hamiltonian(spec, lam, u)
+        with pytest.raises(ValueError):
+            hamiltonian(spec, lam, [[1.0, 1.0]])
+
+    def test_one_control_scalar_gives_single_state_field(self):
+        out = controlled_rhs(harmonic_linear_spec(), 1.0)(0.0, np.array([0.3, -0.2]))
+        assert out.shape == (2,)
+        assert np.array_equal(out, [-0.2, -(0.3 + 1.0)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(flat_stacks())
+    def test_stack_rows_equal_single_states(self, case):
+        spec, U, Z = case
+        stacked = controlled_rhs(spec, U)(0.0, Z)
+        assert stacked.shape == Z.shape
+        for j in range(Z.shape[0]):
+            assert np.array_equal(stacked[j], controlled_rhs(spec, U[j])(0.0, Z[j]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]), st.data())
+    def test_curved_chart_kinetic_terms_are_geodesic_rhs(self, dim, data):
+        space = make_metric("polynomial-diagonal", dim, c=[1.0, 0.3, 0.2])
+        fields = registry_fields(dim)
+        spec = HamiltonianSpec(space=space, V=data.draw(fields), W=data.draw(fields))
+        z = np.array(data.draw(st.lists(finite, min_size=2 * dim, max_size=2 * dim)))
+        want = geodesic_rhs(space, z)
+        want[dim:] = want[dim:] - spec.V.grad(z[:dim])
+        assert np.array_equal(controlled_rhs(spec, 0.0)(0.0, z), want)
+        with pytest.raises(ValueError):
+            controlled_rhs(spec, np.zeros((3, 1)))

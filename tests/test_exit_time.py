@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import sclab.exit_time as exit_mod
 from sclab.config import parse_config
 from sclab.dynamics import ControlSignal, HamiltonianSpec, sample_controls
-from sclab.errors import HypothesisViolated
+from sclab.errors import HypothesisViolated, StepTooCoarse
 from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
                              sampled_exit_time)
 from sclab.geometry import BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential
@@ -199,6 +199,32 @@ class TestSampledExit:
         assert np.allclose(report.exit_times, np.arcsin(2.0 / 3.0), rtol=0.0, atol=1e-8)
 
 
+class TestHalvingMargin:
+    def test_drift_zero_when_no_member_exits(self):
+        report = sampled_exit_time(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
+                                   omega_unit(), sample_controls(3, 20, 1.0, 5.0),
+                                   horizon=1.0, analytic_bound=0.0)
+        assert report.members_exited == 0
+        assert report.halving_drift == 0.0
+        assert report.halving_allowed == 1e-5
+
+    def test_crossing_drift_within_allowed(self):
+        report = sampled_exit_time(product_spec(), PhasePoint(np.zeros(2), np.array([1.5, 0.0])),
+                                   omega_unit(), sample_controls(0, 10, 3.0, 100.0),
+                                   horizon=3.0, analytic_bound=0.0)
+        assert report.members_exited == 10
+        assert 0.0 < report.halving_drift <= report.halving_allowed == 1e-5 * 3.0
+
+    def test_drift_past_allowed_raises(self, monkeypatch):
+        # the fine pass moves one exit by twice the allowance
+        monkeypatch.setattr(exit_mod, "_march_exits",
+                            lambda *args: np.array([[1.0, 2.0], [1.0, 2.0 + 6e-5]]))
+        with pytest.raises(StepTooCoarse, match="6.000e-05"):
+            sampled_exit_time(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
+                              omega_unit(), sample_controls(0, 2, 3.0, 1.0),
+                              horizon=3.0, analytic_bound=0.0)
+
+
 def line_spec(columns):
     """Flat line, V = ½x², and W = x (one column) or W = (x, x/2) (two)."""
     space = ChartSpace(dimension=1, product_split=((0,), ()))
@@ -238,7 +264,7 @@ class TestSweepControlLookup:
         # order) carries its own segment's step, time and value_at(midpoint)
         horizon, step = 1.0, 0.05
         built, seen, lookups = {}, [], []
-        real_rhs, real_step = exit_mod._batched_rhs, exit_mod.rk4_step
+        real_rhs, real_step = exit_mod.controlled_rhs, exit_mod.rk4_step
         real_value_at = ControlSignal.value_at
 
         def recording_rhs(spec, u_values):
@@ -251,7 +277,7 @@ class TestSweepControlLookup:
             return real_step(rhs, t, z, h)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exit_mod, "_batched_rhs", recording_rhs)
+            mp.setattr(exit_mod, "controlled_rhs", recording_rhs)
             mp.setattr(exit_mod, "rk4_step", recording_step)
             mp.setattr(ControlSignal, "value_at",
                        lambda self, t: lookups.append(1) or real_value_at(self, t))

@@ -5,9 +5,12 @@ imports scipy, which is a test-only reference.
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
 `# noqa: F401` (an import kept for a reason the code itself cannot show).  A
-module-level function or class that no `Name`, `Attribute` or import alias in
-any `sclab` module refers to, outside its own definition, is reported unless
-`UNREFERENCED_ALLOWED` gives the reason it stays.
+module-level function or class, or a method of a module-level class other than
+a dunder, that no `Name`, `Attribute` or import alias in any `sclab` module
+refers to, outside its own definition, is reported unless
+`UNREFERENCED_ALLOWED` gives the reason it stays.  References are matched by
+name alone, so a method that shares its name with an attribute used elsewhere
+passes unseen.
 """
 
 import ast
@@ -65,7 +68,8 @@ def test_checker_sees_unused_and_noqa():
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """"module:name" of each module-level function or class that no Name,
+    """"module:name" of each module-level function or class, and
+    "module:Class.method" of each non-dunder method of one, that no Name,
     Attribute or import alias in `sources` refers to outside its own body."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     refs = []
@@ -77,15 +81,21 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 refs.append((mod, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
                 refs.append((mod, node.lineno, node.name))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
     for mod, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, functions + (ast.ClassDef,)):
                 continue
-            if not any(name == node.name
-                       and not (where == mod and node.lineno <= line <= node.end_lineno)
-                       for where, line, name in refs):
-                dead.append(f"{mod}:{node.name}")
+            defs = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(meth, f"{node.name}.{meth.name}") for meth in node.body
+                         if isinstance(meth, functions) and not meth.name.startswith("__")]
+            for d, label in defs:
+                if not any(name == d.name
+                           and not (where == mod and d.lineno <= line <= d.end_lineno)
+                           for where, line, name in refs):
+                    dead.append(f"{mod}:{label}")
     return sorted(dead)
 
 
@@ -105,6 +115,18 @@ def test_checker_sees_unreferenced_definitions():
     }
     assert unreferenced_definitions(sources) == [
         "a.py:Dead", "a.py:recursive", "b.py:caller"]
+
+
+def test_checker_sees_unreferenced_methods():
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    def __init__(self):\n        self.used()\n\n"
+                 "    def used(self):\n        pass\n\n"
+                 "    @property\n    def size(self):\n        return 1\n\n"
+                 "    def dead(self):\n        return self.dead()\n\n"
+                 "print(Box().size)\n"),
+    }
+    assert unreferenced_definitions(sources) == ["a.py:Box.dead"]
 
 
 def imported_modules(source: str) -> set[str]:

@@ -215,7 +215,7 @@ class TestCutoff:
     def test_support_and_bounds(self):
         chi = CutoffFunction(BoxRegion(((-0.5, 0.5),)))
         x = np.linspace(-1.0, 1.0, 801)[:, None]
-        v = chi.chi(x)
+        v = chi._values(x)[0]
         assert np.all(v >= 0) and np.all(v <= 1)
         assert np.all(v[np.abs(x[:, 0]) >= 0.5] == 0)
         assert v[400] == pytest.approx(1.0)  # center
@@ -225,23 +225,26 @@ class TestCutoff:
             chi = CutoffFunction(BoxRegion(((-0.6, 0.8),)), plateau=plateau)
             x = np.linspace(-0.55, 0.75, 301)[:, None]
             h = 1e-6
-            fd1 = (chi.chi(x + h) - chi.chi(x - h)) / (2 * h)
-            fd2 = (chi.chi(x + h) - 2 * chi.chi(x) + chi.chi(x - h)) / h ** 2
-            assert np.max(np.abs(chi.grad_chi(x)[:, 0] - fd1)) < 1e-5
-            assert np.max(np.abs(chi.laplacian_chi(x) - fd2)) < 2e-3
+            v, grad, lap = chi._values(x)
+            v_plus, v_minus = chi._values(x + h)[0], chi._values(x - h)[0]
+            fd1 = (v_plus - v_minus) / (2 * h)
+            fd2 = (v_plus - 2 * v + v_minus) / h ** 2
+            assert np.max(np.abs(grad[:, 0] - fd1)) < 1e-5
+            assert np.max(np.abs(lap - fd2)) < 2e-3
 
     def test_plateau_region_is_one(self):
         chi = CutoffFunction(BoxRegion(((-1.0, 1.0),)), plateau=0.6)
         x = np.linspace(-0.59, 0.59, 101)[:, None]
-        assert np.max(np.abs(chi.chi(x) - 1.0)) == 0.0
-        assert np.max(np.abs(chi.grad_chi(x))) == 0.0
-        assert np.max(np.abs(chi.laplacian_chi(x))) == 0.0
+        v, grad, lap = chi._values(x)
+        assert np.max(np.abs(v - 1.0)) == 0.0
+        assert np.max(np.abs(grad)) == 0.0
+        assert np.max(np.abs(lap)) == 0.0
 
     def test_2d_product(self):
         chi = CutoffFunction(BoxRegion(((-0.5, 0.5), (-0.4, 0.4))))
         pt = np.array([0.0, 0.0])
-        assert chi.chi(pt) == pytest.approx(1.0)
-        assert chi.chi(np.array([0.6, 0.0])) == 0.0
+        assert chi._values(pt)[0] == pytest.approx(1.0)
+        assert chi._values(np.array([0.6, 0.0]))[0] == 0.0
 
 
 class TestResidual:
@@ -255,7 +258,7 @@ class TestResidual:
         chi = CutoffFunction(BoxRegion(((-1.0, 1.0),)))
         r = wkb_residual(field, chi)
         mesh = field.grid.mesh()
-        bulk = chi.chi(mesh) * 0.5 * field.lap_a
+        bulk = chi._values(mesh)[0] * 0.5 * field.lap_a
         assert np.max(np.abs(bulk)) < 1e-6
         assert np.max(np.abs(r)) > 0  # χ-derivative terms are alive
 
