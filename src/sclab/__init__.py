@@ -1,25 +1,21 @@
 """sclab: a numerical laboratory for small-time controllability experiments.
 
-Classical side: controlled Hamiltonian flows on chart-described manifolds,
-small-time steering synthesis, and control-uniform exit-time bounds.
-Quantum side: WKB approximate propagation with caustic detection, a
+Classical side: controlled Hamiltonian flows H = ½‖p‖² + V + Σ u_a W_a on
+flat charts, small-time steering synthesis, and control-uniform exit-time
+bounds.  Quantum side: WKB approximate propagation with caustic detection, a
 spectrally accurate split-step Schrödinger oracle, localization
 (uncontrollability) experiments, and spectral controllability criteria for
 the harmonic oscillator with Gaussian control.
 """
 
 from .geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField,
-                       cometric_at, geodesic_endpoint, make_metric,
-                       make_potential, riemannian_gradient)
+                       make_potential)
 from .dynamics import (ControlSignal, HamiltonianSpec, Trajectory, evolve,
-                       flow_jacobian, hamiltonian, sample_controls)
+                       sample_controls)
 
 __all__ = [
-    "BoxRegion", "ChartSpace", "PhasePoint", "PotentialField",
-    "cometric_at", "geodesic_endpoint", "make_metric", "make_potential",
-    "riemannian_gradient",
-    "ControlSignal", "HamiltonianSpec", "Trajectory", "evolve",
-    "flow_jacobian", "hamiltonian", "sample_controls",
+    "BoxRegion", "ChartSpace", "PhasePoint", "PotentialField", "make_potential",
+    "ControlSignal", "HamiltonianSpec", "Trajectory", "evolve", "sample_controls",
 ]
 
 __version__ = "0.1.0"

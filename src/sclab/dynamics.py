@@ -1,9 +1,10 @@
-"""Controlled classical Hamiltonian flow with trajectory and variational output.
+"""Controlled classical Hamiltonian flow with trajectory output.
 
-The flow integrates, in chart coordinates,
+The flow of H = ½‖p‖² + V(x) + Σ_a u_a(t) W_a(x) integrates, in flat chart
+coordinates,
 
-    ẋ^i = g^{ij} p_j,
-    ṗ_i = -½ ∂g^{jk}/∂x^i p_j p_k - ∂V/∂x^i - Σ_a u_a(t) ∂W_a/∂x^i,
+    ẋ = p,
+    ṗ = -∇V(x) - Σ_a u_a(t) ∇W_a(x),
 
 restarting the integrator at every control breakpoint so RK4 never straddles a
 jump.  On each constant-control subinterval the full Hamiltonian is a
@@ -17,8 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import ChartSpace, PhasePoint, PotentialField, cometric_at, geodesic_rhs
-from .integrate import halving_checked, rk4_trajectory, variational_rhs
+from .geometry import ChartSpace, PhasePoint, PotentialField
+from .integrate import halving_checked, rk4_trajectory
 # Not called here: perfbench/test_tracer.py reads sclab.dynamics.rk4_step to
 # check that its tracer restores every binding it patched.
 from .integrate import rk4_step  # noqa: F401
@@ -85,14 +86,6 @@ class ControlSignal:
         for k in range(self.values.shape[0]):
             yield float(self.breakpoints[k]), float(self.breakpoints[k + 1]), self.values[k]
 
-    def restricted(self, T: float) -> "ControlSignal":
-        """The same law truncated to [0, T] (T must be positive)."""
-        if T >= self.duration:
-            return self
-        keep = int(np.searchsorted(self.breakpoints, T, side="left"))
-        bp = np.concatenate([self.breakpoints[:keep], [T]])
-        return ControlSignal(bp, self.values[: bp.size - 1])
-
     def window(self, a: float, b: float) -> "ControlSignal":
         """The law on [a, b], shifted to start at 0."""
         if not (0.0 <= a < b <= self.duration + 1e-12):
@@ -126,21 +119,18 @@ class HamiltonianSpec:
     def n_controls(self) -> int:
         return len(self.W)
 
-    def control_rows(self, u, table: bool = False) -> np.ndarray:
-        """u as a row of n_controls values (a scalar if one) or, if table, an
-        (m, n_controls) table too; ValueError for any other shape."""
+    def control_rows(self, u) -> np.ndarray:
+        """u as a row of n_controls values (a scalar if one) or an
+        (m, n_controls) table; ValueError for any other shape."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.ndim > 1 + table or u.shape[-1] != self.n_controls:
+        if u.ndim > 2 or u.shape[-1] != self.n_controls:
             raise ValueError(f"need {self.n_controls} control values per row, got {u.shape}")
         return u
-
-    def control_value(self, x: np.ndarray, u) -> float:
-        return float(sum(ua * Wa(x) for ua, Wa in zip(self.control_rows(u), self.W)))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of the controlled flow; positions kept unwrapped."""
+    """Sampled solution of the controlled flow."""
 
     times: np.ndarray
     xs: np.ndarray
@@ -152,17 +142,11 @@ class Trajectory:
         return self.times.size
 
     def state(self, i: int) -> PhasePoint:
-        return self.space.phase_point(self.xs[i], self.ps[i])
+        return PhasePoint(self.xs[i], self.ps[i])
 
     @property
     def endpoint(self) -> PhasePoint:
         return self.state(-1)
-
-
-def hamiltonian(spec: HamiltonianSpec, lam: PhasePoint, u) -> float:
-    """Total energy ½ g^{ij} p_i p_j + V(x) + Σ u_a W_a(x)."""
-    g = cometric_at(spec.space, lam.x)
-    return 0.5 * float(lam.p @ g @ lam.p) + spec.V(lam.x) + spec.control_value(lam.x, u)
 
 
 def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
@@ -170,15 +154,12 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
 
     u is a row of n_controls values (a scalar for one control) and the field
     maps a state (2n,) to (2n,), or u is a table (m, n_controls) and it maps
-    a stack (m, 2n) to (m, 2n), row j under u[j].  A table needs a flat chart
-    (ValueError here otherwise) and batched potential callbacks.  Columns
-    that are zero in every row are dropped here, once.
+    a stack (m, 2n) to (m, 2n), row j under u[j].  A table needs batched
+    potential callbacks.  Columns that are zero in every row are dropped
+    here, once.
     """
     n = spec.space.dimension
-    flat = spec.space.is_flat
-    u = spec.control_rows(u, table=True)
-    if u.ndim == 2 and not flat:
-        raise ValueError("a control table needs a flat chart")
+    u = spec.control_rows(u)
     terms = [(u[..., a, None], W) for a, W in enumerate(spec.W) if u[..., a].any()]
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
@@ -186,11 +167,7 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
         force = spec.V.grad(x)
         for ua, W in terms:
             force = force + ua * W.grad(x)
-        if flat:
-            return np.concatenate([z[..., n:], -force], axis=-1)
-        out = geodesic_rhs(spec.space, z)
-        out[n:] -= force
-        return out
+        return np.concatenate([z[..., n:], -force], axis=-1)
 
     return rhs
 
@@ -220,30 +197,6 @@ def evolve(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
     n = spec.space.dimension
     return Trajectory(times=times, xs=states[:, :n], ps=states[:, n:],
                       control_used=u, space=spec.space)
-
-
-def flow_jacobian(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
-                  T: float, step: float = 1e-3) -> np.ndarray:
-    """Derivative of the time-T flow map with respect to the initial state.
-
-    Integrates the variational system alongside the trajectory; the
-    linearization of the field is taken by central finite differences, so the
-    result inherits the same accuracy budget as the flow itself.  T may not
-    exceed the control's duration.
-    """
-    n2 = 2 * spec.space.dimension
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if T > u.duration + 1e-12:
-        raise ValueError(f"T={T} exceeds the control's duration {u.duration}")
-    if T == 0:
-        return np.eye(n2)
-    u = u.restricted(T)
-    w = np.concatenate([lam0.as_state(), np.eye(n2).ravel()])
-    _, states = halving_checked(
-        lambda h: _march_segments(
-            lambda uval: variational_rhs(controlled_rhs(spec, uval), n2), w, u, h), step)
-    return states[-1, n2:].reshape(n2, n2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,6 @@ class SclabError(Exception):
     """Base class for all sclab errors."""
 
 
-class InvalidChart(SclabError):
-    """Chart data (metric, coordinates) evaluated to non-finite values."""
-
-
-class MetricDegenerate(SclabError):
-    """Cometric matrix is not symmetric positive definite."""
-
-
 class TrajectoryEscape(SclabError):
     """A trajectory exceeded the coordinate overflow guard."""
 

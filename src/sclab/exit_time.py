@@ -5,7 +5,7 @@ box Ω (so the control force has no component along those axes) and the drift
 force is bounded there, ‖d₁V(x, y)‖ ≤ c(x), the (x, pˣ) dynamics are
 sandwiched between the autonomous comparison systems
 
-    ẋ = gₓ pˣ,   ṗˣ_i = -½ ∂gₓ/∂x pˣpˣ ± K(x)·c(x),
+    ẋ = pˣ,   ṗˣ_i = ± K(x)·c(x),
 
 one per sign pattern.  Their exit time from Ω is therefore a lower bound for
 the true exit time under *every* admissible control, which the ensemble
@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import ControlSignal, HamiltonianSpec, controlled_rhs
 from .errors import HypothesisViolated, StepTooCoarse
-from .geometry import BoxRegion, PhasePoint, cometric_at, dcometric_at
+from .geometry import BoxRegion, PhasePoint
 from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_step
 
 EXIT_TIME_TOL = 1e-8
@@ -123,27 +123,15 @@ def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     return worst
 
 
-def _default_K(spec: HamiltonianSpec, n1_axes: Sequence[int]) -> Callable:
-    """Norm-equivalence factor: 1 on flat charts, max_i √g^{ii} otherwise."""
-    if spec.V.K_bound is not None:
-        return spec.V.K_bound
-    if spec.space.is_flat:
-        return lambda x: 1.0
-    def K(x_full):
-        g = cometric_at(spec.space, x_full)
-        return float(np.sqrt(np.max(np.diag(g)[list(n1_axes)])))
-    return K
-
-
 def _comparison_rhs(spec: HamiltonianSpec, n1_axes: Sequence[int],
                     signs: np.ndarray, lam0: PhasePoint) -> Callable:
-    """Autonomous (x, pˣ) system with forcing σ_i·K(x)·c(x)."""
+    """Autonomous (x, pˣ) system with forcing σ_i·K(x)·c(x); K is V's
+    K_bound, or 1 when V carries none."""
     c = spec.V.c_bound
     if c is None:
         raise ValueError("exit bound needs the c(x) metadata callback on V")
-    K = _default_K(spec, n1_axes)
+    K = spec.V.K_bound or (lambda x: 1.0)
     n1 = len(n1_axes)
-    flat = spec.space.is_flat
     x_full0 = np.array(lam0.x, dtype=float)
 
     def embed(x1):
@@ -155,13 +143,7 @@ def _comparison_rhs(spec: HamiltonianSpec, n1_axes: Sequence[int],
         x1, p1 = z[:n1], z[n1:]
         x_full = embed(x1)
         force = signs * (K(x_full) * float(c(x_full)))
-        if flat:
-            return np.concatenate([p1, force])
-        g = cometric_at(spec.space, x_full)[np.ix_(list(n1_axes), list(n1_axes))]
-        dg = dcometric_at(spec.space, x_full)[
-            np.ix_(list(n1_axes), list(n1_axes), list(n1_axes))]
-        pdot = -0.5 * np.einsum("jki,j,k->i", dg, p1, p1) + force
-        return np.concatenate([g @ p1, pdot])
+        return np.concatenate([p1, force])
 
     return rhs
 

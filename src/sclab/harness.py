@@ -22,7 +22,7 @@ from . import spectral as spec_mod
 from . import steering as steer_mod
 from .config import ExperimentConfig, build_potential
 from .dynamics import HamiltonianSpec, sample_controls
-from .errors import HypothesisViolated, SclabError
+from .errors import HypothesisViolated, SclabError, ValidationError
 from .geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField,
                        make_potential, pullback)
 from .obstruction import ObstructionConfig
@@ -83,6 +83,15 @@ def run_experiment(config: ExperimentConfig) -> int:
         return STATUS_ERROR
 
 
+def _leading(config: ExperimentConfig, key: str, count: int) -> np.ndarray:
+    """The first count entries of a float-list key; ValidationError naming
+    the key when it has fewer."""
+    values = config[key]
+    if len(values) < count:
+        raise ValidationError(f"needs {count} entries, got {len(values)}", key=key)
+    return np.asarray(values[:count])
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -97,8 +106,8 @@ def _run_steer(config: ExperimentConfig) -> None:
         spec = HamiltonianSpec(space=space, V=V, W=[W, W2])
     else:
         spec = HamiltonianSpec(space=space, V=V, W=W)
-    lam0 = PhasePoint(np.asarray(config["steer.x0"][:dim]),
-                      np.asarray(config["steer.p0"][:dim]))
+    lam0 = PhasePoint(_leading(config, "steer.x0", dim),
+                      _leading(config, "steer.p0", dim))
     k = config["steer.k"]
     rows = []
     for eps in config["steer.eps_sweep"]:
@@ -110,11 +119,11 @@ def _run_steer(config: ExperimentConfig) -> None:
             plan = steer_mod.execute_plan(spec, lam0, plan)
         elif maneuver == "gradient-curve":
             plan = steer_mod.gradient_curve_steer(
-                spec, lam0, np.asarray(config["steer.target"][:dim]),
+                spec, lam0, _leading(config, "steer.target", dim),
                 tol=config["steer.tol"], eps=eps)
         else:
-            lam1 = PhasePoint(np.asarray(config["steer.target"][:dim]),
-                              np.asarray(config["steer.target_p"][:dim]))
+            lam1 = PhasePoint(_leading(config, "steer.target", dim),
+                              _leading(config, "steer.target_p", dim))
             plan = steer_mod.full_rank_steer(spec, lam0, lam1, eps,
                                              tol=config["steer.tol"])
         rows.append([eps,
@@ -167,9 +176,8 @@ def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
 
 def _run_exit_time(config: ExperimentConfig) -> None:
     spec = _exit_time_spec(config)
-    lam0 = PhasePoint(np.asarray(config["exit.x0"][:2]),
-                      np.asarray(config["exit.p0"][:2]))
-    lo, hi = config["exit.omega"][:2]
+    lam0 = PhasePoint(_leading(config, "exit.x0", 2), _leading(config, "exit.p0", 2))
+    lo, hi = _leading(config, "exit.omega", 2)
     omega = BoxRegion(((lo, hi), None))
     controls = sample_controls(config.seed, config["exit.ensemble"],
                                config["exit.horizon"], config["exit.amplitude"],
@@ -237,8 +245,8 @@ def _run_obstruction(config: ExperimentConfig) -> None:
     grid = SpatialGrid(((config["obstruction.grid_lo"],
                          config["obstruction.grid_len"],
                          config["obstruction.grid_n"]),))
-    lo, hi = config["obstruction.omega"][:2]
-    lop, hip = config["obstruction.omega_prime"][:2]
+    lo, hi = _leading(config, "obstruction.omega", 2)
+    lop, hip = _leading(config, "obstruction.omega_prime", 2)
     w_field = build_potential(config, "obstruction.w", 1)
     if w_field.name == "zero":
         w_field = make_potential("linear", 1, slope=0.0, offset=1.0)

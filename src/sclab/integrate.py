@@ -35,10 +35,8 @@ from .errors import StepTooCoarse, TrajectoryEscape
 HALVING_REL_TOL = 1e-8
 # Overflow guard for all trajectory integration (finite-time escape detector).
 ESCAPE_GUARD = 1e12
-# Relative step of fd_jacobian's central differences (callback checks, V″).
+# Relative step of fd_jacobian's central differences (V″ of the WKB fan).
 FD_REL_STEP = 1e-5
-# Relative step of the linearized field in the variational system.
-VARIATIONAL_FD_STEP = 1e-6
 
 
 def _nsteps(t0, t1, step: float):
@@ -147,8 +145,8 @@ def bisect_event(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def fd_jacobian(f: Callable, x, rel_step: float = FD_REL_STEP) -> np.ndarray:
-    """Central differences: out[..., k] = ∂f/∂x_k with h = rel_step·(1 + |x_k|).
+def fd_jacobian(f: Callable, x) -> np.ndarray:
+    """Central differences: out[..., k] = ∂f/∂x_k with h = FD_REL_STEP·(1 + |x_k|).
 
     x has shape (..., d) and axis k is its last axis.  A batch of points
     (m, d) is perturbed all at once, so f must act row-wise and its output
@@ -157,25 +155,10 @@ def fd_jacobian(f: Callable, x, rel_step: float = FD_REL_STEP) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     cols = []
     for k in range(x.shape[-1]):
-        h = rel_step * (1.0 + np.abs(x[..., k]))
+        h = FD_REL_STEP * (1.0 + np.abs(x[..., k]))
         xp, xm = x.copy(), x.copy()
         xp[..., k] += h
         xm[..., k] -= h
         cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * h))
     return np.stack(cols, axis=-1)
 
-
-def variational_rhs(rhs: Callable, dim: int) -> Callable:
-    """Augment a phase-space field with its linearization J̇ = DF·J.
-
-    DF is evaluated by central finite differences of rhs, so only the field
-    itself is required.  State layout: (z, J.ravel()) with J a dim×dim matrix.
-    """
-
-    def aug(t: float, w: np.ndarray) -> np.ndarray:
-        z = w[:dim]
-        J = w[dim:].reshape(dim, dim)
-        DF = fd_jacobian(lambda y: rhs(t, y), z, VARIATIONAL_FD_STEP)
-        return np.concatenate([rhs(t, z), (DF @ J).ravel()])
-
-    return aug

@@ -36,7 +36,7 @@ from numpy import fft
 
 from .dynamics import ControlSignal
 from .errors import GridMismatch, GridTooCoarse
-from .geometry import BoxRegion, PotentialField
+from .geometry import PotentialField
 
 TOP_MODE_FRACTION = 0.10
 TOP_MODE_MASS_TOL = 1e-8
@@ -394,13 +394,6 @@ def _multiply_rows(factor: np.ndarray, psi: np.ndarray, where) -> None:
     """psi[j] = factor[j]·psi[j] in place for the members `where` selects."""
     if where is not None:
         np.multiply(factor, psi, out=psi, where=where)
-
-
-def region_probability(psi: WaveGrid, region: BoxRegion) -> float:
-    """Riemann-sum occupation probability of the region (axes may be open)."""
-    pts = psi.grid.mesh().reshape(-1, psi.grid.dim)
-    mask = region.contains(pts).reshape(psi.grid.shape)
-    return float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.grid.cell_volume)
 
 
 def l2_distance(psi: WaveGrid, phi: WaveGrid) -> float:

@@ -5,13 +5,14 @@ The two primitives:
 * impulse: a constant control u = -k/ε on [0, ε] shifts the momentum by
   k·dW(x₀) with O(ε) error while the position barely moves;
 * burst: an impulse to the boosted momentum (k/ε)·dW(x₀) followed by free
-  flight of duration ε carries the position to the time-1 point of the
-  geodesic with initial covector k·dW(x₀), again up to O(ε).
+  flight of duration ε carries the position to x₀ + k·dW(x₀), the time-1
+  point of the straight line with initial covector k·dW(x₀), again up to
+  O(ε).
 
 Compositions of bursts track gradient curves of W, and with a full rank of
 control potentials (dW₁ ∧ … ∧ dWₙ ≠ 0) any phase-space target can be hit:
-burst along the connecting geodesic's initial covector, then a final impulse
-to fix the momentum.
+burst along the covector x₁ − x₀ of the connecting line, then a final
+impulse to fix the momentum.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .dynamics import (ControlSignal, HamiltonianSpec, combined_control_spec,
                        evolve)
 from .errors import (DegenerateDirection, LinearSolveFailed, TargetOffCurve,
                      WedgeDegenerate)
-from .geometry import (ChartSpace, PhasePoint, cometric_at, geodesic_endpoint,
-                       geodesic_rhs, riemannian_gradient)
-from .integrate import rk4_step, rk4_trajectory, variational_rhs
+from .geometry import PhasePoint
+from .integrate import rk4_step
 
 WEDGE_TOL = 1e-10
 
@@ -101,8 +101,9 @@ def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k: float,
                    eps: float) -> SteeringPlan:
     """Impulse to momentum (k/ε)·dW(x₀), then free flight for time ε.
 
-    The projection of the endpoint converges, as ε → 0, to the time-1 point of
-    the geodesic with initial covector k·dW(x₀).  The inner impulse runs for
+    The projection of the endpoint converges, as ε → 0, to x₀ + k·dW(x₀), the
+    time-1 point of the free flight with initial covector k·dW(x₀).  The
+    inner impulse runs for
     ε·min(ε, 1) so its position drift (at O(k/ε) momentum) stays O(ε) and the
     total duration stays ≤ 2ε.
     """
@@ -115,12 +116,12 @@ def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k: float,
     eps_inner = eps * min(eps, 1.0)
     kick = ControlSignal.constant(-(k / eps) / eps_inner, eps_inner)
     flight = ControlSignal.constant(0.0, eps)
-    # limit target: time-1 geodesic point for covector k dW(x0), at the boosted momentum
+    # limit target: time-1 point of the free flight with covector k dW(x0),
+    # at the boosted momentum
     if k == 0.0:
         target = PhasePoint(lam0.x, lam0.p)
     else:
-        geo = geodesic_endpoint(spec.space, lam0.x, k * dW, 1.0, 1e-3)
-        target = PhasePoint(geo.x, geo.p / eps)
+        target = PhasePoint(lam0.x + k * dW, (k * dW) / eps)
     return SteeringPlan(((kick, eps_inner), (flight, eps)), target, eps)
 
 
@@ -132,13 +133,12 @@ def _gradient_curve(spec: HamiltonianSpec, x0: np.ndarray, target: np.ndarray,
     TargetOffCurve when both directions stall or wander without approaching.
     """
     W = spec.W[0]
-    space = spec.space
 
     d0 = np.linalg.norm(np.asarray(x0, dtype=float) - target)
 
     def flow_dir(sign: float):
         def rhs(_t, x):
-            return sign * riemannian_gradient(space, W, x)
+            return sign * W.grad(x)
         xs = [np.array(x0, dtype=float)]
         t, x = 0.0, np.array(x0, dtype=float)
         best = d0
@@ -152,7 +152,7 @@ def _gradient_curve(spec: HamiltonianSpec, x0: np.ndarray, target: np.ndarray,
                 return xs, True, best
             if d > 10.0 * (d0 + 1.0) or np.max(np.abs(x)) > 1e6:
                 break  # running away from the target
-            speed = np.linalg.norm(riemannian_gradient(space, W, x))
+            speed = np.linalg.norm(W.grad(x))
             if speed < 1e-8:
                 break  # stalled near a critical point
         return xs, False, best
@@ -197,7 +197,7 @@ def gradient_curve_steer(spec: HamiltonianSpec, lam0: PhasePoint, target,
                          substeps: int = 2000) -> SteeringPlan:
     """Drive the projection to a target on the gradient curve of W through x₀.
 
-    The curve is approximated by geodesic chords (deviation < tol/10); each
+    The curve is approximated by straight chords (deviation < tol/10); each
     chord is realized by a burst re-planned from the realized state.
     """
     spec = _single_control(spec)
@@ -216,16 +216,15 @@ def gradient_curve_steer(spec: HamiltonianSpec, lam0: PhasePoint, target,
     eps_inner = eps * min(eps, 1.0)
     for wp in waypoints[1:]:
         dW = spec.W[0].grad(lam.x)
-        norm2 = float(dW @ cometric_at(spec.space, lam.x) @ dW)
+        norm2 = float(dW @ dW)
         if norm2 < 1e-20:
             raise DegenerateDirection("gradient of W vanished along the maneuver")
-        # chord displacement ≈ k ∇W in the limit ⇒ solve k from the metric norm
+        # chord displacement ≈ k ∇W in the limit ⇒ solve k from the norm
         delta = wp - lam.x
         k = float(delta @ dW) / norm2
         # momentum-setting impulse: cancels the residue of the previous flight
         # along dW (exact in 1D) and installs the boosted covector (k/ε)·dW
-        k_imp = (float((k / eps) * norm2 - lam.p @ cometric_at(spec.space, lam.x) @ dW)
-                 / norm2)
+        k_imp = float((k / eps) * norm2 - lam.p @ dW) / norm2
         kick = ControlSignal.constant(-k_imp / eps_inner, eps_inner)
         flight = ControlSignal.constant(0.0, eps)
         burst = SteeringPlan(((kick, eps_inner), (flight, eps)),
@@ -257,33 +256,11 @@ def _solve_coefficients(frame: np.ndarray, target_covector: np.ndarray) -> np.nd
         raise LinearSolveFailed(str(exc)) from exc
 
 
-def _geodesic_bvp(space: ChartSpace, x0: np.ndarray, x1: np.ndarray,
-                  step: float = 1e-3, newton_iters: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    """Initial and final covectors of a time-1 geodesic from x0 to x1 (shooting)."""
-    n = space.dimension
-    p = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)  # exact when flat
-    if space.is_flat:
-        return p, p
-    aug = variational_rhs(lambda t, z: geodesic_rhs(space, z), 2 * n)
-    for _ in range(newton_iters):
-        w0 = np.concatenate([x0, p, np.eye(2 * n).ravel()])
-        w = rk4_trajectory(aug, w0, 0.0, 1.0, step)[1][-1]
-        x_end = w[:n]
-        resid = x_end - x1
-        if np.linalg.norm(resid) < 1e-10:
-            break
-        J = w[2 * n:].reshape(2 * n, 2 * n)[:n, n:]  # ∂x(1)/∂p(0)
-        p = p - np.linalg.solve(J, resid)
-    w = rk4_trajectory(aug, np.concatenate([x0, p, np.eye(2 * n).ravel()]),
-                       0.0, 1.0, step)[1][-1]
-    return p, w[n:2 * n]
-
-
 def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
                     eps: float, tol: float, substeps: int = 2000) -> SteeringPlan:
     """Reach an arbitrary phase-space target with n independent controls.
 
-    Steps: (a) decompose the connecting geodesic's initial covector in the
+    Steps: (a) decompose the covector x₁ − x₀ of the connecting line in the
     dW_i frame, (b) burst under the combined potential, (c) cancel the
     residual momentum with a final (much shorter) impulse re-solved at the
     realized position.
@@ -294,8 +271,7 @@ def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
         if abs(np.linalg.det(fr)) < WEDGE_TOL:
             raise WedgeDegenerate(f"control differentials degenerate at the {where}")
 
-    mu0, _ = _geodesic_bvp(spec.space, lam0.x, lam1.x)
-    a = _solve_coefficients(frame0, mu0)
+    a = _solve_coefficients(frame0, lam1.x - lam0.x)
     burst_spec = combined_control_spec(spec, a)
     plan_burst = geodesic_burst(burst_spec, lam0, 1.0, eps)
     plan_burst = execute_plan(burst_spec, lam0, plan_burst, substeps=substeps)

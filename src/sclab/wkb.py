@@ -24,42 +24,17 @@ Hermite interpolant in time, located by `integrate.bisect_event`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import CausticReached, MaskViolation
-from .geometry import BoxRegion, PotentialField
+from .geometry import BoxRegion, PotentialField, make_potential
 from .integrate import (bisect_event, fd_jacobian, halving_checked, hermite_state,
                         rk4_trajectory)
 from .schrodinger import SpatialGrid
 
 CAUSTIC_GUARD = 0.05
-
-
-@dataclass(frozen=True)
-class TimePotential:
-    """Time-dependent scalar potential V(t, x) with spatial gradient."""
-
-    value: Callable[[float, np.ndarray], np.ndarray]
-    gradient: Callable[[float, np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_static(cls, field: Optional[PotentialField]) -> "TimePotential":
-        if field is None:
-            return cls(lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                       lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
-        return cls(lambda t, x: np.asarray(field.value(np.asarray(x)[..., None]), dtype=float),
-                   lambda t, x: np.asarray(field.gradient(np.asarray(x)[..., None]),
-                                           dtype=float)[..., 0])
-
-
-def _as_time_potential(V) -> TimePotential:
-    if V is None or isinstance(V, PotentialField):
-        return TimePotential.from_static(V)
-    if isinstance(V, TimePotential):
-        return V
-    raise TypeError("V must be a PotentialField, TimePotential, or None")
 
 
 def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -123,9 +98,10 @@ class CharacteristicFan:
         return "".join(out)
 
 
-def shoot_characteristics(S0: PotentialField, V, seeds, T: float, step: float,
-                          hbar: float = 1.0) -> CharacteristicFan:
-    """Integrate the characteristic system from p(0) = dS₀ for every seed.
+def shoot_characteristics(S0: PotentialField, V: Optional[PotentialField], seeds,
+                          T: float, step: float, hbar: float = 1.0) -> CharacteristicFan:
+    """Integrate the characteristic system from p(0) = dS₀ for every seed
+    under the static potential V (None for V = 0).
 
     Seeds must be uniformly spaced (the seed index doubles as the transverse
     coordinate for finite differences).  The batched RK4 run is repeated with
@@ -137,18 +113,22 @@ def shoot_characteristics(S0: PotentialField, V, seeds, T: float, step: float,
     gaps = np.diff(seeds)
     if np.any(gaps <= 0) or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
         raise ValueError("seeds must be strictly increasing and uniformly spaced")
-    Vt = _as_time_potential(V)
+    if V is None:
+        V = make_potential("zero", 1)
     p0 = np.asarray(S0.gradient(seeds[:, None]), dtype=float)[:, 0]
     S_init = np.asarray(S0.value(seeds[:, None]), dtype=float)
     # δx(0) = 1, δp(0) = S0″(x0): variation along the Lagrangian graph of dS0
     d2S0 = fd_derivative(p0, float(gaps[0]))
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+    def grad_V(x: np.ndarray) -> np.ndarray:
+        return np.asarray(V.gradient(x[:, None]), dtype=float)[:, 0]
+
+    def rhs(_t: float, state: np.ndarray) -> np.ndarray:
         x, p, S, dx, dp = state
-        dV = Vt.gradient(t, x)
         # V″ per seed: each seed's x is its own one-point batch row
-        d2V = fd_jacobian(lambda y: Vt.gradient(t, y[:, 0]), x[:, None])[:, 0]
-        return np.stack([p, -dV, 0.5 * p * p - Vt.value(t, x), dp, -d2V * dx])
+        d2V = fd_jacobian(lambda y: grad_V(y[:, 0]), x[:, None])[:, 0]
+        V_x = np.asarray(V.value(x[:, None]), dtype=float)
+        return np.stack([p, -grad_V(x), 0.5 * p * p - V_x, dp, -d2V * dx])
 
     if T <= 0:
         raise ValueError("T must be positive")
@@ -493,16 +473,16 @@ class CutoffFunction:
 
 
 def wkb_residual(field: WKBField, chi: Optional[CutoffFunction],
-                 hbar: Optional[float] = None,
                  control_phase: complex = 1.0) -> np.ndarray:
     """Residual of the cutoff ansatz under the Schrödinger operator:
 
         r = ħ²·phase·( χ·(Δa/2)·e^{iS/ħ} + ⟨∇χ, ∇ψ̃⟩ + (Δχ/2)·ψ̃ ),
 
     with ∇ψ̃ = (∇a + i a ∇S/ħ)·e^{iS/ħ}.  |r| is control independent; the
-    control only enters through the global phase factor.
+    control only enters through the global phase factor.  ħ is the field's
+    own, so every term carries the same phase e^{iS/ħ}.
     """
-    hbar = field.hbar if hbar is None else hbar
+    hbar = field.hbar
     if chi is None:
         chi_vals = np.ones(field.grid.shape)
         grad = np.zeros(field.grid.shape + (1,))

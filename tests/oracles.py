@@ -1,0 +1,66 @@
+"""Reference computations that only the tests use.
+
+Each is a direct transcription of its formula on a flat chart, kept out of
+`sclab` because nothing there needs it: the tests hold the code under test
+against these.
+"""
+
+import numpy as np
+
+from sclab.dynamics import HamiltonianSpec, evolve
+from sclab.geometry import BoxRegion, PhasePoint, PotentialField
+from sclab.integrate import fd_jacobian
+
+
+def control_value(spec: HamiltonianSpec, x, u) -> float:
+    """Σ_a u_a W_a(x) for one row u of control values."""
+    u = spec.control_rows(u)
+    if u.ndim != 1:
+        raise ValueError(f"need one row of {spec.n_controls} control values, got {u.shape}")
+    return float(sum(ua * Wa(x) for ua, Wa in zip(u, spec.W)))
+
+
+def hamiltonian(spec: HamiltonianSpec, lam: PhasePoint, u) -> float:
+    """Total energy ½p·p + V(x) + Σ u_a W_a(x)."""
+    return 0.5 * float(lam.p @ lam.p) + spec.V(lam.x) + control_value(spec, lam.x, u)
+
+
+def validate_potential(field: PotentialField, points) -> None:
+    """Gradient vs central differences to relative 1e-6 at each point, and
+    c, K ≥ 0 where given; ValueError otherwise."""
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        g = field.grad(x)
+        fd = fd_jacobian(field.__call__, x)
+        scale = max(1.0, float(np.max(np.abs(g))))
+        if np.max(np.abs(g - fd)) > 1e-6 * scale:
+            raise ValueError(f"gradient of '{field.name}' disagrees with finite differences at {x}")
+        if field.c_bound is not None and field.c_bound(x) < 0:
+            raise ValueError("c bound must be nonnegative")
+        if field.K_bound is not None and field.K_bound(x) < 0:
+            raise ValueError("K bound must be nonnegative")
+
+
+def flow_jacobian(spec: HamiltonianSpec, lam0: PhasePoint, u,
+                  step: float = 1e-3) -> np.ndarray:
+    """Derivative of the flow map over u's duration with respect to the
+    initial state, by central differences of `evolve` endpoints."""
+    h = 1e-5
+    z0 = lam0.as_state()
+    n = lam0.dimension
+    J = np.empty((z0.size, z0.size))
+    for k in range(z0.size):
+        ends = []
+        for sign in (1.0, -1.0):
+            z = z0.copy()
+            z[k] += sign * h
+            ends.append(evolve(spec, PhasePoint(z[:n], z[n:]), u, step).endpoint.as_state())
+        J[:, k] = (ends[0] - ends[1]) / (2 * h)
+    return J
+
+
+def region_probability(psi, region: BoxRegion) -> float:
+    """Riemann-sum occupation probability of the region (axes may be open)."""
+    pts = psi.grid.mesh().reshape(-1, psi.grid.dim)
+    mask = region.contains(pts).reshape(psi.grid.shape)
+    return float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.grid.cell_volume)

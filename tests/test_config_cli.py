@@ -198,6 +198,24 @@ class TestCLI:
         cfg_path.write_text(MINIMAL_SPECTRAL)
         assert cli_main(["steer", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("kind,body,key", [
+        ("steer", "steer.maneuver = full-rank\nsteer.dimension = 2", "steer.x0"),
+        ("steer", "steer.maneuver = full-rank\nsteer.dimension = 2\n"
+                  "steer.x0 = 0.0, 0.0\nsteer.p0 = 0.0, 0.0", "steer.target"),
+        ("exit-time", "exit.x0 = 0.0", "exit.x0"),
+        ("exit-time", "exit.omega = 1.0", "exit.omega"),
+        ("obstruction", "obstruction.omega_prime = 0.6", "obstruction.omega_prime"),
+    ], ids=["steer-x0", "steer-target", "exit-x0", "exit-omega", "obstruction-omega_prime"])
+    def test_cli_short_list_key_named(self, tmp_path, kind, body, key):
+        # a list key shorter than the chart ends in an error record naming it
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text(f"experiment = {kind}\n{body}\n")
+        out = tmp_path / "out"
+        assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error_kind"] == "ValidationError"
+        assert summary["error"].startswith(f"{key}: needs")
+
     def test_cli_missing_config(self):
         assert cli_main(["spectral", "--config", "/nonexistent.cfg"]) == 1
 

@@ -70,8 +70,10 @@ def test_checker_sees_unused_and_noqa():
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """"module:name" of each module-level function or class, and
     "module:Class.method" of each non-dunder method of one, that no Name,
-    Attribute or import alias in `sources` refers to outside its own body."""
-    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    Attribute or import alias in `sources` refers to outside its own body.
+    `__init__.py` sources are skipped, so a re-export alone keeps nothing."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()
+             if Path(mod).name != "__init__.py"}
     refs = []
     for mod, tree in trees.items():
         for node in ast.walk(tree):
@@ -115,6 +117,16 @@ def test_checker_sees_unreferenced_definitions():
     }
     assert unreferenced_definitions(sources) == [
         "a.py:Dead", "a.py:recursive", "b.py:caller"]
+
+
+def test_checker_ignores_package_reexports():
+    sources = {
+        "__init__.py": ("from .a import exported, used\n"
+                        "__all__ = ['exported', 'used']\n"),
+        "a.py": "def exported():\n    pass\n\ndef used():\n    pass\n",
+        "b.py": "from .a import used\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py:exported"]
 
 
 def test_checker_sees_unreferenced_methods():

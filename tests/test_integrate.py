@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sclab.errors import StepTooCoarse, TrajectoryEscape
-from sclab.geometry import make_metric
 from sclab.integrate import fd_jacobian, halving_checked, rk4_step, rk4_trajectory
 
 
@@ -80,16 +79,6 @@ class TestHalvingChecked:
 
 
 class TestFdJacobian:
-    def test_polynomial_diagonal_cometric(self):
-        space = make_metric("polynomial-diagonal", 2, c0=[1.0, 0.5, 0.2],
-                            c1=[2.0, -0.3, 0.1, 0.05])
-        for x in [np.array(v) for v in ((0.0, 0.0), (-1.5, 0.0), (0.75, 0.0), (1.5, 0.0),
-                                        (0.0, -1.5), (0.0, 0.75), (0.0, 1.5),
-                                        (0.45, 0.45))]:
-            fd = fd_jacobian(space.cometric, x)
-            assert fd.shape == (2, 2, 2)
-            assert np.max(np.abs(fd - space.dcometric(x))) < 1e-6
-
     def test_scalar_function_gives_gradient(self):
         x = np.array([0.3, -1.2, 2.0])
         grad = fd_jacobian(lambda y: float(np.sum(y ** 3)), x)

@@ -15,7 +15,7 @@ from sclab.harness import run_experiment
 from sclab.obstruction import (AnsatzEngine, ObstructionConfig, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
-from sclab.schrodinger import SpatialGrid, region_probability
+from sclab.schrodinger import SpatialGrid
 from sclab.wkb import CutoffFunction
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -133,6 +133,8 @@ class TestLocalizationExperiment:
         assert all(v < 1e-9 for v in rep.delta_spread_by_eps.values())
         assert rep.certified_bound > 0.0
         assert rep.initial_tail < 1e-10
+        assert rep.initial_tail >= 0.0
+        assert all(r.outside_probability >= 0.0 for r in rep.records)
         # δ grows linearly for the static-phase demo
         eps = sorted(rep.delta_by_eps)
         deltas = [rep.delta_by_eps[e] for e in eps]

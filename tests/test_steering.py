@@ -73,6 +73,14 @@ class TestBurst:
         plan = execute_plan(spec, lam0, geodesic_burst(spec, lam0, 0.0, 1e-3))
         assert abs(plan.realized_endpoint.x[0] - 0.5) < 1e-2
 
+    def test_target_is_free_flight_point(self):
+        # the limit target is x0 + k·dW(x0), at the boosted momentum k·dW(x0)/ε
+        spec = spec_1d(W="harmonic")
+        lam0 = PhasePoint(np.array([0.5]), np.array([0.3]))
+        plan = geodesic_burst(spec, lam0, 2.0, 1e-2)
+        assert np.array_equal(plan.predicted_endpoint.x, [1.5])
+        assert np.array_equal(plan.predicted_endpoint.p, [1.0 / 1e-2])
+
     def test_flat_plane_unit_step(self):
         space = ChartSpace(dimension=2)
         spec = HamiltonianSpec(space=space, V=make_potential("zero", 2),

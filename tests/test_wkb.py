@@ -16,7 +16,7 @@ from sclab.harness import run_experiment
 from sclab.integrate import hermite_state
 from sclab.obstruction import _cumulative_trapezoid
 from sclab.schrodinger import SpatialGrid
-from sclab.wkb import (CutoffFunction, TimePotential, _not_a_knot_slopes,
+from sclab.wkb import (CutoffFunction, _not_a_knot_slopes,
                        first_conjugate_time, not_a_knot_spline,
                        shoot_characteristics, wkb_field, wkb_residual)
 
@@ -64,16 +64,6 @@ class TestShootCharacteristics:
         rel = np.abs(np.exp(integral) - fan.J) / np.abs(fan.J)
         assert np.max(rel[usable]) < 1e-4
 
-    def test_time_dependent_potential(self):
-        # V(t, x) = t·x: ṗ = -t ⇒ p = p0 - t²/2, x = x0 + p0·t - t³/6
-        Vt = TimePotential(value=lambda t, x: t * x,
-                           gradient=lambda t, x: t * np.ones_like(x))
-        fan = shoot_characteristics(quad_phase(+1.0), Vt, seeds_on(), 0.5, 1e-3)
-        k = fan.time_index(0.5)
-        expect = fan.seeds + fan.seeds * 0.5 - 0.5 ** 3 / 6.0
-        assert np.max(np.abs(fan.x[k] - expect)) < 1e-8
-
-
     def test_csv_matches_csv_writer(self):
         # csv.writer, which the fan's f-string rows replaced, is the reference
         fan = shoot_characteristics(quad_phase(+1.0), None, seeds_on(n=16), 0.05, 1e-2)
@@ -95,10 +85,9 @@ class TestShootCharacteristics:
     def test_guard_covers_action(self):
         # x and p stay put while S = 1e14·t crosses the overflow guard; a guard
         # on the position alone let this fan through
-        Vt = TimePotential(value=lambda t, x: np.full_like(x, -1e14),
-                           gradient=lambda t, x: np.zeros_like(x))
+        V = make_potential("linear", 1, slope=0.0, offset=-1e14)
         with pytest.raises(TrajectoryEscape):
-            shoot_characteristics(make_potential("zero", 1), Vt, seeds_on(n=40), 0.1, 1e-2)
+            shoot_characteristics(make_potential("zero", 1), V, seeds_on(n=40), 0.1, 1e-2)
 
 
 class TestConjugateTime:
@@ -292,14 +281,15 @@ class TestResidual:
 
     def test_hbar_scaling_of_bulk_term(self):
         # with χ ≡ 1 (no cutoff) the residual is exactly ħ²·(Δa/2)·e^{iS/ħ}
-        fan = shoot_characteristics(make_potential("zero", 1), None,
-                                    seeds_on(-2.0, 2.0, 800), 0.1, 1e-3, hbar=1.0)
         a0 = make_potential("gaussian", 1, width=0.3)
-        field = wkb_field(fan, a0, demo_grid(), 0.0)
-        r1 = wkb_residual(field, None, hbar=1.0)
-        r2 = wkb_residual(field, None, hbar=0.5)
+        r = {}
+        for hbar in (1.0, 0.5):
+            fan = shoot_characteristics(make_potential("zero", 1), None,
+                                        seeds_on(-2.0, 2.0, 800), 0.1, 1e-3, hbar=hbar)
+            field = wkb_field(fan, a0, demo_grid(), 0.0)
+            r[hbar] = wkb_residual(field, None)
         m = field.valid_mask
-        assert np.max(np.abs(np.abs(r2[m]) - 0.25 * np.abs(r1[m]))) < 1e-12
+        assert np.max(np.abs(np.abs(r[0.5][m]) - 0.25 * np.abs(r[1.0][m]))) < 1e-12
 
     def test_mask_violation(self):
         fan = shoot_characteristics(make_potential("zero", 1), None,
