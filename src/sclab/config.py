@@ -1,10 +1,11 @@
 """Flat key-value experiment configs with dotted section prefixes.
 
 Grammar: one `key = value` pair per line, `#` comments, blank lines ignored.
-Values are typed by the schema (int, float, bool, str, float list); unknown
-keys are rejected with the full dotted path, syntax errors with the line
-number.  Every experiment kind declares its own key set; potential-shaped
-sub-sections (name + registry coefficients) share one sub-schema.
+Values are typed by the schema (int, float, bool, str, non-empty float
+list); unknown keys are rejected with the full dotted path, syntax errors
+with the line number.  Every experiment kind declares its own key set;
+potential-shaped sub-sections (name + registry coefficients) share one
+sub-schema.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ def _as_bool(raw: str) -> bool:
 
 
 def _as_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(",") if v.strip() != "")
+    values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 @dataclass(frozen=True)

@@ -60,27 +60,11 @@ class ControlSignal:
     def duration(self) -> float:
         return float(self.breakpoints[-1])
 
-    @property
-    def n_controls(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
     def value_at(self, t: float):
         """Right-continuous value; the final instant takes the last segment."""
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         idx = min(max(idx, 0), self.values.shape[0] - 1)
         return self.values[idx]
-
-    def integral(self, t: float) -> float:
-        """∫_0^t u(s) ds, exact for the piecewise-constant law (scalar controls)."""
-        if self.values.ndim != 1:
-            raise ValueError("integral() is defined for scalar controls")
-        total = 0.0
-        for k in range(self.values.shape[0]):
-            a, b = self.breakpoints[k], self.breakpoints[k + 1]
-            if t <= a:
-                break
-            total += self.values[k] * (min(t, b) - a)
-        return total
 
     def segments(self) -> Iterable[tuple[float, float, np.ndarray]]:
         for k in range(self.values.shape[0]):

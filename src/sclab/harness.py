@@ -210,9 +210,8 @@ def _run_wkb(config: ExperimentConfig) -> None:
     conj = first_conjugate_time(fan)
     grid = SpatialGrid(((config["wkb.grid_lo"], config["wkb.grid_len"],
                          config["wkb.grid_n"]),))
-    t_snap = config["wkb.snapshot_t"]
-    t_snap = float(fan.times[fan.time_index(
-        min(t_snap, fan.horizon))]) if t_snap <= fan.horizon else fan.horizon
+    # the stored fan time nearest the requested one
+    t_snap = float(fan.times[np.argmin(np.abs(fan.times - config["wkb.snapshot_t"]))])
     field = wkb_field(fan, a0, grid, t_snap)
     stride = max(1, fan.times.size // 64)
     rows = [[float(t), float(np.min(np.abs(fan.J[k]))), float(np.max(np.abs(fan.J[k])))]

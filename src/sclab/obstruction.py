@@ -42,7 +42,9 @@ class ObstructionConfig:
 
     The scalar case runs on `grid` alone; supplying `n2_grid` (with V2, W2 on
     the second factor) switches to the product ansatz, where the full-space
-    potentials are the pullbacks V(x,y) = V2(y), W(x,y) = W2(y).
+    potentials are the pullbacks V(x,y) = V2(y), W(x,y) = W2(y).  The ansatz
+    is always cut off by the bump χ on `omega_prime`, and the witness state
+    sits at the antipode of Ω's center.
     """
 
     grid: SpatialGrid
@@ -62,9 +64,6 @@ class ObstructionConfig:
     ensemble_max_breakpoints: int = 8
     seed: int = 0
     target_distance_floor: float = 0.1
-    psi1_center: Optional[float] = None
-    use_cutoff: bool = True
-    plateau: float = 0.0
     enforce_hypothesis: bool = True
     hbar: float = 1.0
     n2_grid: Optional[SpatialGrid] = None
@@ -200,8 +199,7 @@ class AnsatzEngine:
         lo_o, hi_o = config.omega.bounds[0]
         margin = 0.02 * (hi_o - lo_o)
         self.seeds = np.linspace(lo_o + margin, hi_o - margin, config.n_seeds)
-        self.chi = (CutoffFunction(config.omega_prime, plateau=config.plateau)
-                    if config.use_cutoff else None)
+        self.chi = CutoffFunction(config.omega_prime)
         self.fan = shoot_characteristics(
             config.S0, None if config.is_product else config.V,
             self.seeds, horizon, config.fan_step, hbar=config.hbar)
@@ -212,23 +210,19 @@ class AnsatzEngine:
         guard_floor = (float(self.fan.times[int(np.argmax(guarded))])
                        if np.any(guarded) else self.fan.horizon)
         # first time the transported seeds stop covering the cutoff support
-        if config.use_cutoff:
-            gx = self.grid.points(0)
-            lo_p, hi_p = config.omega_prime.bounds[0]
-            support = gx[(gx >= lo_p) & (gx <= hi_p)]
-            uncovered = ((self.fan.x[:, 0] > support[0])
-                         | (self.fan.x[:, -1] < support[-1]))
-            cover_floor = (float(self.fan.times[int(np.argmax(uncovered))])
-                           if np.any(uncovered) else self.fan.horizon)
-        else:
-            cover_floor = self.fan.horizon
+        gx = self.grid.points(0)
+        lo_p, hi_p = config.omega_prime.bounds[0]
+        support = gx[(gx >= lo_p) & (gx <= hi_p)]
+        uncovered = ((self.fan.x[:, 0] > support[0])
+                     | (self.fan.x[:, -1] < support[-1]))
+        cover_floor = (float(self.fan.times[int(np.argmax(uncovered))])
+                       if np.any(uncovered) else self.fan.horizon)
         self.guard_floor = min(guard_floor, cover_floor)
         if not allow_caustic:
             self.require_valid()
         # normalization scale so that ‖χ·a0‖ = 1 on the grid
         field0 = wkb_field(self.fan, config.a0, self.grid, 0.0)
-        chi_vals = (self.chi.on_grid(self.grid).chi if self.chi is not None
-                    else np.ones(self.grid.shape))
+        chi_vals = self.chi.on_grid(self.grid).chi
         raw = chi_vals * field0.a
         nrm = np.sqrt(np.sum(raw ** 2) * self.grid.cell_volume)
         if nrm == 0:
@@ -266,16 +260,12 @@ class AnsatzEngine:
                                              float(self.fan.times[k]))
         return self._field_cache[k]
 
-    def bare_residual(self, t: float) -> np.ndarray:
-        """Residual grid without any control phase (scalar factor)."""
-        return wkb_residual(self.field_at(t), self.chi)
-
     def residual_norms(self, idx) -> np.ndarray:
         """‖r(t_k)‖ of the control-free residual at fan indices idx; each
         index is computed once per engine."""
         for k in idx:
             if k not in self._norm_cache:
-                r = self.bare_residual(float(self.fan.times[k]))
+                r = wkb_residual(self.field_at(float(self.fan.times[k])), self.chi)
                 self._norm_cache[k] = np.sqrt(np.sum(np.abs(r) ** 2)
                                               * self.grid.cell_volume)
         return np.array([self._norm_cache[k] for k in idx])
@@ -285,21 +275,15 @@ class AnsatzEngine:
         (one value or an array of them)."""
         return np.exp(-1j * self.c_ref * integral / self.config.hbar)
 
-    def phi_scalar(self, u: ControlSignal, t: float) -> WaveGrid:
-        vals = (self.chi_vals * self.field_at(t).psi_tilde()
-                * self.phase(u.integral(min(t, u.duration))))
-        return WaveGrid(self.grid, vals, self.config.hbar)
-
     def residual_for(self, u: ControlSignal, t: float) -> np.ndarray:
-        """Full residual including the control-dependent term when the
-        constancy hypothesis is deliberately broken."""
-        phase = complex(self.phase(u.integral(min(t, u.duration))))
-        r = wkb_residual(self.field_at(t), self.chi, control_phase=phase)
+        """Residual of the ansatz without its control phase, which no norm
+        sees, and with the control term u·(W − c)·χψ̃ when the constancy
+        hypothesis is deliberately broken."""
+        field = self.field_at(t)
+        r = wkb_residual(field, self.chi)
         if self.w_vals is not None:
             uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
-            extra = uval * self.chi_vals * (self.w_vals - self.c_ref) \
-                * self.field_at(t).psi_tilde() * phase
-            r = r + extra
+            r = r + uval * self.chi_vals * (self.w_vals - self.c_ref) * field.psi_tilde()
         return r
 
 
@@ -319,9 +303,7 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
     gx = config.grid.points(0)
     lo, hi = config.omega.bounds[0]
     s, L, _ = config.grid.axes[0]
-    center = config.psi1_center
-    if center is None:
-        center = s + ((hi + lo) / 2 - s + L / 2) % L  # antipode of the Ω center
+    center = s + ((hi + lo) / 2 - s + L / 2) % L  # antipode of the Ω center
     width = min(L / 10.0, 0.45 * max(1e-6, (L - (hi - lo)) / 2))
     vals = np.exp(-0.5 * ((gx - center) / width) ** 2).astype(complex)
     vals[(gx >= lo) & (gx <= hi)] = 0.0
@@ -335,28 +317,19 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
     return WaveGrid(config.grid, psi1_1d, config.hbar).normalized()
 
 
-def build_ansatz(config: ObstructionConfig, u: ControlSignal, t: float,
-                 engine: Optional[AnsatzEngine] = None,
-                 psi2: Optional[np.ndarray] = None) -> WaveGrid:
-    """The cutoff approximate solution φ(t) for the given control law.
+def build_ansatz(engine: AnsatzEngine, t: float, factors: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """The cutoff approximate solution φ(t) of every member, written to out.
 
-    In the product case psi2 holds the values of the second factor ψ₂ at t;
-    when it is not given, ψ₂ is evolved here from t = 0.
+    φ_j = χψ̃(t) times member j's factor: in the scalar case factors holds
+    the control phases e^{-ic∫₀ᵗu_j/ħ}, shape (m,), and in the product case
+    the rows ψ₂ of the second factor at t, shape (m, n₂), so that φ_j is the
+    outer product χψ̃(t) ⊗ ψ₂_j.  out has shape (m, *grid.shape).
     """
-    if engine is None:
-        horizon = max(max(config.eps_grid), t)
-        engine = AnsatzEngine(config, horizon)
-    if not config.is_product:
-        return engine.phi_scalar(u, t)
-    if psi2 is None:
-        psi2 = _second_factor(config)
-        if t > 0:
-            psi2 = split_step_evolve(psi2, config.V2, config.W2, u, t,
-                                     dt=config.dt or PSI2_DT)
-        psi2 = psi2.values
-    psi1_vals = engine.chi_vals * engine.field_at(t).psi_tilde()
-    full_grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
-    return WaveGrid(full_grid, np.outer(psi1_vals, psi2), config.hbar)
+    base = engine.chi_vals * engine.field_at(t).psi_tilde()
+    if factors.ndim == 1:
+        return np.multiply(base, factors[:, None], out=out)
+    return np.multiply(base[None, :, None], factors[:, None, :], out=out)
 
 
 def _second_factor(config: ObstructionConfig) -> WaveGrid:
@@ -386,9 +359,8 @@ def _second_factor_at(config: ObstructionConfig, controls: list,
 
 
 def _integrals_at(controls: list):
-    """t ↦ [∫₀^min(t, T_j) u_j] over scalar controls, each summed segment by
-    segment in the order `ControlSignal.integral` sums it, so every entry
-    equals that method's value bit for bit."""
+    """t ↦ [∫₀^min(t, T_j) u_j] over scalar controls, exact for the
+    piecewise-constant laws: each member's segments are summed in time order."""
     n = max(u.values.shape[0] for u in controls)
     # pad each law with empty segments at its own end, where t never passes
     bp = np.array([np.pad(u.breakpoints, (0, n + 1 - u.breakpoints.size), mode="edge")
@@ -427,10 +399,11 @@ def run_localization_experiment(config: ObstructionConfig,
     For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
     scalar case and (m, n1, n2) in the product case: one split_step_evolve
     call advances every member under its own control and stops at each
-    sample time.  At each stop φ is built for every row (in the scalar case
-    the shared χ·ψ̃(t_k) times each member's phase e^{-ic∫u/ħ}, all phases in
-    one np.exp; in the product case χ·ψ̃(t_k) ⊗ ψ₂, with ψ₂ carried through
-    the same stops as a second stack (m, n2)), and ‖ψ − φ‖, the witness
+    sample time.  At each stop `build_ansatz` builds φ for every row in one
+    broadcast multiply (in the scalar case the shared χ·ψ̃(t_k) times each
+    member's phase e^{-ic∫u/ħ}, all phases in one np.exp; in the product case
+    χ·ψ̃(t_k) ⊗ ψ₂, with ψ₂ carried through the same stops as a second stack
+    (m, n2)), and ‖ψ − φ‖, the witness
     distance and the Duhamel margin are taken per row.  The working set is
     the stack and its fixed buffers, updated in place: φ is built in the
     stack's scratch buffer, and no array of the stack's size is allocated
@@ -467,14 +440,11 @@ def run_localization_experiment(config: ObstructionConfig,
     stack = WaveStack(grid, np.zeros((m,) + grid.shape), config.hbar)
     psi, phi = stack.values, stack.scratch  # φ rows go to the stack's scratch
 
-    def set_phi(t: float, psi2: Optional[np.ndarray]) -> None:
-        """φ of every member at t; psi2 holds each member's ψ₂ (product case)."""
-        if config.is_product:
-            for j, u in enumerate(controls):
-                phi[j] = build_ansatz(config, u, t, engine, psi2[j]).values
-        else:
-            base = engine.chi_vals * engine.field_at(t).psi_tilde()
-            np.multiply(base, engine.phase(integrals_at(t))[:, None], out=phi)
+    def set_phi(k: int) -> None:
+        """φ of every member at sample time k."""
+        factors = (psi2_at[k] if config.is_product
+                   else engine.phase(integrals_at(float(times[k]))))
+        build_ansatz(engine, float(times[k]), factors, phi)
 
     for eps in config.eps_grid:
         idx = _sample_indices(engine, eps, config.n_samples)
@@ -490,9 +460,8 @@ def run_localization_experiment(config: ObstructionConfig,
         delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms]) / config.hbar
         deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
-        psi2_at = (_second_factor_at(config, controls, times) if config.is_product
-                   else [None] * times.size)
-        set_phi(0.0, psi2_at[0])
+        psi2_at = _second_factor_at(config, controls, times) if config.is_product else None
+        set_phi(0)
         psi[...] = phi
         if initial_tail is None:
             psi0 = stack.member(0).normalized().values
@@ -504,7 +473,7 @@ def run_localization_experiment(config: ObstructionConfig,
         def compare(k: int, _stack: WaveStack) -> None:
             """Fold ‖ψ − φ‖, the Duhamel margin and the witness distance at
             sample k + 1 into the per-member extremes."""
-            set_phi(float(times[k + 1]), psi2_at[k + 1])
+            set_phi(k + 1)
             dev = stack.distances(phi)
             np.maximum(max_dev, dev, out=max_dev)
             np.minimum(min_margin, delta_t[:, k + 1] + DUHAMEL_SLACK - dev, out=min_margin)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 # numpy loads numpy.fft lazily; importing it here loads it with sclab, so
@@ -114,12 +114,6 @@ class WaveGrid:
         if n == 0:
             raise ValueError("cannot normalize the zero state")
         return WaveGrid(self.grid, self.values / n, self.hbar)
-
-    def inner(self, other: "WaveGrid") -> complex:
-        if self.grid != other.grid:
-            raise GridMismatch("states live on different grids")
-        return complex(np.sum(np.conj(self.values) * other.values)
-                       * self.grid.cell_volume)
 
 
 class WaveStack:
@@ -211,13 +205,6 @@ def _potential_array(grid: SpatialGrid, field: Optional[PotentialField]) -> np.n
     return np.asarray(field.value(grid.mesh()), dtype=float)
 
 
-def default_dt(u: ControlSignal, grid: SpatialGrid, hbar: float = 1.0) -> float:
-    """min(subinterval)/64 capped by the spectral heuristic 2π/(8·E_max)."""
-    min_seg = float(np.min(np.diff(u.breakpoints)))
-    e_max = 0.5 * hbar * float(np.max(grid.k_squared()))
-    return min(min_seg / 64.0, 2 * np.pi / (8.0 * e_max))
-
-
 def _pieces(u: ControlSignal, bounds: np.ndarray, dt: float):
     """u's pieces on the windows between consecutive bounds, cut at every
     bound and at u's breakpoints strictly inside a window.
@@ -276,12 +263,12 @@ def _lockstep_schedule(plans: list, n_windows: int):
     return n_win.tolist(), opens, (active, opening, closing, inner_end)
 
 
-def split_step_evolve(psi0, V: Optional[PotentialField],
-                      W: Optional[PotentialField | Sequence[PotentialField]],
-                      u, T, dt: Optional[float] = None, *,
+def split_step_evolve(psi0, V: Optional[PotentialField], W: Optional[PotentialField],
+                      u, T, dt: float, *,
                       t0: float = 0.0, check_input: bool = True,
                       on_stop: Optional[Callable[[int, "WaveStack"], None]] = None):
-    """Evolve over [t0, T] under V + u(t)·W with Strang splitting.
+    """Evolve over [t0, T] under V + u(t)·W with Strang splitting, for scalar
+    controls u (W None for no control term).
 
     psi0 is a WaveGrid evolved under the ControlSignal u (a new WaveGrid is
     returned), or a WaveStack of m states evolved in place under the m
@@ -302,8 +289,7 @@ def split_step_evolve(psi0, V: Optional[PotentialField],
     machine precision.  The momentum-resolution guard runs on the input
     (unless check_input is False, for an input a previous call already
     checked), on every member at each of its piece ends and on the whole
-    stack at each stop, where every state is also checked finite.  dt=None
-    takes default_dt of each member's control.
+    stack at each stop, where every state is also checked finite.
     """
     single = isinstance(psi0, WaveGrid)
     stack = WaveStack(psi0.grid, psi0.values[None], psi0.hbar) if single else psi0
@@ -318,12 +304,7 @@ def split_step_evolve(psi0, V: Optional[PotentialField],
     if any(stops[-1] > c.duration + 1e-12 for c in controls):
         raise ValueError("control law shorter than the requested horizon")
     Varr = _potential_array(grid, V)
-    if W is None:
-        Warrs = []
-    elif isinstance(W, PotentialField):
-        Warrs = [_potential_array(grid, W)]
-    else:
-        Warrs = [_potential_array(grid, Wa) for Wa in W]
+    Warr = None if W is None else _potential_array(grid, W)
     k2 = grid.k_squared()
     top = _top_modes(grid)
     axes = tuple(range(1, grid.dim + 1))  # with s given too, fftn skips a shape look-up
@@ -332,8 +313,7 @@ def split_step_evolve(psi0, V: Optional[PotentialField],
     if check_input:
         _check_resolution(psi, grid, spectra, power, top)
     bounds = np.array([t0] + stops)
-    plans = [_pieces(c, bounds, dt if dt is not None else default_dt(c, grid, hbar))
-             for c in controls]
+    plans = [_pieces(c, bounds, dt) for c in controls]
     n_win, opens, (active, opening, closing, inner_end) = _lockstep_schedule(plans, len(stops))
     masks = zip(*(_row_masks(flags, rows)
                   for flags in (active, opening, active & ~opening, closing)))
@@ -348,7 +328,7 @@ def split_step_evolve(psi0, V: Optional[PotentialField],
                 key = (h, uval.tobytes())
                 if key != half_key[j]:
                     half_key[j] = key
-                    Vtot = Varr + sum(ua * Wa for ua, Wa in zip(np.atleast_1d(uval), Warrs))
+                    Vtot = Varr if Warr is None else Varr + uval * Warr
                     np.multiply(-0.5j * h, Vtot, out=spectra[len(fresh)])
                     fresh.append(j)
                 if h != kin_h[j]:

@@ -348,47 +348,6 @@ def _bump_d2(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smooth_step(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C∞ step σ(r) = f(r)/(f(r)+f(1-r)) with f(r) = e^{-1/r}·1_{r>0};
-    returns (σ, σ', σ″) for the plateau cutoff profile."""
-    r = np.asarray(r, dtype=float)
-
-    def f(v):
-        out = np.zeros_like(v)
-        pos = v > 1e-12
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = np.exp(-1.0 / np.where(pos, v, 1.0))
-        out[pos] = vals[pos]
-        return out
-
-    def f1(v):
-        out = np.zeros_like(v)
-        pos = v > 1e-6
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = f(v) / np.where(pos, v, 1.0) ** 2
-        out[pos] = vals[pos]
-        return out
-
-    def f2(v):
-        out = np.zeros_like(v)
-        pos = v > 1e-6
-        vv = np.where(pos, v, 1.0)
-        out[pos] = (f(v) * (1.0 - 2.0 * vv) / vv ** 4)[pos]
-        return out
-
-    A, B = f(r), f(1.0 - r)
-    A1, B1 = f1(r), -f1(1.0 - r)
-    A2, B2 = f2(r), f2(1.0 - r)
-    D = A + B
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sig = np.where(D > 0, A / np.where(D > 0, D, 1.0), 0.0)
-        d1 = (A1 * B - A * B1) / D ** 2
-        d2 = (A2 * B - A * B2) / D ** 2 - 2.0 * d1 * (A1 + B1) / D
-    d1 = np.where(D > 0, d1, 0.0)
-    d2 = np.where(D > 0, d2, 0.0)
-    return sig, d1, d2
-
-
 @dataclass(frozen=True)
 class CutoffTable:
     """A cutoff tabulated on a grid: χ, ∇χ (shape (*grid.shape, dim)), Δχ,
@@ -402,22 +361,16 @@ class CutoffTable:
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """Smooth cutoff with support exactly the closure of a box.
-
-    Default profile: product of bumps exp(1 − 1/(1−s²)).  With plateau > 0
-    the profile equals 1 on the inner fraction and falls to 0 through a C∞
-    step, which keeps χ ≡ 1 wherever localized data live.  `on_grid`
-    tabulates it once per grid.
+    """Smooth cutoff with support exactly the closure of a box: the product
+    of bumps exp(1 − 1/(1−s²)) over the axes.  `on_grid` tabulates it once
+    per grid.
     """
 
     box: BoxRegion
-    plateau: float = 0.0
 
     def __post_init__(self):
         if any(b is None for b in self.box.bounds):
             raise ValueError("cutoff box must constrain every axis")
-        if not (0.0 <= self.plateau < 1.0):
-            raise ValueError("plateau must be in [0, 1)")
         centers = np.array([(lo + hi) / 2 for lo, hi in self.box.bounds])
         halfw = np.array([(hi - lo) / 2 for lo, hi in self.box.bounds])
         object.__setattr__(self, "_centers", centers)
@@ -425,19 +378,7 @@ class CutoffFunction:
         object.__setattr__(self, "_tables", {})
 
     def _profile(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.plateau == 0.0:
-            return _bump(s), _bump_d1(s), _bump_d2(s)
-        rho = self.plateau
-        width = 1.0 - rho
-        r = (1.0 - np.abs(s)) / width
-        sig, d1, d2 = _smooth_step(np.clip(r, 0.0, 1.0))
-        sgn = np.sign(s)
-        val = np.where(np.abs(s) <= rho, 1.0, sig)
-        dv = np.where(np.abs(s) <= rho, 0.0, -sgn * d1 / width)
-        d2v = np.where(np.abs(s) <= rho, 0.0, d2 / width ** 2)
-        outside = np.abs(s) >= 1.0
-        return (np.where(outside, 0.0, val), np.where(outside, 0.0, dv),
-                np.where(outside, 0.0, d2v))
+        return _bump(s), _bump_d1(s), _bump_d2(s)
 
     def _values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(χ, ∇χ, Δχ) at the points x (last axis the coordinates), from one
@@ -472,32 +413,24 @@ class CutoffFunction:
         return prod
 
 
-def wkb_residual(field: WKBField, chi: Optional[CutoffFunction],
-                 control_phase: complex = 1.0) -> np.ndarray:
-    """Residual of the cutoff ansatz under the Schrödinger operator:
+def wkb_residual(field: WKBField, chi: CutoffFunction) -> np.ndarray:
+    """Residual of the cutoff ansatz χ·ψ̃ under the Schrödinger operator:
 
-        r = ħ²·phase·( χ·(Δa/2)·e^{iS/ħ} + ⟨∇χ, ∇ψ̃⟩ + (Δχ/2)·ψ̃ ),
+        r = ħ²·( χ·(Δa/2)·e^{iS/ħ} + ⟨∇χ, ∇ψ̃⟩ + (Δχ/2)·ψ̃ ),
 
-    with ∇ψ̃ = (∇a + i a ∇S/ħ)·e^{iS/ħ}.  |r| is control independent; the
-    control only enters through the global phase factor.  ħ is the field's
-    own, so every term carries the same phase e^{iS/ħ}.
+    with ∇ψ̃ = (∇a + i a ∇S/ħ)·e^{iS/ħ}.  r does not depend on the control:
+    with W constant on supp χ the control only multiplies the ansatz by a
+    global phase, which leaves ‖r‖ unchanged.  ħ is the field's own, so
+    every term carries the same phase e^{iS/ħ}.
     """
     hbar = field.hbar
-    if chi is None:
-        chi_vals = np.ones(field.grid.shape)
-        grad = np.zeros(field.grid.shape + (1,))
-        lap_chi = np.zeros(field.grid.shape)
-    else:
-        table = chi.on_grid(field.grid)
-        chi_vals, grad, lap_chi = table.chi, table.grad, table.lap
-        if np.any(table.support & ~field.valid_mask):
-            raise MaskViolation("cutoff support extends beyond the valid WKB region")
+    table = chi.on_grid(field.grid)
+    if np.any(table.support & ~field.valid_mask):
+        raise MaskViolation("cutoff support extends beyond the valid WKB region")
     phase = np.exp(1j * field.S / hbar)
     psi_tilde = field.psi_tilde()
     grad_psi = (field.da + 1j * field.a * field.dS / hbar) * phase
     grad_psi = np.where(field.valid_mask, grad_psi, 0.0)
     lap_term = np.where(field.valid_mask, 0.5 * field.lap_a * phase, 0.0)
-    r = hbar ** 2 * control_phase * (chi_vals * lap_term
-                                     + grad[..., 0] * grad_psi
-                                     + 0.5 * lap_chi * psi_tilde)
-    return r
+    return hbar ** 2 * (table.chi * lap_term + table.grad[..., 0] * grad_psi
+                        + 0.5 * table.lap * psi_tilde)

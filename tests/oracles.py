@@ -59,6 +59,16 @@ def flow_jacobian(spec: HamiltonianSpec, lam0: PhasePoint, u,
     return J
 
 
+def control_integral(u, t: float) -> float:
+    """∫₀ᵗ u for a scalar piecewise-constant law, one segment at a time."""
+    total = 0.0
+    for a, b, value in u.segments():
+        if t <= a:
+            break
+        total += value * (min(t, b) - a)
+    return total
+
+
 def region_probability(psi, region: BoxRegion) -> float:
     """Riemann-sum occupation probability of the region (axes may be open)."""
     pts = psi.grid.mesh().reshape(-1, psi.grid.dim)

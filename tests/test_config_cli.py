@@ -179,6 +179,18 @@ class TestRunExperiment:
         for name in ("fan.csv", "field.csv", "conjugate_times.csv"):
             assert (tmp_path / "wkb" / name).exists()
 
+    @pytest.mark.parametrize("asked, used", [(0.2002, 0.2), (0.2004, 0.2005), (9.0, 0.4)])
+    def test_wkb_snapshot_snaps_to_a_fan_time(self, tmp_path, asked, used):
+        # a snapshot between the fan's stored times (every 5e-4, the halved
+        # step) or past its horizon takes the nearest stored time, which
+        # summary.json reports
+        cfg = parse_config(
+            "experiment = wkb\nwkb.n_seeds = 64\nwkb.horizon = 0.4\n"
+            f"wkb.snapshot_t = {asked}\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["snapshot_t"] == pytest.approx(used, abs=1e-12)
+
 
 class TestCLI:
     def test_cli_spectral_with_flags(self, tmp_path, capsys):
@@ -215,6 +227,17 @@ class TestCLI:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error_kind"] == "ValidationError"
         assert summary["error"].startswith(f"{key}: needs")
+
+    @pytest.mark.parametrize("kind, key", [("steer", "steer.eps_sweep"),
+                                           ("obstruction", "obstruction.eps_grid")])
+    def test_cli_empty_sweep_key_named(self, tmp_path, capsys, kind, key):
+        # an empty sweep is refused while the config is read, before any output
+        cfg_path = tmp_path / "empty.cfg"
+        cfg_path.write_text(f"experiment = {kind}\n{key} = ,\n")
+        out = tmp_path / "out"
+        assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {key}: needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_missing_config(self):
         assert cli_main(["spectral", "--config", "/nonexistent.cfg"]) == 1

@@ -9,6 +9,7 @@ from sclab.dynamics import (ControlSignal, HamiltonianSpec, controlled_rhs, evol
 from sclab.errors import StepTooCoarse, TrajectoryEscape
 from sclab.geometry import ChartSpace, PhasePoint, make_potential
 from sclab.integrate import hermite_state
+from sclab.obstruction import _integrals_at
 
 
 def harmonic_linear_spec():
@@ -139,8 +140,9 @@ class TestControlSignal:
         assert u.value_at(0.5) == 2.0
         assert u.value_at(1.0) == -1.0
         assert u.value_at(3.0) == -1.0
-        assert u.integral(2.0) == pytest.approx(2.0 - 1.0)
-        assert u.integral(3.0) == pytest.approx(0.0)
+        # ∫₀ᵗu in closed form: 2t on [0, 1], then 2 − (t − 1)
+        assert list(_integrals_at([u])(2.0)) == [2.0 - 1.0]
+        assert list(_integrals_at([u])(3.0)) == [0.0]
 
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):

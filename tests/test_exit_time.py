@@ -282,7 +282,7 @@ class TestSweepControlLookup:
             mp.setattr(ControlSignal, "value_at",
                        lambda self, t: lookups.append(1) or real_value_at(self, t))
             # Ω is unbounded: nobody exits, so each row runs its whole schedule
-            exit_mod._march_exits(line_spec(controls[0].n_controls),
+            exit_mod._march_exits(line_spec(controls[0].values[0].size),
                                   PhasePoint(np.zeros(1), np.zeros(1)),
                                   BoxRegion(((-1e9, 1e9),)), controls, horizon, step)
         rows = [(u, *member_schedule(u, horizon, step_p))

@@ -5,12 +5,13 @@ imports scipy, which is a test-only reference.
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
 `# noqa: F401` (an import kept for a reason the code itself cannot show).  A
-module-level function or class, or a method of a module-level class other than
-a dunder, that no `Name`, `Attribute` or import alias in any `sclab` module
-refers to, outside its own definition, is reported unless
-`UNREFERENCED_ALLOWED` gives the reason it stays.  References are matched by
-name alone, so a method that shares its name with an attribute used elsewhere
-passes unseen.
+module-level function or class that no `Name`, `Attribute` or import alias in
+any `sclab` module refers to, or a method of a module-level class other than a
+dunder that no `Attribute` refers to, outside its own definition, is reported
+unless `UNREFERENCED_ALLOWED` gives the reason it stays.  A method is reached
+only as `x.name`, so a local variable of the same name does not keep it.
+References are matched by name alone, so a method that shares its name with
+an attribute used elsewhere passes unseen.
 """
 
 import ast
@@ -29,6 +30,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # definitions nothing in sclab calls, each with the reason it is kept
 UNREFERENCED_ALLOWED = {
+    "dynamics.py:ControlSignal.window": "perfbench/tracer.py counts its calls",
     "schrodinger.py:gaussian_packet": "perfbench/probes.py builds its states with it",
     "schrodinger.py:l2_distance": "perfbench/tracer.py times it",
     "schrodinger.py:plane_wave": "the split-step tests' reference state",
@@ -68,35 +70,36 @@ def test_checker_sees_unused_and_noqa():
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """"module:name" of each module-level function or class, and
-    "module:Class.method" of each non-dunder method of one, that no Name,
-    Attribute or import alias in `sources` refers to outside its own body.
-    `__init__.py` sources are skipped, so a re-export alone keeps nothing."""
+    """"module:name" of each module-level function or class that no Name,
+    Attribute or import alias in `sources` refers to outside its own body,
+    and "module:Class.method" of each non-dunder method of one that no
+    Attribute refers to there.  `__init__.py` sources are skipped, so a
+    re-export alone keeps nothing."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()
              if Path(mod).name != "__init__.py"}
     refs = []
     for mod, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((mod, node.lineno, node.id))
+                refs.append((mod, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((mod, node.lineno, node.attr))
+                refs.append((mod, node.lineno, node.attr, True))
             elif isinstance(node, ast.alias):
-                refs.append((mod, node.lineno, node.name))
+                refs.append((mod, node.lineno, node.name, False))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
     for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, functions + (ast.ClassDef,)):
                 continue
-            defs = [(node, node.name)]
+            defs = [(node, node.name, False)]
             if isinstance(node, ast.ClassDef):
-                defs += [(meth, f"{node.name}.{meth.name}") for meth in node.body
+                defs += [(meth, f"{node.name}.{meth.name}", True) for meth in node.body
                          if isinstance(meth, functions) and not meth.name.startswith("__")]
-            for d, label in defs:
-                if not any(name == d.name
+            for d, label, method in defs:
+                if not any(name == d.name and (attr or not method)
                            and not (where == mod and d.lineno <= line <= d.end_lineno)
-                           for where, line, name in refs):
+                           for where, line, name, attr in refs):
                     dead.append(f"{mod}:{label}")
     return sorted(dead)
 
@@ -139,6 +142,19 @@ def test_checker_sees_unreferenced_methods():
                  "print(Box().size)\n"),
     }
     assert unreferenced_definitions(sources) == ["a.py:Box.dead"]
+
+
+def test_checker_sees_a_method_behind_a_local_of_its_name():
+    # only x.inner reaches a method; the local `inner` of another function
+    # is a different thing and keeps nothing alive
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    def inner(self):\n        return 1\n\n"
+                 "def caller(xs):\n"
+                 "    inner = [x for x in xs]\n    return inner\n"),
+        "b.py": "from .a import Box, caller\nprint(caller([Box()]))\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py:Box.inner"]
 
 
 def imported_modules(source: str) -> set[str]:

@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import control_integral
 import sclab.obstruction
 from sclab.config import parse_config
 from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential
 from sclab.harness import run_experiment
-from sclab.obstruction import (AnsatzEngine, ObstructionConfig, build_ansatz,
+from sclab.obstruction import (AnsatzEngine, ObstructionConfig, _integrals_at,
+                               _second_factor_at, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
 from sclab.schrodinger import SpatialGrid
@@ -55,39 +57,48 @@ def product_config(**overrides):
     return ObstructionConfig(**base)
 
 
+def ansatz(cfg, controls, t):
+    """φ(t) of every control, from the factors the localization experiment
+    hands build_ansatz: control phases (scalar case) or ψ₂ rows (product)."""
+    engine = AnsatzEngine(cfg, max(cfg.eps_grid))
+    if cfg.is_product:
+        factors = _second_factor_at(cfg, controls, np.array([0.0, t]))[-1]
+        shape = cfg.grid.shape + cfg.n2_grid.shape
+    else:
+        factors = engine.phase(_integrals_at(controls)(t))
+        shape = cfg.grid.shape
+    return build_ansatz(engine, t, factors, np.empty((len(controls),) + shape, complex))
+
+
 class TestBuildAnsatz:
     def test_initial_state_normalized(self):
         cfg = scalar_config()
-        u = ControlSignal.constant(7.0, 0.04)
-        phi0 = build_ansatz(cfg, u, 0.0)
-        assert phi0.norm() == pytest.approx(1.0, abs=1e-12)
+        phi0 = ansatz(cfg, [ControlSignal.constant(7.0, 0.04)], 0.0)[0]
+        norm = np.sqrt(np.sum(np.abs(phi0) ** 2) * cfg.grid.cell_volume)
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_magnitude_control_independent(self):
         cfg = scalar_config()
         u1 = ControlSignal.constant(9.0, 0.04)
         u2 = ControlSignal(np.array([0.0, 0.01, 0.04]), np.array([-30.0, 4.0]))
         for t in (0.01, 0.03):
-            a = build_ansatz(cfg, u1, t)
-            b = build_ansatz(cfg, u2, t)
-            assert np.max(np.abs(np.abs(a.values) - np.abs(b.values))) < 1e-13
+            a, b = ansatz(cfg, [u1, u2], t)
+            assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-13
 
     def test_phase_carries_control_integral(self):
         cfg = scalar_config()
         u1 = ControlSignal.constant(5.0, 0.04)
         u2 = ControlSignal.constant(0.0, 0.04)
         t = 0.02
-        a = build_ansatz(cfg, u1, t)
-        b = build_ansatz(cfg, u2, t)
+        a, b = ansatz(cfg, [u1, u2], t)
         expected = np.exp(-1j * 5.0 * t)  # c = 1: e^{-ic∫u}
-        mask = np.abs(b.values) > 1e-8
-        ratio = a.values[mask] / b.values[mask]
+        mask = np.abs(b) > 1e-8
+        ratio = a[mask] / b[mask]
         assert np.max(np.abs(ratio - expected)) < 1e-10
 
     def test_product_ansatz_is_rank_one(self):
         cfg = product_config()
-        u = ControlSignal.constant(3.0, 0.05)
-        phi = build_ansatz(cfg, u, 0.02)
-        vals = phi.values
+        vals = ansatz(cfg, [ControlSignal.constant(3.0, 0.05)], 0.02)[0]
         # outer-product structure: every 2x2 minor of |φ| vanishes
         mag = np.abs(vals)
         i0 = int(np.unravel_index(np.argmax(mag), mag.shape)[0])
@@ -96,15 +107,15 @@ class TestBuildAnsatz:
         assert np.max(np.abs(vals - rank1)) < 1e-10
 
     def test_ensemble_phases_match_each_control_alone(self):
-        # the ensemble's ∫u and control phases are those of
-        # ControlSignal.integral and the one-control phase, bit for bit
+        # the ensemble's ∫u and control phases are those of each control
+        # integrated alone, segment by segment, bit for bit
         cfg = scalar_config(W=make_potential("linear", 1, slope=0.0, offset=0.7))
         engine = AnsatzEngine(cfg, max(cfg.eps_grid))
         controls = sample_controls(7, 30, 0.04, 50.0, 8, scheme="lhs",
                                    include_extremes=True)
-        integrals_at = sclab.obstruction._integrals_at(controls)
+        integrals_at = _integrals_at(controls)
         for t in np.linspace(0.0, 0.05, 51):  # past the horizon too
-            alone = np.array([u.integral(min(t, u.duration)) for u in controls])
+            alone = np.array([control_integral(u, min(t, u.duration)) for u in controls])
             assert np.array_equal(integrals_at(t), alone)
             assert np.array_equal(engine.phase(integrals_at(t)),
                                   [engine.phase(a) for a in alone])
@@ -216,11 +227,9 @@ class TestLocalizationExperiment:
 
 class TestTqEstimate:
     def test_zero_residual_reaches_horizon(self):
-        ones = PotentialField(value=lambda x: np.ones(np.shape(x)[:-1]),
-                              gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                              name="unit")
-        cfg = scalar_config(use_cutoff=False, a0=ones, eps_grid=(0.05,),
-                            tq_horizon=0.05)
+        # for S0 = V = 0 the residual is ħ²·½Δ(χa), so δ = (1/ħ)∫‖r‖ is ∝ ħ:
+        # at ħ = 1e-6 it stays near zero and the bound is the whole horizon
+        cfg = scalar_config(hbar=1e-6, eps_grid=(0.05,), tq_horizon=0.05)
         bound = estimate_Tq_lower_bound(cfg)
         assert bound == pytest.approx(0.05, abs=1e-6)
 

@@ -58,7 +58,7 @@ class TestSplitStep:
         u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([2.5, -1.0]))
         with_w = split_step_evolve(psi0, V, W, u, 1.0, dt=1e-3)
         without = split_step_evolve(psi0, V, None, u, 1.0, dt=1e-3)
-        phase = np.exp(-1j * u.integral(1.0))
+        phase = np.exp(-1j * (2.5 * 0.4 - 1.0 * 0.6))  # e^{-i∫u}, W ≡ 1
         assert np.max(np.abs(with_w.values - phase * without.values)) < 1e-10
 
     def test_harmonic_revival_against_hermite_oracle(self):
