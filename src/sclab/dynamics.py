@@ -140,7 +140,8 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
     maps a state (2n,) to (2n,), or u is a table (m, n_controls) and it maps
     a stack (m, 2n) to (m, 2n), row j under u[j].  A table needs batched
     potential callbacks.  Columns that are zero in every row are dropped
-    here, once.
+    here, once.  The output has z's memory order, so a column-major stack
+    stays column-major through an RK4 step.
     """
     n = spec.space.dimension
     u = spec.control_rows(u)
@@ -151,7 +152,10 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
         force = spec.V.grad(x)
         for ua, W in terms:
             force = force + ua * W.grad(x)
-        return np.concatenate([z[..., n:], -force], axis=-1)
+        out = np.empty_like(z, dtype=float)
+        out[..., :n] = z[..., n:]
+        np.negative(force, out=out[..., n:])
+        return out
 
     return rhs
 

@@ -9,14 +9,17 @@ sandwiched between the autonomous comparison systems
 
 one per sign pattern.  Their exit time from Ω is therefore a lower bound for
 the true exit time under *every* admissible control, which the ensemble
-sampler probes empirically.
+sampler probes empirically.  The 2^n₁ sign patterns march as the rows of
+one stack, which stops at the first tick in which any of them leaves Ω.
 
 The sampler marches every member on its own grid, cut at its own switches,
 and runs the step-halving check in the same lockstep stack: one row per
 (pass, member), each with its own step, leaving when it exits or when its
-schedule ends.  A member's exit time therefore depends on its control alone.
-The report's `ensemble_spread` (max − min of the exits) is event-location
-noise up to EXIT_TIME_TOL.
+schedule ends.  The stack is column-major, and the rows that leave Ω in a
+tick are located by one bisection.  A member's exit time therefore depends
+on its control alone.  The report's `ensemble_spread` (max − min of the
+exits) is event-location noise up to EXIT_TIME_TOL, and `march_ticks` and
+`bound_ticks` count the ticks of the two stacks.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ class ExitReport:
     exit_times: np.ndarray
     horizon: float
     halving_drift: float = 0.0
+    # rk4_step calls of the ensemble stack and of the comparison stack (0
+    # when the caller supplies the bound)
+    march_ticks: int = 0
+    bound_ticks: int = 0
 
     @property
     def halving_allowed(self) -> float:
@@ -126,57 +133,69 @@ def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
 def _comparison_rhs(spec: HamiltonianSpec, n1_axes: Sequence[int],
                     signs: np.ndarray, lam0: PhasePoint) -> Callable:
     """Autonomous (x, pˣ) system with forcing σ_i·K(x)·c(x); K is V's
-    K_bound, or 1 when V carries none."""
+    K_bound, or 1 when V carries none.
+
+    signs is one row of n₁ signs and the field maps a state (2n₁,) to
+    (2n₁,), or signs is a table (P, n₁) and it maps a stack (P, 2n₁) to
+    (P, 2n₁), row j under signs[j].  c and K are per-point callbacks, so
+    they are evaluated row by row.
+    """
     c = spec.V.c_bound
     if c is None:
         raise ValueError("exit bound needs the c(x) metadata callback on V")
     K = spec.V.K_bound or (lambda x: 1.0)
     n1 = len(n1_axes)
-    x_full0 = np.array(lam0.x, dtype=float)
-
-    def embed(x1):
-        x_full = x_full0.copy()
-        x_full[list(n1_axes)] = x1
-        return x_full
+    axes = np.array(n1_axes)
+    sign_rows = np.reshape(signs, (-1, n1))
+    x_full0 = np.tile(np.asarray(lam0.x, dtype=float), (len(sign_rows), 1))
 
     def rhs(_t, z):
-        x1, p1 = z[:n1], z[n1:]
-        x_full = embed(x1)
-        force = signs * (K(x_full) * float(c(x_full)))
-        return np.concatenate([p1, force])
+        x_full = x_full0.copy()
+        x_full[:, axes] = z[..., :n1]
+        size = np.array([K(x) * float(c(x)) for x in x_full])
+        out = np.empty(z.shape)
+        out[..., :n1] = z[..., n1:]
+        out[..., n1:] = sign_rows * size.reshape(len(x_full), -1)
+        return out
 
     return rhs
 
 
-def _dense_gap(omega1: BoxRegion, axes, lo: float, hi: float,
-               z_lo: np.ndarray, z_hi: np.ndarray,
-               f_lo: np.ndarray, f_hi: np.ndarray) -> Callable[[float], float]:
-    """Signed gap to ∂Ω along the dense output of the step [lo, hi].
+def _locate_exits(omega1: BoxRegion, axes, lo: np.ndarray, hi: np.ndarray,
+                  Z_lo: np.ndarray, Z_hi: np.ndarray,
+                  F_lo: np.ndarray, F_hi: np.ndarray) -> np.ndarray:
+    """Exit time from Ω of every row that leaves it during its step.
 
-    Probes evaluate the step's cubic Hermite interpolant, so they cost no rhs
-    call, and the bracket is consistent: the probe at hi sees z_hi itself.
+    Row j stepped over [lo[j], hi[j]] from Z_lo[j], inside Ω, to Z_hi[j],
+    with the field F_lo[j], F_hi[j] at the ends.  One `bisect_event` call
+    locates all rows to EXIT_TIME_TOL on the signed gap to ∂Ω along the
+    steps' cubic Hermite dense output, so a probe costs no rhs call, and the
+    bracket is consistent: the probe at hi sees Z_hi itself.
     """
-    h = hi - lo
+    h, start = (hi - lo)[:, None], lo[:, None]
 
     def gap_at(t):
-        z = hermite_state(z_lo, z_hi, f_lo, f_hi, h, (t - lo) / h)
-        return omega1.signed_gap(z[axes])
+        z = hermite_state(Z_lo, Z_hi, F_lo, F_hi, h, (t[:, None] - start) / h)
+        return omega1.signed_gap(z[:, axes])
 
-    return gap_at
+    return bisect_event(gap_at, lo, hi, tol=EXIT_TIME_TOL)
 
 
 def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
-                     horizon: float = 10.0, step: float = 1e-3) -> float:
-    """Control-independent lower bound for the exit time from Ω.
+                     horizon: float = 10.0, step: float = 1e-3) -> tuple[float, int]:
+    """Control-independent lower bound for the exit time from Ω, and the
+    number of ticks marched for it.
 
-    Marches the comparison system of every sign pattern on the fixed grid
-    h = horizon/n and takes the minimal exit time.  A march stops at the first
-    step that leaves Ω, whose exit is refined to 1e-8 by bisection on the
-    step's dense output, or once it reaches the best exit found so far, since
-    nothing later can lower the minimum.  The bisection's final bracket is at
-    most EXIT_TIME_TOL wide, so its midpoint minus ½·EXIT_TIME_TOL lies at or
-    below the bracket's inside end; that is the exit a march reports.
-    Trajectories that never leave before the horizon contribute the horizon.
+    The comparison systems of all 2^n₁ sign patterns march as the rows of
+    one stack on the fixed grid h = horizon/n, one `rk4_step` per tick.  The
+    march stops at the first tick in which any row leaves Ω (signed gap
+    ≤ 0): a row still inside at the tick's end exits after it, so after
+    every row that left in it, and the minimum is among the rows that left.
+    Their exits are refined to 1e-8 by one bisection on the step's dense
+    output.  The bisection's final bracket is at most EXIT_TIME_TOL wide,
+    so its midpoint minus ½·EXIT_TIME_TOL lies at or below the bracket's
+    inside end; the bound is the least of these.  If no row leaves before
+    the horizon, the bound is the horizon.  Returns (bound, ticks).
     """
     n1_axes, _ = _split_axes(spec)
     check_w_constancy(spec, Omega, lam0)
@@ -184,30 +203,27 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     p1_0 = np.asarray(lam0.p, dtype=float)[list(n1_axes)]
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
     if omega1.signed_gap(x1_0) <= 0.0:
-        return 0.0
+        return 0.0, 0
     n1 = len(n1_axes)
     n = _nsteps(0.0, horizon, step)
     h = horizon / n
-    best = horizon
-    for bits in range(2 ** n1):
-        signs = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n1)])
-        rhs = _comparison_rhs(spec, n1_axes, signs, lam0)
-        z = np.concatenate([x1_0, p1_0])
-        for k in range(n):
-            t = h * k
-            if t >= best:
-                break
-            z_next = rk4_step(rhs, t, z, h)
-            check_escape(z_next, t + h)
-            if omega1.signed_gap(z_next[:n1]) <= 0.0:
-                t_next = h * (k + 1)
-                gap_at = _dense_gap(omega1, slice(0, n1), t, t_next, z, z_next,
-                                    rhs(t, z), rhs(t_next, z_next))
-                t_exit = bisect_event(gap_at, t, t_next, tol=EXIT_TIME_TOL)
-                best = min(best, t_exit - 0.5 * EXIT_TIME_TOL)
-                break
-            z = z_next
-    return best
+    signs = np.array([[1.0 if (bits >> i) & 1 else -1.0 for i in range(n1)]
+                      for bits in range(2 ** n1)])
+    rhs = _comparison_rhs(spec, n1_axes, signs, lam0)
+    Z = np.tile(np.concatenate([x1_0, p1_0]), (len(signs), 1))
+    for k in range(n):
+        t = h * k
+        Z_next = rk4_step(rhs, t, Z, h)
+        check_escape(Z_next, t + h)
+        out = np.flatnonzero(omega1.signed_gap(Z_next[:, :n1]) <= 0.0)
+        if out.size:
+            t_next = h * (k + 1)
+            t_exit = _locate_exits(omega1, slice(0, n1), np.full(out.size, t),
+                                   np.full(out.size, t_next), Z[out], Z_next[out],
+                                   rhs(t, Z)[out], rhs(t_next, Z_next)[out])
+            return float(np.min(t_exit)) - 0.5 * EXIT_TIME_TOL, k + 1
+        Z = Z_next
+    return horizon, n
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +254,21 @@ def _member_schedule(controls: Sequence[ControlSignal], horizon: float, step: fl
 
 def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                  controls: Sequence[ControlSignal], horizon: float,
-                 step: float) -> np.ndarray:
-    """Exit times of every member at step and at step/2; (2, m), horizon if none.
+                 step: float) -> tuple[np.ndarray, int]:
+    """Exit times of every member at step and at step/2, (2, m) with the
+    horizon where a row does not exit, and the number of ticks marched.
 
     One stack holds a row per (pass, member), in that order, and advances
-    all live rows together, each with its own step h as an (M, 1) column:
-    `controlled_rhs` under the rows' control table is autonomous, so a row's
-    own time t only brackets its events.  At the end of a segment a row
-    takes its next segment's h, t and u; it leaves the stack when it leaves
-    Ω or when its schedule ends.  Every row's arithmetic is its own, so a
-    member's exit does not depend on the rest of the ensemble.
+    all live rows together, one `rk4_step` per tick, each with its own step
+    h as an (M, 1) column: `controlled_rhs` under the rows' control table is
+    autonomous, so a row's own time t only brackets its events.  The stack
+    is column-major, so each coordinate is one contiguous run and the
+    columns broadcast along it.  At the end of a segment a row takes its
+    next segment's h, t and u; it leaves the stack when it leaves Ω or when
+    its schedule ends.  The rows that leave Ω in a tick are located by one
+    `bisect_event` call on their steps' dense output.  Every row's
+    arithmetic is its own, so a member's exit does not depend on the rest
+    of the ensemble.
     """
     m = len(controls)
     n1_axes, _ = _split_axes(spec)
@@ -265,7 +286,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     H = seg_h[fine, seg][:, None]
     T = np.zeros((2 * m, 1))
     U = seg_u[seg]
-    Z = np.tile(lam0.as_state(), (2 * m, 1))
+    Z = np.asfortranarray(np.tile(lam0.as_state(), (2 * m, 1)))
     rhs = controlled_rhs(spec, U)
     tick, next_end = 0, end.min()
     while True:
@@ -277,16 +298,17 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
         keep = omega1.contains(Z[:, axes])
         if not keep.all():
             crossed = np.flatnonzero(~keep)
-            rhs_x = controlled_rhs(spec, U[crossed])
-            F_lo, F_hi = rhs_x(T_prev[crossed], Z_prev[crossed]), rhs_x(T[crossed], Z[crossed])
-            for j, f_lo, f_hi in zip(crossed, F_lo, F_hi):
-                lo, hi = T_prev[j, 0], T[j, 0]
-                if omega1.signed_gap(Z_prev[j, axes]) <= 0.0:
-                    t_exit = lo
-                else:
-                    gap_at = _dense_gap(omega1, axes, lo, hi, Z_prev[j], Z[j], f_lo, f_hi)
-                    t_exit = bisect_event(gap_at, lo, hi, tol=EXIT_TIME_TOL)
-                exits.flat[row[j]] = t_exit
+            # a row with gap ≤ 0 at its step's start (on ∂Ω, or started
+            # outside Ω) exits there; the rest are bisected
+            t_exit = T_prev[crossed, 0]
+            inside = omega1.signed_gap(Z_prev[crossed][:, axes]) > 0.0
+            if inside.any():
+                j = crossed[inside]
+                rhs_x = controlled_rhs(spec, U[j])
+                t_exit[inside] = _locate_exits(
+                    omega1, axes, T_prev[j, 0], T[j, 0], Z_prev[j], Z[j],
+                    rhs_x(T_prev[j], Z_prev[j]), rhs_x(T[j], Z[j]))
+            exits.flat[row[crossed]] = t_exit
         switched = tick == next_end
         if switched:
             switch = np.flatnonzero(keep & (end == tick))
@@ -301,9 +323,10 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
             U[switch] = seg_u[s]
         if not keep.all():
             row, seg, last, fine, end = row[keep], seg[keep], last[keep], fine[keep], end[keep]
-            H, T, U, Z = H[keep], T[keep], U[keep], Z[keep]
+            H, T, U = H[keep], T[keep], U[keep]
+            Z = np.asfortranarray(Z[keep])  # a boolean index comes back row-major
             if not row.size:
-                return exits
+                return exits, tick
         elif not switched:
             continue
         rhs = controlled_rhs(spec, U)
@@ -327,12 +350,14 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     otherwise); the report carries the halved-step exits and `halving_drift`.
     """
     controls = list(ensemble)
+    bound_ticks = 0
     if analytic_bound is None:
-        analytic_bound = exit_lower_bound(spec, Omega, lam0, horizon=horizon)
+        analytic_bound, bound_ticks = exit_lower_bound(spec, Omega, lam0, horizon=horizon)
     if not controls:
         return ExitReport(analytic_bound, horizon, 0, None,
-                          np.empty(0), horizon)
-    exits, exits_fine = _march_exits(spec, lam0, Omega, controls, horizon, step)
+                          np.empty(0), horizon, bound_ticks=bound_ticks)
+    (exits, exits_fine), march_ticks = _march_exits(spec, lam0, Omega, controls,
+                                                    horizon, step)
     k = int(np.argmin(exits_fine))
     report = ExitReport(analytic_bound=analytic_bound,
                         sampled_min_exit=float(exits_fine[k]),
@@ -340,7 +365,9 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                         witness_control=controls[k],
                         exit_times=exits_fine,
                         horizon=horizon,
-                        halving_drift=float(np.max(np.abs(exits - exits_fine))))
+                        halving_drift=float(np.max(np.abs(exits - exits_fine))),
+                        march_ticks=march_ticks,
+                        bound_ticks=bound_ticks)
     if report.halving_drift > report.halving_allowed:
         raise StepTooCoarse(f"exit times move by {report.halving_drift:.3e} under step "
                             f"halving (allowed {report.halving_allowed:.3e}); refine the step")

@@ -125,13 +125,18 @@ class BoxRegion:
                 inside &= (x[..., k] >= b[0]) & (x[..., k] <= b[1])
         return bool(inside[0]) if squeeze else inside
 
-    def signed_gap(self, x: np.ndarray) -> float:
-        """Smallest distance from x to the boundary (negative if outside)."""
-        gaps = []
+    def signed_gap(self, x: np.ndarray):
+        """Smallest distance from x to the boundary (negative if outside).
+
+        A point (dim,) gives a float; batched points (..., dim) give one gap
+        per point.
+        """
+        x = np.asarray(x, dtype=float)
+        gap = np.full(x.shape[:-1], np.inf)
         for k, b in enumerate(self.bounds):
             if b is not None:
-                gaps.append(min(x[k] - b[0], b[1] - x[k]))
-        return min(gaps) if gaps else np.inf
+                gap = np.minimum(gap, np.minimum(x[..., k] - b[0], b[1] - x[..., k]))
+        return float(gap) if gap.ndim == 0 else gap
 
 
 # ---------------------------------------------------------------------------

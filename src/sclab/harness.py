@@ -196,6 +196,8 @@ def _run_exit_time(config: ExperimentConfig) -> None:
         "members_exited": report.members_exited,
         "halving_drift": report.halving_drift,
         "halving_allowed": report.halving_allowed,
+        "march_ticks": report.march_ticks,
+        "bound_ticks": report.bound_ticks,
     })
 
 

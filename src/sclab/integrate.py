@@ -9,7 +9,10 @@ with a deterministic step count per interval.
   once), and the result keeps it: (n + 1, *z0.shape).
 * `rk4_step` is the step itself.  A batch of rows may step with an (m, 1)
   column of steps, one per row; each row then gets the arithmetic of its
-  own scalar step.
+  own scalar step.  The result keeps z's memory order when rhs does, so a
+  stack may be column-major: each coordinate is then one contiguous run of
+  m values, and the (m, 1) columns broadcast along it.  The numbers do not
+  depend on the layout.
 * `check_escape` is the one overflow guard.  The marcher applies it to the
   whole state after every step, and so do the event-driven loops elsewhere;
   a non-finite entry or one above `ESCAPE_GUARD` raises TrajectoryEscape.
@@ -21,7 +24,9 @@ with a deterministic step count per interval.
 * Events inside a step are located on its dense output: `hermite_state` is
   the cubic Hermite interpolant built from the step's endpoint states and the
   field at them (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6), so a
-  probe costs no rhs call.
+  probe costs no rhs call.  `bisect_event` is the one event locator; it
+  takes one bracket or an array of them, so the rows of a stack that cross
+  in one step are located together.
 """
 
 from __future__ import annotations
@@ -54,22 +59,34 @@ def rk4_step(rhs: Callable, t, z: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step of length h from (t, z).
 
     For a batch z of shape (m, d), h may be an (m, 1) column, one step per
-    row; t is then a scalar or a matching column, as rhs needs it.
+    row; t is then a scalar or a matching column, as rhs needs it.  The
+    combination z + (h/6)·(((k1 + 2k2) + 2k3) + k4) is accumulated in place
+    in a fresh array, in that order, so the result is the textbook
+    expression's to the bit, and it keeps the memory order of the k's.
     """
+    half = 0.5 * h
+    t_half = t + half
     k1 = rhs(t, z)
-    k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
+    k2 = rhs(t_half, z + half * k1)
+    k3 = rhs(t_half, z + half * k2)
     k4 = rhs(t + h, z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= h / 6.0
+    acc += z
+    return acc
 
 
 def check_escape(z: np.ndarray, t) -> None:
     """Raise TrajectoryEscape if z is not finite or leaves the overflow guard.
 
     t is the time of z, or a column of per-row times; the message names the
-    latest.
+    latest.  One reduction covers both: the max of |z| is NaN if any entry
+    is, and NaN fails the comparison.
     """
-    if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > ESCAPE_GUARD:
+    if not np.max(np.abs(z)) <= ESCAPE_GUARD:
         raise TrajectoryEscape(f"state escaped the overflow guard near t={np.max(t):.6g}")
 
 
@@ -122,27 +139,39 @@ def hermite_state(z0, z1, f0, f1, h: float, s: float):
     return h00 * z0 + h10 * h * f0 + h01 * z1 + h11 * h * f1
 
 
-def bisect_event(f: Callable[[float], float], lo: float, hi: float,
-                 tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of a scalar sign-changing function by plain bisection."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+def bisect_event(f: Callable, lo, hi, tol: float = 1e-10, max_iter: int = 200):
+    """Root of a sign-changing function by plain bisection.
+
+    lo and hi may be arrays of brackets, one root each; f then maps an array
+    of times, one per bracket, to the values there, so one call of f probes
+    every bracket.  Each bracket takes exactly the steps it would take alone,
+    and a scalar bracket returns a float.  ValueError if some bracket's ends
+    have the same sign.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = np.array(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
+    root = np.where(flo == 0.0, lo, hi)
+    found = (flo == 0.0) | (fhi == 0.0)
+    if np.any(~found & (flo * fhi > 0)):
         raise ValueError("event function does not change sign on the bracket")
-    while hi - lo > tol and max_iter > 0:
+    live = ~found & (hi - lo > tol)
+    for _ in range(max_iter):
+        if not live.any():
+            break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        max_iter -= 1
-    return 0.5 * (lo + hi)
+        fm = np.asarray(f(mid), dtype=float)
+        hit = live & (fm == 0.0)
+        np.copyto(root, mid, where=hit)
+        found |= hit
+        live &= ~hit
+        left = live & (flo * fm < 0)
+        np.copyto(hi, mid, where=left)
+        right = live & ~left
+        np.copyto(lo, mid, where=right)
+        np.copyto(flo, fm, where=right)
+        live &= hi - lo > tol
+    root = np.where(found, root, 0.5 * (lo + hi))
+    return float(root) if root.ndim == 0 else root
 
 
 def fd_jacobian(f: Callable, x) -> np.ndarray:

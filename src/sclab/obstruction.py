@@ -245,6 +245,7 @@ class AnsatzEngine:
                                or config.W is None) else None)
         self._field_cache: dict[int, object] = {}
         self._norm_cache: dict[int, float] = {}
+        self._residual_cache: dict[int, np.ndarray] = {}
 
     def require_valid(self) -> None:
         """Raise CausticReached if the ansatz stops being valid inside the horizon."""
@@ -278,9 +279,13 @@ class AnsatzEngine:
     def residual_for(self, u: ControlSignal, t: float) -> np.ndarray:
         """Residual of the ansatz without its control phase, which no norm
         sees, and with the control term u·(W − c)·χψ̃ when the constancy
-        hypothesis is deliberately broken."""
+        hypothesis is deliberately broken.  The control-free grid is
+        computed once per fan index; the result must not be written to."""
+        k = self.fan.time_index(t)
         field = self.field_at(t)
-        r = wkb_residual(field, self.chi)
+        if k not in self._residual_cache:
+            self._residual_cache[k] = wkb_residual(field, self.chi)
+        r = self._residual_cache[k]
         if self.w_vals is not None:
             uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
             r = r + uval * self.chi_vals * (self.w_vals - self.c_ref) * field.psi_tilde()

@@ -162,6 +162,20 @@ class TestRunExperiment:
             assert summary["members_exited"] == 12
             assert 0.0 < summary["halving_drift"] <= summary["halving_allowed"]
 
+    @pytest.mark.parametrize("size, p0, march_ticks, bound_ticks", [
+        (300, "0.0,0.0", 3004, 1415), (100, "1.5,0.0", 732, 562)])
+    def test_exit_time_summary_ticks(self, tmp_path, size, p0, march_ticks, bound_ticks):
+        # the benchmark's exit-time configs at seed 0: the ensemble stack
+        # runs until the longest fine schedule ends (from rest) or the last
+        # row leaves Ω (p0 = 1.5); the comparison stack stops at the first
+        # grid time past the earliest pattern exit, √2 from rest and 0.5616
+        # from p0 = 1.5
+        cfg = parse_config(f"experiment = exit-time\nseed = 0\nexit.ensemble = {size}\n"
+                           f"exit.p0 = {p0}\nout = {tmp_path}/exit\n")
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "exit" / "summary.json").read_text())
+        assert (summary["march_ticks"], summary["bound_ticks"]) == (march_ticks, bound_ticks)
+
     def test_exit_time_hypothesis_status(self, tmp_path):
         cfg = parse_config(
             "experiment = exit-time\nexit.ensemble = 5\nexit.w_on_base = true\n"

@@ -8,7 +8,7 @@ from sclab.dynamics import (ControlSignal, HamiltonianSpec, controlled_rhs, evol
                             sample_controls)
 from sclab.errors import StepTooCoarse, TrajectoryEscape
 from sclab.geometry import ChartSpace, PhasePoint, make_potential
-from sclab.integrate import hermite_state
+from sclab.integrate import ESCAPE_GUARD, check_escape, hermite_state, rk4_step
 from sclab.obstruction import _integrals_at
 
 
@@ -253,3 +253,35 @@ class TestControlledRhs:
         assert stacked.shape == Z.shape
         for j in range(Z.shape[0]):
             assert np.array_equal(stacked[j], controlled_rhs(spec, U[j])(0.0, Z[j]))
+
+
+class TestStackLayout:
+    """A stack steps to the same bits whatever its memory order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(flat_stacks(), st.data())
+    def test_step_independent_of_memory_order(self, case, data):
+        spec, U, Z = case
+        h = np.reshape(data.draw(st.lists(st.floats(1e-4, 0.5), min_size=len(Z),
+                                          max_size=len(Z))), (-1, 1))
+        rhs = controlled_rhs(spec, U)
+        Z_c, Z_f = np.ascontiguousarray(Z), np.asfortranarray(Z)
+        assert rhs(0.0, Z_f).flags.f_contiguous
+        assert rhs(0.0, Z_c).flags.c_contiguous
+        step_c, step_f = rk4_step(rhs, 0.0, Z_c, h), rk4_step(rhs, 0.0, Z_f, h)
+        assert step_f.flags.f_contiguous
+        assert np.array_equal(step_c, step_f)
+        for j in range(len(Z)):
+            alone = rk4_step(controlled_rhs(spec, U[j]), 0.0, Z[j], float(h[j, 0]))
+            assert np.array_equal(step_c[j], alone)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0001 * ESCAPE_GUARD,
+                                     -1.0001 * ESCAPE_GUARD])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_escape_seen_in_any_row(self, bad, order):
+        Z = np.asarray(np.random.default_rng(0).normal(size=(5, 4)), order=order)
+        Z[3, 2] = ESCAPE_GUARD
+        check_escape(Z, np.zeros((5, 1)))  # the guard itself is inside
+        Z[1, 3] = bad
+        with pytest.raises(TrajectoryEscape):
+            check_escape(Z, np.zeros((5, 1)))

@@ -33,16 +33,19 @@ def omega_unit():
     return BoxRegion(((-1.0, 1.0), None))
 
 
-def full_horizon_bound(spec, lam0, horizon, step):
-    """exit_lower_bound on the flat 1-D base, marched to the horizon first,
-    with the same final step from the bisection midpoint to its safe side."""
-    omega1 = BoxRegion(((-1.0, 1.0),))
+def full_horizon_bound(spec, lam0, horizon, step, omega1=BoxRegion(((-1.0, 1.0),)),
+                       n1_axes=(0,)):
+    """exit_lower_bound marched one sign pattern at a time, each to the
+    horizon first, with the same final step from the bisection midpoint to
+    its safe side."""
+    n1 = len(n1_axes)
     best = horizon
-    for sign in (-1.0, 1.0):
-        rhs = exit_mod._comparison_rhs(spec, (0,), np.array([sign]), lam0)
-        times, states = rk4_trajectory(rhs, np.array([lam0.x[0], lam0.p[0]]),
-                                       0.0, horizon, step)
-        out = np.where([omega1.signed_gap(z[:1]) <= 0.0 for z in states])[0]
+    for bits in range(2 ** n1):
+        signs = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n1)])
+        rhs = exit_mod._comparison_rhs(spec, n1_axes, signs, lam0)
+        z0 = np.concatenate([lam0.x[list(n1_axes)], lam0.p[list(n1_axes)]])
+        times, states = rk4_trajectory(rhs, z0, 0.0, horizon, step)
+        out = np.where([omega1.signed_gap(z[:n1]) <= 0.0 for z in states])[0]
         if out.size == 0:
             continue
         k = int(out[0])
@@ -51,10 +54,27 @@ def full_horizon_bound(spec, lam0, horizon, step):
 
         def gap(t):
             return omega1.signed_gap(hermite_state(z0, z1, f0, f1, hi - lo,
-                                                   (t - lo) / (hi - lo))[:1])
+                                                   (t - lo) / (hi - lo))[:n1])
 
         best = min(best, bisect_event(gap, lo, hi, tol=EXIT_TIME_TOL) - 0.5 * EXIT_TIME_TOL)
     return best
+
+
+def plane_base_spec():
+    """Flat (x₁, x₂) × (y) with a bound c(x) = 1 + ½sin 3x₁ + 0.3cos x₂ and a
+    norm factor K(x) = 1 + 0.2·tanh x₂ that vary along the base, so every
+    sign pattern is pushed differently; V and W = cos y act on the fibre
+    only."""
+    space = ChartSpace(dimension=3, product_split=((0, 1), (2,)))
+    V = PotentialField(
+        value=lambda x: np.cos(np.asarray(x)[..., 2]),
+        gradient=lambda x: np.stack([np.zeros(np.shape(x)[:-1])] * 2
+                                    + [-np.sin(np.asarray(x)[..., 2])], axis=-1),
+        c_bound=lambda x: 1.0 + 0.5 * np.sin(3.0 * x[0]) + 0.3 * np.cos(x[1]),
+        K_bound=lambda x: 1.0 + 0.2 * np.tanh(x[1]),
+        name="plane-demo")
+    W = make_potential("cosine", 3, amplitude=[0.0, 0.0, 1.0])
+    return HamiltonianSpec(space=space, V=V, W=W)
 
 
 class TestExitLowerBound:
@@ -63,7 +83,7 @@ class TestExitLowerBound:
         for c in (1.0, 4.0):
             spec = product_spec(c=c)
             lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-            bound = exit_lower_bound(spec, omega_unit(), lam0, horizon=10.0)
+            bound, _ = exit_lower_bound(spec, omega_unit(), lam0, horizon=10.0)
             assert bound == pytest.approx(np.sqrt(2.0 / c), abs=1e-3)
 
     def test_default_bound_below_exact_exit(self):
@@ -71,7 +91,7 @@ class TestExitLowerBound:
         # comparison system leaves Ω at exactly √2, which the bound must not
         # exceed, while staying within the event tolerance of it
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        bound = exit_lower_bound(product_spec(), omega_unit(), lam0, horizon=3.0)
+        bound, _ = exit_lower_bound(product_spec(), omega_unit(), lam0, horizon=3.0)
         assert np.sqrt(2.0) - EXIT_TIME_TOL <= bound <= np.sqrt(2.0)
 
     def test_early_stop_matches_full_horizon(self, monkeypatch):
@@ -86,17 +106,37 @@ class TestExitLowerBound:
             for p0 in (0.0, 0.7):
                 lam0 = PhasePoint(np.zeros(2), np.array([p0, 0.0]))
                 calls.clear()
-                bound = exit_lower_bound(spec, omega_unit(), lam0, horizon=horizon,
-                                         step=step)
+                bound, ticks = exit_lower_bound(spec, omega_unit(), lam0,
+                                                horizon=horizon, step=step)
                 assert bound == full_horizon_bound(spec, lam0, horizon, step)
+                # both sign patterns march in one stack, one step per tick
+                assert len(calls) == ticks
                 if p0 == 0.0:
-                    # both sign patterns stop at the exit √(2/c), not at the horizon
-                    assert len(calls) <= 2 * (np.ceil(np.sqrt(2.0 / c) / step) + 1)
+                    # the stack stops at the exit √(2/c), not at the horizon
+                    assert ticks <= np.ceil(np.sqrt(2.0 / c) / step) + 1
+
+    @pytest.mark.parametrize("p0", [(0.0, 0.0), (0.4, -0.9), (-1.1, 0.3)])
+    def test_plane_base_stack_matches_each_pattern(self, monkeypatch, p0):
+        # n₁ = 2: the four sign patterns march as one stack, one rk4_step per
+        # tick, and give bitwise the least of their one-at-a-time exits
+        omega = BoxRegion(((-1.0, 0.8), (-0.7, 1.2), None))
+        lam0 = PhasePoint(np.array([0.1, 0.2, 0.5]), np.array([*p0, 0.0]))
+        calls = []
+        real_step = exit_mod.rk4_step
+        monkeypatch.setattr(exit_mod, "rk4_step",
+                            lambda *args: calls.append(args[2].shape) or real_step(*args))
+        bound, ticks = exit_lower_bound(plane_base_spec(), omega, lam0, horizon=1.5,
+                                        step=1e-3)
+        assert 0.0 < bound < 1.5
+        assert bound == full_horizon_bound(plane_base_spec(), lam0, 1.5, 1e-3,
+                                           BoxRegion(omega.bounds[:2]), (0, 1))
+        assert calls == [(4, 4)] * ticks
+        assert ticks == int(np.ceil(bound / 1e-3))
 
     def test_boundary_start_is_zero(self):
         spec = product_spec()
         lam0 = PhasePoint(np.array([1.0, 0.0]), np.zeros(2))
-        assert exit_lower_bound(spec, omega_unit(), lam0) == 0.0
+        assert exit_lower_bound(spec, omega_unit(), lam0) == (0.0, 0)
 
     def test_zero_force_rest_state_hits_horizon(self):
         spec = product_spec(c=1.0)
@@ -104,13 +144,13 @@ class TestExitLowerBound:
                                 c_bound=lambda x: 0.0)
         spec0 = HamiltonianSpec(space=spec.space, V=zero_c, W=spec.W[0])
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        assert exit_lower_bound(spec0, omega_unit(), lam0, horizon=7.5) == 7.5
+        assert exit_lower_bound(spec0, omega_unit(), lam0, horizon=7.5) == (7.5, 7500)
 
     def test_monotone_in_region(self):
         spec = product_spec()
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        big = exit_lower_bound(spec, omega_unit(), lam0)
-        small = exit_lower_bound(spec, BoxRegion(((-0.5, 0.5), None)), lam0)
+        big, _ = exit_lower_bound(spec, omega_unit(), lam0)
+        small, _ = exit_lower_bound(spec, BoxRegion(((-0.5, 0.5), None)), lam0)
         assert small <= big + 1e-12
 
     def test_hypothesis_check_fires(self):
@@ -218,7 +258,7 @@ class TestHalvingMargin:
     def test_drift_past_allowed_raises(self, monkeypatch):
         # the fine pass moves one exit by twice the allowance
         monkeypatch.setattr(exit_mod, "_march_exits",
-                            lambda *args: np.array([[1.0, 2.0], [1.0, 2.0 + 6e-5]]))
+                            lambda *args: (np.array([[1.0, 2.0], [1.0, 2.0 + 6e-5]]), 1))
         with pytest.raises(StepTooCoarse, match="6.000e-05"):
             sampled_exit_time(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
                               omega_unit(), sample_controls(0, 2, 3.0, 1.0),
@@ -343,3 +383,25 @@ class TestMemberSchedules:
         assert report.members_exited == 0
         longest = max(sum(member_schedule(u, 3.0, 1e-3)[1]) for u in controls)
         assert len(calls) == longest == 3004
+
+    def test_rows_leaving_in_one_tick_are_located_together(self, monkeypatch):
+        # x = 1.5 sin t: every row leaves Ω near asin(2/3), in a few ticks;
+        # each tick's leavers share one bisect_event call and keep, bitwise,
+        # the exit each member gets alone
+        lam0 = PhasePoint(np.zeros(2), np.array([1.5, 0.0]))
+        controls = sample_controls(0, 12, 3.0, 100.0)
+        brackets = []
+        real_bisect = exit_mod.bisect_event
+
+        def recording_bisect(f, lo, hi, **kwargs):
+            brackets.append(lo.size)
+            return real_bisect(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(exit_mod, "bisect_event", recording_bisect)
+        together = sampled_exit_time(product_spec(), lam0, omega_unit(), controls, 3.0,
+                                     analytic_bound=0.0).exit_times
+        assert sum(brackets) == 2 * len(controls)
+        assert len(brackets) < len(controls)
+        alone = [sampled_exit_time(product_spec(), lam0, omega_unit(), [u], 3.0,
+                                   analytic_bound=0.0).exit_times[0] for u in controls]
+        assert np.array_equal(together, alone)

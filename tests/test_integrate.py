@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sclab.errors import StepTooCoarse, TrajectoryEscape
-from sclab.integrate import fd_jacobian, halving_checked, rk4_step, rk4_trajectory
+from sclab.integrate import (bisect_event, fd_jacobian, halving_checked, rk4_step,
+                             rk4_trajectory)
 
 
 def five_row_rhs(t, z):
@@ -59,6 +60,36 @@ class TestRk4Step:
         assert batched.shape == Z.shape
         for z, h_row, out in zip(Z, h[:, 0], batched):
             assert np.array_equal(rk4_step(rhs, 0.0, z, float(h_row)), out)
+
+
+class TestBisectEvent:
+    def test_brackets_at_once_match_each_alone(self):
+        # cubic roots on brackets of mixed widths and signs; one with a root
+        # at its left end, one whose midpoint is an exact root, one narrower
+        # than tol
+        roots = np.array([0.3, 1.0, -2.0, 0.75, 5.0])
+        lo = np.array([0.0, 1.0, -3.0, 0.5, 5.0 - 1e-11])
+        hi = np.array([1.0, 2.5, -1.7, 1.0, 5.0 + 1e-11])
+        probes = []
+
+        def f(t):
+            probes.append(1)
+            return (t - roots) ** 3
+
+        together = bisect_event(f, lo, hi)
+        calls = len(probes)
+        for j in range(roots.size):
+            probes.clear()
+            alone = bisect_event(lambda t: (t - roots[j]) ** 3, lo[j], hi[j])
+            assert isinstance(alone, float)
+            assert together[j] == alone
+        assert together[1] == 1.0 and together[3] == 0.75
+        # one call of f per step of the slowest bracket, plus the two ends
+        assert calls == 2 + int(np.ceil(np.log2(1.3 / 1e-10)))
+
+    def test_no_sign_change_in_any_bracket_raises(self):
+        with pytest.raises(ValueError):
+            bisect_event(lambda t: t - np.array([0.5, 3.0]), np.zeros(2), np.ones(2))
 
 
 class TestHalvingChecked:

@@ -14,7 +14,7 @@ from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential
 from sclab.harness import run_experiment
 from sclab.obstruction import (AnsatzEngine, ObstructionConfig, _integrals_at,
-                               _second_factor_at, build_ansatz,
+                               _sample_indices, _second_factor_at, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
 from sclab.schrodinger import SpatialGrid
@@ -327,6 +327,27 @@ class TestWorkCounts:
             counts.append(len(calls))
             calls.clear()
         assert counts[0] == counts[1]
+
+    def test_residual_grid_once_per_sample_time(self, monkeypatch):
+        # with the hypothesis broken every member needs a residual at every
+        # sample time; the control-free grid is shared, only u·(W − c)·χψ̃
+        # is per member
+        grids = []
+        residual = sclab.obstruction.wkb_residual
+        monkeypatch.setattr(sclab.obstruction, "wkb_residual",
+                            lambda field, chi: grids.append(1) or residual(field, chi))
+        cfg = scalar_config(W=make_potential("linear", 1, slope=1.0), enforce_hypothesis=False,
+                            ensemble_count=4, ensemble_amplitude=5.0, eps_grid=(0.01, 0.02),
+                            dt=2.5e-4)
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid), allow_caustic=True)
+        run_localization_experiment(cfg, engine)
+        sample_times = {k for eps in cfg.eps_grid
+                        for k in _sample_indices(engine, eps, cfg.n_samples)}
+        assert len(grids) == len(sample_times)
+        # the shared grid is not written to: a fresh engine gives the same bits
+        fresh = AnsatzEngine(cfg, max(cfg.eps_grid), allow_caustic=True)
+        u, t = ControlSignal.constant(3.0, 0.02), float(engine.fan.times[max(sample_times)])
+        assert np.array_equal(engine.residual_for(u, t), fresh.residual_for(u, t))
 
 
 def _load_bench_run(monkeypatch):
