@@ -229,17 +229,3 @@ def sample_controls(seed, count: int, duration: float, amplitude: float,
         controls.append(ControlSignal.constant(-amplitude, duration))
     return controls
 
-
-def combined_control_spec(spec: HamiltonianSpec, coeffs) -> HamiltonianSpec:
-    """Single-control spec with the frozen combination W = Σ a_i W_i."""
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    fields = spec.W
-
-    def val(x):
-        return sum(a * np.asarray(Wa.value(x)) for a, Wa in zip(coeffs, fields))
-
-    def grad(x):
-        return sum(a * np.asarray(Wa.gradient(x)) for a, Wa in zip(coeffs, fields))
-
-    combined = PotentialField(val, grad, name="combined")
-    return HamiltonianSpec(space=spec.space, V=spec.V, W=combined)

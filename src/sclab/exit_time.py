@@ -50,7 +50,6 @@ class ExitReport:
     analytic_bound: float
     sampled_min_exit: float
     ensemble_size: int
-    witness_control: Optional[ControlSignal]
     exit_times: np.ndarray
     horizon: float
     halving_drift: float = 0.0
@@ -354,15 +353,13 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     if analytic_bound is None:
         analytic_bound, bound_ticks = exit_lower_bound(spec, Omega, lam0, horizon=horizon)
     if not controls:
-        return ExitReport(analytic_bound, horizon, 0, None,
+        return ExitReport(analytic_bound, horizon, 0,
                           np.empty(0), horizon, bound_ticks=bound_ticks)
     (exits, exits_fine), march_ticks = _march_exits(spec, lam0, Omega, controls,
                                                     horizon, step)
-    k = int(np.argmin(exits_fine))
     report = ExitReport(analytic_bound=analytic_bound,
-                        sampled_min_exit=float(exits_fine[k]),
+                        sampled_min_exit=float(np.min(exits_fine)),
                         ensemble_size=len(controls),
-                        witness_control=controls[k],
                         exit_times=exits_fine,
                         horizon=horizon,
                         halving_drift=float(np.max(np.abs(exits - exits_fine))),

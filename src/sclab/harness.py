@@ -271,15 +271,14 @@ def _run_obstruction(config: ExperimentConfig) -> None:
         target_distance_floor=config["obstruction.distance_floor"],
         enforce_hypothesis=config["obstruction.enforce_hypothesis"],
     )
-    # one fan serves both stages; a config that breaks the hypothesis fails
-    # before it is shot
-    obs_mod.check_hypothesis(ocfg)
-    engine = obs_mod.AnsatzEngine(ocfg, max(ocfg.eps_grid), allow_caustic=True)
-    report = obs_mod.run_localization_experiment(ocfg, engine)
+    # one engine, and its one fan, serves both stages; it checks the
+    # hypothesis before it shoots the fan, and T_q stops at its horizon
+    engine = obs_mod.AnsatzEngine(ocfg, max(ocfg.eps_grid))
+    report = obs_mod.run_localization_experiment(engine)
     _write(config.out, "records.csv", report.to_csv(_header(config)))
     _write(config.out, "report.json", report.to_json())
     tq = obs_mod.estimate_Tq_lower_bound(
-        ocfg, threshold=1.0 - config["obstruction.distance_floor"], engine=engine)
+        engine, threshold=1.0 - config["obstruction.distance_floor"])
     _write_summary(config, {
         "certified_bound": report.certified_bound,
         "tq_lower_bound": tq,

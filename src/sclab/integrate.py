@@ -132,8 +132,9 @@ def hermite_state(z0, z1, f0, f1, h: float, s: float):
     interpolant matches all four, so it returns z0 at s = 0 and z1 at s = 1
     exactly, and it is exact for cubic trajectories.
     """
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
+    q = (1 - s) * (1 - s)  # not ** 2, which takes C pow for a scalar s
+    h00 = (1 + 2 * s) * q
+    h10 = s * q
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     return h00 * z0 + h10 * h * f0 + h01 * z1 + h11 * h * f1

@@ -11,6 +11,9 @@ whose Schrödinger residual r is control independent; by Duhamel and unitarity
 ‖ψ₁ − φ(t)‖ ≥ 1, so for every control ‖ψ₁ − ψ(t)‖ ≥ 1 − δ(t): as long as
 δ stays below 1 the true state cannot approach anything supported outside
 Ω (× N₂) — a quantitative obstruction horizon.
+
+Both stages, `run_localization_experiment` and `estimate_Tq_lower_bound`,
+take one `AnsatzEngine`: one hypothesis check and one fan serve them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ControlSignal, sample_controls
+from .dynamics import sample_controls
 from .errors import CausticReached, HypothesisViolated
 from .geometry import BoxRegion, PotentialField, make_potential, pullback
 from .schrodinger import SpatialGrid, WaveGrid, WaveStack, split_step_evolve
@@ -71,7 +74,6 @@ class ObstructionConfig:
     W2: Optional[PotentialField] = None
     psi2_center: float = 0.0
     psi2_sigma: float = 0.5
-    tq_horizon: Optional[float] = None
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -183,18 +185,16 @@ def check_hypothesis(config: ObstructionConfig) -> float:
 
 
 class AnsatzEngine:
-    """Precomputes the fan, cutoff arrays, and residual series for one config.
+    """The fan, cutoff arrays and residual norms of one config up to horizon.
 
-    One engine serves `run_localization_experiment` and
-    `estimate_Tq_lower_bound` when their horizons agree.  Built with
-    allow_caustic=True it records the guard floor instead of raising, and
-    `require_valid` raises the same CausticReached later.
+    It runs `check_hypothesis` first, so a broken config fails before the
+    fan is shot.  It records the caustic and guard floors and never raises
+    for them; `require_valid` does, up to the time a stage needs.
     """
 
-    def __init__(self, config: ObstructionConfig, horizon: float,
-                 allow_caustic: bool = False):
+    def __init__(self, config: ObstructionConfig, horizon: float):
+        self.max_d1w = check_hypothesis(config)
         self.config = config
-        self.horizon = horizon
         self.grid = config.grid
         lo_o, hi_o = config.omega.bounds[0]
         margin = 0.02 * (hi_o - lo_o)
@@ -218,8 +218,6 @@ class AnsatzEngine:
         cover_floor = (float(self.fan.times[int(np.argmax(uncovered))])
                        if np.any(uncovered) else self.fan.horizon)
         self.guard_floor = min(guard_floor, cover_floor)
-        if not allow_caustic:
-            self.require_valid()
         # normalization scale so that ‖χ·a0‖ = 1 on the grid
         field0 = wkb_field(self.fan, config.a0, self.grid, 0.0)
         chi_vals = self.chi.on_grid(self.grid).chi
@@ -245,14 +243,13 @@ class AnsatzEngine:
                                or config.W is None) else None)
         self._field_cache: dict[int, object] = {}
         self._norm_cache: dict[int, float] = {}
-        self._residual_cache: dict[int, np.ndarray] = {}
 
-    def require_valid(self) -> None:
-        """Raise CausticReached if the ansatz stops being valid inside the horizon."""
-        if self.guard_floor < self.fan.horizon:
+    def require_valid(self, t: float) -> None:
+        """Raise CausticReached if the ansatz stops being valid before t."""
+        if self.guard_floor < t:
             raise CausticReached(
-                f"ansatz validity ends at t={self.guard_floor:.4g} inside the "
-                f"horizon {self.horizon:.4g}; shrink the ε grid")
+                f"ansatz validity ends at t={self.guard_floor:.4g} before "
+                f"t={t:.4g}; shrink the ε grid")
 
     def field_at(self, t: float):
         k = self.fan.time_index(t)
@@ -276,20 +273,20 @@ class AnsatzEngine:
         (one value or an array of them)."""
         return np.exp(-1j * self.c_ref * integral / self.config.hbar)
 
-    def residual_for(self, u: ControlSignal, t: float) -> np.ndarray:
-        """Residual of the ansatz without its control phase, which no norm
-        sees, and with the control term u·(W − c)·χψ̃ when the constancy
-        hypothesis is deliberately broken.  The control-free grid is
-        computed once per fan index; the result must not be written to."""
-        k = self.fan.time_index(t)
-        field = self.field_at(t)
-        if k not in self._residual_cache:
-            self._residual_cache[k] = wkb_residual(field, self.chi)
-        r = self._residual_cache[k]
-        if self.w_vals is not None:
-            uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
-            r = r + uval * self.chi_vals * (self.w_vals - self.c_ref) * field.psi_tilde()
-        return r
+    def member_residual_norms(self, idx, controls: list) -> np.ndarray:
+        """‖r(t_k)‖ of every member at fan indices idx, shape (m, len(idx)),
+        for a deliberately broken hypothesis: the residual without its
+        control phase, which no norm sees, plus the control term
+        u·(W − c)·χψ̃.  The control-free grid is computed once per index."""
+        out = np.empty((len(controls), len(idx)))
+        for i, k in enumerate(idx):
+            t = float(self.fan.times[k])
+            field = self.field_at(t)
+            u = np.array([c.value_at(min(t, c.duration - 1e-15)) for c in controls])
+            r = (wkb_residual(field, self.chi) + u[:, None] * self.chi_vals
+                 * (self.w_vals - self.c_ref) * field.psi_tilde())
+            out[:, i] = np.sqrt(np.sum(np.abs(r) ** 2, axis=1) * self.grid.cell_volume)
+        return out
 
 
 def _sample_indices(engine: AnsatzEngine, eps: float, n_samples: int) -> np.ndarray:
@@ -383,19 +380,7 @@ def _integrals_at(controls: list):
     return at
 
 
-def _engine_for(config: ObstructionConfig, horizon: float,
-                engine: Optional[AnsatzEngine], allow_caustic: bool) -> AnsatzEngine:
-    """The given engine if it was built for this config and horizon, else a new one."""
-    if engine is None or engine.config is not config or engine.horizon != horizon:
-        return AnsatzEngine(config, horizon, allow_caustic)
-    if not allow_caustic:
-        engine.require_valid()
-    return engine
-
-
-def run_localization_experiment(config: ObstructionConfig,
-                                engine: Optional[AnsatzEngine] = None
-                                ) -> ObstructionReport:
+def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     """Evolve the true equation over a control ensemble and verify, per record,
     the Duhamel bound, the control uniformity of δ, and the witness-distance
     floor; certify the largest ε with uniform δ(ε) < 1 − floor, or 0 when
@@ -412,14 +397,16 @@ def run_localization_experiment(config: ObstructionConfig,
     distance and the Duhamel margin are taken per row.  The working set is
     the stack and its fixed buffers, updated in place: φ is built in the
     stack's scratch buffer, and no array of the stack's size is allocated
-    per stop.  `engine`, when built for this config at the horizon
-    max(eps_grid), is used instead of shooting a new fan.
+    per stop.  The engine's horizon must reach max(eps_grid), and its ansatz
+    must stay valid to the largest sample time (CausticReached otherwise).
     """
-    max_d1w = check_hypothesis(config)
-    horizon = max(config.eps_grid)
-    engine = _engine_for(config, horizon, engine, allow_caustic=False)
+    config = engine.config
+    samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
+    engine.require_valid(float(engine.fan.times[samples[-1][-1]]))
+    # every residual norm the run needs, each sample index once
+    union = np.unique(np.concatenate(samples))
     rng = np.random.default_rng(config.seed)
-    controls = sample_controls(rng, config.ensemble_count, horizon,
+    controls = sample_controls(rng, config.ensemble_count, max(config.eps_grid),
                                config.ensemble_amplitude,
                                config.ensemble_max_breakpoints,
                                scheme="lhs", include_extremes=True)
@@ -451,17 +438,16 @@ def run_localization_experiment(config: ObstructionConfig,
                    else engine.phase(integrals_at(float(times[k]))))
         build_ansatz(engine, float(times[k]), factors, phi)
 
-    for eps in config.eps_grid:
-        idx = _sample_indices(engine, eps, config.n_samples)
+    if engine.w_vals is None:
+        # the residual is control independent: one row serves every member
+        all_norms = engine.residual_norms(union)[None, :]
+    else:
+        all_norms = engine.member_residual_norms(union, controls)
+
+    for idx in samples:
         times = engine.fan.times[idx]
         eps_eff = float(times[-1])
-        if config.enforce_hypothesis:
-            # control-independent residual norms on the fan sample grid
-            norms = engine.residual_norms(idx)[None, :]
-        else:
-            norms = np.array([[
-                np.sqrt(np.sum(np.abs(engine.residual_for(u, t)) ** 2)
-                        * config.grid.cell_volume) for t in times] for u in controls])
+        norms = all_norms[:, np.searchsorted(union, idx)]
         delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms]) / config.hbar
         deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
@@ -515,7 +501,7 @@ def run_localization_experiment(config: ObstructionConfig,
         witness_violations=wit_bad, initial_tail=float(initial_tail),
         caustic_floor=engine.caustic_floor,
         hypothesis_uniform=all(v < UNIFORMITY_TOL for v in spread_by_eps.values()),
-        max_d1w=max_d1w)
+        max_d1w=engine.max_d1w)
 
 
 def _cumulative_trapezoid(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -524,24 +510,20 @@ def _cumulative_trapezoid(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_Tq_lower_bound(config: ObstructionConfig,
-                            threshold: float = 1.0,
-                            engine: Optional[AnsatzEngine] = None) -> float:
-    """Largest horizon with δ(ε) < threshold, found on the cumulative residual
-    integral (monotone in ε, so the grid bisection reduces to an inversion);
-    capped by the caustic guard floor.  Returns 0 when even the first sample
-    exceeds the threshold.  `engine`, when built for this config at the
-    horizon tq_horizon or max(eps_grid), is used instead of a new fan.
+def estimate_Tq_lower_bound(engine: AnsatzEngine, threshold: float = 1.0) -> float:
+    """Largest horizon up to the engine's with δ(ε) < threshold, found on the
+    cumulative residual integral (monotone in ε, so the grid bisection
+    reduces to an inversion); capped by the caustic guard floor.  Returns 0
+    when even the first sample exceeds the threshold.
 
     δ here is the integral of the control-free ‖r‖, which bounds the true δ
-    only while W is constant on Ω: a config that enforces the hypothesis and
-    breaks it raises HypothesisViolated, and one that does not enforce it
-    gets 0, since then no horizon is certified."""
-    if check_hypothesis(config) >= W_CONSTANCY_TOL:
+    only while W is constant on Ω: a config that does not enforce the
+    hypothesis and breaks it gets 0, since then no horizon is certified (one
+    that enforces it never gets an engine)."""
+    if engine.max_d1w >= W_CONSTANCY_TOL:
         return 0.0
-    horizon = config.tq_horizon or max(config.eps_grid)
-    engine = _engine_for(config, horizon, engine, allow_caustic=True)
-    usable = horizon if engine.guard_floor >= engine.fan.horizon \
+    config = engine.config
+    usable = engine.fan.horizon if engine.guard_floor >= engine.fan.horizon \
         else engine.guard_floor - config.fan_step
     times = engine.fan.times
     keep = times <= usable + 1e-12

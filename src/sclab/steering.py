@@ -3,7 +3,8 @@
 The two primitives:
 
 * impulse: a constant control u = -k/ε on [0, ε] shifts the momentum by
-  k·dW(x₀) with O(ε) error while the position barely moves;
+  k·dW(x₀) = Σ_a k_a dW_a(x₀) with O(ε) error while the position barely
+  moves;
 * burst: an impulse to the boosted momentum (k/ε)·dW(x₀) followed by free
   flight of duration ε carries the position to x₀ + k·dW(x₀), the time-1
   point of the straight line with initial covector k·dW(x₀), again up to
@@ -22,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (ControlSignal, HamiltonianSpec, combined_control_spec,
-                       evolve)
+from .dynamics import ControlSignal, HamiltonianSpec, evolve
 from .errors import (DegenerateDirection, LinearSolveFailed, TargetOffCurve,
                      WedgeDegenerate)
 from .geometry import PhasePoint
@@ -78,28 +78,29 @@ def execute_plan(spec: HamiltonianSpec, lam0: PhasePoint, plan: SteeringPlan,
                         realized_endpoint=lam, achieved_error=err)
 
 
-def _single_control(spec: HamiltonianSpec) -> HamiltonianSpec:
-    if spec.n_controls != 1:
-        raise ValueError("maneuver needs a single control potential; "
-                         "combine multi-control specs first")
-    return spec
+def _covector(spec: HamiltonianSpec, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """k·dW(x) = Σ_a k_a dW_a(x) for a row k of control coefficients."""
+    terms = [ka * W.grad(x) for ka, W in zip(k, spec.W)]
+    return sum(terms[1:], terms[0])
 
 
-def impulse_steer(spec: HamiltonianSpec, lam0: PhasePoint, k: float,
+def impulse_steer(spec: HamiltonianSpec, lam0: PhasePoint, k,
                   eps: float) -> SteeringPlan:
-    """Momentum kick: constant u = -k/ε on [0, ε] targeting λ₀ + k·(0, dW(x₀))."""
-    spec = _single_control(spec)
+    """Momentum kick: constant u = -k/ε on [0, ε] targeting λ₀ + (0, k·dW(x₀)).
+
+    k is a row of n_controls coefficients, a scalar for one control."""
+    k = spec.control_rows(k)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dW = spec.W[0].grad(lam0.x)
-    predicted = PhasePoint(lam0.x, lam0.p + k * dW)
+    predicted = PhasePoint(lam0.x, lam0.p + _covector(spec, k, lam0.x))
     u = ControlSignal.constant(-k / eps, eps)
     return SteeringPlan(((u, eps),), predicted, eps)
 
 
-def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k: float,
+def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k,
                    eps: float) -> SteeringPlan:
-    """Impulse to momentum (k/ε)·dW(x₀), then free flight for time ε.
+    """Impulse to momentum (k/ε)·dW(x₀), then free flight for time ε; k is a
+    row of n_controls coefficients, a scalar for one control.
 
     The projection of the endpoint converges, as ε → 0, to x₀ + k·dW(x₀), the
     time-1 point of the free flight with initial covector k·dW(x₀).  The
@@ -107,21 +108,21 @@ def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k: float,
     ε·min(ε, 1) so its position drift (at O(k/ε) momentum) stays O(ε) and the
     total duration stays ≤ 2ε.
     """
-    spec = _single_control(spec)
+    k = spec.control_rows(k)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dW = spec.W[0].grad(lam0.x)
-    if k != 0.0 and np.linalg.norm(dW) < 1e-12:
-        raise DegenerateDirection("dW vanishes at the starting point; burst moves nowhere")
+    kdW = _covector(spec, k, lam0.x)
+    if np.linalg.norm(kdW) < 1e-12 * np.linalg.norm(k):
+        raise DegenerateDirection("k·dW vanishes at the starting point; burst moves nowhere")
     eps_inner = eps * min(eps, 1.0)
     kick = ControlSignal.constant(-(k / eps) / eps_inner, eps_inner)
-    flight = ControlSignal.constant(0.0, eps)
-    # limit target: time-1 point of the free flight with covector k dW(x0),
+    flight = ControlSignal.constant(np.zeros_like(k), eps)
+    # limit target: time-1 point of the free flight with covector k·dW(x0),
     # at the boosted momentum
-    if k == 0.0:
+    if not k.any():
         target = PhasePoint(lam0.x, lam0.p)
     else:
-        target = PhasePoint(lam0.x + k * dW, (k * dW) / eps)
+        target = PhasePoint(lam0.x + kdW, kdW / eps)
     return SteeringPlan(((kick, eps_inner), (flight, eps)), target, eps)
 
 
@@ -200,7 +201,8 @@ def gradient_curve_steer(spec: HamiltonianSpec, lam0: PhasePoint, target,
     The curve is approximated by straight chords (deviation < tol/10); each
     chord is realized by a burst re-planned from the realized state.
     """
-    spec = _single_control(spec)
+    if spec.n_controls != 1:
+        raise ValueError("gradient-curve steering needs a single control potential")
     target = np.asarray(target, dtype=float).reshape(-1)
     dW0 = spec.W[0].grad(lam0.x)
     if np.linalg.norm(dW0) < 1e-12:
@@ -261,9 +263,9 @@ def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
     """Reach an arbitrary phase-space target with n independent controls.
 
     Steps: (a) decompose the covector x₁ − x₀ of the connecting line in the
-    dW_i frame, (b) burst under the combined potential, (c) cancel the
-    residual momentum with a final (much shorter) impulse re-solved at the
-    realized position.
+    dW_i frame, (b) burst with those coefficients as the control row, (c)
+    cancel the residual momentum with a final (much shorter) impulse
+    re-solved at the realized position.
     """
     frame0 = _control_frame(spec, lam0.x)
     frame1 = _control_frame(spec, lam1.x)
@@ -272,18 +274,16 @@ def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
             raise WedgeDegenerate(f"control differentials degenerate at the {where}")
 
     a = _solve_coefficients(frame0, lam1.x - lam0.x)
-    burst_spec = combined_control_spec(spec, a)
-    plan_burst = geodesic_burst(burst_spec, lam0, 1.0, eps)
-    plan_burst = execute_plan(burst_spec, lam0, plan_burst, substeps=substeps)
+    plan_burst = geodesic_burst(spec, lam0, a, eps)
+    plan_burst = execute_plan(spec, lam0, plan_burst, substeps=substeps)
     lam_mid = plan_burst.realized_endpoint
 
     # final impulse: shift momentum to the requested one at the realized position
     frame_mid = _control_frame(spec, lam_mid.x)
     b = _solve_coefficients(frame_mid, lam1.p - lam_mid.p)
-    imp_spec = combined_control_spec(spec, b)
     eps_final = eps * min(eps, 1.0) ** 2
-    plan_imp = impulse_steer(imp_spec, lam_mid, 1.0, eps_final)
-    plan_imp = execute_plan(imp_spec, lam_mid, plan_imp, substeps=substeps)
+    plan_imp = impulse_steer(spec, lam_mid, b, eps_final)
+    plan_imp = execute_plan(spec, lam_mid, plan_imp, substeps=substeps)
     lam_end = plan_imp.realized_endpoint
 
     segments = plan_burst.segments + plan_imp.segments

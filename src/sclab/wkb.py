@@ -142,27 +142,19 @@ def shoot_characteristics(S0: PotentialField, V: Optional[PotentialField], seeds
 
 def first_conjugate_time(fan: CharacteristicFan) -> np.ndarray:
     """Per-seed first zero of J(t) (cubic Hermite root in the bracketing step,
-    since J̇ = δp is stored); seeds without a zero report the fan horizon."""
-    nt, m = fan.J.shape
-    out = np.full(m, fan.horizon)
-    for j in range(m):
-        Jcol = fan.J[:, j]
-        sign_change = np.where(Jcol[:-1] * Jcol[1:] <= 0)[0]
-        if sign_change.size == 0:
-            continue
-        k = int(sign_change[0])
-        if Jcol[k] == 0.0:
-            out[j] = fan.times[k]
-            continue
-        t0, t1 = fan.times[k], fan.times[k + 1]
-        h = t1 - t0
-        f0, f1 = Jcol[k], Jcol[k + 1]
-        d0, d1 = fan.delta_p[k, j], fan.delta_p[k + 1, j]
-
-        def hermite(t):
-            return hermite_state(f0, f1, d0, d1, h, (t - t0) / h)
-
-        out[j] = bisect_event(hermite, t0, t1, tol=1e-10)
+    since J̇ = δp is stored); seeds without a zero report the fan horizon.
+    One `bisect_event` call locates the roots of every seed at once."""
+    out = np.full(fan.J.shape[1], fan.horizon)
+    change = fan.J[:-1] * fan.J[1:] <= 0
+    j = np.flatnonzero(change.any(axis=0))
+    k = np.argmax(change[:, j], axis=0)  # each seed's first bracketing step
+    t0, t1 = fan.times[k], fan.times[k + 1]
+    h = t1 - t0
+    f0, f1 = fan.J[k, j], fan.J[k + 1, j]
+    d0, d1 = fan.delta_p[k, j], fan.delta_p[k + 1, j]
+    # a zero at a knot is a bracket end, which bisect_event returns as is
+    out[j] = bisect_event(lambda t: hermite_state(f0, f1, d0, d1, h, (t - t0) / h),
+                          t0, t1, tol=1e-10)
     return out
 
 

@@ -9,7 +9,8 @@ import numpy as np
 
 from sclab.dynamics import HamiltonianSpec, evolve
 from sclab.geometry import BoxRegion, PhasePoint, PotentialField
-from sclab.integrate import fd_jacobian
+from sclab.integrate import bisect_event, fd_jacobian, hermite_state
+from sclab.wkb import wkb_residual
 
 
 def control_value(spec: HamiltonianSpec, x, u) -> float:
@@ -74,3 +75,36 @@ def region_probability(psi, region: BoxRegion) -> float:
     pts = psi.grid.mesh().reshape(-1, psi.grid.dim)
     mask = region.contains(pts).reshape(psi.grid.shape)
     return float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.grid.cell_volume)
+
+
+def member_residual_norm(engine, u, k: int) -> float:
+    """‖r(t_k)‖ of the ansatz for one control u with the constancy hypothesis
+    broken, formed for this (member, time) alone: the control-free residual
+    plus u(t_k)·(W − c)·χψ̃, as a fresh grid."""
+    t = float(engine.fan.times[k])
+    field = engine.field_at(t)
+    uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
+    r = (wkb_residual(field, engine.chi)
+         + uval * engine.chi_vals * (engine.w_vals - engine.c_ref) * field.psi_tilde())
+    return float(np.sqrt(np.sum(np.abs(r) ** 2) * engine.grid.cell_volume))
+
+
+def conjugate_times_per_seed(fan) -> np.ndarray:
+    """First zero of each seed's J(t), one seed at a time: the first step
+    whose ends bracket a sign change, then the root of that step's cubic
+    Hermite interpolant by scalar bisection; the fan horizon if none."""
+    out = np.full(fan.J.shape[1], fan.horizon)
+    for j in range(fan.J.shape[1]):
+        J, dJ = fan.J[:, j], fan.delta_p[:, j]
+        change = np.flatnonzero(J[:-1] * J[1:] <= 0)
+        if change.size == 0:
+            continue
+        k = int(change[0])
+        if J[k] == 0.0:
+            out[j] = fan.times[k]
+            continue
+        t0, h = fan.times[k], fan.times[k + 1] - fan.times[k]
+        out[j] = bisect_event(lambda t: hermite_state(J[k], J[k + 1], dJ[k], dJ[k + 1], h,
+                                                      (t - t0) / h),
+                              t0, fan.times[k + 1], tol=1e-10)
+    return out

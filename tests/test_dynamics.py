@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import flow_jacobian, hamiltonian
@@ -191,6 +191,17 @@ class TestHermiteState:
         z0, z1, f0, f1 = (np.array([v, -v]) for v in vals)
         assert np.array_equal(hermite_state(z0, z1, f0, f1, h, 0.0), z0)
         assert np.array_equal(hermite_state(z0, z1, f0, f1, h, 1.0), z1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(finite, min_size=4, max_size=4), st.floats(1e-3, 2.0),
+           st.floats(0.0, 1.0))
+    # (1 - s) ** 2 of this scalar s, by C pow, is not (1 - s) * (1 - s)
+    @example([1.0, 0.0, 0.0, 0.0], 1.0, 0.18271225766227794)
+    def test_scalar_fraction_gives_the_bits_of_an_array(self, vals, h, s):
+        z0, z1, f0, f1 = vals
+        one = hermite_state(z0, z1, f0, f1, h, np.float64(s))
+        batch = hermite_state(z0, z1, f0, f1, h, np.array([s]))
+        assert np.array_equal(np.atleast_1d(one), batch)
 
 
 def registry_fields(dim):

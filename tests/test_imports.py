@@ -1,6 +1,7 @@
 """Every name a `sclab` module imports is used in it, every module-level
-function and class is used somewhere in `sclab`, and nothing in `sclab`
-imports scipy, which is a test-only reference.
+function and class is used somewhere in `sclab`, every `ObstructionConfig`
+field is set by the CLI or has a stated reason not to be, and nothing in
+`sclab` imports scipy, which is a test-only reference.
 
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
@@ -15,6 +16,7 @@ an attribute used elsewhere passes unseen.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -155,6 +157,44 @@ def test_checker_sees_a_method_behind_a_local_of_its_name():
         "b.py": "from .a import Box, caller\nprint(caller([Box()]))\n",
     }
     assert unreferenced_definitions(sources) == ["a.py:Box.inner"]
+
+
+# ObstructionConfig fields that harness._run_obstruction does not pass, each
+# with the reason; any other field is a knob no CLI run can reach
+OBSTRUCTION_FIELDS_UNSET = {
+    "n2_grid": "the product case has no config keys yet",
+    "V2": "the product case has no config keys yet",
+    "W2": "the product case has no config keys yet",
+    "psi2_center": "the product case has no config keys yet",
+    "psi2_sigma": "the product case has no config keys yet",
+    "hbar": "the CLI runs at ħ = 1 until one engine serves every ħ",
+    "dt": "the tests' finer split-step step",
+}
+
+
+def keywords_passed(source: str, function: str, callee: str) -> set[str]:
+    """Keyword names of every call to `callee` inside the module-level
+    `function` of source."""
+    tree = ast.parse(source)
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {kw.arg for node in ast.walk(body)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == callee for kw in node.keywords}
+
+
+def test_checker_sees_passed_keywords():
+    source = ("def run():\n    Cfg(a=1, b=g(c=2))\n    Cfg(d=3)\n\n"
+              "def other():\n    Cfg(e=4)\n")
+    assert keywords_passed(source, "run", "Cfg") == {"a", "b", "d"}
+
+
+def test_harness_passes_every_obstruction_field():
+    from sclab.obstruction import ObstructionConfig
+    passed = keywords_passed((SRC / "harness.py").read_text(), "_run_obstruction",
+                             "ObstructionConfig")
+    unset = {f.name for f in dataclasses.fields(ObstructionConfig)} - passed
+    assert sorted(unset) == sorted(OBSTRUCTION_FIELDS_UNSET)
 
 
 def imported_modules(source: str) -> set[str]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import control_integral
+from oracles import control_integral, member_residual_norm
 import sclab.obstruction
 from sclab.config import parse_config
 from sclab.dynamics import ControlSignal, sample_controls
@@ -55,6 +55,11 @@ def product_config(**overrides):
     )
     base.update(overrides)
     return ObstructionConfig(**base)
+
+
+def localize(cfg):
+    """The localization experiment on an engine built at max(eps_grid)."""
+    return run_localization_experiment(AnsatzEngine(cfg, max(cfg.eps_grid)))
 
 
 def ansatz(cfg, controls, t):
@@ -122,9 +127,8 @@ class TestBuildAnsatz:
 
     def test_degenerate_second_factor_matches_scalar_delta(self):
         # constant W2 on N2 reproduces the scalar experiment's δ exactly
-        scal = run_localization_experiment(scalar_config(
-            ensemble_count=2, eps_grid=(0.02,)))
-        prod = run_localization_experiment(product_config(
+        scal = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
+        prod = localize(product_config(
             grid=SpatialGrid(((-np.pi, 2 * np.pi, 512),)),
             n_seeds=1200,
             V2=None,
@@ -137,7 +141,7 @@ class TestBuildAnsatz:
 
 class TestLocalizationExperiment:
     def test_scalar_demo_report(self):
-        rep = run_localization_experiment(scalar_config())
+        rep = localize(scalar_config())
         assert rep.duhamel_violations == 0
         assert rep.witness_violations == 0
         assert rep.hypothesis_uniform
@@ -156,7 +160,7 @@ class TestLocalizationExperiment:
     def test_duhamel_bound_holds_below_unit_hbar(self, hbar, certified):
         # the control phase and δ both carry 1/ħ; for S0 = V = 0 the residual
         # is ∝ ħ², so δ ∝ ħ and the certified ε grows as 1/ħ
-        rep = run_localization_experiment(scalar_config(
+        rep = localize(scalar_config(
             hbar=hbar, ensemble_count=4, eps_grid=(0.04, 0.08, 0.16)))
         assert rep.duhamel_violations == 0
         assert rep.witness_violations == 0
@@ -164,14 +168,13 @@ class TestLocalizationExperiment:
 
     def test_violation_withholds_certificate(self, monkeypatch):
         monkeypatch.setattr(sclab.obstruction, "DUHAMEL_SLACK", -1.0)
-        rep = run_localization_experiment(scalar_config(ensemble_count=2,
-                                                        eps_grid=(0.02,)))
+        rep = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
         assert rep.duhamel_violations > 0
         assert max(rep.delta_by_eps.values()) < 1.0 - 0.1  # δ alone would certify
         assert rep.certified_bound == 0.0
 
     def test_distance_floor_holds_per_record(self):
-        rep = run_localization_experiment(scalar_config(ensemble_count=4))
+        rep = localize(scalar_config(ensemble_count=4))
         for r in rep.records:
             assert r.min_witness_distance >= 1.0 - r.delta - 1e-6
 
@@ -179,7 +182,7 @@ class TestLocalizationExperiment:
         cfg = scalar_config(W=make_potential("linear", 1, slope=1.0),
                             ensemble_count=2)
         with pytest.raises(HypothesisViolated):
-            run_localization_experiment(cfg)
+            localize(cfg)
 
     def test_broken_hypothesis_flagged_not_failed(self):
         cfg = scalar_config(W=make_potential("linear", 1, slope=1.0),
@@ -187,7 +190,7 @@ class TestLocalizationExperiment:
                             ensemble_count=4, ensemble_amplitude=5.0,
                             ensemble_max_breakpoints=1,
                             eps_grid=(0.02,), dt=2.5e-4)
-        rep = run_localization_experiment(cfg)
+        rep = localize(cfg)
         assert rep.duhamel_violations == 0  # modified residual still certifies
         assert not rep.hypothesis_uniform   # but δ is control dependent
         assert max(rep.delta_spread_by_eps.values()) > 1e-9
@@ -195,7 +198,7 @@ class TestLocalizationExperiment:
     def test_ensemble_spread_is_round_off_for_constant_w(self):
         # W ≡ 1 makes u·W a global phase, which φ carries: no control moves
         # ψ off φ, so max_deviation agrees across the ensemble
-        rep = run_localization_experiment(scalar_config())
+        rep = localize(scalar_config())
         assert rep.ensemble_spread <= 1e-12
 
     def test_ensemble_spread_sees_a_varying_w(self):
@@ -206,18 +209,17 @@ class TestLocalizationExperiment:
                             ensemble_count=4, ensemble_amplitude=5.0,
                             ensemble_max_breakpoints=1,
                             eps_grid=(0.02,), dt=2.5e-4)
-        rep = run_localization_experiment(cfg)
+        rep = localize(cfg)
         assert rep.ensemble_spread > 1e-6
 
     def test_product_outside_probability_bounded(self):
-        rep = run_localization_experiment(product_config())
+        rep = localize(product_config())
         assert rep.duhamel_violations == 0
         for r in rep.records:
             assert r.outside_probability <= r.delta + rep.initial_tail + 1e-9
 
     def test_report_serialization(self):
-        rep = run_localization_experiment(scalar_config(ensemble_count=2,
-                                                        eps_grid=(0.02,)))
+        rep = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
         js = rep.to_json()
         assert '"certified_bound"' in js
         csv_text = rep.to_csv(header_comment="seed=3")
@@ -229,28 +231,29 @@ class TestTqEstimate:
     def test_zero_residual_reaches_horizon(self):
         # for S0 = V = 0 the residual is ħ²·½Δ(χa), so δ = (1/ħ)∫‖r‖ is ∝ ħ:
         # at ħ = 1e-6 it stays near zero and the bound is the whole horizon
-        cfg = scalar_config(hbar=1e-6, eps_grid=(0.05,), tq_horizon=0.05)
-        bound = estimate_Tq_lower_bound(cfg)
+        cfg = scalar_config(hbar=1e-6, eps_grid=(0.05,))
+        bound = estimate_Tq_lower_bound(AnsatzEngine(cfg, 0.05))
         assert bound == pytest.approx(0.05, abs=1e-6)
 
     def test_demo_bound_strictly_positive(self):
-        bound = estimate_Tq_lower_bound(scalar_config(tq_horizon=0.2))
+        bound = estimate_Tq_lower_bound(AnsatzEngine(scalar_config(), 0.2))
         assert bound > 0.0
 
     def test_linear_model_inversion(self):
-        # δ(ε) = s·ε here, so the ε with δ = thr is thr/s
-        cfg = scalar_config(tq_horizon=0.2)
-        rep = run_localization_experiment(cfg)
+        # δ(ε) = s·ε here, so the ε with δ = thr is thr/s; one engine
+        # serves both stages
+        engine = AnsatzEngine(scalar_config(), 0.2)
+        rep = run_localization_experiment(engine)
         eps0 = sorted(rep.delta_by_eps)[0]
         slope = rep.delta_by_eps[eps0] / eps0
         thr = 0.9
-        bound = estimate_Tq_lower_bound(cfg, threshold=thr)
+        bound = estimate_Tq_lower_bound(engine, threshold=thr)
         assert bound == pytest.approx(thr / slope, rel=1e-2)
 
     def test_bound_grows_as_inverse_hbar(self):
         # for S0 = V = 0 the residual is ∝ ħ², so δ = (1/ħ)∫‖r‖ is ∝ ħ
-        bound = estimate_Tq_lower_bound(scalar_config(tq_horizon=0.3), threshold=0.9)
-        half = estimate_Tq_lower_bound(scalar_config(hbar=0.5, tq_horizon=0.3),
+        bound = estimate_Tq_lower_bound(AnsatzEngine(scalar_config(), 0.3), threshold=0.9)
+        half = estimate_Tq_lower_bound(AnsatzEngine(scalar_config(hbar=0.5), 0.3),
                                        threshold=0.9)
         assert half == pytest.approx(2.0 * bound, rel=1e-6)
 
@@ -269,16 +272,22 @@ class TestTqEstimate:
         assert report["delta_by_eps"]["0.02"] > 0.9
         assert summary["tq_lower_bound"] == 0.0
 
-    def test_varying_w_raises_when_enforced(self):
+    def test_varying_w_raises_when_enforced(self, monkeypatch):
+        # the engine checks the hypothesis before it shoots its fan
+        calls = []
+        shoot = sclab.obstruction.shoot_characteristics
+        monkeypatch.setattr(sclab.obstruction, "shoot_characteristics",
+                            lambda *a, **k: calls.append(1) or shoot(*a, **k))
         with pytest.raises(HypothesisViolated):
-            estimate_Tq_lower_bound(scalar_config(W=make_potential("linear", 1, slope=1.0)))
+            AnsatzEngine(scalar_config(W=make_potential("linear", 1, slope=1.0)), 0.04)
+        assert calls == []
 
     def test_caustic_caps_the_bound(self):
         # contracting phase S0 = -x²/2 focuses at t = 1: guard must cap earlier
         cfg = scalar_config(S0=make_potential("harmonic", 1, k=-1.0),
                             a0=make_potential("gaussian", 1, width=0.3),
-                            tq_horizon=2.0, eps_grid=(0.05,))
-        bound = estimate_Tq_lower_bound(cfg, threshold=1e9)
+                            eps_grid=(0.05,))
+        bound = estimate_Tq_lower_bound(AnsatzEngine(cfg, 2.0), threshold=1e9)
         assert 0.0 < bound < 1.0
 
 
@@ -293,9 +302,9 @@ class TestWorkCounts:
         counts = []
         for eps_grid in ((0.01,), (0.01, 0.02, 0.04)):
             cfg = scalar_config(eps_grid=eps_grid, ensemble_count=2)
-            engine = AnsatzEngine(cfg, max(eps_grid), allow_caustic=True)
-            run_localization_experiment(cfg, engine)
-            estimate_Tq_lower_bound(cfg, engine=engine)
+            engine = AnsatzEngine(cfg, max(eps_grid))
+            run_localization_experiment(engine)
+            estimate_Tq_lower_bound(engine)
             counts.append(len(profiles))
             profiles.clear()
         assert counts == [1, 1]
@@ -310,7 +319,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(sclab.obstruction, "split_step_evolve", counted)
         cfg = scalar_config(ensemble_count=3)
-        run_localization_experiment(cfg)
+        localize(cfg)
         assert len(windows) == len(cfg.eps_grid)
         assert min(windows) > 1  # each call stops at every sample time
 
@@ -323,7 +332,7 @@ class TestWorkCounts:
         for count in (2, 4):
             cfg = scalar_config(W=W, enforce_hypothesis=False, ensemble_count=count,
                                 ensemble_amplitude=5.0, eps_grid=(0.02,), dt=2.5e-4)
-            run_localization_experiment(cfg)
+            localize(cfg)
             counts.append(len(calls))
             calls.clear()
         assert counts[0] == counts[1]
@@ -339,15 +348,24 @@ class TestWorkCounts:
         cfg = scalar_config(W=make_potential("linear", 1, slope=1.0), enforce_hypothesis=False,
                             ensemble_count=4, ensemble_amplitude=5.0, eps_grid=(0.01, 0.02),
                             dt=2.5e-4)
-        engine = AnsatzEngine(cfg, max(cfg.eps_grid), allow_caustic=True)
-        run_localization_experiment(cfg, engine)
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid))
+        run_localization_experiment(engine)
         sample_times = {k for eps in cfg.eps_grid
                         for k in _sample_indices(engine, eps, cfg.n_samples)}
         assert len(grids) == len(sample_times)
-        # the shared grid is not written to: a fresh engine gives the same bits
-        fresh = AnsatzEngine(cfg, max(cfg.eps_grid), allow_caustic=True)
-        u, t = ControlSignal.constant(3.0, 0.02), float(engine.fan.times[max(sample_times)])
-        assert np.array_equal(engine.residual_for(u, t), fresh.residual_for(u, t))
+
+    def test_member_norms_match_the_per_member_formula(self):
+        # one row per member, taken on the shared control-free grid, gives
+        # the bits of ‖r‖ formed for each (member, sample time) alone
+        cfg = scalar_config(W=make_potential("cosine", 1), enforce_hypothesis=False,
+                            eps_grid=(0.02,))
+        engine = AnsatzEngine(cfg, 0.02)
+        controls = sample_controls(4, 6, 0.02, 50.0, 4, include_extremes=True)
+        idx = _sample_indices(engine, 0.02, cfg.n_samples)
+        rows = engine.member_residual_norms(idx, controls)
+        assert rows.shape == (len(controls), idx.size)
+        assert np.array_equal(rows, [[member_residual_norm(engine, u, k) for k in idx]
+                                     for u in controls])
 
 
 def _load_bench_run(monkeypatch):
@@ -360,40 +378,44 @@ def _load_bench_run(monkeypatch):
 
 class TestSharedEngine:
     def test_harness_shoots_one_fan(self, tmp_path, monkeypatch):
+        # one hypothesis check, then one fan at max(eps_grid)
         calls = []
         shoot = sclab.obstruction.shoot_characteristics
+        check = sclab.obstruction.check_hypothesis
 
         def counted(*args, **kwargs):
             calls.append(args[3])  # the horizon
             return shoot(*args, **kwargs)
 
         monkeypatch.setattr(sclab.obstruction, "shoot_characteristics", counted)
+        monkeypatch.setattr(sclab.obstruction, "check_hypothesis",
+                            lambda cfg: calls.append("check") or check(cfg))
         cfg = parse_config("experiment = obstruction\nseed = 5\n"
                            "obstruction.eps_grid = 0.01,0.02\n"
                            "obstruction.ensemble = 3\nobstruction.n_seeds = 600\n"
                            "obstruction.w.name = linear\nobstruction.w.slope = 0.0\n"
                            f"obstruction.w.offset = 1.0\nout = {tmp_path}\n")
         assert run_experiment(cfg) == 0
-        assert calls == [0.02]
-
-    def test_shared_engine_gives_the_same_numbers(self):
-        cfg = scalar_config(ensemble_count=3)
-        engine = AnsatzEngine(cfg, max(cfg.eps_grid), allow_caustic=True)
-        shared = run_localization_experiment(cfg, engine)
-        alone = run_localization_experiment(cfg)
-        assert shared.to_json() == alone.to_json()
-        assert shared.records == alone.records
-        assert (estimate_Tq_lower_bound(cfg, 0.9, engine=engine)
-                == estimate_Tq_lower_bound(cfg, 0.9))
+        assert calls == ["check", 0.02]
 
     def test_shared_engine_still_raises_at_a_caustic(self):
         cfg = scalar_config(S0=make_potential("harmonic", 1, k=-1.0),
                             a0=make_potential("gaussian", 1, width=0.3),
                             eps_grid=(1.2,), ensemble_count=1)
-        engine = AnsatzEngine(cfg, 1.2, allow_caustic=True)
+        engine = AnsatzEngine(cfg, 1.2)
         with pytest.raises(CausticReached):
-            run_localization_experiment(cfg, engine)
-        assert 0.0 < estimate_Tq_lower_bound(cfg, 1e9, engine=engine) < 1.0
+            run_localization_experiment(engine)
+        assert 0.0 < estimate_Tq_lower_bound(engine, 1e9) < 1.0
+
+    def test_validity_is_required_up_to_the_largest_sample_time(self):
+        # the fan reaches past the caustic, the ε grid stops before it
+        cfg = scalar_config(S0=make_potential("harmonic", 1, k=-1.0),
+                            a0=make_potential("gaussian", 1, width=0.3),
+                            eps_grid=(0.05,), ensemble_count=1)
+        engine = AnsatzEngine(cfg, 1.2)
+        assert 0.05 < engine.guard_floor < 1.2
+        rep = run_localization_experiment(engine)
+        assert rep.eps_grid == (pytest.approx(0.05),)
 
     def test_benchmark_reference_summary(self, tmp_path, monkeypatch):
         # the obstruction workload of perfbench/run.py at seed 0

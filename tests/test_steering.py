@@ -182,6 +182,25 @@ class TestFullRank:
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-2
 
+    def test_control_row_bursts_along_the_sum(self):
+        # a row k on n controls bursts along k·dW = Σ k_a dW_a, and the kick
+        # carries the row itself
+        spec = self.plane_spec()
+        lam0 = PhasePoint(np.array([0.2, -0.1]), np.zeros(2))
+        plan = geodesic_burst(spec, lam0, [0.5, -2.0], 1e-2)
+        assert np.array_equal(plan.predicted_endpoint.x, [0.7, -2.1])
+        assert plan.segments[0][0].values.tolist() == [pytest.approx([-5e5, 2e6])]
+        with pytest.raises(ValueError):
+            impulse_steer(spec, lam0, 1.0, 1e-2)  # one value for two controls
+
+    def test_momentum_only_target(self):
+        # x1 = x0 makes the burst row zero: no kick, then the final impulse
+        spec = self.plane_spec()
+        lam0 = PhasePoint(np.array([0.3, 0.4]), np.zeros(2))
+        lam1 = PhasePoint(lam0.x, np.array([1.0, -1.0]))
+        plan = full_rank_steer(spec, lam0, lam1, eps=1e-2, tol=1e-2)
+        assert plan.achieved_error < 1e-2
+
     def test_repeated_potential_degenerate(self):
         space = ChartSpace(dimension=2)
         w = make_potential("linear", 2, slope=[1.0, 0.0])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conjugate_times_per_seed
 from sclab.config import parse_config
 from sclab.errors import (CausticReached, MaskViolation, StepTooCoarse,
                           TrajectoryEscape)
@@ -108,6 +110,21 @@ class TestConjugateTime:
         fan = shoot_characteristics(quad_phase(-1.0), make_potential("cosine", 1),
                                     seeds_on(n=120), 2.0, 1e-3)
         assert float(np.min(first_conjugate_time(fan))) > 0.0
+
+    def test_matches_each_seed_located_alone(self):
+        # one bisection over every bracket gives each seed's bits alone
+        fan = shoot_characteristics(quad_phase(-1.0), make_potential("cosine", 1),
+                                    seeds_on(), 2.0, 1e-3)
+        tc = first_conjugate_time(fan)
+        assert np.count_nonzero(tc < fan.horizon) > 100
+        assert np.array_equal(tc, conjugate_times_per_seed(fan))
+        # J exactly zero at a knot: that knot is the seed's first zero
+        J = fan.J.copy()
+        J[300, :5] = 0.0
+        knotted = dataclasses.replace(fan, J=J)
+        tc = first_conjugate_time(knotted)
+        assert np.array_equal(tc[:5], np.full(5, fan.times[300]))
+        assert np.array_equal(tc, conjugate_times_per_seed(knotted))
 
     def test_matches_brentq_on_the_hermite_root(self):
         # scipy's brentq on the same bracketing step's Hermite interpolant is
