@@ -191,6 +191,16 @@ def evolve(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
 # Control ensembles
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of an array, sorted: np.unique's result for finite
+    values, without the first np.unique call's import of numpy.ma."""
+    s = np.sort(np.asarray(values).reshape(-1))
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def sample_controls(seed, count: int, duration: float, amplitude: float,
                     max_breakpoints: int = 8, scheme: str = "uniform",
                     include_extremes: bool = False) -> list[ControlSignal]:
@@ -213,7 +223,7 @@ def sample_controls(seed, count: int, duration: float, amplitude: float,
         interior = np.sort(rng.uniform(0.0, duration, size=m - 1)) if m > 1 else np.empty(0)
         bp = np.concatenate([[0.0], interior, [duration]])
         # guard against coincident interior points
-        bp = np.unique(bp)
+        bp = sorted_unique(bp)
         if bp.size < 2:
             bp = np.array([0.0, duration])
         nseg = bp.size - 1

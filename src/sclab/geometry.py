@@ -69,11 +69,14 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """A scalar field with analytic gradient and optional fibre-wise bounds.
+    """A scalar field with analytic gradient, optional analytic diagonal
+    second derivative and optional fibre-wise bounds.
 
-    value/gradient must broadcast over batched inputs of shape (..., dim).
-    c_bound(x) majorizes the base-factor differential norm and K_bound(x) the
-    norm-equivalence factor used by the exit-time comparison systems.
+    value/gradient/hessian must broadcast over batched inputs of shape
+    (..., dim); hessian(x)[..., k] is ∂²f/∂x_k², shaped like the gradient
+    (the WKB fan's V″ needs it).  c_bound(x) majorizes the base-factor
+    differential norm and K_bound(x) the norm-equivalence factor used by the
+    exit-time comparison systems.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -81,6 +84,7 @@ class PotentialField:
     c_bound: Optional[Callable[[np.ndarray], float]] = None
     K_bound: Optional[Callable[[np.ndarray], float]] = None
     name: str = "custom"
+    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
@@ -151,7 +155,7 @@ def pullback(field: PotentialField, axis: int) -> PotentialField:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
+        g = np.zeros(np.shape(x))
         g[..., axis] = np.asarray(field.gradient(x[..., axis:axis + 1]))[..., 0]
         return g
 
@@ -172,18 +176,22 @@ def _per_axis(coeff, dim: int) -> np.ndarray:
 
 
 def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
-    """Build a named potential; all registry fields are smooth and vectorized.
+    """Build a named potential; all registry fields are smooth and vectorized,
+    with analytic gradient and diagonal second derivative.
 
     Names: zero, harmonic (k, center), linear (slope, offset),
     gaussian (amplitude, center, width), cosine (amplitude, freq, phase),
     polynomial (per-axis coefficient lists c0, c1, ... ascending).
     """
     name = name.lower().replace("_", "-")
+
+    def zeros(x):
+        return np.zeros(np.shape(x))
+
     if name == "zero":
         return PotentialField(
             value=lambda x: np.zeros(np.shape(x)[:-1]) if np.ndim(x) > 1 else 0.0,
-            gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="zero",
+            gradient=zeros, hessian=zeros, name="zero",
         )
     if name == "harmonic":
         k = _per_axis(coeffs.get("k", 1.0), dim)
@@ -194,6 +202,7 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
             return 0.5 * np.sum(k * d * d, axis=-1)
 
         return PotentialField(val, lambda x: k * (np.asarray(x, dtype=float) - center),
+                              hessian=lambda x: np.broadcast_to(k, np.shape(x)).astype(float),
                               name="harmonic")
     if name == "linear":
         slope = _per_axis(coeffs.get("slope", 1.0), dim)
@@ -201,7 +210,7 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
         return PotentialField(
             lambda x: np.sum(slope * np.asarray(x, dtype=float), axis=-1) + offset,
             lambda x: np.broadcast_to(slope, np.shape(x)).astype(float),
-            name="linear",
+            hessian=zeros, name="linear",
         )
     if name == "gaussian":
         amp = float(coeffs.get("amplitude", 1.0))
@@ -217,19 +226,30 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
             d = (x - center) / width
             return (-d / width) * amp * np.exp(-0.5 * np.sum(d * d, axis=-1))[..., None]
 
-        return PotentialField(g_val, g_grad, name="gaussian")
+        def g_hess(x):
+            d = (np.asarray(x, dtype=float) - center) / width
+            return ((d * d - 1.0) / (width * width)) \
+                * amp * np.exp(-0.5 * np.sum(d * d, axis=-1))[..., None]
+
+        return PotentialField(g_val, g_grad, hessian=g_hess, name="gaussian")
     if name == "cosine":
         amp = _per_axis(coeffs.get("amplitude", 1.0), dim)
         freq = _per_axis(coeffs.get("freq", 1.0), dim)
         phase = _per_axis(coeffs.get("phase", 0.0), dim)
+        # -amp * freq is (-amp) * freq, so hoisting it keeps the gradient's bits
+        grad_coeff = -amp * freq
+        hess_coeff = grad_coeff * freq
 
         def c_val(x):
             return np.sum(amp * np.cos(freq * np.asarray(x, dtype=float) + phase), axis=-1)
 
         def c_grad(x):
-            return -amp * freq * np.sin(freq * np.asarray(x, dtype=float) + phase)
+            return grad_coeff * np.sin(freq * np.asarray(x, dtype=float) + phase)
 
-        return PotentialField(c_val, c_grad, name="cosine")
+        def c_hess(x):
+            return hess_coeff * np.cos(freq * np.asarray(x, dtype=float) + phase)
+
+        return PotentialField(c_val, c_grad, hessian=c_hess, name="cosine")
     if name == "polynomial":
         # coeffs: key "c<axis>" with ascending coefficient list, e.g. c0="0,0,0.5"
         per_axis = []
@@ -244,13 +264,20 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
                 total = total + np.polynomial.polynomial.polyval(x[..., ax], c)
             return total
 
-        def p_grad(x):
-            x = np.asarray(x, dtype=float)
-            g = np.zeros_like(x)
-            for ax, c in enumerate(per_axis):
-                dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-                g[..., ax] = np.polynomial.polynomial.polyval(x[..., ax], dc)
-            return g
+        def p_derivative(order):
+            """∂^order/∂x_k^order of each axis's polynomial, shaped like x."""
+            derived = [np.polynomial.polynomial.polyder(c, order) if c.size > order
+                       else np.zeros(1) for c in per_axis]
 
-        return PotentialField(p_val, p_grad, name="polynomial")
+            def derivative(x):
+                x = np.asarray(x, dtype=float)
+                g = np.zeros_like(x)
+                for ax, dc in enumerate(derived):
+                    g[..., ax] = np.polynomial.polynomial.polyval(x[..., ax], dc)
+                return g
+
+            return derivative
+
+        return PotentialField(p_val, p_derivative(1), hessian=p_derivative(2),
+                              name="polynomial")
     raise ValueError(f"unknown potential '{name}'")

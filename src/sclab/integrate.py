@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration, its certificates and finite differences.
+"""Fixed-step RK4 integration, its certificates and event location.
 
 Every module integrates through this one: classical explicit Runge–Kutta 4
 with a deterministic step count per interval.
@@ -19,8 +19,9 @@ with a deterministic step count per interval.
 * `halving_checked` is the acceptance rule: run again with the step halved
   and require the endpoint to move by less than `HALVING_REL_TOL` relative,
   otherwise StepTooCoarse.  It returns the fine run.
-* `fd_jacobian` is the one finite-difference helper: central differences with
-  the step `FD_REL_STEP`·(1 + |x_k|) on each axis k.
+* No finite-difference derivative lives here: the WKB fan's V″ is the
+  potential's analytic `PotentialField.hessian`, and the central-difference
+  Jacobian the tests check derivatives against is `tests/oracles.py`'s.
 * Events inside a step are located on its dense output: `hermite_state` is
   the cubic Hermite interpolant built from the step's endpoint states and the
   field at them (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6), so a
@@ -40,8 +41,6 @@ from .errors import StepTooCoarse, TrajectoryEscape
 HALVING_REL_TOL = 1e-8
 # Overflow guard for all trajectory integration (finite-time escape detector).
 ESCAPE_GUARD = 1e12
-# Relative step of fd_jacobian's central differences (V″ of the WKB fan).
-FD_REL_STEP = 1e-5
 
 
 def _nsteps(t0, t1, step: float):
@@ -173,22 +172,3 @@ def bisect_event(f: Callable, lo, hi, tol: float = 1e-10, max_iter: int = 200):
         live &= hi - lo > tol
     root = np.where(found, root, 0.5 * (lo + hi))
     return float(root) if root.ndim == 0 else root
-
-
-def fd_jacobian(f: Callable, x) -> np.ndarray:
-    """Central differences: out[..., k] = ∂f/∂x_k with h = FD_REL_STEP·(1 + |x_k|).
-
-    x has shape (..., d) and axis k is its last axis.  A batch of points
-    (m, d) is perturbed all at once, so f must act row-wise and its output
-    must broadcast against x[..., k].
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for k in range(x.shape[-1]):
-        h = FD_REL_STEP * (1.0 + np.abs(x[..., k]))
-        xp, xm = x.copy(), x.copy()
-        xp[..., k] += h
-        xm[..., k] -= h
-        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * h))
-    return np.stack(cols, axis=-1)
-

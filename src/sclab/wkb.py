@@ -13,12 +13,20 @@ assembled ansatz a·e^{iS/ħ} solves the Schrödinger equation up to the
 residual ħ²Δa/2; multiplying by a compactly supported cutoff χ adds the
 ⟨∇χ, ∇ψ̃⟩ + ψ̃Δχ/2 terms that drive the localization experiments.
 
+V″ in the variational pair is the potential's analytic diagonal second
+derivative, `PotentialField.hessian`; a V without one is refused.
+
 Fields on a grid come from the transported seed data by the not-a-knot cubic
 spline in the arrival coordinate.  Its knot slopes solve a tridiagonal system
-by parallel cyclic reduction, and each grid point is evaluated as the cubic
-Hermite interpolant of its knot interval (`integrate.hermite_state`), so the
-module needs numpy alone.  First conjugate times are roots of the same
-Hermite interpolant in time, located by `integrate.bisect_event`.
+by cyclic reduction, O(n) work per system, and each grid point is evaluated
+as the cubic Hermite interpolant of its knot interval
+(`integrate.hermite_state`), so the module needs numpy alone.  Fields are
+assembled by block: `wkb_field` takes an array of fan times and solves the
+knot systems of all of them together, and `WKBField.psi_tilde` and
+`wkb_residual` keep that leading axis of times.  Each time's arrays have the
+bits they have when that time is assembled alone.  First conjugate times are
+roots of the same Hermite interpolant in time, located by
+`integrate.bisect_event`.
 """
 
 from __future__ import annotations
@@ -30,23 +38,22 @@ import numpy as np
 
 from .errors import CausticReached, MaskViolation
 from .geometry import BoxRegion, PotentialField, make_potential
-from .integrate import (bisect_event, fd_jacobian, halving_checked, hermite_state,
-                        rk4_trajectory)
+from .integrate import bisect_event, halving_checked, hermite_state, rk4_trajectory
 from .schrodinger import SpatialGrid
 
 CAUSTIC_GUARD = 0.05
 
 
 def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dx0 across a uniformly spaced seed family (4th order inside,
-    one-sided 2nd order at the two points next to each edge)."""
+    """d/dx0 across a uniformly spaced seed family along the last axis (4th
+    order inside, one-sided 2nd order at the two points next to each edge)."""
     f = np.asarray(values, dtype=float)
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-    out[1] = (f[2] - f[0]) / (2 * h)
-    out[-2] = (f[-1] - f[-3]) / (2 * h)
-    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    out[..., 2:-2] = (f[..., :-4] - 8 * f[..., 1:-3] + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * h)
+    out[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * h)
+    out[..., 1] = (f[..., 2] - f[..., 0]) / (2 * h)
+    out[..., -2] = (f[..., -1] - f[..., -3]) / (2 * h)
+    out[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * h)
     return out
 
 
@@ -75,11 +82,16 @@ class CharacteristicFan:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def time_index(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a stored fan time (nearest {self.times[k]})")
-        return k
+    def time_index(self, t):
+        """Index of the stored fan time t; an array of times gives an array."""
+        t = np.asarray(t, dtype=float)
+        k = np.argmin(np.abs(self.times - t[..., None]), axis=-1)
+        off = np.abs(self.times[k] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+        if np.any(off):
+            j = int(np.argmax(off))
+            raise ValueError(f"t={t.flat[j]} is not a stored fan time "
+                             f"(nearest {self.times[k.flat[j]]})")
+        return int(k) if k.ndim == 0 else k
 
     def laplacian_S(self) -> np.ndarray:
         """ΔS along each characteristic, exactly δp/δx from the variational pair."""
@@ -103,9 +115,11 @@ def shoot_characteristics(S0: PotentialField, V: Optional[PotentialField], seeds
     """Integrate the characteristic system from p(0) = dS₀ for every seed
     under the static potential V (None for V = 0).
 
-    Seeds must be uniformly spaced (the seed index doubles as the transverse
-    coordinate for finite differences).  The batched RK4 run is repeated with
-    the step halved; endpoint disagreement raises StepTooCoarse.
+    V″ in the variational pair is `V.hessian`; a V without one raises
+    ValueError.  Seeds must be uniformly spaced (the seed index doubles as
+    the transverse coordinate for finite differences).  The batched RK4 run
+    is repeated with the step halved; endpoint disagreement raises
+    StepTooCoarse.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1)
     if seeds.size < 8:
@@ -115,20 +129,25 @@ def shoot_characteristics(S0: PotentialField, V: Optional[PotentialField], seeds
         raise ValueError("seeds must be strictly increasing and uniformly spaced")
     if V is None:
         V = make_potential("zero", 1)
+    if V.hessian is None:
+        raise ValueError(f"potential '{V.name}' has no analytic second derivative "
+                         "(PotentialField.hessian), which the fan's V″ needs")
     p0 = np.asarray(S0.gradient(seeds[:, None]), dtype=float)[:, 0]
     S_init = np.asarray(S0.value(seeds[:, None]), dtype=float)
     # δx(0) = 1, δp(0) = S0″(x0): variation along the Lagrangian graph of dS0
     d2S0 = fd_derivative(p0, float(gaps[0]))
 
-    def grad_V(x: np.ndarray) -> np.ndarray:
-        return np.asarray(V.gradient(x[:, None]), dtype=float)[:, 0]
-
     def rhs(_t: float, state: np.ndarray) -> np.ndarray:
+        """(ẋ, ṗ, Ṡ, δẋ, δṗ) = (p, −V′, ½p² − V, δp, −V″·δx), row by row."""
         x, p, S, dx, dp = state
-        # V″ per seed: each seed's x is its own one-point batch row
-        d2V = fd_jacobian(lambda y: grad_V(y[:, 0]), x[:, None])[:, 0]
-        V_x = np.asarray(V.value(x[:, None]), dtype=float)
-        return np.stack([p, -grad_V(x), 0.5 * p * p - V_x, dp, -d2V * dx])
+        x = x[:, None]  # each seed is one point of the 1-D chart
+        out = np.empty_like(state)
+        out[0], out[3] = p, dp
+        np.negative(np.asarray(V.gradient(x), dtype=float)[:, 0], out=out[1])
+        np.subtract(0.5 * p * p, np.asarray(V.value(x), dtype=float), out=out[2])
+        np.multiply(np.asarray(V.hessian(x), dtype=float)[:, 0], dx, out=out[4])
+        np.negative(out[4], out=out[4])
+        return out
 
     if T <= 0:
         raise ValueError("T must be positive")
@@ -158,80 +177,128 @@ def first_conjugate_time(fan: CharacteristicFan) -> np.ndarray:
     return out
 
 
-def _pcr_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-               rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system lower_i·z_{i-1} + diag_i·z_i + upper_i·z_{i+1}
-    = rhs_i for every column of rhs by parallel cyclic reduction.
+def _cr_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal systems lower_i·z_{i-1} + diag_i·z_i + upper_i·z_{i+1}
+    = rhs_i by cyclic reduction: coefficients (..., n), right-hand sides and
+    solution (..., c, n), one system per leading index with c columns each.
+    lower_0 and upper_{n-1} must be 0.
 
-    Each pass eliminates the couplings at distance s from every row at once
-    and doubles s, so ⌈log₂ n⌉ vectorised passes leave a diagonal system.
-    The rows are padded by n identity rows on each side, so a coupling that
-    reaches past either end reads a zero.
+    Each level folds rows 2j and 2j + 2 into every odd row 2j + 1, which
+    leaves a system of the odd rows alone, half the size; back substitution
+    then recovers the even rows from their two neighbours.  The work is O(n)
+    per system, and a level keeps only copies of its even rows for the way
+    back.  The last odd row of an even-length level has no right neighbour
+    and takes no term from it.  Every operation is elementwise along the
+    leading axes, so a system solved in a batch gets the bits it gets alone.
     """
-    n = diag.size
-    a, b, c = np.zeros(3 * n), np.ones(3 * n), np.zeros(3 * n)
-    d = np.zeros((rhs.shape[1], 3 * n))  # one row per column of rhs
-    mid = slice(n, 2 * n)
-    a[mid], b[mid], c[mid], d[:, mid] = lower, diag, upper, rhs.T
-    s = 1
-    while s < n:
-        lo, hi = slice(n - s, 2 * n - s), slice(n + s, 2 * n + s)
-        alpha, gamma = -a[mid] / b[lo], -c[mid] / b[hi]
-        a[mid], b[mid], c[mid], d[:, mid] = (
-            alpha * a[lo], b[mid] + alpha * c[lo] + gamma * a[hi], gamma * c[hi],
-            d[:, mid] + alpha * d[:, lo] + gamma * d[:, hi])
-        s *= 2
-    return (d[:, mid] / b[mid]).T
+    a, b, c, d = lower[..., None, :], diag[..., None, :], upper[..., None, :], rhs
+    levels = []
+    while b.shape[-1] > 1:
+        r = (b.shape[-1] - 1) // 2  # odd rows with a right neighbour
+        levels.append(tuple(v[..., ::2].copy() for v in (a, b, c, d)))
+        alpha = -a[..., 1::2] / b[..., :-1:2]
+        gamma = -c[..., 1:2 * r:2] / b[..., 2::2]
+        b_next = alpha * c[..., :-1:2]
+        b_next += b[..., 1::2]
+        b_next[..., :r] += gamma * a[..., 2::2]
+        d_next = alpha * d[..., :-1:2]
+        d_next += d[..., 1::2]
+        d_next[..., :r] += gamma * d[..., 2::2]
+        c_next = np.zeros(b_next.shape)
+        c_next[..., :r] = gamma * c[..., 2::2]
+        a, b, c, d = alpha * a[..., :-1:2], b_next, c_next, d_next
+    z = d / b
+    while levels:
+        # even row 2j: (d − a·z_{2j−1} − c·z_{2j+1}) / b, where z has the odd
+        # rows; the first has no left neighbour, and the last of an odd-length
+        # level no right one
+        a, b, c, d = levels.pop()
+        e, k = b.shape[-1], z.shape[-1]
+        even = d.copy()
+        even[..., 1:] -= a[..., 1:] * z[..., :e - 1]
+        even[..., :k] -= c[..., :k] * z
+        z_next = np.empty(d.shape[:-1] + (e + k,))
+        z_next[..., 1::2] = z
+        np.divide(even, b, out=z_next[..., ::2])
+        z = z_next
+    return z
 
 
 def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes of the not-a-knot cubic spline through the columns of y.
+    """Knot slopes of the not-a-knot cubic spline through the columns of y:
+    knots x (..., n), values y (..., n, c), slopes shaped like y.
 
     Interior rows are the C² continuity conditions; the end rows make the
     third derivative continuous at x[1] and x[-2] (de Boor, *A Practical Guide
-    to Splines*, ch. IV), the system of scipy's CubicSpline default.
+    to Splines*, ch. IV), the system of scipy's CubicSpline default.  The
+    system is built and solved with the knots on the last axis, one row of
+    n per column, and the result is a view in y's layout.
     """
-    dx = np.diff(x)
-    slope = np.diff(y, axis=0) / dx[:, None]
-    lower, diag, upper = np.zeros(x.size), np.empty(x.size), np.zeros(x.size)
-    rhs = np.empty_like(y)
-    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-    upper[1:-1] = dx[:-1]
-    lower[1:-1] = dx[1:]
-    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    d = x[2] - x[0]
-    diag[0], upper[0] = dx[1], d
-    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    diag[-1], lower[-1] = dx[-2], d
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    return _pcr_solve(lower, diag, upper, rhs)
+    dx = np.diff(x, axis=-1)[..., None, :]
+    slope = np.diff(np.swapaxes(y, -1, -2), axis=-1) / dx
+    lower, diag, upper = np.zeros(x.shape), np.empty(x.shape), np.zeros(x.shape)
+    rhs = np.empty(slope.shape[:-1] + x.shape[-1:])
+    diag[..., 1:-1] = 2 * (dx[..., 0, :-1] + dx[..., 0, 1:])
+    upper[..., 1:-1] = dx[..., 0, :-1]
+    lower[..., 1:-1] = dx[..., 0, 1:]
+    # 3·(dx[1:]·slope[:-1] + dx[:-1]·slope[1:]), one temporary at a time
+    inner = rhs[..., 1:-1]
+    np.multiply(dx[..., 1:], slope[..., :-1], out=inner)
+    inner += dx[..., :-1] * slope[..., 1:]
+    inner *= 3
+    dx0, dx1, dx2, dx3 = dx[..., 0:1], dx[..., 1:2], dx[..., -2:-1], dx[..., -1:]
+    d = (x[..., 2] - x[..., 0])[..., None, None]
+    diag[..., 0], upper[..., 0] = dx1[..., 0, 0], d[..., 0, 0]
+    rhs[..., 0:1] = ((dx0 + 2 * d) * dx1 * slope[..., 0:1] + dx0 ** 2 * slope[..., 1:2]) / d
+    d = (x[..., -1] - x[..., -3])[..., None, None]
+    diag[..., -1], lower[..., -1] = dx2[..., 0, 0], d[..., 0, 0]
+    rhs[..., -1:] = (dx3 ** 2 * slope[..., -2:-1] + (2 * d + dx3) * dx2 * slope[..., -1:]) / d
+    del slope
+    return np.swapaxes(_cr_solve(lower, diag, upper, rhs), -1, -2)
 
 
 def not_a_knot_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Values at the points `at` ⊂ [x[0], x[-1]] of the not-a-knot cubic spline
-    through the columns of y (knots x strictly increasing, at least 4).
+    through the columns of y: knots x (..., n) strictly increasing, at least
+    4 of them, values y (..., n, c), points at (..., p); the result is
+    (..., p, c).  The leading axes index independent splines.
 
     Each point is evaluated as the cubic Hermite interpolant of its knot
     interval, with the spline's slopes at the interval's two knots.
     """
     slopes = _not_a_knot_slopes(x, y)
-    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
-    h = (x[i + 1] - x[i])[:, None]
-    return hermite_state(y[i], y[i + 1], slopes[i], slopes[i + 1], h,
-                         (at - x[i])[:, None] / h)
+    lead, n, c = x.shape[:-1], x.shape[-1], y.shape[-1]
+    at = np.broadcast_to(at, lead + np.shape(at)[-1:])
+    i = np.empty(at.shape, dtype=np.intp)
+    for r in np.ndindex(lead):
+        i[r] = np.searchsorted(x[r], at[r], side="right")
+    # each point's interval start as a flat knot index over all splines, and
+    # the row of each (spline, column) in a (splines · c, n) table
+    spline = np.arange(x.size // n).reshape(lead + (1,))
+    i = np.clip(i - 1, 0, n - 2)
+    x0 = x.reshape(-1)[i + n * spline]
+    h = x.reshape(-1)[i + 1 + n * spline] - x0
+    rows, start = c * spline[..., None] + np.arange(c)[:, None], i[..., None, :]
+    y0, y1, m0, m1 = (np.swapaxes(v, -1, -2).reshape(-1, n)[rows, j]
+                      for v in (y, slopes) for j in (start, start + 1))
+    del slopes
+    values = hermite_state(y0, y1, m0, m1, h[..., None, :], ((at - x0) / h)[..., None, :])
+    return np.swapaxes(values, -1, -2)
 
 
 @dataclass(frozen=True)
 class WKBField:
-    """Phase/amplitude data interpolated onto a uniform grid at a fixed time.
+    """Phase/amplitude data interpolated onto a uniform grid at a fixed time,
+    or at each of an array of times.
 
     Arrays beyond (S, a, valid_mask): dS (= momentum at the arrival point),
-    da and lap_a (transverse amplitude derivatives), J for diagnostics.
+    da and lap_a (transverse amplitude derivatives), J for diagnostics.  For
+    an array of times t, every array has a leading axis over them.
     """
 
     grid: SpatialGrid
-    t: float
+    t: float | np.ndarray
     S: np.ndarray
     a: np.ndarray
     valid_mask: np.ndarray
@@ -242,7 +309,7 @@ class WKBField:
     hbar: float
 
     def psi_tilde(self) -> np.ndarray:
-        """The bare ansatz a·e^{iS/ħ} (zero where invalid)."""
+        """The bare ansatz a·e^{iS/ħ} (zero where invalid), at each time."""
         return np.where(self.valid_mask, self.a * np.exp(1j * self.S / self.hbar), 0.0)
 
     def to_csv(self, header_comment: str = "") -> str:
@@ -261,15 +328,19 @@ class WKBField:
 
 
 def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
-              t: float) -> WKBField:
-    """Assemble (S, a) and their transverse derivatives on the grid at time t.
+              t) -> WKBField:
+    """Assemble (S, a) and their transverse derivatives on the grid at the fan
+    time t, or at each of an array of fan times at once.
 
     Transported seed data are splined in the arrival coordinate by one
     not-a-knot cubic spline through all six columns (`not_a_knot_spline`: a
-    parallel-cyclic-reduction solve for the knot slopes, then the cubic
-    Hermite interpolant of each grid point's knot interval).  Amplitude
-    derivatives are taken by seed-space finite differences first (smooth
-    data), so no second difference ever touches interpolated values.
+    cyclic-reduction solve for the knot slopes, then the cubic Hermite
+    interpolant of each grid point's knot interval); an array of times
+    solves all its knot systems together.  Amplitude derivatives are taken by
+    seed-space finite differences first (smooth data), so no second
+    difference ever touches interpolated values.  CausticReached names the
+    first time at which the ansatz is invalid, as a call at that time alone
+    would.
     """
     if grid.dim != 1:
         raise NotImplementedError("field assembly is one-dimensional; use the "
@@ -277,10 +348,13 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
     k = fan.time_index(t)
     xs = fan.x[k]
     J = fan.J[k]
-    if np.any(np.abs(J) < CAUSTIC_GUARD):
-        raise CausticReached(
-            f"|J| fell below {CAUSTIC_GUARD} at t={t:.6g}; the ansatz is invalid")
-    if np.any(J < 0) or np.any(np.diff(xs) <= 0):
+    thin = np.atleast_1d(np.any(np.abs(J) < CAUSTIC_GUARD, axis=-1))
+    folded = np.atleast_1d(np.any(J < 0, axis=-1) | np.any(np.diff(xs, axis=-1) <= 0, axis=-1))
+    if np.any(thin | folded):
+        first = int(np.argmax(thin | folded))
+        if thin[first]:
+            raise CausticReached(f"|J| fell below {CAUSTIC_GUARD} at "
+                                 f"t={np.atleast_1d(t)[first]:.6g}; the ansatz is invalid")
         raise CausticReached("transported seeds folded over; past the first caustic")
     h_seed = fan.seed_spacing
     a0_seed = np.asarray(a0.value(fan.seeds[:, None]), dtype=float)
@@ -288,19 +362,24 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
     # transverse derivatives: d/dx = (d/dx0) / J on smooth per-seed data
     da_seed = fd_derivative(a_seed, h_seed) / J
     d2a_seed = fd_derivative(da_seed, h_seed) / J
-    S_seed = fan.S[k]
-    p_seed = fan.p[k]
 
     gx = grid.points(0)
-    covered = (gx >= xs[0]) & (gx <= xs[-1])
-    # one spline through all six columns solves the knot system once
-    cols = np.stack([S_seed, a_seed, p_seed, da_seed, d2a_seed, J], axis=1)
-    vals = np.zeros((6, gx.size))
-    vals[:, covered] = not_a_knot_spline(xs, cols, gx[covered]).T
+    lo, hi = xs[..., :1], xs[..., -1:]
+    covered = (gx >= lo) & (gx <= hi)
+    # one spline through all six columns solves the knot system once.  It is
+    # evaluated on the range of grid points that some time covers; a time's
+    # points outside its own knots are clipped onto them, then zeroed.  The
+    # columns are stored knots-last, the layout the spline works in.
+    span = slice(np.searchsorted(gx, np.min(lo)), np.searchsorted(gx, np.max(hi), "right"))
+    cols = np.stack([fan.S[k], a_seed, fan.p[k], da_seed, d2a_seed, J], axis=-2)
+    spline = not_a_knot_spline(xs, np.swapaxes(cols, -1, -2), np.clip(gx[span], lo, hi))
+    vals = np.zeros((6,) + covered.shape)
+    vals[..., span] = np.where(covered[..., span], np.moveaxis(spline, -1, 0), 0.0)
     S, a, dS, da, lap_a, J_grid = vals
     valid = covered & (np.abs(J_grid) >= CAUSTIC_GUARD)
-    return WKBField(grid=grid, t=float(fan.times[k]), S=S, a=a, valid_mask=valid,
-                    dS=dS, da=da, lap_a=lap_a, J=J_grid, hbar=fan.hbar)
+    return WKBField(grid=grid, t=fan.times[k] if np.ndim(k) else float(fan.times[k]),
+                    S=S, a=a, valid_mask=valid, dS=dS, da=da, lap_a=lap_a, J=J_grid,
+                    hbar=fan.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +492,16 @@ def wkb_residual(field: WKBField, chi: CutoffFunction) -> np.ndarray:
     with ∇ψ̃ = (∇a + i a ∇S/ħ)·e^{iS/ħ}.  r does not depend on the control:
     with W constant on supp χ the control only multiplies the ansatz by a
     global phase, which leaves ‖r‖ unchanged.  ħ is the field's own, so
-    every term carries the same phase e^{iS/ħ}.
+    every term carries the same phase e^{iS/ħ}.  A field at an array of
+    times gives one residual grid per time, and MaskViolation if the cutoff
+    leaves the valid region at any of them.
     """
     hbar = field.hbar
     table = chi.on_grid(field.grid)
     if np.any(table.support & ~field.valid_mask):
         raise MaskViolation("cutoff support extends beyond the valid WKB region")
     phase = np.exp(1j * field.S / hbar)
-    psi_tilde = field.psi_tilde()
+    psi_tilde = np.where(field.valid_mask, field.a * phase, 0.0)  # field.psi_tilde(), bitwise
     grad_psi = (field.da + 1j * field.a * field.dS / hbar) * phase
     grad_psi = np.where(field.valid_mask, grad_psi, 0.0)
     lap_term = np.where(field.valid_mask, 0.5 * field.lap_a * phase, 0.0)

@@ -9,8 +9,30 @@ import numpy as np
 
 from sclab.dynamics import HamiltonianSpec, evolve
 from sclab.geometry import BoxRegion, PhasePoint, PotentialField
-from sclab.integrate import bisect_event, fd_jacobian, hermite_state
-from sclab.wkb import wkb_residual
+from sclab.integrate import bisect_event, hermite_state
+from sclab.wkb import wkb_field, wkb_residual
+
+# Relative step of fd_jacobian's central differences.
+FD_REL_STEP = 1e-5
+
+
+def fd_jacobian(f, x) -> np.ndarray:
+    """Central differences: out[..., k] = ∂f/∂x_k with h = FD_REL_STEP·(1 + |x_k|).
+
+    x has shape (..., d) and axis k is its last axis.  A batch of points
+    (m, d) is perturbed all at once, so f must act row-wise and its output
+    must broadcast against x[..., k].  The reference for the analytic
+    gradients and second derivatives of the potentials.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.shape[-1]):
+        h = FD_REL_STEP * (1.0 + np.abs(x[..., k]))
+        xp, xm = x.copy(), x.copy()
+        xp[..., k] += h
+        xm[..., k] -= h
+        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def control_value(spec: HamiltonianSpec, x, u) -> float:
@@ -80,12 +102,13 @@ def region_probability(psi, region: BoxRegion) -> float:
 def member_residual_norm(engine, u, k: int) -> float:
     """‖r(t_k)‖ of the ansatz for one control u with the constancy hypothesis
     broken, formed for this (member, time) alone: the control-free residual
-    plus u(t_k)·(W − c)·χψ̃, as a fresh grid."""
+    of the field assembled at t_k alone, plus u(t_k)·(W − c)·χψ̃, as a fresh
+    grid."""
     t = float(engine.fan.times[k])
-    field = engine.field_at(t)
+    field = wkb_field(engine.fan, engine.a0, engine.grid, t)
     uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
     r = (wkb_residual(field, engine.chi)
-         + uval * engine.chi_vals * (engine.w_vals - engine.c_ref) * field.psi_tilde())
+         + uval * (engine.w_vals - engine.c_ref) * (engine.chi_vals * field.psi_tilde()))
     return float(np.sqrt(np.sum(np.abs(r) ** 2) * engine.grid.cell_volume))
 
 

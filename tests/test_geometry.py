@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import validate_potential
+from oracles import fd_jacobian, validate_potential
 from sclab.geometry import BoxRegion, PhasePoint, make_potential
 
 # sample points for the callback checks: the origin, three along each axis
@@ -35,6 +35,29 @@ class TestRegistry:
         dim = 2 if name == "linear" else 1
         f = make_potential(name, dim, **kwargs)
         validate_potential(f, VALIDATION_POINTS[dim])
+
+    @pytest.mark.parametrize("name,dim,kwargs", [
+        ("zero", 1, {}),
+        ("harmonic", 1, {"k": 2.0, "center": 0.3}),
+        ("harmonic", 2, {"k": [2.0, 0.5], "center": [0.3, -0.2]}),
+        ("linear", 2, {"slope": [1.0, -2.0]}),
+        ("gaussian", 1, {"amplitude": 1.5, "width": 0.6}),
+        ("gaussian", 2, {"amplitude": 1.5, "center": [0.1, -0.3], "width": [0.6, 0.9]}),
+        ("cosine", 1, {"amplitude": 0.7, "freq": 2.0, "phase": 0.4}),
+        ("cosine", 2, {"amplitude": [0.7, 1.2], "freq": [2.0, 0.5]}),
+        ("polynomial", 1, {"c0": [0.0, 0.0, 0.5, 0.1]}),
+        ("polynomial", 2, {"c0": [1.0, 0.3], "c1": [0.0, -1.0, 0.2, 0.05, 0.01]}),
+    ])
+    def test_hessian_matches_finite_differences(self, name, dim, kwargs):
+        # ∂²f/∂x_k², shaped like the gradient, against central differences of
+        # the gradient, at every validation point at once
+        f = make_potential(name, dim, **kwargs)
+        pts = np.array(VALIDATION_POINTS[dim])
+        hess = f.hessian(pts)
+        assert hess.shape == pts.shape
+        fd = np.stack([fd_jacobian(lambda x: f.gradient(x)[..., k], pts)[..., k]
+                       for k in range(dim)], axis=-1)
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hess))))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

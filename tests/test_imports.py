@@ -1,7 +1,8 @@
 """Every name a `sclab` module imports is used in it, every module-level
 function and class is used somewhere in `sclab`, every `ObstructionConfig`
 field is set by the CLI or has a stated reason not to be, and nothing in
-`sclab` imports scipy, which is a test-only reference.
+`sclab` imports scipy, which is a test-only reference, and no benchmark run
+loads numpy.ma.
 
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
@@ -223,6 +224,22 @@ def test_cli_import_loads_no_scipy():
     # no scipy module, and numpy.fft loaded (scipy used to load it; the
     # tracer of perfbench/tracer.py binds to it before a run starts)
     assert json.loads(out.stdout) == [True]
+
+
+def test_benchmark_runs_load_no_numpy_ma(tmp_path, bench):
+    # numpy 2.4's first np.unique call imports numpy.ma (11–20 ms of a run);
+    # the three benchmark workloads run in one interpreter without it
+    argv = []
+    for name, workload in sorted(bench.WORKLOADS.items()):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(bench.config_text(workload, 0, tmp_path / name, shipped_sizes=False))
+        argv.append([workload.kind, "--config", str(config)])
+    code = ("import json, sys\nimport sclab.cli\n"
+            f"status = [sclab.cli.main(a) for a in {argv!r}]\n"
+            "print(json.dumps([status, 'numpy.ma' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], False]
 
 
 def test_scipy_is_a_test_dependency_only():

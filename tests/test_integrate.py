@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import fd_jacobian
 from sclab.errors import StepTooCoarse, TrajectoryEscape
-from sclab.integrate import (bisect_event, fd_jacobian, halving_checked, rk4_step,
-                             rk4_trajectory)
+from sclab.integrate import bisect_event, halving_checked, rk4_step, rk4_trajectory
 
 
 def five_row_rhs(t, z):

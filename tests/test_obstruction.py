@@ -1,26 +1,24 @@
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import control_integral, member_residual_norm
 import sclab.obstruction
+import sclab.wkb
+from sclab.cli import main as cli_main
 from sclab.config import parse_config
 from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential
 from sclab.harness import run_experiment
-from sclab.obstruction import (AnsatzEngine, ObstructionConfig, _integrals_at,
+from sclab.obstruction import (FIELD_BLOCK, AnsatzEngine, ObstructionConfig,
+                               _cumulative_trapezoid, _integrals_at,
                                _sample_indices, _second_factor_at, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
 from sclab.schrodinger import SpatialGrid
 from sclab.wkb import CutoffFunction
-
-BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 def scalar_config(**overrides):
@@ -257,6 +255,33 @@ class TestTqEstimate:
                                        threshold=0.9)
         assert half == pytest.approx(2.0 * bound, rel=1e-6)
 
+    def test_falling_residual_stays_below_the_fan_grid_crossing(self):
+        # S0 = +x²/2 spreads the packet, so ‖r‖ falls from 16.2 to 9.9 by
+        # t = 0.4; the T_q grid keeps every third of the 801 fan times.  The
+        # trapezoid on that grid understates δ where ‖r‖ is concave and put
+        # T_q past the crossing of δ on every fan time; each interval's
+        # larger end norm keeps T_q before it
+        cfg = scalar_config(S0=make_potential("harmonic", 1, k=1.0), eps_grid=(0.04,))
+        engine = AnsatzEngine(cfg, 0.4)
+        assert engine.tq_idx[1] == 3  # the T_q grid is coarser than the fan's
+        every = np.arange(engine.tq_idx[-1] + 1)
+        norms = engine.residual_norms(every)
+        assert norms[-1] < 0.75 * norms[0]
+
+        def crossing(delta, times, thr):
+            k = int(np.argmax(delta >= thr))
+            return times[k - 1] + (thr - delta[k - 1]) / (delta[k] - delta[k - 1]) \
+                * (times[k] - times[k - 1])
+
+        times = engine.fan.times
+        fan_grid = _cumulative_trapezoid(norms, times[every])
+        coarse = _cumulative_trapezoid(engine.residual_norms(engine.tq_idx),
+                                       times[engine.tq_idx])
+        for thr in (0.5, 1.0, 2.0):
+            t_fan = crossing(fan_grid, times[every], thr)
+            assert crossing(coarse, times[engine.tq_idx], thr) > t_fan  # the old rule
+            assert 0.9 * t_fan < estimate_Tq_lower_bound(engine, threshold=thr) <= t_fan
+
     def test_varying_w_certifies_no_horizon(self, tmp_path):
         # W = x breaks the constancy hypothesis: the control-free ‖r‖ then
         # misses the u·(W − c)·φ term, and the run's own δ passes the
@@ -340,11 +365,12 @@ class TestWorkCounts:
     def test_residual_grid_once_per_sample_time(self, monkeypatch):
         # with the hypothesis broken every member needs a residual at every
         # sample time; the control-free grid is shared, only u·(W − c)·χψ̃
-        # is per member
+        # is per member, and the grids come FIELD_BLOCK times per call
         grids = []
         residual = sclab.obstruction.wkb_residual
         monkeypatch.setattr(sclab.obstruction, "wkb_residual",
-                            lambda field, chi: grids.append(1) or residual(field, chi))
+                            lambda field, chi: grids.append(np.size(field.t))
+                            or residual(field, chi))
         cfg = scalar_config(W=make_potential("linear", 1, slope=1.0), enforce_hypothesis=False,
                             ensemble_count=4, ensemble_amplitude=5.0, eps_grid=(0.01, 0.02),
                             dt=2.5e-4)
@@ -352,7 +378,8 @@ class TestWorkCounts:
         run_localization_experiment(engine)
         sample_times = {k for eps in cfg.eps_grid
                         for k in _sample_indices(engine, eps, cfg.n_samples)}
-        assert len(grids) == len(sample_times)
+        assert sum(grids) == len(sample_times)
+        assert len(grids) == -(-len(sample_times) // FIELD_BLOCK)
 
     def test_member_norms_match_the_per_member_formula(self):
         # one row per member, taken on the shared control-free grid, gives
@@ -366,14 +393,6 @@ class TestWorkCounts:
         assert rows.shape == (len(controls), idx.size)
         assert np.array_equal(rows, [[member_residual_norm(engine, u, k) for k in idx]
                                      for u in controls])
-
-
-def _load_bench_run(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_RUN)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestSharedEngine:
@@ -417,12 +436,71 @@ class TestSharedEngine:
         rep = run_localization_experiment(engine)
         assert rep.eps_grid == (pytest.approx(0.05),)
 
-    def test_benchmark_reference_summary(self, tmp_path, monkeypatch):
+    def test_benchmark_reference_summary(self, tmp_path, bench):
         # the obstruction workload of perfbench/run.py at seed 0
-        bench = _load_bench_run(monkeypatch)
         workload = bench.WORKLOADS["obstruction"]
         out = tmp_path / "out"
         cfg = parse_config(bench.config_text(workload, 0, out, shipped_sizes=False))
         assert run_experiment(cfg) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert bench.check_summary(workload, summary, use_reference=True) == []
+
+
+# the obstruction benchmark's config: W ≡ 1 on the base, 40 members, seed 0
+BENCHMARK_CONFIG = """experiment = obstruction
+seed = 0
+obstruction.w.name = linear
+obstruction.w.slope = 0.0
+obstruction.w.offset = 1.0
+obstruction.ensemble = 40
+"""
+
+
+class TestBenchmarkConfig:
+    """One `sclab obstruction` run at the benchmark's config, with its numbers
+    pinned here as well as in perfbench, and the work it does counted."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bench")
+        config = out / "config.txt"
+        config.write_text(BENCHMARK_CONFIG + f"out = {out}\n")
+        counts = {"fans": 0, "slope_solves": 0, "field_times": 0}
+        shoot, slopes = sclab.obstruction.shoot_characteristics, sclab.wkb._not_a_knot_slopes
+        field = sclab.obstruction.wkb_field
+
+        def counted_shoot(*args, **kwargs):
+            counts["fans"] += 1
+            return shoot(*args, **kwargs)
+
+        def counted_slopes(x, y):
+            counts["slope_solves"] += 1
+            return slopes(x, y)
+
+        def counted_field(fan, a0, grid, t):
+            counts["field_times"] += np.size(t)
+            return field(fan, a0, grid, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sclab.obstruction, "shoot_characteristics", counted_shoot)
+            mp.setattr(sclab.wkb, "_not_a_knot_slopes", counted_slopes)
+            mp.setattr(sclab.obstruction, "wkb_field", counted_field)
+            assert cli_main(["obstruction", "--config", str(config)]) == 0
+        return json.loads((out / "summary.json").read_text()), counts
+
+    def test_summary_numbers(self, run):
+        summary, _ = run
+        assert summary["certified_bound"] == 0.04
+        assert summary["caustic_floor"] == 0.08
+        assert summary["tq_lower_bound"] == pytest.approx(0.055515979827057985, abs=1e-8)
+        assert summary["duhamel_violations"] == 0
+        assert summary["witness_violations"] == 0
+        assert summary["hypothesis_uniform"] is True
+
+    def test_one_fan_and_a_slope_solve_per_block(self, run):
+        # 161 fan times on [0, 0.08], each assembled once, FIELD_BLOCK per
+        # knot solve, after the one field at t = 0 that normalizes a0
+        _, counts = run
+        assert counts["fans"] == 1
+        assert counts["field_times"] == 1 + 161
+        assert counts["slope_solves"] == 1 + -(-161 // FIELD_BLOCK)

@@ -84,6 +84,14 @@ class TestShootCharacteristics:
         with pytest.raises(StepTooCoarse):
             shoot_characteristics(quad_phase(+1.0), V, seeds_on(n=40), 1.0, 0.25)
 
+    def test_potential_without_hessian_refused(self):
+        # V″ is the potential's analytic second derivative; there is no
+        # finite-difference fallback
+        cosine = make_potential("cosine", 1)
+        V = PotentialField(value=cosine.value, gradient=cosine.gradient, name="no-hessian")
+        with pytest.raises(ValueError, match="no-hessian"):
+            shoot_characteristics(quad_phase(+1.0), V, seeds_on(n=40), 0.1, 1e-2)
+
     def test_guard_covers_action(self):
         # x and p stay put while S = 1e14·t crosses the overflow guard; a guard
         # on the position alone let this fan through
@@ -176,6 +184,25 @@ class TestNotAKnotSpline:
             <= 1e-12 * np.max(np.abs(want))
 
 
+    @given(systems=st.integers(1, 5), n=st.integers(4, 300), columns=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40)
+    def test_batched_systems_match_each_alone(self, systems, n, columns, seed):
+        # a stack of knot systems, each with its own knots, is solved and
+        # evaluated with every system's own bits
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(np.exp(rng.uniform(0.0, 4.0, (systems, n))), axis=-1) \
+            * 10.0 ** rng.uniform(-3, 1, (systems, 1))
+        y = rng.normal(size=(systems, n, columns))
+        at = np.sort(rng.uniform(x[:, :1], x[:, -1:], (systems, 50)), axis=-1)
+        slopes = _not_a_knot_slopes(x, y)
+        values = not_a_knot_spline(x, y, at)
+        assert slopes.shape == y.shape and values.shape == (systems, 50, columns)
+        for b in range(systems):
+            assert np.array_equal(slopes[b], _not_a_knot_slopes(x[b], y[b]))
+            assert np.array_equal(values[b], not_a_knot_spline(x[b], y[b], at[b]))
+
+
 def demo_grid(n=512):
     return SpatialGrid(((-np.pi, 2 * np.pi, n),))
 
@@ -215,6 +242,58 @@ class TestWKBField:
         a0 = make_potential("gaussian", 1, width=0.3)
         with pytest.raises(CausticReached):
             wkb_field(fan, a0, demo_grid(), 0.99)
+
+    def test_array_of_times_matches_each_time_alone(self):
+        # a focusing fan under V = cos x: every array of the block field and
+        # its residual is, row by row, the field assembled at that time alone
+        fan = shoot_characteristics(quad_phase(-1.0), make_potential("cosine", 1),
+                                    seeds_on(), 0.5, 1e-3)
+        a0 = make_potential("gaussian", 1, width=0.3)
+        chi = CutoffFunction(BoxRegion(((-0.4, 0.4),)))
+        times = fan.times[::37]
+        block = wkb_field(fan, a0, demo_grid(), times)
+        residuals = wkb_residual(block, chi)
+        assert np.array_equal(block.t, times)
+        for j, t in enumerate(times):
+            alone = wkb_field(fan, a0, demo_grid(), float(t))
+            for name in ("S", "a", "dS", "da", "lap_a", "J", "valid_mask"):
+                assert np.array_equal(getattr(block, name)[j], getattr(alone, name)), name
+            assert np.array_equal(block.psi_tilde()[j], alone.psi_tilde())
+            assert np.array_equal(residuals[j], wkb_residual(alone, chi))
+
+    @pytest.mark.parametrize("start", [0.18, 0.2, 0.946, 0.948, 0.95])
+    def test_array_of_times_raises_where_a_time_alone_does(self, start):
+        # S0 = −x²/2 carries the seeds on [−1, 1] to [−(1 − t), 1 − t]: the
+        # cutoff on [−0.8, 0.8] leaves the valid region near t = 0.2 and the
+        # amplitude guard trips at t = 0.95.  A block of times raises what
+        # its first failing time raises alone, and nothing if none fails:
+        # CausticReached from the field, then MaskViolation from the residual
+        fan = shoot_characteristics(quad_phase(-1.0), None, seeds_on(), 0.99, 1e-3)
+        a0 = make_potential("gaussian", 1, width=0.2)
+        chi = CutoffFunction(BoxRegion(((-0.8, 0.8),)))
+        times = fan.times[(fan.times >= start - 1e-12)][:8]
+
+        def outcome(call, *args):
+            try:
+                call(*args)
+            except (CausticReached, MaskViolation) as exc:
+                return type(exc), str(exc)
+            return None
+
+        def first(outcomes):
+            return next((o for o in outcomes if o is not None), None)
+
+        field_alone = first(outcome(wkb_field, fan, a0, demo_grid(), float(t)) for t in times)
+        assert outcome(wkb_field, fan, a0, demo_grid(), times) == field_alone
+        if field_alone is None:
+            block = wkb_field(fan, a0, demo_grid(), times)
+            residual_alone = first(
+                outcome(wkb_residual, wkb_field(fan, a0, demo_grid(), float(t)), chi)
+                for t in times)
+            assert outcome(wkb_residual, block, chi) == residual_alone
+            assert (residual_alone is None) == (start < 0.2)
+        else:
+            assert field_alone[0] is CausticReached and start >= 0.948
 
 
 class TestCutoff:
