@@ -142,19 +142,25 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
     potential callbacks.  Columns that are zero in every row are dropped
     here, once.  The output has z's memory order, so a column-major stack
     stays column-major through an RK4 step.
+
+    The field calls the `gradient` callbacks on the view z[..., :n] and
+    builds ṗ in place in the output: −∇V, then each u_a·∇W_a subtracted in
+    turn.  Negation is exact, so (−a) − b is −(a + b) to the bit, up to the
+    sign of an exact zero.
     """
     n = spec.space.dimension
     u = spec.control_rows(u)
-    terms = [(u[..., a, None], W) for a, W in enumerate(spec.W) if u[..., a].any()]
+    grad_V = spec.V.gradient
+    terms = [(u[..., a, None], W.gradient) for a, W in enumerate(spec.W) if u[..., a].any()]
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
         x = z[..., :n]
-        force = spec.V.grad(x)
-        for ua, W in terms:
-            force = force + ua * W.grad(x)
         out = np.empty_like(z, dtype=float)
         out[..., :n] = z[..., n:]
-        np.negative(force, out=out[..., n:])
+        force = out[..., n:]
+        np.negative(grad_V(x), out=force)
+        for ua, grad_W in terms:
+            force -= ua * grad_W(x)
         return out
 
     return rhs

@@ -9,8 +9,11 @@ sandwiched between the autonomous comparison systems
 
 one per sign pattern.  Their exit time from Ω is therefore a lower bound for
 the true exit time under *every* admissible control, which the ensemble
-sampler probes empirically.  The 2^n₁ sign patterns march as the rows of
-one stack, which stops at the first tick in which any of them leaves Ω.
+sampler probes empirically.  When c and K are numbers (constant over Ω) the
+comparison is x₀ + p₀t ± K·c·t²/2 on each axis, and the bound is its first
+root, in closed form.  When either varies with x, the 2^n₁ sign patterns
+march as the rows of one stack, which stops at the first tick in which any
+of them leaves Ω.
 
 The sampler marches every member on its own grid, cut at its own switches,
 and runs the step-halving check in the same lockstep stack: one row per
@@ -19,13 +22,15 @@ schedule ends.  The stack is column-major, and the rows that leave Ω in a
 tick are located by one bisection.  A member's exit time therefore depends
 on its control alone.  The report's `ensemble_spread` (max − min of the
 exits) is event-location noise up to EXIT_TIME_TOL, and `march_ticks` and
-`bound_ticks` count the ticks of the two stacks.
+`bound_ticks` count the ticks of the two stacks (no comparison stack
+marches for a closed-form bound).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +42,12 @@ from .geometry import BoxRegion, PhasePoint
 from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_step
 
 EXIT_TIME_TOL = 1e-8
+# Relative margin by which the closed-form bound is rounded down.  The root
+# is computed from d = wall − x₀ and a = K·c (one rounding each, each moving
+# t by at most u relative, u = 2⁻⁵³) in six correctly rounded operations on
+# positive terms, which add at most 4u: below 6u in all.  The margin is 16u,
+# which also covers the rounding of the final product.
+CLOSED_FORM_REL_MARGIN = 16 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,7 @@ class ExitReport:
     horizon: float
     halving_drift: float = 0.0
     # rk4_step calls of the ensemble stack and of the comparison stack (0
-    # when the caller supplies the bound)
+    # when the caller supplies the bound or the bound is closed form)
     march_ticks: int = 0
     bound_ticks: int = 0
 
@@ -137,12 +148,16 @@ def _comparison_rhs(spec: HamiltonianSpec, n1_axes: Sequence[int],
     signs is one row of n₁ signs and the field maps a state (2n₁,) to
     (2n₁,), or signs is a table (P, n₁) and it maps a stack (P, 2n₁) to
     (P, 2n₁), row j under signs[j].  c and K are per-point callbacks, so
-    they are evaluated row by row.
+    they are evaluated row by row; a number stands for a constant callback.
     """
-    c = spec.V.c_bound
-    if c is None:
-        raise ValueError("exit bound needs the c(x) metadata callback on V")
-    K = spec.V.K_bound or (lambda x: 1.0)
+    if spec.V.c_bound is None:
+        raise ValueError("exit bound needs the c(x) metadata on V")
+
+    def per_point(bound):
+        return bound if callable(bound) else lambda x: bound
+
+    c = per_point(spec.V.c_bound)
+    K = per_point(1.0 if spec.V.K_bound is None else spec.V.K_bound)
     n1 = len(n1_axes)
     axes = np.array(n1_axes)
     sign_rows = np.reshape(signs, (-1, n1))
@@ -180,21 +195,64 @@ def _locate_exits(omega1: BoxRegion, axes, lo: np.ndarray, hi: np.ndarray,
     return bisect_event(gap_at, lo, hi, tol=EXIT_TIME_TOL)
 
 
+def _wall_time(v: float, a: float, d: float) -> float:
+    """First t > 0 with v·t + a·t²/2 = d, for d > 0 and a ≥ 0 (inf if there
+    is none), rounded down by CLOSED_FORM_REL_MARGIN.
+
+    Each branch is free of cancellation: the root is 2d/(v + √(v² + 2ad))
+    for v > 0 and (√(v² + 2ad) − v)/a for v ≤ 0.  A discriminant that
+    overflows gives 0, which is a safe bound.
+    """
+    disc = math.sqrt(v * v + 2.0 * a * d)
+    if not math.isfinite(disc):
+        return 0.0
+    if v > 0.0:
+        t = 2.0 * d / (v + disc)
+    elif a > 0.0:
+        t = (disc - v) / a
+    else:
+        return math.inf
+    return t * (1.0 - CLOSED_FORM_REL_MARGIN)
+
+
+def _closed_form_bound(x0: np.ndarray, p0: np.ndarray, c: float, K: Optional[float],
+                       omega1: BoxRegion) -> float:
+    """Exit time from Ω of the comparison systems under the constant forcing
+    a = K·c (K = 1 when absent), rounded down (inf if none leaves).
+
+    The axes decouple, and on each the sign that pushes toward a wall
+    reaches it first, so the least exit over the 2^n₁ sign patterns is the
+    least over axes and walls of the first root of p·t + a·t²/2 = d, with d
+    the distance to the wall and p the momentum toward it.
+    """
+    a = float(c) * (1.0 if K is None else float(K))
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"the force bound K·c = {a!r} must be finite and nonnegative")
+    best = math.inf
+    for x, p, b in zip(x0.tolist(), p0.tolist(), omega1.bounds):
+        if b is not None:
+            best = min(best, _wall_time(p, a, b[1] - x), _wall_time(-p, a, x - b[0]))
+    return best
+
+
 def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
                      horizon: float = 10.0, step: float = 1e-3) -> tuple[float, int]:
     """Control-independent lower bound for the exit time from Ω, and the
     number of ticks marched for it.
 
-    The comparison systems of all 2^n₁ sign patterns march as the rows of
-    one stack on the fixed grid h = horizon/n, one `rk4_step` per tick.  The
-    march stops at the first tick in which any row leaves Ω (signed gap
-    ≤ 0): a row still inside at the tick's end exits after it, so after
-    every row that left in it, and the minimum is among the rows that left.
-    Their exits are refined to 1e-8 by one bisection on the step's dense
-    output.  The bisection's final bracket is at most EXIT_TIME_TOL wide,
+    When V's c_bound is a number and its K_bound a number or absent, the
+    bound is `_closed_form_bound` capped at the horizon, and no tick is
+    marched.  Otherwise the comparison systems of all 2^n₁ sign patterns
+    march as the rows of one stack on the fixed grid h = horizon/n, one
+    `rk4_step` per tick.  The march stops at the first tick in which any row
+    leaves Ω (signed gap ≤ 0): a row still inside at the tick's end exits
+    after it, so after every row that left in it, and the minimum is among
+    the rows that left.  Their exits are refined to 1e-8 by one bisection on
+    the step's dense output.  The bisection's final bracket is at most EXIT_TIME_TOL wide,
     so its midpoint minus ½·EXIT_TIME_TOL lies at or below the bracket's
     inside end; the bound is the least of these.  If no row leaves before
-    the horizon, the bound is the horizon.  Returns (bound, ticks).
+    the horizon, the bound is the horizon.  Either way a start on ∂Ω or
+    outside Ω gives 0.  Returns (bound, ticks).
     """
     n1_axes, _ = _split_axes(spec)
     check_w_constancy(spec, Omega, lam0)
@@ -203,6 +261,9 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
     if omega1.signed_gap(x1_0) <= 0.0:
         return 0.0, 0
+    c, K = spec.V.c_bound, spec.V.K_bound
+    if not (c is None or callable(c) or callable(K)):
+        return float(min(horizon, _closed_form_bound(x1_0, p1_0, c, K, omega1))), 0
     n1 = len(n1_axes)
     n = _nsteps(0.0, horizon, step)
     h = horizon / n

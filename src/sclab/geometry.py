@@ -74,15 +74,18 @@ class PotentialField:
 
     value/gradient/hessian must broadcast over batched inputs of shape
     (..., dim); hessian(x)[..., k] is ∂²f/∂x_k², shaped like the gradient
-    (the WKB fan's V″ needs it).  c_bound(x) majorizes the base-factor
-    differential norm and K_bound(x) the norm-equivalence factor used by the
-    exit-time comparison systems.
+    (the WKB fan's V″ needs it).  c_bound majorizes the base-factor
+    differential norm and K_bound is the norm-equivalence factor, both used
+    by the exit-time comparison systems.  Each is a per-point callable x ↦
+    float or a plain number, a bound constant over Ω; when c_bound is a
+    number and K_bound a number or absent, the exit-time bound is closed
+    form.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    c_bound: Optional[Callable[[np.ndarray], float]] = None
-    K_bound: Optional[Callable[[np.ndarray], float]] = None
+    c_bound: Optional[Callable[[np.ndarray], float] | float] = None
+    K_bound: Optional[Callable[[np.ndarray], float] | float] = None
     name: str = "custom"
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -123,10 +126,16 @@ class BoxRegion:
             squeeze = True
         else:
             squeeze = False
-        inside = np.ones(x.shape[:-1], dtype=bool)
+        inside = None
         for k, b in enumerate(self.bounds):
             if b is not None:
-                inside &= (x[..., k] >= b[0]) & (x[..., k] <= b[1])
+                axis = (x[..., k] >= b[0]) & (x[..., k] <= b[1])
+                if inside is None:
+                    inside = axis
+                else:
+                    inside &= axis
+        if inside is None:
+            inside = np.ones(x.shape[:-1], dtype=bool)
         return bool(inside[0]) if squeeze else inside
 
     def signed_gap(self, x: np.ndarray):
@@ -155,7 +164,10 @@ def pullback(field: PotentialField, axis: int) -> PotentialField:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        g = np.zeros(np.shape(x))
+        # laid out like x: a column-major stack then gets a column-major
+        # gradient, which the controlled field combines with its
+        # column-major output without a strided pass
+        g = np.zeros_like(x)
         g[..., axis] = np.asarray(field.gradient(x[..., axis:axis + 1]))[..., 0]
         return g
 

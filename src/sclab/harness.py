@@ -147,22 +147,28 @@ def _run_steer(config: ExperimentConfig) -> None:
 
 
 def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
-    """Canned product family: flat (x) × (y), V = ½c·x² + cos y, W on N2."""
+    """Canned product family: flat (x) × (y), V = ½c·x² + cos y, W on N2.
+
+    V's c_bound is the sup of |∂ₓV| = c|x| over Ω, c·max(|lo|, |hi|), a
+    number, so the exit-time bound is closed form.
+    """
     c = config["exit.force_bound"]
+    lo, hi = _leading(config, "exit.omega", 2)
     space = ChartSpace(dimension=2, product_split=((0,), (1,)))
 
     def grad_V(xy):
         xy = np.asarray(xy, dtype=float)
         g = np.empty_like(xy)
-        g[..., 0] = c * xy[..., 0]
-        g[..., 1] = -np.sin(xy[..., 1])
+        np.multiply(c, xy[..., 0], out=g[..., 0])
+        np.sin(xy[..., 1], out=g[..., 1])
+        np.negative(g[..., 1], out=g[..., 1])
         return g
 
     V = PotentialField(
         value=lambda xy: 0.5 * c * np.asarray(xy)[..., 0] ** 2
         + np.cos(np.asarray(xy)[..., 1]),
         gradient=grad_V,
-        c_bound=lambda xy: c,
+        c_bound=c * max(abs(float(lo)), abs(float(hi))),
         name="exit-demo")
     if config["exit.w_on_base"]:
         W = make_potential("linear", 2, slope=[1.0, 0.0])

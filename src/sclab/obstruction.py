@@ -238,18 +238,7 @@ class AnsatzEngine:
         cover_floor = (float(self.fan.times[int(np.argmax(uncovered))])
                        if np.any(uncovered) else self.fan.horizon)
         self.guard_floor = min(guard_floor, cover_floor)
-        # normalization scale so that ‖χ·a0‖ = 1 on the grid
-        field0 = wkb_field(self.fan, config.a0, self.grid, 0.0)
-        chi_vals = self.chi.on_grid(self.grid).chi
-        raw = chi_vals * field0.a
-        nrm = np.sqrt(np.sum(raw ** 2) * self.grid.cell_volume)
-        if nrm == 0:
-            raise ValueError("χ·a0 vanishes on the grid")
-        self.a0 = PotentialField(
-            value=lambda x, f=config.a0, s=nrm: np.asarray(f.value(x)) / s,
-            gradient=lambda x, f=config.a0, s=nrm: np.asarray(f.gradient(x)) / s,
-            name="a0-normalized")
-        self.chi_vals = chi_vals
+        self.chi_vals = self.chi.on_grid(self.grid).chi
         # control-potential reference value on Ω′ (the phase rate)
         if config.is_product or config.W is None:
             self.c_ref = 0.0
@@ -272,7 +261,25 @@ class AnsatzEngine:
         self._row = np.full(self.fan.times.size, -1)
         self.chi_psi = np.empty((0,) + self.grid.shape, dtype=complex)
         self.norms = np.empty(0)
+        # a0 is scaled so that ‖χ·a0‖ = 1 on the grid.  The field is linear
+        # in a0, so when the T_q grid is assembled here its first block,
+        # assembled with the raw a0, supplies the scale from its t = 0 row
+        # and is kept divided by it
+        first = (self.tq_idx[:FIELD_BLOCK] if self.w_vals is None and self.tq_idx.size
+                 else np.zeros(1, dtype=int))
+        field = wkb_field(self.fan, config.a0, self.grid, self.fan.times[first])
+        nrm = np.sqrt(np.sum((self.chi_vals * field.a[0]) ** 2) * self.grid.cell_volume)
+        if nrm == 0:
+            raise ValueError("χ·a0 vanishes on the grid")
+        self.a0 = PotentialField(
+            value=lambda x, f=config.a0, s=nrm: np.asarray(f.value(x)) / s,
+            gradient=lambda x, f=config.a0, s=nrm: np.asarray(f.gradient(x)) / s,
+            name="a0-normalized")
         if self.w_vals is None:
+            self._add_rows(first)
+            self._keep(first, self.chi_vals * field.psi_tilde() / nrm,
+                       wkb_residual(field, self.chi), nrm)
+            del field  # a block's grids, not held while the rest is assembled
             self.assemble(self.tq_idx)
 
     def require_valid(self, t: float) -> None:
@@ -282,24 +289,33 @@ class AnsatzEngine:
                 f"ansatz validity ends at t={self.guard_floor:.4g} before "
                 f"t={t:.4g}; shrink the ε grid")
 
-    def _blocks(self, idx: np.ndarray):
-        """Yield (fan indices, χψ̃, residual grids) for each block of at most
-        FIELD_BLOCK of the fan indices idx, in order, after storing the
-        block's χψ̃ and ‖r‖ in the engine's arrays."""
+    def _add_rows(self, idx: np.ndarray) -> None:
+        """Give every fan index of idx not yet held a row of the arrays."""
         new = sorted_unique(idx[self._row[idx] < 0])
         if new.size:
             self._row[new] = self.norms.size + np.arange(new.size)
             self.chi_psi = np.concatenate(
                 [self.chi_psi, np.empty((new.size,) + self.grid.shape, dtype=complex)])
             self.norms = np.concatenate([self.norms, np.empty(new.size)])
+
+    def _keep(self, k: np.ndarray, chi_psi: np.ndarray, r: np.ndarray,
+              scale: float = 1.0) -> None:
+        """Store the χψ̃ rows and ‖r‖/scale of the fan indices k."""
+        self.chi_psi[self._row[k]] = chi_psi
+        self.norms[self._row[k]] = np.sqrt(np.sum(np.abs(r) ** 2, axis=-1)
+                                           * self.grid.cell_volume) / scale
+
+    def _blocks(self, idx: np.ndarray):
+        """Yield (fan indices, χψ̃, residual grids) for each block of at most
+        FIELD_BLOCK of the fan indices idx, in order, after storing the
+        block's χψ̃ and ‖r‖ in the engine's arrays."""
+        self._add_rows(idx)
         for start in range(0, idx.size, FIELD_BLOCK):
             k = idx[start:start + FIELD_BLOCK]
             field = wkb_field(self.fan, self.a0, self.grid, self.fan.times[k])
             chi_psi = self.chi_vals * field.psi_tilde()
             r = wkb_residual(field, self.chi)
-            self.chi_psi[self._row[k]] = chi_psi
-            self.norms[self._row[k]] = np.sqrt(np.sum(np.abs(r) ** 2, axis=-1)
-                                               * self.grid.cell_volume)
+            self._keep(k, chi_psi, r)
             yield k, chi_psi, r
 
     def assemble(self, idx) -> None:
@@ -444,7 +460,9 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
     scalar case and (m, n1, n2) in the product case: one split_step_evolve
     call advances every member under its own control and stops at each
-    sample time.  The residual norms of every sample time come first, from
+    sample time.  δ(t) integrates ‖r‖ over the sample times with
+    `_cumulative_upper`, so it is rounded up where ‖r‖ is monotone between
+    samples.  The residual norms of every sample time come first, from
     the engine's norm array (or, with the hypothesis broken, one row per
     member), so the engine's χψ̃ array then holds the row of every sample
     time.  At each stop `build_ansatz` builds φ for every row in one
@@ -506,7 +524,7 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
         times = engine.fan.times[idx]
         eps_eff = float(times[-1])
         norms = all_norms[:, np.searchsorted(union, idx)]
-        delta_t = np.array([_cumulative_trapezoid(row, times) for row in norms]) / config.hbar
+        delta_t = np.array([_cumulative_upper(row, times) for row in norms]) / config.hbar
         deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
         psi2_at = _second_factor_at(config, controls, times) if config.is_product else None
@@ -562,16 +580,11 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
         max_d1w=engine.max_d1w)
 
 
-def _cumulative_trapezoid(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(norms)
-    out[1:] = np.cumsum(0.5 * (norms[1:] + norms[:-1]) * np.diff(times))
-    return out
-
-
 def _cumulative_upper(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
     """∫‖r‖ at each sample time, taking on each interval the larger of its
-    two end norms: the trapezoid's partner that rounds δ up where ‖r‖ is
-    monotone over an interval, and equals it where ‖r‖ is constant."""
+    two end norms: at or above the trapezoid, it rounds δ up where ‖r‖ is
+    monotone over an interval, and equals the trapezoid where ‖r‖ is
+    constant."""
     out = np.zeros_like(norms)
     out[1:] = np.cumsum(np.maximum(norms[1:], norms[:-1]) * np.diff(times))
     return out

@@ -50,7 +50,8 @@ def hamiltonian(spec: HamiltonianSpec, lam: PhasePoint, u) -> float:
 
 def validate_potential(field: PotentialField, points) -> None:
     """Gradient vs central differences to relative 1e-6 at each point, and
-    c, K ≥ 0 where given; ValueError otherwise."""
+    c, K ≥ 0 where given, as per-point callables or numbers; ValueError
+    otherwise."""
     for x in points:
         x = np.asarray(x, dtype=float)
         g = field.grad(x)
@@ -58,10 +59,50 @@ def validate_potential(field: PotentialField, points) -> None:
         scale = max(1.0, float(np.max(np.abs(g))))
         if np.max(np.abs(g - fd)) > 1e-6 * scale:
             raise ValueError(f"gradient of '{field.name}' disagrees with finite differences at {x}")
-        if field.c_bound is not None and field.c_bound(x) < 0:
-            raise ValueError("c bound must be nonnegative")
-        if field.K_bound is not None and field.K_bound(x) < 0:
-            raise ValueError("K bound must be nonnegative")
+        for name, bound in (("c", field.c_bound), ("K", field.K_bound)):
+            if bound is not None and (bound(x) if callable(bound) else bound) < 0:
+                raise ValueError(f"{name} bound must be nonnegative")
+
+
+def controlled_field(spec: HamiltonianSpec, u, z) -> np.ndarray:
+    """(ẋ, ṗ) = (p, −(∇V + Σ_a u_a∇W_a)) at a state (2n,) under one value
+    row u, or at each row of a stack (m, 2n) under the row of a table u
+    (m, n_controls), one row at a time: the gradients through
+    `PotentialField.grad`, the sum formed left to right and negated last."""
+    n = spec.space.dimension
+    u, z = spec.control_rows(u), np.asarray(z, dtype=float)
+    if z.ndim == 1:
+        force = spec.V.grad(z[:n])
+        for ua, W in zip(u, spec.W):
+            force = force + ua * W.grad(z[:n])
+        return np.concatenate([z[n:], -force])
+    return np.stack([controlled_field(spec, u_j, z_j) for u_j, z_j in zip(u, z)])
+
+
+def cumulative_trapezoid(values, times) -> np.ndarray:
+    """∫ values dt at each time by the trapezoid rule, 0 at the first."""
+    out = np.zeros(np.shape(values))
+    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))
+    return out
+
+
+def knot_system_condition(x) -> float:
+    """1-norm condition number of the not-a-knot slope system on knots x, as
+    LAPACK's tridiagonal estimator (dgtcon) gives it.  The rows are those of
+    `wkb._not_a_knot_slopes`: C² continuity inside and continuity of the
+    third derivative at x[1] and x[-2]."""
+    from scipy.linalg import lapack
+    dx = np.diff(np.asarray(x, dtype=float))
+    diag = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    upper = np.concatenate([[x[2] - x[0]], dx[:-1]])
+    lower = np.concatenate([dx[1:], [x[-1] - x[-3]]])
+    column_sums = np.abs(diag) + np.concatenate([[0.0], np.abs(upper)]) \
+        + np.concatenate([np.abs(lower), [0.0]])
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower, diag, upper)
+    if info != 0:
+        raise ValueError("singular knot system")
+    rcond, info = lapack.dgtcon(dl, d, du, du2, ipiv, float(np.max(column_sums)), norm="1")
+    return 1.0 / rcond
 
 
 def flow_jacobian(spec: HamiltonianSpec, lam0: PhasePoint, u,

@@ -162,19 +162,32 @@ class TestRunExperiment:
             assert summary["members_exited"] == 12
             assert 0.0 < summary["halving_drift"] <= summary["halving_allowed"]
 
-    @pytest.mark.parametrize("size, p0, march_ticks, bound_ticks", [
-        (300, "0.0,0.0", 3004, 1415), (100, "1.5,0.0", 732, 562)])
-    def test_exit_time_summary_ticks(self, tmp_path, size, p0, march_ticks, bound_ticks):
+    @pytest.mark.parametrize("size, p0, march_ticks", [
+        (300, "0.0,0.0", 3004), (100, "1.5,0.0", 732)])
+    def test_exit_time_summary_ticks(self, tmp_path, size, p0, march_ticks):
         # the benchmark's exit-time configs at seed 0: the ensemble stack
         # runs until the longest fine schedule ends (from rest) or the last
-        # row leaves Ω (p0 = 1.5); the comparison stack stops at the first
-        # grid time past the earliest pattern exit, √2 from rest and 0.5616
-        # from p0 = 1.5
+        # row leaves Ω (p0 = 1.5).  The force bound is a number, so the
+        # comparison bound is closed form (√2 from rest, √4.25 − 1.5 from
+        # p0 = 1.5) and no comparison stack marches
         cfg = parse_config(f"experiment = exit-time\nseed = 0\nexit.ensemble = {size}\n"
                            f"exit.p0 = {p0}\nout = {tmp_path}/exit\n")
         assert run_experiment(cfg) == 0
         summary = json.loads((tmp_path / "exit" / "summary.json").read_text())
-        assert (summary["march_ticks"], summary["bound_ticks"]) == (march_ticks, bound_ticks)
+        assert (summary["march_ticks"], summary["bound_ticks"]) == (march_ticks, 0)
+
+    def test_exit_time_bound_safe_on_a_wide_omega(self, tmp_path):
+        # Ω = (−4, 4): |∂ₓV| = |x| reaches 4 there, so c = 1 alone is no
+        # bound; x = −3.96 cos t + 1.5 sin t leaves through x = 4 at 2.445,
+        # before the t = 2.763 that c = 1 would give
+        cfg = parse_config("experiment = exit-time\nexit.ensemble = 5\nexit.omega = -4.0,4.0\n"
+                           "exit.x0 = -3.96,0.0\nexit.p0 = 1.5,0.0\n"
+                           + f"out = {tmp_path}/exit\n")
+        assert run_experiment(cfg) == 0
+        summary = json.loads((tmp_path / "exit" / "summary.json").read_text())
+        assert summary["sampled_min_exit"] == pytest.approx(2.4451, abs=1e-4)
+        assert summary["bound_respected"] is True
+        assert summary["analytic_bound"] <= summary["sampled_min_exit"]
 
     def test_exit_time_hypothesis_status(self, tmp_path):
         cfg = parse_config(

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import flow_jacobian, hamiltonian
+from oracles import controlled_field, flow_jacobian, hamiltonian
 from sclab.dynamics import (ControlSignal, HamiltonianSpec, controlled_rhs, evolve,
                             sample_controls)
 from sclab.errors import StepTooCoarse, TrajectoryEscape
 from sclab.geometry import ChartSpace, PhasePoint, make_potential
 from sclab.integrate import ESCAPE_GUARD, check_escape, hermite_state, rk4_step
+from sclab.config import parse_config
+from sclab.harness import _exit_time_spec
 from sclab.obstruction import _integrals_at
 
 
@@ -264,6 +266,41 @@ class TestControlledRhs:
         assert stacked.shape == Z.shape
         for j in range(Z.shape[0]):
             assert np.array_equal(stacked[j], controlled_rhs(spec, U[j])(0.0, Z[j]))
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, up to the sign of an exact zero (x + 0.0 maps −0
+    to +0 and leaves every other float as it is)."""
+    a, b = np.asarray(a) + 0.0, np.asarray(b) + 0.0
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFieldOracle:
+    """The in-place field against −(∇V + Σ u_a∇W_a) formed the plain way."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(flat_stacks(), st.sampled_from(["C", "F"]))
+    def test_stack_and_single_states(self, case, order):
+        spec, U, Z = case
+        Z = np.asarray(Z, order=order)
+        assert same_bits(controlled_rhs(spec, U)(0.0, Z), controlled_field(spec, U, Z))
+        for j in range(len(Z)):
+            assert same_bits(controlled_rhs(spec, U[j])(0.0, Z[j]),
+                             controlled_field(spec, U[j], Z[j]))
+
+    @pytest.mark.parametrize("w_on_base", ["false", "true"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_exit_time_spec(self, w_on_base, order):
+        # the exit demo's grad_V fills one array; W is a pullback on y or x
+        spec = _exit_time_spec(parse_config(
+            f"experiment = exit-time\nexit.w_on_base = {w_on_base}\n"))
+        rng = np.random.default_rng(7)
+        U = rng.uniform(-50.0, 50.0, (9, 1))
+        U[4] = 0.0
+        Z = np.asarray(rng.normal(size=(9, 4)), order=order)
+        assert same_bits(controlled_rhs(spec, U)(0.0, Z), controlled_field(spec, U, Z))
+        assert same_bits(controlled_rhs(spec, U[0])(0.0, Z[0]),
+                         controlled_field(spec, U[0], Z[0]))
 
 
 class TestStackLayout:

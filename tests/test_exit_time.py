@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,7 +78,83 @@ def plane_base_spec():
     return HamiltonianSpec(space=space, V=V, W=W)
 
 
+@st.composite
+def constant_force_cases(draw):
+    """A base of n₁ ∈ {1, 2} axes (plus a fibre axis y) with a box Ω, a start
+    x₀ strictly inside it, any p₀, and constant bounds c ≥ 0 and K (absent
+    or a number)."""
+    n1 = draw(st.sampled_from([1, 2]))
+    bounds, x0 = [], []
+    for _ in range(n1):
+        lo, width = draw(st.floats(-2.0, 1.0)), draw(st.floats(0.05, 2.0))
+        bounds.append((lo, lo + width))
+        x0.append(lo + width * draw(st.floats(0.01, 0.99)))
+    p0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=n1, max_size=n1))
+    c = draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+    K = draw(st.sampled_from([None, 0.5, 1.0, 3.0]))
+    return n1, bounds, np.array(x0), np.array(p0), c, K
+
+
+def constant_bound_spec(n1, c, K):
+    """V = cos y on the fibre axis, with c and K declared as given (numbers,
+    callables or K absent); W = cos y."""
+    space = ChartSpace(dimension=n1 + 1, product_split=(tuple(range(n1)), (n1,)))
+    V = PotentialField(
+        value=lambda x: np.cos(np.asarray(x)[..., -1]),
+        gradient=lambda x: np.concatenate(
+            [np.zeros(np.shape(x)[:-1] + (n1,)), -np.sin(np.asarray(x)[..., -1:])], axis=-1),
+        c_bound=c, K_bound=K, name="fibre-demo")
+    W = make_potential("cosine", n1 + 1, amplitude=[0.0] * n1 + [1.0])
+    return HamiltonianSpec(space=space, V=V, W=W)
+
+
+def mp_first_exit(bounds, x0, p0, c, K):
+    """Least first root over axes and walls of p·t + a·t²/2 = d, a = K·c (K
+    absent counts as 1), d the distance to the wall and p the momentum
+    toward it, with 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(c) * (1 if K is None else mpmath.mpf(K))
+        best = mpmath.inf
+        for (lo, hi), x, p in zip(bounds, x0, p0):
+            for v, d in ((mpmath.mpf(p), mpmath.mpf(hi) - mpmath.mpf(x)),
+                         (-mpmath.mpf(p), mpmath.mpf(x) - mpmath.mpf(lo))):
+                if a > 0:
+                    best = min(best, (-v + mpmath.sqrt(v * v + 2 * a * d)) / a)
+                elif v > 0:
+                    best = min(best, d / v)
+        return best
+
+
 class TestExitLowerBound:
+    @settings(max_examples=40, deadline=None)
+    @given(constant_force_cases())
+    def test_closed_form_bound(self, case):
+        # c and K as numbers: the bound is the first root of the comparison,
+        # rounded down, with no march; with c and K as constant callables the
+        # marched stack finds the same exit to the event tolerance
+        n1, bounds, x0, p0, c, K = case
+        horizon = 2.0
+        omega = BoxRegion(tuple(bounds) + (None,))
+        lam0 = PhasePoint(np.append(x0, 0.3), np.append(p0, 0.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exit_mod, "rk4_step", lambda *args: pytest.fail("marched"))
+            bound, ticks = exit_lower_bound(constant_bound_spec(n1, c, K), omega, lam0,
+                                            horizon=horizon)
+        assert ticks == 0 and type(bound) is float
+        root = min(mp_first_exit(bounds, x0, p0, c, K), horizon)
+        assert bound <= root
+        assert bound >= root * (1 - 1e-13)
+        callables = constant_bound_spec(n1, lambda x: c,
+                                        None if K is None else lambda x: K)
+        marched, ticks = exit_lower_bound(callables, omega, lam0, horizon=horizon, step=0.01)
+        assert ticks > 0
+        assert abs(marched - bound) <= EXIT_TIME_TOL
+
+    def test_closed_form_rejects_a_negative_force_bound(self):
+        lam0 = PhasePoint(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="K·c"):
+            exit_lower_bound(constant_bound_spec(1, 1.0, -2.0), omega_unit(), lam0)
+
     def test_constant_force_closed_form(self):
         # flat 1D factor, c const, rest state at the center: t* = √(2/c)
         for c in (1.0, 4.0):

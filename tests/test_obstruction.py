@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import control_integral, member_residual_norm
+from oracles import control_integral, cumulative_trapezoid, member_residual_norm
 import sclab.obstruction
 import sclab.wkb
 from sclab.cli import main as cli_main
@@ -12,8 +12,7 @@ from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential
 from sclab.harness import run_experiment
-from sclab.obstruction import (FIELD_BLOCK, AnsatzEngine, ObstructionConfig,
-                               _cumulative_trapezoid, _integrals_at,
+from sclab.obstruction import (FIELD_BLOCK, AnsatzEngine, ObstructionConfig, _integrals_at,
                                _sample_indices, _second_factor_at, build_ansatz,
                                estimate_Tq_lower_bound,
                                run_localization_experiment)
@@ -164,6 +163,20 @@ class TestLocalizationExperiment:
         assert rep.witness_violations == 0
         assert rep.certified_bound == certified
 
+    def test_delta_rounds_up_a_falling_residual(self):
+        # S0 = +x²/2 spreads the packet, so ‖r‖ falls between the samples;
+        # each interval's larger end norm puts δ above the trapezoid's value
+        cfg = scalar_config(S0=make_potential("harmonic", 1, k=1.0), ensemble_count=2,
+                            eps_grid=(0.02, 0.04))
+        engine = AnsatzEngine(cfg, 0.04)
+        rep = run_localization_experiment(engine)
+        for eps in cfg.eps_grid:
+            idx = _sample_indices(engine, eps, cfg.n_samples)
+            norms, times = engine.residual_norms(idx), engine.fan.times[idx]
+            assert np.all(np.diff(norms) < 0)
+            trapezoid = cumulative_trapezoid(norms, times)[-1] / cfg.hbar
+            assert rep.delta_by_eps[float(times[-1])] > trapezoid
+
     def test_violation_withholds_certificate(self, monkeypatch):
         monkeypatch.setattr(sclab.obstruction, "DUHAMEL_SLACK", -1.0)
         rep = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
@@ -274,8 +287,8 @@ class TestTqEstimate:
                 * (times[k] - times[k - 1])
 
         times = engine.fan.times
-        fan_grid = _cumulative_trapezoid(norms, times[every])
-        coarse = _cumulative_trapezoid(engine.residual_norms(engine.tq_idx),
+        fan_grid = cumulative_trapezoid(norms, times[every])
+        coarse = cumulative_trapezoid(engine.residual_norms(engine.tq_idx),
                                        times[engine.tq_idx])
         for thr in (0.5, 1.0, 2.0):
             t_fan = crossing(fan_grid, times[every], thr)
@@ -499,8 +512,8 @@ class TestBenchmarkConfig:
 
     def test_one_fan_and_a_slope_solve_per_block(self, run):
         # 161 fan times on [0, 0.08], each assembled once, FIELD_BLOCK per
-        # knot solve, after the one field at t = 0 that normalizes a0
+        # knot solve; the first block's t = 0 row normalizes a0
         _, counts = run
         assert counts["fans"] == 1
-        assert counts["field_times"] == 1 + 161
-        assert counts["slope_solves"] == 1 + -(-161 // FIELD_BLOCK)
+        assert counts["field_times"] == 161
+        assert counts["slope_solves"] == -(-161 // FIELD_BLOCK) == 21
