@@ -114,7 +114,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "exit.breakpoints": Field(int, 6, _positive),
         "exit.horizon": Field(float, 3.0, _positive),
         "exit.step": Field(float, 2e-3, _positive),
-        "exit.w_on_base": Field(_as_bool, False),
         **_potential_section("exit.w2"),
     },
     "wkb": {

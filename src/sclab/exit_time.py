@@ -332,7 +332,9 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     """
     m = len(controls)
     n1_axes, _ = _split_axes(spec)
-    axes = list(n1_axes)
+    # the base columns, as a slice (a view, not a copy) when they are contiguous
+    lo, n1 = min(n1_axes, default=0), len(n1_axes)
+    axes = slice(lo, lo + n1) if n1_axes == tuple(range(lo, lo + n1)) else list(n1_axes)
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
     first, seg_a, seg_n, seg_h, seg_u = _member_schedule(controls, horizon, step)
     exits = np.full((2, m), horizon)
@@ -356,7 +358,8 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
         tick += 1
         check_escape(Z, T)
         keep = omega1.contains(Z[:, axes])
-        if not keep.all():
+        kept = keep.all()
+        if not kept:
             crossed = np.flatnonzero(~keep)
             # a row with gap ≤ 0 at its step's start (on ∂Ω, or started
             # outside Ω) exits there; the rest are bisected
@@ -374,6 +377,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
             switch = np.flatnonzero(keep & (end == tick))
             done = seg[switch] == last[switch]
             keep[switch[done]] = False
+            kept = kept and not done.any()
             switch = switch[~done]
             seg[switch] += 1
             s, p = seg[switch], fine[switch]
@@ -381,7 +385,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
             H[switch, 0] = seg_h[p, s]
             T[switch, 0] = seg_a[s]
             U[switch] = seg_u[s]
-        if not keep.all():
+        if not kept:
             row, seg, last, fine, end = row[keep], seg[keep], last[keep], fine[keep], end[keep]
             H, T, U = H[keep], T[keep], U[keep]
             Z = np.asfortranarray(Z[keep])  # a boolean index comes back row-major

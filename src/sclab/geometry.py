@@ -221,7 +221,7 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
         offset = float(coeffs.get("offset", 0.0))
         return PotentialField(
             lambda x: np.sum(slope * np.asarray(x, dtype=float), axis=-1) + offset,
-            lambda x: np.broadcast_to(slope, np.shape(x)).astype(float),
+            lambda x: np.full_like(x, slope, dtype=float),  # laid out like x
             hessian=zeros, name="linear",
         )
     if name == "gaussian":

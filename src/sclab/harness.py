@@ -170,14 +170,10 @@ def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
         gradient=grad_V,
         c_bound=c * max(abs(float(lo)), abs(float(hi))),
         name="exit-demo")
-    if config["exit.w_on_base"]:
-        W = make_potential("linear", 2, slope=[1.0, 0.0])
-    else:
-        w2 = build_potential(config, "exit.w2", 1)
-        if w2.name == "zero":
-            w2 = make_potential("cosine", 1)
-        W = pullback(w2, 1)
-    return HamiltonianSpec(space=space, V=V, W=W)
+    w2 = build_potential(config, "exit.w2", 1)
+    if w2.name == "zero":
+        w2 = make_potential("cosine", 1)
+    return HamiltonianSpec(space=space, V=V, W=pullback(w2, 1))
 
 
 def _run_exit_time(config: ExperimentConfig) -> None:

@@ -3,14 +3,20 @@
 Protocol, for a control potential constant (= c) on a box Ω of the base
 factor: build the cutoff ansatz
 
-    φ(t) = χ·a·e^{iS/ħ}·e^{-ic∫₀ᵗu/ħ}    (scalar factor case)
-    φ(t) = χ(x)·ψ₁(t,x)·ψ₂(t,y)          (product case, ψ₂ split-step on N₂)
+    φ(t) = χ·a·e^{iS/ħ}·e^{-ic∫₀ᵗu/ħ}
 
 whose Schrödinger residual r is control independent; by Duhamel and unitarity
 ‖ψ(t) − φ(t)‖ ≤ δ(t) = (1/ħ)∫₀ᵗ‖r‖.  Any witness ψ₁ supported outside Ω keeps
 ‖ψ₁ − φ(t)‖ ≥ 1, so for every control ‖ψ₁ − ψ(t)‖ ≥ 1 − δ(t): as long as
 δ stays below 1 the true state cannot approach anything supported outside
-Ω (× N₂) — a quantitative obstruction horizon.
+Ω — a quantitative obstruction horizon.
+
+A product N₁ × N₂ whose potentials live on the second factor needs nothing
+more.  H = −ħ²/2·Δ + V₂(y) + u·W₂(y) separates, so from ψ₁ ⊗ ψ₂ the state is
+ψ(t) = U₁(t)ψ₁ ⊗ ψ₂(t), with U₁ the free flow on N₁, and the ansatz
+χψ̃₁ ⊗ ψ₂(t) leaves ψ − φ = (U₁ψ₁ − χψ̃₁) ⊗ ψ₂(t).  Since ‖ψ₂(t)‖ = 1, the
+control never reaches ‖ψ − φ‖, δ or the verdict: they are the scalar ones
+on N₁ with W ≡ 1.
 
 Both stages, `run_localization_experiment` and `estimate_Tq_lower_bound`,
 take one `AnsatzEngine`: one hypothesis check and one fan serve them.
@@ -26,7 +32,7 @@ import numpy as np
 
 from .dynamics import sample_controls, sorted_unique
 from .errors import CausticReached, HypothesisViolated
-from .geometry import BoxRegion, PotentialField, make_potential, pullback
+from .geometry import BoxRegion, PotentialField, make_potential
 from .schrodinger import SpatialGrid, WaveGrid, WaveStack, split_step_evolve
 from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
                   shoot_characteristics, wkb_field, wkb_residual)
@@ -40,8 +46,6 @@ DUHAMEL_SLACK = 1e-6
 # the 161 fields took 123 / 94 / 86 ms: 8 is the largest block whose
 # temporaries fit under what the per-time cache held.
 FIELD_BLOCK = 8
-# split-step dt of the product case's second factor ψ₂ when config.dt is unset
-PSI2_DT = 5e-4
 UNIFORMITY_TOL = 1e-9
 # max |W'| on Ω at or above which W counts as varying there
 W_CONSTANCY_TOL = 1e-9
@@ -51,11 +55,11 @@ W_CONSTANCY_TOL = 1e-9
 class ObstructionConfig:
     """Everything one localization experiment needs, defaults at demo scale.
 
-    The scalar case runs on `grid` alone; supplying `n2_grid` (with V2, W2 on
-    the second factor) switches to the product ansatz, where the full-space
-    potentials are the pullbacks V(x,y) = V2(y), W(x,y) = W2(y).  The ansatz
-    is always cut off by the bump χ on `omega_prime`, and the witness state
-    sits at the antipode of Ω's center.
+    The experiment runs on the one-dimensional `grid` of the base factor.  A
+    separable N₁ × N₂ system gives the δ and verdict of this scalar run on
+    N₁ (module docstring), so no second factor is configured.  The ansatz is
+    cut off by the bump χ on `omega_prime`, and the witness state sits at the
+    antipode of Ω's center.
     """
 
     grid: SpatialGrid
@@ -77,11 +81,6 @@ class ObstructionConfig:
     target_distance_floor: float = 0.1
     enforce_hypothesis: bool = True
     hbar: float = 1.0
-    n2_grid: Optional[SpatialGrid] = None
-    V2: Optional[PotentialField] = None
-    W2: Optional[PotentialField] = None
-    psi2_center: float = 0.0
-    psi2_sigma: float = 0.5
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -98,10 +97,6 @@ class ObstructionConfig:
             raise ValueError("eps_grid must be positive and ascending")
         if not (0.0 <= self.target_distance_floor < 1.0):
             raise ValueError("target_distance_floor must be in [0, 1)")
-
-    @property
-    def is_product(self) -> bool:
-        return self.n2_grid is not None
 
 
 @dataclass(frozen=True)
@@ -178,9 +173,9 @@ class ObstructionReport:
 
 
 def check_hypothesis(config: ObstructionConfig) -> float:
-    """Max |W'| over an Ω grid on the base factor (0 for the product pullback);
-    raises HypothesisViolated when the config enforces a constant W on Ω."""
-    if config.is_product or config.W is None:
+    """Max |W'| over an Ω grid on the base factor (0 without W); raises
+    HypothesisViolated when the config enforces a constant W on Ω."""
+    if config.W is None:
         return 0.0
     lo, hi = config.omega.bounds[0]
     xs = np.linspace(lo, hi, 257)[:, None]
@@ -221,8 +216,7 @@ class AnsatzEngine:
         self.seeds = np.linspace(lo_o + margin, hi_o - margin, config.n_seeds)
         self.chi = CutoffFunction(config.omega_prime)
         self.fan = shoot_characteristics(
-            config.S0, None if config.is_product else config.V,
-            self.seeds, horizon, config.fan_step, hbar=config.hbar)
+            config.S0, config.V, self.seeds, horizon, config.fan_step, hbar=config.hbar)
         conj = first_conjugate_time(self.fan)
         self.caustic_floor = float(np.min(conj))
         # first stored time at which any seed trips the amplitude guard
@@ -240,7 +234,7 @@ class AnsatzEngine:
         self.guard_floor = min(guard_floor, cover_floor)
         self.chi_vals = self.chi.on_grid(self.grid).chi
         # control-potential reference value on Ω′ (the phase rate)
-        if config.is_product or config.W is None:
+        if config.W is None:
             self.c_ref = 0.0
         else:
             center = np.array([0.5 * (config.omega_prime.bounds[0][0]
@@ -248,8 +242,7 @@ class AnsatzEngine:
             self.c_ref = float(np.asarray(config.W.value(center[None, :])).reshape(-1)[0])
         # W on the grid, for the control term of a deliberately broken hypothesis
         self.w_vals = (np.asarray(config.W.value(self.grid.mesh()), dtype=float)
-                       if not (config.enforce_hypothesis or config.is_product
-                               or config.W is None) else None)
+                       if not (config.enforce_hypothesis or config.W is None) else None)
         # the fan times T_q reads: up to the last one before the guard floor,
         # thinned to fewer than 512
         usable = self.fan.horizon if self.guard_floor >= self.fan.horizon \
@@ -366,8 +359,7 @@ def _sample_indices(engine: AnsatzEngine, eps: float, n_samples: int) -> np.ndar
     if abs(times[k_end] - eps) > engine.config.fan_step:
         raise ValueError(f"ε={eps} is beyond the fan horizon")
     stride = max(1, k_end // max(2, n_samples - 1))
-    idx = list(range(0, k_end, stride)) + [k_end]
-    return np.array(sorted(set(idx)))
+    return sorted_unique(np.append(np.arange(0, k_end, stride), k_end))
 
 
 def _witness_state(config: ObstructionConfig) -> WaveGrid:
@@ -379,56 +371,15 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
     width = min(L / 10.0, 0.45 * max(1e-6, (L - (hi - lo)) / 2))
     vals = np.exp(-0.5 * ((gx - center) / width) ** 2).astype(complex)
     vals[(gx >= lo) & (gx <= hi)] = 0.0
-    psi1_1d = vals
-    if config.is_product:
-        gy = config.n2_grid.points(0)
-        ypart = np.exp(-0.5 * ((gy - config.psi2_center) / config.psi2_sigma) ** 2)
-        full_grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
-        vals2 = np.outer(psi1_1d, ypart)
-        return WaveGrid(full_grid, vals2, config.hbar).normalized()
-    return WaveGrid(config.grid, psi1_1d, config.hbar).normalized()
+    return WaveGrid(config.grid, vals, config.hbar).normalized()
 
 
-def build_ansatz(engine: AnsatzEngine, t: float, factors: np.ndarray,
+def build_ansatz(engine: AnsatzEngine, t: float, phases: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
-    """The cutoff approximate solution φ(t) of every member, written to out.
-
-    φ_j = χψ̃(t), the engine's row for t, times member j's factor: in the
-    scalar case factors holds the control phases e^{-ic∫₀ᵗu_j/ħ}, shape
-    (m,), and in the product case the rows ψ₂ of the second factor at t,
-    shape (m, n₂), so that φ_j is the outer product χψ̃(t) ⊗ ψ₂_j.  out has
-    shape (m, *grid.shape).
-    """
-    base = engine.chi_psi_at(t)
-    if factors.ndim == 1:
-        return np.multiply(base, factors[:, None], out=out)
-    return np.multiply(base[None, :, None], factors[:, None, :], out=out)
-
-
-def _second_factor(config: ObstructionConfig) -> WaveGrid:
-    """ψ₂ at t = 0, a normalized Gaussian on N₂."""
-    gy = config.n2_grid.points(0)
-    vals = np.exp(-0.25 * ((gy - config.psi2_center) / config.psi2_sigma) ** 2)
-    return WaveGrid(config.n2_grid, vals.astype(complex), config.hbar).normalized()
-
-
-def _second_factor_at(config: ObstructionConfig, controls: list,
-                      times: np.ndarray) -> np.ndarray:
-    """ψ₂ of every member at every sample time, shape (times, m, n₂): the
-    product case's second factor, evolved under the x-frozen potential
-    V2 + u·W2 on N₂ as one stack that stops at each sample time."""
-    psi2_0 = _second_factor(config)
-    out = np.empty((times.size, len(controls)) + psi2_0.values.shape, dtype=complex)
-    out[0] = psi2_0.values
-    if times.size > 1:
-        stack = WaveStack(config.n2_grid, out[0], config.hbar)
-
-        def keep(k: int, evolved: WaveStack) -> None:
-            out[k + 1] = evolved.values
-
-        split_step_evolve(stack, config.V2, config.W2, controls, times[1:],
-                          config.dt or PSI2_DT, t0=float(times[0]), on_stop=keep)
-    return out
+    """The cutoff approximate solution φ(t) of every member, written to out:
+    φ_j = χψ̃(t), the engine's row for t, times member j's control phase
+    e^{-ic∫₀ᵗu_j/ħ}.  phases has shape (m,) and out (m, *grid.shape)."""
+    return np.multiply(engine.chi_psi_at(t), phases[:, None], out=out)
 
 
 def _integrals_at(controls: list):
@@ -457,24 +408,22 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     floor; certify the largest ε with uniform δ(ε) < 1 − floor, or 0 when
     any record fails its Duhamel or witness check.
 
-    For each ε the whole ensemble evolves as one WaveStack, (m, n) in the
-    scalar case and (m, n1, n2) in the product case: one split_step_evolve
-    call advances every member under its own control and stops at each
-    sample time.  δ(t) integrates ‖r‖ over the sample times with
-    `_cumulative_upper`, so it is rounded up where ‖r‖ is monotone between
-    samples.  The residual norms of every sample time come first, from
-    the engine's norm array (or, with the hypothesis broken, one row per
-    member), so the engine's χψ̃ array then holds the row of every sample
-    time.  At each stop `build_ansatz` builds φ for every row in one
-    broadcast multiply (in the scalar case the shared χψ̃(t_k) row times
-    each member's phase e^{-ic∫u/ħ}, all phases in one np.exp; in the
-    product case χψ̃(t_k) ⊗ ψ₂, with ψ₂ carried through the same stops as a
-    second stack (m, n2)), and ‖ψ − φ‖, the witness distance and the
-    Duhamel margin are taken per row.  The working set is the stack and its
-    fixed buffers, updated in place: φ is built in the stack's scratch
-    buffer, and no array of the stack's size is allocated per stop.  The
-    engine's horizon must reach max(eps_grid), and its ansatz must stay
-    valid to the largest sample time (CausticReached otherwise).
+    For each ε the whole ensemble evolves as one WaveStack (m, n): one
+    split_step_evolve call advances every member under its own control and
+    stops at each sample time.  δ(t) integrates ‖r‖ over the sample times
+    with `_cumulative_upper`, so it is rounded up where ‖r‖ is monotone
+    between samples.  The residual norms of every sample time come first,
+    from the engine's norm array (or, with the hypothesis broken, one row
+    per member), so the engine's χψ̃ array then holds the row of every
+    sample time.  At each stop `build_ansatz` builds φ for every row in one
+    broadcast multiply (the shared χψ̃(t_k) row times each member's phase
+    e^{-ic∫u/ħ}, all phases in one np.exp), and ‖ψ − φ‖, the witness
+    distance and the Duhamel margin are taken per row.  The working set is
+    the stack and its fixed buffers, updated in place: φ is built in the
+    stack's scratch buffer, and no array of the stack's size is allocated
+    per stop.  The engine's horizon must reach max(eps_grid), and its
+    ansatz must stay valid to the largest sample time (CausticReached
+    otherwise).
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
@@ -493,26 +442,17 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     spread_by_eps: dict[float, float] = {}
     initial_tail = None
 
-    if config.is_product:
-        grid = SpatialGrid((config.grid.axes[0], config.n2_grid.axes[0]))
-        V_run = None if config.V2 is None else pullback(config.V2, 1)
-        W_run = None if config.W2 is None else pullback(config.W2, 1)
-        omega_region = BoxRegion((config.omega.bounds[0], None))
-    else:
-        grid, V_run, W_run = config.grid, config.V, config.W
-        omega_region = config.omega
-        integrals_at = _integrals_at(controls)
+    integrals_at = _integrals_at(controls)
     m = len(controls)
     # grid points outside Ω, where the outside probabilities sum |ψ|²
-    outside = ~omega_region.contains(grid.mesh().reshape(-1, grid.dim)).reshape(grid.shape)
-    stack = WaveStack(grid, np.zeros((m,) + grid.shape), config.hbar)
+    outside = ~config.omega.contains(config.grid.mesh()).reshape(config.grid.shape)
+    stack = WaveStack(config.grid, np.zeros((m,) + config.grid.shape), config.hbar)
     psi, phi = stack.values, stack.scratch  # φ rows go to the stack's scratch
 
     def set_phi(k: int) -> None:
         """φ of every member at sample time k."""
-        factors = (psi2_at[k] if config.is_product
-                   else engine.phase(integrals_at(float(times[k]))))
-        build_ansatz(engine, float(times[k]), factors, phi)
+        t = float(times[k])
+        build_ansatz(engine, t, engine.phase(integrals_at(t)), phi)
 
     if engine.w_vals is None:
         # the residual is control independent: one row serves every member
@@ -527,12 +467,11 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
         delta_t = np.array([_cumulative_upper(row, times) for row in norms]) / config.hbar
         deltas = np.broadcast_to(delta_t[:, -1], (m,))
 
-        psi2_at = _second_factor_at(config, controls, times) if config.is_product else None
         set_phi(0)
         psi[...] = phi
         if initial_tail is None:
             psi0 = stack.member(0).normalized().values
-            initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * grid.cell_volume
+            initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * config.grid.cell_volume
         max_dev = np.zeros(m)
         min_margin = np.full(m, np.inf)
         min_witness = stack.distances(psi1.values)
@@ -547,10 +486,10 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
             np.minimum(min_witness, stack.distances(psi1.values), out=min_witness)
 
         if times.size > 1:
-            split_step_evolve(stack, V_run, W_run, controls, times[1:],
+            split_step_evolve(stack, config.V, config.W, controls, times[1:],
                               config.dt or min(1e-3, eps_eff / 64.0),
                               t0=float(times[0]), on_stop=compare)
-        outside_p = np.sum(np.abs(psi[:, outside]) ** 2, axis=1) * grid.cell_volume
+        outside_p = np.sum(np.abs(psi[:, outside]) ** 2, axis=1) * config.grid.cell_volume
         for j in range(m):
             records.append(ObstructionRecord(
                 eps=eps_eff, control_index=j, delta=float(deltas[j]),

@@ -343,8 +343,8 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
     would.
     """
     if grid.dim != 1:
-        raise NotImplementedError("field assembly is one-dimensional; use the "
-                                  "product ansatz for higher dimensions")
+        raise NotImplementedError("field assembly is one-dimensional; a separable "
+                                  "product reduces to its base factor")
     k = fan.time_index(t)
     xs = fan.x[k]
     J = fan.J[k]

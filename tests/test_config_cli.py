@@ -189,12 +189,6 @@ class TestRunExperiment:
         assert summary["bound_respected"] is True
         assert summary["analytic_bound"] <= summary["sampled_min_exit"]
 
-    def test_exit_time_hypothesis_status(self, tmp_path):
-        cfg = parse_config(
-            "experiment = exit-time\nexit.ensemble = 5\nexit.w_on_base = true\n"
-            + f"out = {tmp_path}/exit2\n")
-        assert run_experiment(cfg) == 2
-
     def test_wkb_runner(self, tmp_path):
         cfg = parse_config(
             "experiment = wkb\nwkb.s0.name = harmonic\nwkb.a0.name = gaussian\n"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -288,12 +290,14 @@ class TestFieldOracle:
             assert same_bits(controlled_rhs(spec, U[j])(0.0, Z[j]),
                              controlled_field(spec, U[j], Z[j]))
 
-    @pytest.mark.parametrize("w_on_base", ["false", "true"])
+    @pytest.mark.parametrize("w_on_base", [False, True], ids=["false", "true"])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_exit_time_spec(self, w_on_base, order):
-        # the exit demo's grad_V fills one array; W is a pullback on y or x
-        spec = _exit_time_spec(parse_config(
-            f"experiment = exit-time\nexit.w_on_base = {w_on_base}\n"))
+        # the exit demo's grad_V fills one array; W is its pullback on y, or
+        # W = x on the base
+        spec = _exit_time_spec(parse_config("experiment = exit-time\n"))
+        if w_on_base:
+            spec = dataclasses.replace(spec, W=make_potential("linear", 2, slope=[1.0, 0.0]))
         rng = np.random.default_rng(7)
         U = rng.uniform(-50.0, 50.0, (9, 1))
         U[4] = 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -435,8 +437,8 @@ class TestMemberSchedules:
     def test_member_exit_independent_of_ensemble(self):
         # W = x acts on the base, so the exits spread; each member marched
         # alone must give, bitwise, its exit inside the ensemble
-        config = parse_config("experiment = exit-time\nexit.w_on_base = true\n")
-        spec = _exit_time_spec(config)
+        spec = dataclasses.replace(_exit_time_spec(parse_config("experiment = exit-time\n")),
+                                   W=make_potential("linear", 2, slope=[1.0, 0.0]))
         lam0 = PhasePoint(np.zeros(2), np.array([1.5, 0.0]))
         controls = sample_controls(0, 60, 3.0, 0.5, 6)
         together = sampled_exit_time(spec, lam0, omega_unit(), controls, 3.0,

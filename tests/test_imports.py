@@ -163,11 +163,6 @@ def test_checker_sees_a_method_behind_a_local_of_its_name():
 # ObstructionConfig fields that harness._run_obstruction does not pass, each
 # with the reason; any other field is a knob no CLI run can reach
 OBSTRUCTION_FIELDS_UNSET = {
-    "n2_grid": "the product case has no config keys yet",
-    "V2": "the product case has no config keys yet",
-    "W2": "the product case has no config keys yet",
-    "psi2_center": "the product case has no config keys yet",
-    "psi2_sigma": "the product case has no config keys yet",
     "hbar": "the CLI runs at ħ = 1 until one engine serves every ħ",
     "dt": "the tests' finer split-step step",
 }
