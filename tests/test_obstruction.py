@@ -12,9 +12,9 @@ from sclab.dynamics import ControlSignal, sample_controls
 from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential, pullback
 from sclab.harness import run_experiment
-from sclab.obstruction import (FIELD_BLOCK, AnsatzEngine, ObstructionConfig, _integrals_at,
-                               _sample_indices, build_ansatz, estimate_Tq_lower_bound,
-                               run_localization_experiment)
+from sclab.obstruction import (DUHAMEL_SLACK, FIELD_BLOCK, AnsatzEngine, ObstructionConfig,
+                               _integrals_at, _sample_indices, build_ansatz,
+                               estimate_Tq_lower_bound, run_localization_experiment)
 from sclab.schrodinger import SpatialGrid, WaveStack, split_step_evolve
 from sclab.wkb import CutoffFunction
 
@@ -73,6 +73,27 @@ class TestBuildAnsatz:
         ratio = a[mask] / b[mask]
         assert np.max(np.abs(ratio - expected)) < 1e-10
 
+    def test_product_ansatz_is_rank_one(self, separable_run):
+        # a separable evolution keeps ψ₁ ⊗ ψ₂ a product, the form of the
+        # product ansatz φ₁ ⊗ ψ₂: every 2×2 minor of each member's ψ vanishes
+        for vals in separable_run["psi"].values:
+            i0, j0 = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
+            rank1 = np.outer(vals[:, j0], vals[i0, :]) / vals[i0, j0]
+            assert np.max(np.abs(vals - rank1)) < 1e-10
+
+    def test_degenerate_second_factor_matches_scalar_delta(self, degenerate_run):
+        # a constant W₂ on N₂ carries the control phase that W ≡ 1 puts on
+        # N₁ in the scalar run: ‖ψ − φ₁ ⊗ U₂ψ₂‖ with the phase-free φ₁ is the
+        # scalar ‖ψ − φ‖, which the scalar δ bounds
+        r = degenerate_run
+        phi1 = AnsatzEngine(r["cfg"], max(r["cfg"].eps_grid)).chi_psi_at(r["T"])
+        product = r["psi"].distances(phi1[None, :, None] * r["second"].values[:, None, :])
+        scalar = r["scalar"].distances(ansatz(r["cfg"], r["controls"], r["T"]))
+        assert np.allclose(product, scalar, rtol=0.0, atol=1e-12)
+        for rec, dev in zip(r["rep"].records, product):
+            assert dev <= rec.max_deviation + 1e-12
+            assert dev <= rec.delta + DUHAMEL_SLACK
+
     def test_ensemble_phases_match_each_control_alone(self):
         # the ensemble's ∫u and control phases are those of each control
         # integrated alone, segment by segment, bit for bit
@@ -88,41 +109,92 @@ class TestBuildAnsatz:
                                   [engine.phase(a) for a in alone])
 
 
+N2_GRID = SpatialGrid(((-np.pi, 2 * np.pi, 64),))
+
+
+def evolved(grid, state, V, W, controls, T, dt, hbar):
+    """One copy of state per control, evolved to T under V + u·W."""
+    stack = WaveStack(grid, np.repeat(state[None], len(controls), axis=0), hbar)
+    return split_step_evolve(stack, V, W, controls, T, dt)
+
+
+def product_evolution(cfg, controls, T, psi1, psi2, V2, W2):
+    """ψ₁ ⊗ ψ₂ evolved on N₁ × N₂ under cfg.V on N₁ and V₂ + u·W₂ on N₂, with
+    the 1-D evolutions of its factors: U₁ψ₁ under cfg.V alone (the controls
+    only cut its steps) and U₂ψ₂ under V₂ + u·W₂."""
+    grid = SpatialGrid((cfg.grid.axes[0], N2_GRID.axes[0]))
+    psi = evolved(grid, np.multiply.outer(psi1, psi2), pullback(V2, 1), pullback(W2, 1),
+                  controls, T, cfg.dt, cfg.hbar)
+    return (psi, evolved(cfg.grid, psi1, cfg.V, None, controls, T, cfg.dt, cfg.hbar),
+            evolved(N2_GRID, psi2, V2, W2, controls, T, cfg.dt, cfg.hbar))
+
+
+def gaussian_on_n2():
+    y = N2_GRID.points(0)
+    psi2 = np.exp(-y ** 2)
+    return psi2 / np.sqrt(np.sum(psi2 ** 2) * N2_GRID.cell_volume)
+
+
+@pytest.fixture(scope="module")
+def separable_run():
+    """V₂ = cos y, W₂ = cos 2y on N₂; nothing but the free flow on N₁."""
+    cfg = scalar_config(grid=SpatialGrid(((-np.pi, 2 * np.pi, 128),)), W=None,
+                        n_seeds=600, eps_grid=(0.05,), dt=2.5e-4)
+    V2, W2 = make_potential("cosine", 1), make_potential("cosine", 1, freq=2.0)
+    controls = sample_controls(1, 3, 0.05, 20.0, 8, scheme="lhs", include_extremes=True)
+    T = 0.05
+    engine = AnsatzEngine(cfg, T)
+    psi2 = gaussian_on_n2()
+    psi, free, second = product_evolution(cfg, controls, T, engine.chi_psi_at(0.0), psi2,
+                                          V2, W2)
+    return dict(cfg=cfg, controls=controls, T=T, engine=engine, psi2=psi2, V2=V2, W2=W2,
+                psi=psi, free=free, second=second)
+
+
+@pytest.fixture(scope="module")
+def degenerate_run():
+    """The scalar experiment at W ≡ 1 beside the same ensemble on N₁ × N₂
+    with V₂ = cos y and a constant W₂ ≡ 1 on N₂: the control then enters
+    only as a phase, on either factor."""
+    cfg = scalar_config(grid=SpatialGrid(((-np.pi, 2 * np.pi, 128),)), n_seeds=600,
+                        eps_grid=(0.05,), ensemble_count=5, ensemble_amplitude=20.0,
+                        seed=1, dt=2.5e-4)
+    rep = localize(cfg)
+    # the ensemble run_localization_experiment draws from the config's seed
+    controls = sample_controls(np.random.default_rng(cfg.seed), cfg.ensemble_count,
+                               max(cfg.eps_grid), cfg.ensemble_amplitude,
+                               cfg.ensemble_max_breakpoints, scheme="lhs",
+                               include_extremes=True)
+    T = rep.eps_grid[-1]
+    phi0 = ansatz(cfg, controls, 0.0)
+    one = make_potential("linear", 1, slope=0.0, offset=1.0)
+    psi, _, second = product_evolution(cfg, controls, T, phi0[0], gaussian_on_n2(),
+                                       make_potential("cosine", 1), one)
+    scalar = split_step_evolve(WaveStack(cfg.grid, phi0, cfg.hbar), cfg.V, cfg.W, controls,
+                               T, cfg.dt)
+    return dict(cfg=cfg, rep=rep, controls=controls, T=T, psi=psi, second=second,
+                scalar=scalar)
+
+
 class TestProductReduction:
     """A separable N₁ × N₂ system is the scalar case on N₁ (the obstruction
     module docstring): its evolution factors, so the product ansatz's
     deviation is the scalar one."""
 
-    def test_product_evolution_factors(self):
-        # V₂ = cos y, W₂ = cos 2y on N₂; nothing but the free flow on N₁.
+    def test_product_evolution_factors(self, separable_run):
         # ψ₁ ⊗ ψ₂ evolved on the 2-D grid is U₁ψ₁ ⊗ U₂ψ₂ from the two 1-D
         # evolutions, so ‖ψ − φ₁ ⊗ U₂ψ₂‖ = ‖U₁ψ₁ − φ₁‖ for the ansatz φ₁
-        cfg = scalar_config(grid=SpatialGrid(((-np.pi, 2 * np.pi, 128),)), W=None,
-                            n_seeds=600, eps_grid=(0.05,))
-        n2_grid = SpatialGrid(((-np.pi, 2 * np.pi, 64),))
-        V2, W2 = make_potential("cosine", 1), make_potential("cosine", 1, freq=2.0)
-        controls = sample_controls(1, 3, 0.05, 20.0, 8, scheme="lhs", include_extremes=True)
-        T, dt, m = 0.05, 2.5e-4, len(controls)
-        engine = AnsatzEngine(cfg, T)
-        psi1 = engine.chi_psi_at(0.0)
-        y = n2_grid.points(0)
-        psi2 = np.exp(-y ** 2)
-        psi2 /= np.sqrt(np.sum(psi2 ** 2) * n2_grid.cell_volume)
-
-        def evolved(grid, state, V, W):
-            stack = WaveStack(grid, np.repeat(state[None], m, axis=0))
-            return split_step_evolve(stack, V, W, controls, T, dt)
-
-        grid = SpatialGrid((cfg.grid.axes[0], n2_grid.axes[0]))
-        psi = evolved(grid, np.multiply.outer(psi1, psi2), pullback(V2, 1), pullback(W2, 1))
-        free = evolved(cfg.grid, psi1, None, None)  # the controls only cut its steps
-        second = evolved(n2_grid, psi2, V2, W2)
-        assert np.max(psi.distances(free.values[:, :, None] * second.values[:, None, :])) <= 1e-12
-        phi1 = engine.chi_psi_at(T)
+        r = separable_run
+        psi, free, second = r["psi"], r["free"], r["second"]
+        factored = free.values[:, :, None] * second.values[:, None, :]
+        assert np.max(psi.distances(factored)) <= 1e-12
+        phi1 = r["engine"].chi_psi_at(r["T"])
         assert np.allclose(psi.distances(phi1[None, :, None] * second.values[:, None, :]),
                            free.distances(phi1), rtol=0.0, atol=1e-12)
         # the factor check can fail: ψ₂·e^{i·10⁻³y} on N₂ misses ψ by far more
-        perturbed = evolved(n2_grid, psi2 * np.exp(1e-3j * y), V2, W2)
+        perturbed = evolved(N2_GRID, r["psi2"] * np.exp(1e-3j * N2_GRID.points(0)),
+                            r["V2"], r["W2"], r["controls"], r["T"], r["cfg"].dt,
+                            r["cfg"].hbar)
         assert np.min(psi.distances(free.values[:, :, None]
                                     * perturbed.values[:, None, :])) > 1e-5
 
@@ -213,6 +285,18 @@ class TestLocalizationExperiment:
                             eps_grid=(0.02,), dt=2.5e-4)
         rep = localize(cfg)
         assert rep.ensemble_spread > 1e-6
+
+    def test_product_outside_probability_bounded(self, degenerate_run):
+        # the mass of ψ outside Ω × N₂ is the scalar run's mass outside Ω,
+        # which the scalar δ and initial tail bound
+        r = degenerate_run
+        rep, cfg, psi = r["rep"], r["cfg"], r["psi"]
+        assert rep.duhamel_violations == 0
+        outside = ~cfg.omega.contains(cfg.grid.mesh()).reshape(cfg.grid.shape)
+        mass = np.sum(np.abs(psi.values[:, outside]) ** 2, axis=(1, 2)) * psi.grid.cell_volume
+        for rec, p in zip(rep.records, mass):
+            assert p == pytest.approx(rec.outside_probability, rel=1e-9, abs=1e-15)
+            assert p <= rec.delta + rep.initial_tail + 1e-9
 
     def test_report_serialization(self):
         rep = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
