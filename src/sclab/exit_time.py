@@ -2,18 +2,17 @@
 
 When the control potential W is constant in the base-factor coordinates on a
 box Ω (so the control force has no component along those axes) and the drift
-force is bounded there, ‖d₁V(x, y)‖ ≤ c(x), the (x, pˣ) dynamics are
-sandwiched between the autonomous comparison systems
+force is bounded there, ‖d₁V(x, y)‖ ≤ c, the (x, pˣ) dynamics are sandwiched
+between the autonomous comparison systems
 
-    ẋ = pˣ,   ṗˣ_i = ± K(x)·c(x),
+    ẋ = pˣ,   ṗˣ_i = ± c,
 
-one per sign pattern.  Their exit time from Ω is therefore a lower bound for
-the true exit time under *every* admissible control, which the ensemble
-sampler probes empirically.  When c and K are numbers (constant over Ω) the
-comparison is x₀ + p₀t ± K·c·t²/2 on each axis, and the bound is its first
-root, in closed form.  When either varies with x, the 2^n₁ sign patterns
-march as the rows of one stack, which stops at the first tick in which any
-of them leaves Ω.
+one per sign pattern (the comparison principle; Walter, *Differential and
+Integral Inequalities*, 1970).  Their exit time from Ω is therefore a lower
+bound for the true exit time under *every* admissible control, which the
+ensemble sampler probes empirically.  The comparison is x₀ + p₀t ± c·t²/2 on
+each axis, and the bound is its first root, in closed form.  A force bound
+that varies over Ω is passed as its sup over Ω, a number.
 
 The sampler marches every member on its own grid, cut at its own switches,
 and runs the step-halving check in the same lockstep stack: one row per
@@ -21,9 +20,8 @@ and runs the step-halving check in the same lockstep stack: one row per
 schedule ends.  The stack is column-major, and the rows that leave Ω in a
 tick are located by one bisection.  A member's exit time therefore depends
 on its control alone.  The report's `ensemble_spread` (max − min of the
-exits) is event-location noise up to EXIT_TIME_TOL, and `march_ticks` and
-`bound_ticks` count the ticks of the two stacks (no comparison stack
-marches for a closed-form bound).
+exits) is event-location noise up to EXIT_TIME_TOL, and `march_ticks` counts
+the ticks of the stack.
 """
 
 from __future__ import annotations
@@ -31,8 +29,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,11 +42,16 @@ from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_s
 
 EXIT_TIME_TOL = 1e-8
 # Relative margin by which the closed-form bound is rounded down.  The root
-# is computed from d = wall − x₀ and a = K·c (one rounding each, each moving
-# t by at most u relative, u = 2⁻⁵³) in six correctly rounded operations on
-# positive terms, which add at most 4u: below 6u in all.  The margin is 16u,
-# which also covers the rounding of the final product.
+# is computed from d = wall − x₀ and a = float(c) (one rounding each, each
+# moving t by at most u relative, u = 2⁻⁵³) in six correctly rounded
+# operations on positive terms, which add at most 4u: below 6u in all.  The
+# margin is 16u, which also covers the rounding of the final product.
 CLOSED_FORM_REL_MARGIN = 16 * 2.0 ** -53
+# The count assumes no rounding below the normal range (_TINY is the least
+# normal double).  v² and 2ad each lose at most 2⁻¹⁰⁷⁴ to underflow, under
+# 2⁻¹⁰⁰ relative of a sum of at least 2⁻⁹⁶⁸, whose root is _SQUARES_FLOOR.
+_TINY = 2.0 ** -1022
+_SQUARES_FLOOR = 2.0 ** -484
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,7 @@ class ExitReport:
     exit_times: np.ndarray
     horizon: float
     halving_drift: float = 0.0
-    # rk4_step calls of the ensemble stack and of the comparison stack (0
-    # when the caller supplies the bound or the bound is closed form)
-    march_ticks: int = 0
-    bound_ticks: int = 0
+    march_ticks: int = 0  # rk4_step calls of the ensemble stack
 
     @property
     def halving_allowed(self) -> float:
@@ -140,41 +141,6 @@ def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     return worst
 
 
-def _comparison_rhs(spec: HamiltonianSpec, n1_axes: Sequence[int],
-                    signs: np.ndarray, lam0: PhasePoint) -> Callable:
-    """Autonomous (x, pˣ) system with forcing σ_i·K(x)·c(x); K is V's
-    K_bound, or 1 when V carries none.
-
-    signs is one row of n₁ signs and the field maps a state (2n₁,) to
-    (2n₁,), or signs is a table (P, n₁) and it maps a stack (P, 2n₁) to
-    (P, 2n₁), row j under signs[j].  c and K are per-point callbacks, so
-    they are evaluated row by row; a number stands for a constant callback.
-    """
-    if spec.V.c_bound is None:
-        raise ValueError("exit bound needs the c(x) metadata on V")
-
-    def per_point(bound):
-        return bound if callable(bound) else lambda x: bound
-
-    c = per_point(spec.V.c_bound)
-    K = per_point(1.0 if spec.V.K_bound is None else spec.V.K_bound)
-    n1 = len(n1_axes)
-    axes = np.array(n1_axes)
-    sign_rows = np.reshape(signs, (-1, n1))
-    x_full0 = np.tile(np.asarray(lam0.x, dtype=float), (len(sign_rows), 1))
-
-    def rhs(_t, z):
-        x_full = x_full0.copy()
-        x_full[:, axes] = z[..., :n1]
-        size = np.array([K(x) * float(c(x)) for x in x_full])
-        out = np.empty(z.shape)
-        out[..., :n1] = z[..., n1:]
-        out[..., n1:] = sign_rows * size.reshape(len(x_full), -1)
-        return out
-
-    return rhs
-
-
 def _locate_exits(omega1: BoxRegion, axes, lo: np.ndarray, hi: np.ndarray,
                   Z_lo: np.ndarray, Z_hi: np.ndarray,
                   F_lo: np.ndarray, F_hi: np.ndarray) -> np.ndarray:
@@ -199,35 +165,35 @@ def _wall_time(v: float, a: float, d: float) -> float:
     """First t > 0 with v·t + a·t²/2 = d, for d > 0 and a ≥ 0 (inf if there
     is none), rounded down by CLOSED_FORM_REL_MARGIN.
 
-    Each branch is free of cancellation: the root is 2d/(v + √(v² + 2ad))
-    for v > 0 and (√(v² + 2ad) − v)/a for v ≤ 0.  A discriminant that
-    overflows gives 0, which is a safe bound.
+    Each branch is free of cancellation: the root is d/v for a = 0,
+    2d/(v + √(v² + 2ad)) for v > 0 and (√(v² + 2ad) − v)/a for v ≤ 0.  A
+    discriminant that overflows or is below _SQUARES_FLOOR, and a root below
+    the normal range, give 0, which is a safe bound.
     """
-    disc = math.sqrt(v * v + 2.0 * a * d)
-    if not math.isfinite(disc):
-        return 0.0
-    if v > 0.0:
-        t = 2.0 * d / (v + disc)
-    elif a > 0.0:
-        t = (disc - v) / a
+    if a == 0.0:
+        t = d / v if v > 0.0 else math.inf
     else:
-        return math.inf
-    return t * (1.0 - CLOSED_FORM_REL_MARGIN)
+        disc = math.sqrt(v * v + 2.0 * a * d)
+        if not _SQUARES_FLOOR <= disc < math.inf:
+            return 0.0
+        t = 2.0 * d / (v + disc) if v > 0.0 else (disc - v) / a
+    return t * (1.0 - CLOSED_FORM_REL_MARGIN) if t >= _TINY else 0.0
 
 
-def _closed_form_bound(x0: np.ndarray, p0: np.ndarray, c: float, K: Optional[float],
+def _closed_form_bound(x0: np.ndarray, p0: np.ndarray, c: float,
                        omega1: BoxRegion) -> float:
     """Exit time from Ω of the comparison systems under the constant forcing
-    a = K·c (K = 1 when absent), rounded down (inf if none leaves).
+    c, rounded down (inf if none leaves).
 
     The axes decouple, and on each the sign that pushes toward a wall
     reaches it first, so the least exit over the 2^n₁ sign patterns is the
-    least over axes and walls of the first root of p·t + a·t²/2 = d, with d
+    least over axes and walls of the first root of p·t + c·t²/2 = d, with d
     the distance to the wall and p the momentum toward it.
     """
-    a = float(c) * (1.0 if K is None else float(K))
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"the force bound K·c = {a!r} must be finite and nonnegative")
+    if not (isinstance(c, numbers.Real) and 0.0 <= c < math.inf):
+        raise ValueError(f"the force bound c_bound = {c!r} must be a finite number ≥ 0: "
+                         "pass the sup of |∂ₓV| over Ω")
+    a = float(c)
     best = math.inf
     for x, p, b in zip(x0.tolist(), p0.tolist(), omega1.bounds):
         if b is not None:
@@ -236,23 +202,13 @@ def _closed_form_bound(x0: np.ndarray, p0: np.ndarray, c: float, K: Optional[flo
 
 
 def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
-                     horizon: float = 10.0, step: float = 1e-3) -> tuple[float, int]:
-    """Control-independent lower bound for the exit time from Ω, and the
-    number of ticks marched for it.
+                     horizon: float = 10.0) -> float:
+    """Control-independent lower bound for the exit time from Ω.
 
-    When V's c_bound is a number and its K_bound a number or absent, the
-    bound is `_closed_form_bound` capped at the horizon, and no tick is
-    marched.  Otherwise the comparison systems of all 2^n₁ sign patterns
-    march as the rows of one stack on the fixed grid h = horizon/n, one
-    `rk4_step` per tick.  The march stops at the first tick in which any row
-    leaves Ω (signed gap ≤ 0): a row still inside at the tick's end exits
-    after it, so after every row that left in it, and the minimum is among
-    the rows that left.  Their exits are refined to 1e-8 by one bisection on
-    the step's dense output.  The bisection's final bracket is at most EXIT_TIME_TOL wide,
-    so its midpoint minus ½·EXIT_TIME_TOL lies at or below the bracket's
-    inside end; the bound is the least of these.  If no row leaves before
-    the horizon, the bound is the horizon.  Either way a start on ∂Ω or
-    outside Ω gives 0.  Returns (bound, ticks).
+    Checks that W is constant along the base on Ω, then returns the exit
+    time of the comparison systems under V's c_bound (the sup of |∂ₓV| over
+    Ω), `_closed_form_bound`, capped at the horizon.  A start on ∂Ω or
+    outside Ω gives 0.
     """
     n1_axes, _ = _split_axes(spec)
     check_w_constancy(spec, Omega, lam0)
@@ -260,30 +216,8 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     p1_0 = np.asarray(lam0.p, dtype=float)[list(n1_axes)]
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
     if omega1.signed_gap(x1_0) <= 0.0:
-        return 0.0, 0
-    c, K = spec.V.c_bound, spec.V.K_bound
-    if not (c is None or callable(c) or callable(K)):
-        return float(min(horizon, _closed_form_bound(x1_0, p1_0, c, K, omega1))), 0
-    n1 = len(n1_axes)
-    n = _nsteps(0.0, horizon, step)
-    h = horizon / n
-    signs = np.array([[1.0 if (bits >> i) & 1 else -1.0 for i in range(n1)]
-                      for bits in range(2 ** n1)])
-    rhs = _comparison_rhs(spec, n1_axes, signs, lam0)
-    Z = np.tile(np.concatenate([x1_0, p1_0]), (len(signs), 1))
-    for k in range(n):
-        t = h * k
-        Z_next = rk4_step(rhs, t, Z, h)
-        check_escape(Z_next, t + h)
-        out = np.flatnonzero(omega1.signed_gap(Z_next[:, :n1]) <= 0.0)
-        if out.size:
-            t_next = h * (k + 1)
-            t_exit = _locate_exits(omega1, slice(0, n1), np.full(out.size, t),
-                                   np.full(out.size, t_next), Z[out], Z_next[out],
-                                   rhs(t, Z)[out], rhs(t_next, Z_next)[out])
-            return float(np.min(t_exit)) - 0.5 * EXIT_TIME_TOL, k + 1
-        Z = Z_next
-    return horizon, n
+        return 0.0
+    return float(min(horizon, _closed_form_bound(x1_0, p1_0, spec.V.c_bound, omega1)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +348,10 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     otherwise); the report carries the halved-step exits and `halving_drift`.
     """
     controls = list(ensemble)
-    bound_ticks = 0
     if analytic_bound is None:
-        analytic_bound, bound_ticks = exit_lower_bound(spec, Omega, lam0, horizon=horizon)
+        analytic_bound = exit_lower_bound(spec, Omega, lam0, horizon=horizon)
     if not controls:
-        return ExitReport(analytic_bound, horizon, 0,
-                          np.empty(0), horizon, bound_ticks=bound_ticks)
+        return ExitReport(analytic_bound, horizon, 0, np.empty(0), horizon)
     (exits, exits_fine), march_ticks = _march_exits(spec, lam0, Omega, controls,
                                                     horizon, step)
     report = ExitReport(analytic_bound=analytic_bound,
@@ -428,8 +360,7 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                         exit_times=exits_fine,
                         horizon=horizon,
                         halving_drift=float(np.max(np.abs(exits - exits_fine))),
-                        march_ticks=march_ticks,
-                        bound_ticks=bound_ticks)
+                        march_ticks=march_ticks)
     if report.halving_drift > report.halving_allowed:
         raise StepTooCoarse(f"exit times move by {report.halving_drift:.3e} under step "
                             f"halving (allowed {report.halving_allowed:.3e}); refine the step")

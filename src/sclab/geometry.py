@@ -70,22 +70,18 @@ class PhasePoint:
 @dataclass(frozen=True)
 class PotentialField:
     """A scalar field with analytic gradient, optional analytic diagonal
-    second derivative and optional fibre-wise bounds.
+    second derivative and an optional force bound.
 
     value/gradient/hessian must broadcast over batched inputs of shape
     (..., dim); hessian(x)[..., k] is ∂²f/∂x_k², shaped like the gradient
-    (the WKB fan's V″ needs it).  c_bound majorizes the base-factor
-    differential norm and K_bound is the norm-equivalence factor, both used
-    by the exit-time comparison systems.  Each is a per-point callable x ↦
-    float or a plain number, a bound constant over Ω; when c_bound is a
-    number and K_bound a number or absent, the exit-time bound is closed
-    form.
+    (the WKB fan's V″ needs it).  c_bound is a number, the sup over the
+    exit region Ω of the base-factor differential norm |∂ₓV|; the exit-time
+    comparison systems are forced by it, and their exit is in closed form.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    c_bound: Optional[Callable[[np.ndarray], float] | float] = None
-    K_bound: Optional[Callable[[np.ndarray], float] | float] = None
+    c_bound: Optional[float] = None
     name: str = "custom"
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 

@@ -149,8 +149,7 @@ def _run_steer(config: ExperimentConfig) -> None:
 def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
     """Canned product family: flat (x) × (y), V = ½c·x² + cos y, W on N2.
 
-    V's c_bound is the sup of |∂ₓV| = c|x| over Ω, c·max(|lo|, |hi|), a
-    number, so the exit-time bound is closed form.
+    V's c_bound is the sup of |∂ₓV| = c|x| over Ω, c·max(|lo|, |hi|).
     """
     c = config["exit.force_bound"]
     lo, hi = _leading(config, "exit.omega", 2)
@@ -199,7 +198,6 @@ def _run_exit_time(config: ExperimentConfig) -> None:
         "halving_drift": report.halving_drift,
         "halving_allowed": report.halving_allowed,
         "march_ticks": report.march_ticks,
-        "bound_ticks": report.bound_ticks,
     })
 
 

@@ -127,7 +127,9 @@ class WaveStack:
     """
 
     def __init__(self, grid: SpatialGrid, values, hbar: float = 1.0):
-        vals = np.array(values, dtype=complex)
+        # C order: a broadcast view's copy would otherwise keep its
+        # zero-stride axis innermost, and the FFT axes must be contiguous
+        vals = np.array(values, dtype=complex, order="C")
         if vals.shape[1:] != grid.shape or vals.ndim != grid.dim + 1:
             raise ValueError(f"values shape {vals.shape} != (m, *{grid.shape})")
         _require_finite(vals)

@@ -62,10 +62,6 @@ class CouplingMatrix:
     """Symmetric control-operator matrix elements in the oscillator basis."""
 
     entries: np.ndarray
-    gauss_a: float
-    gauss_b: float
-    gauss_c: float
-    cutoff: Optional[float] = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -165,7 +161,7 @@ def gaussian_coupling(a: float, b: float, c: float, N: int,
                 if abs(entries[i, j] - oracle) > 1e-10 * max(1.0, abs(oracle)):
                     raise ArithmeticError(
                         f"Hermite expansion disagrees with the moment oracle at ({i},{j})")
-    return CouplingMatrix(entries, a, b, c)
+    return CouplingMatrix(entries)
 
 
 def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
@@ -210,7 +206,7 @@ def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
             order, prev = 2 * order, f
     hat = full.entries - f
     hat = 0.5 * (hat + hat.T)
-    return CouplingMatrix(hat, a, b, c, cutoff=eps), f
+    return CouplingMatrix(hat), f
 
 
 def minor_connectivity(B: CouplingMatrix, k: int, zero_tol: float

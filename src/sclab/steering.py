@@ -30,6 +30,7 @@ from .geometry import PhasePoint
 from .integrate import rk4_step
 
 WEDGE_TOL = 1e-10
+SUBSTEPS = 2000  # least RK4 steps per plan segment
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class SteeringPlan:
         return float(sum(d for _, d in self.segments))
 
 
-def execute_plan(spec: HamiltonianSpec, lam0: PhasePoint, plan: SteeringPlan,
-                 substeps: int = 2000) -> SteeringPlan:
+def execute_plan(spec: HamiltonianSpec, lam0: PhasePoint,
+                 plan: SteeringPlan) -> SteeringPlan:
     """Run the plan's segments through the flow; returns the plan with the
     realized endpoint and the distance to the prediction filled in.
 
@@ -70,7 +71,7 @@ def execute_plan(spec: HamiltonianSpec, lam0: PhasePoint, plan: SteeringPlan,
     lam = lam0
     for u, dur in plan.segments:
         umax = float(np.max(np.abs(u.values)))
-        n = max(substeps, min(20000, int(np.ceil(2.0 * umax * dur))))
+        n = max(SUBSTEPS, min(20000, int(np.ceil(2.0 * umax * dur))))
         lam = evolve(spec, lam, u, dur / n).endpoint
     err = float(np.linalg.norm(np.concatenate([
         lam.x - plan.predicted_endpoint.x, lam.p - plan.predicted_endpoint.p])))
@@ -194,8 +195,7 @@ def _polygonal_waypoints(arc: list[np.ndarray], chord_tol: float) -> list[np.nda
 
 
 def gradient_curve_steer(spec: HamiltonianSpec, lam0: PhasePoint, target,
-                         tol: float, eps: float,
-                         substeps: int = 2000) -> SteeringPlan:
+                         tol: float, eps: float) -> SteeringPlan:
     """Drive the projection to a target on the gradient curve of W through x₀.
 
     The curve is approximated by straight chords (deviation < tol/10); each
@@ -231,7 +231,7 @@ def gradient_curve_steer(spec: HamiltonianSpec, lam0: PhasePoint, target,
         flight = ControlSignal.constant(0.0, eps)
         burst = SteeringPlan(((kick, eps_inner), (flight, eps)),
                              PhasePoint(wp, (k / eps) * dW), eps)
-        burst = execute_plan(spec, lam, burst, substeps=substeps)
+        burst = execute_plan(spec, lam, burst)
         segments.extend(burst.segments)
         lam = burst.realized_endpoint
     predicted = PhasePoint(target, lam.p)
@@ -259,7 +259,7 @@ def _solve_coefficients(frame: np.ndarray, target_covector: np.ndarray) -> np.nd
 
 
 def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
-                    eps: float, tol: float, substeps: int = 2000) -> SteeringPlan:
+                    eps: float, tol: float) -> SteeringPlan:
     """Reach an arbitrary phase-space target with n independent controls.
 
     Steps: (a) decompose the covector x₁ − x₀ of the connecting line in the
@@ -275,7 +275,7 @@ def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
 
     a = _solve_coefficients(frame0, lam1.x - lam0.x)
     plan_burst = geodesic_burst(spec, lam0, a, eps)
-    plan_burst = execute_plan(spec, lam0, plan_burst, substeps=substeps)
+    plan_burst = execute_plan(spec, lam0, plan_burst)
     lam_mid = plan_burst.realized_endpoint
 
     # final impulse: shift momentum to the requested one at the realized position
@@ -283,7 +283,7 @@ def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
     b = _solve_coefficients(frame_mid, lam1.p - lam_mid.p)
     eps_final = eps * min(eps, 1.0) ** 2
     plan_imp = impulse_steer(spec, lam_mid, b, eps_final)
-    plan_imp = execute_plan(spec, lam_mid, plan_imp, substeps=substeps)
+    plan_imp = execute_plan(spec, lam_mid, plan_imp)
     lam_end = plan_imp.realized_endpoint
 
     segments = plan_burst.segments + plan_imp.segments

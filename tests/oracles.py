@@ -50,8 +50,7 @@ def hamiltonian(spec: HamiltonianSpec, lam: PhasePoint, u) -> float:
 
 def validate_potential(field: PotentialField, points) -> None:
     """Gradient vs central differences to relative 1e-6 at each point, and
-    c, K ≥ 0 where given, as per-point callables or numbers; ValueError
-    otherwise."""
+    c_bound ≥ 0 where given; ValueError otherwise."""
     for x in points:
         x = np.asarray(x, dtype=float)
         g = field.grad(x)
@@ -59,9 +58,8 @@ def validate_potential(field: PotentialField, points) -> None:
         scale = max(1.0, float(np.max(np.abs(g))))
         if np.max(np.abs(g - fd)) > 1e-6 * scale:
             raise ValueError(f"gradient of '{field.name}' disagrees with finite differences at {x}")
-        for name, bound in (("c", field.c_bound), ("K", field.K_bound)):
-            if bound is not None and (bound(x) if callable(bound) else bound) < 0:
-                raise ValueError(f"{name} bound must be nonnegative")
+        if field.c_bound is not None and field.c_bound < 0:
+            raise ValueError("c bound must be nonnegative")
 
 
 def controlled_field(spec: HamiltonianSpec, u, z) -> np.ndarray:

@@ -3,7 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sclab.exit_time as exit_mod
@@ -14,7 +14,7 @@ from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
                              sampled_exit_time)
 from sclab.geometry import BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential
 from sclab.harness import _exit_time_spec
-from sclab.integrate import _nsteps, bisect_event, hermite_state, rk4_trajectory
+from sclab.integrate import _nsteps
 
 
 def product_spec(c=1.0):
@@ -25,7 +25,7 @@ def product_spec(c=1.0):
         + np.cos(np.asarray(xy)[..., 1]),
         gradient=lambda xy: np.stack(
             [c * np.asarray(xy)[..., 0], -np.sin(np.asarray(xy)[..., 1])], axis=-1),
-        c_bound=lambda xy: c,  # |∂_x V| = c|x| ≤ c on Ω = (−1, 1)
+        c_bound=c,  # |∂_x V| = c|x| ≤ c on Ω = (−1, 1)
         name="product-demo",
     )
     W = make_potential("cosine", 2, amplitude=[0.0, 1.0], freq=[1.0, 1.0])
@@ -36,55 +36,10 @@ def omega_unit():
     return BoxRegion(((-1.0, 1.0), None))
 
 
-def full_horizon_bound(spec, lam0, horizon, step, omega1=BoxRegion(((-1.0, 1.0),)),
-                       n1_axes=(0,)):
-    """exit_lower_bound marched one sign pattern at a time, each to the
-    horizon first, with the same final step from the bisection midpoint to
-    its safe side."""
-    n1 = len(n1_axes)
-    best = horizon
-    for bits in range(2 ** n1):
-        signs = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n1)])
-        rhs = exit_mod._comparison_rhs(spec, n1_axes, signs, lam0)
-        z0 = np.concatenate([lam0.x[list(n1_axes)], lam0.p[list(n1_axes)]])
-        times, states = rk4_trajectory(rhs, z0, 0.0, horizon, step)
-        out = np.where([omega1.signed_gap(z[:n1]) <= 0.0 for z in states])[0]
-        if out.size == 0:
-            continue
-        k = int(out[0])
-        lo, hi, z0, z1 = times[k - 1], times[k], states[k - 1], states[k]
-        f0, f1 = rhs(lo, z0), rhs(hi, z1)
-
-        def gap(t):
-            return omega1.signed_gap(hermite_state(z0, z1, f0, f1, hi - lo,
-                                                   (t - lo) / (hi - lo))[:n1])
-
-        best = min(best, bisect_event(gap, lo, hi, tol=EXIT_TIME_TOL) - 0.5 * EXIT_TIME_TOL)
-    return best
-
-
-def plane_base_spec():
-    """Flat (x₁, x₂) × (y) with a bound c(x) = 1 + ½sin 3x₁ + 0.3cos x₂ and a
-    norm factor K(x) = 1 + 0.2·tanh x₂ that vary along the base, so every
-    sign pattern is pushed differently; V and W = cos y act on the fibre
-    only."""
-    space = ChartSpace(dimension=3, product_split=((0, 1), (2,)))
-    V = PotentialField(
-        value=lambda x: np.cos(np.asarray(x)[..., 2]),
-        gradient=lambda x: np.stack([np.zeros(np.shape(x)[:-1])] * 2
-                                    + [-np.sin(np.asarray(x)[..., 2])], axis=-1),
-        c_bound=lambda x: 1.0 + 0.5 * np.sin(3.0 * x[0]) + 0.3 * np.cos(x[1]),
-        K_bound=lambda x: 1.0 + 0.2 * np.tanh(x[1]),
-        name="plane-demo")
-    W = make_potential("cosine", 3, amplitude=[0.0, 0.0, 1.0])
-    return HamiltonianSpec(space=space, V=V, W=W)
-
-
 @st.composite
 def constant_force_cases(draw):
     """A base of n₁ ∈ {1, 2} axes (plus a fibre axis y) with a box Ω, a start
-    x₀ strictly inside it, any p₀, and constant bounds c ≥ 0 and K (absent
-    or a number)."""
+    x₀ strictly inside it, any p₀, and a force bound c ≥ 0."""
     n1 = draw(st.sampled_from([1, 2]))
     bounds, x0 = [], []
     for _ in range(n1):
@@ -93,29 +48,27 @@ def constant_force_cases(draw):
         x0.append(lo + width * draw(st.floats(0.01, 0.99)))
     p0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=n1, max_size=n1))
     c = draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
-    K = draw(st.sampled_from([None, 0.5, 1.0, 3.0]))
-    return n1, bounds, np.array(x0), np.array(p0), c, K
+    return n1, bounds, np.array(x0), np.array(p0), c
 
 
-def constant_bound_spec(n1, c, K):
-    """V = cos y on the fibre axis, with c and K declared as given (numbers,
-    callables or K absent); W = cos y."""
+def constant_bound_spec(n1, c):
+    """V = cos y on the fibre axis, with the force bound c declared as given;
+    W = cos y."""
     space = ChartSpace(dimension=n1 + 1, product_split=(tuple(range(n1)), (n1,)))
     V = PotentialField(
         value=lambda x: np.cos(np.asarray(x)[..., -1]),
         gradient=lambda x: np.concatenate(
             [np.zeros(np.shape(x)[:-1] + (n1,)), -np.sin(np.asarray(x)[..., -1:])], axis=-1),
-        c_bound=c, K_bound=K, name="fibre-demo")
+        c_bound=c, name="fibre-demo")
     W = make_potential("cosine", n1 + 1, amplitude=[0.0] * n1 + [1.0])
     return HamiltonianSpec(space=space, V=V, W=W)
 
 
-def mp_first_exit(bounds, x0, p0, c, K):
-    """Least first root over axes and walls of p·t + a·t²/2 = d, a = K·c (K
-    absent counts as 1), d the distance to the wall and p the momentum
-    toward it, with 50 digits."""
+def mp_first_exit(bounds, x0, p0, c):
+    """Least first root over axes and walls of p·t + c·t²/2 = d, d the
+    distance to the wall and p the momentum toward it, with 50 digits."""
     with mpmath.workdps(50):
-        a = mpmath.mpf(c) * (1 if K is None else mpmath.mpf(K))
+        a = mpmath.mpf(c)
         best = mpmath.inf
         for (lo, hi), x, p in zip(bounds, x0, p0):
             for v, d in ((mpmath.mpf(p), mpmath.mpf(hi) - mpmath.mpf(x)),
@@ -127,109 +80,113 @@ def mp_first_exit(bounds, x0, p0, c, K):
         return best
 
 
+@st.composite
+def harmonic_family_cases(draw):
+    """The CLI's exit family at a force constant c ∈ [0.05, 10] on a box
+    Ω = (lo, lo + width), a start x₀ inside it and any p₀ ∈ [−3, 3]."""
+    c = draw(st.floats(0.05, 10.0))
+    lo, width = draw(st.floats(-4.0, 0.5)), draw(st.floats(0.1, 5.0))
+    x0 = lo + width * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return c, lo, lo + width, x0, draw(st.floats(-3.0, 3.0))
+
+
+def mp_harmonic_exit(c, lo, hi, x0, p0):
+    """First t > 0 at which x₀cos(√c·t) + (p₀/√c)·sin(√c·t) = R·cos(√c·t − φ)
+    reaches lo or hi (inf if it never does), with 50 digits."""
+    with mpmath.workdps(50):
+        w = mpmath.sqrt(mpmath.mpf(c))
+        x0, v0 = mpmath.mpf(x0), mpmath.mpf(p0) / w
+        R, phi = mpmath.sqrt(x0 * x0 + v0 * v0), mpmath.atan2(v0, x0)
+        best = mpmath.inf
+        for wall in (mpmath.mpf(lo), mpmath.mpf(hi)):
+            if abs(wall) > R or R == 0:  # out of reach, or at rest at x = 0
+                continue
+            alpha = mpmath.acos(wall / R)
+            # every solution of cos θ = wall/R is ±α + 2πk; θ = √c·t − φ > −φ
+            for s in (alpha, -alpha):
+                theta = s + 2 * mpmath.pi * (mpmath.floor((-phi - s) / (2 * mpmath.pi)) + 1)
+                best = min(best, (theta + phi) / w)
+        return best
+
+
 class TestExitLowerBound:
     @settings(max_examples=40, deadline=None)
     @given(constant_force_cases())
     def test_closed_form_bound(self, case):
-        # c and K as numbers: the bound is the first root of the comparison,
-        # rounded down, with no march; with c and K as constant callables the
-        # marched stack finds the same exit to the event tolerance
-        n1, bounds, x0, p0, c, K = case
+        # the bound is the first root of the comparison, rounded down
+        n1, bounds, x0, p0, c = case
         horizon = 2.0
         omega = BoxRegion(tuple(bounds) + (None,))
         lam0 = PhasePoint(np.append(x0, 0.3), np.append(p0, 0.0))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exit_mod, "rk4_step", lambda *args: pytest.fail("marched"))
-            bound, ticks = exit_lower_bound(constant_bound_spec(n1, c, K), omega, lam0,
-                                            horizon=horizon)
-        assert ticks == 0 and type(bound) is float
-        root = min(mp_first_exit(bounds, x0, p0, c, K), horizon)
+        bound = exit_lower_bound(constant_bound_spec(n1, c), omega, lam0, horizon=horizon)
+        assert type(bound) is float
+        root = min(mp_first_exit(bounds, x0, p0, c), horizon)
         assert bound <= root
         assert bound >= root * (1 - 1e-13)
-        callables = constant_bound_spec(n1, lambda x: c,
-                                        None if K is None else lambda x: K)
-        marched, ticks = exit_lower_bound(callables, omega, lam0, horizon=horizon, step=0.01)
-        assert ticks > 0
-        assert abs(marched - bound) <= EXIT_TIME_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(harmonic_family_cases())
+    # x₀ and p₀ so small that p₀² and 2c·(x₀ − lo) underflow: the root
+    # computed from them was twice the true one
+    @example(case=(0.25, 0.0, 1.0, 5e-324, -4.590019102437506e-308))
+    def test_bound_below_the_true_exit_of_the_cli_family(self, case):
+        # V = ½c·x² + cos y, W on y: x obeys ẍ = −c·x under every control,
+        # so its exit is exact, and the bound from c_bound = sup |c·x| over
+        # Ω must not pass it
+        c, lo, hi, x0, p0 = case
+        spec = _exit_time_spec(parse_config(
+            f"experiment = exit-time\nexit.force_bound = {c!r}\n"
+            f"exit.omega = {lo!r},{hi!r}\n"))
+        lam0 = PhasePoint(np.array([x0, 0.3]), np.array([p0, 0.0]))
+        bound = exit_lower_bound(spec, BoxRegion(((lo, hi), None)), lam0, horizon=5.0)
+        assert 0.0 <= bound <= mp_harmonic_exit(c, lo, hi, x0, p0)
 
     def test_closed_form_rejects_a_negative_force_bound(self):
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError, match="K·c"):
-            exit_lower_bound(constant_bound_spec(1, 1.0, -2.0), omega_unit(), lam0)
+        with pytest.raises(ValueError, match="sup of"):
+            exit_lower_bound(constant_bound_spec(1, -2.0), omega_unit(), lam0)
+
+    @pytest.mark.parametrize("c", [lambda x: 1.0, None, float("inf"), float("nan")],
+                             ids=["callable", "absent", "infinite", "nan"])
+    def test_closed_form_rejects_a_force_bound_that_is_no_number(self, c):
+        # a c(x) that varies over Ω is passed as its sup there, a number
+        lam0 = PhasePoint(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="sup of"):
+            exit_lower_bound(constant_bound_spec(1, c), omega_unit(), lam0)
 
     def test_constant_force_closed_form(self):
         # flat 1D factor, c const, rest state at the center: t* = √(2/c)
         for c in (1.0, 4.0):
             spec = product_spec(c=c)
             lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-            bound, _ = exit_lower_bound(spec, omega_unit(), lam0, horizon=10.0)
+            bound = exit_lower_bound(spec, omega_unit(), lam0, horizon=10.0)
             assert bound == pytest.approx(np.sqrt(2.0 / c), abs=1e-3)
 
     def test_default_bound_below_exact_exit(self):
-        # the default exit-time case: RK4 is exact on x = t²/2, so the
-        # comparison system leaves Ω at exactly √2, which the bound must not
-        # exceed, while staying within the event tolerance of it
+        # the default exit-time case: the comparison system x = t²/2 leaves
+        # Ω at exactly √2, which the bound must not exceed, while staying
+        # within the event tolerance of it
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        bound, _ = exit_lower_bound(product_spec(), omega_unit(), lam0, horizon=3.0)
+        bound = exit_lower_bound(product_spec(), omega_unit(), lam0, horizon=3.0)
         assert np.sqrt(2.0) - EXIT_TIME_TOL <= bound <= np.sqrt(2.0)
-
-    def test_early_stop_matches_full_horizon(self, monkeypatch):
-        # the same case marched over the whole horizon and scanned afterwards
-        horizon, step = 10.0, 1e-3
-        calls = []
-        real_step = exit_mod.rk4_step
-        monkeypatch.setattr(exit_mod, "rk4_step",
-                            lambda *args: calls.append(1) or real_step(*args))
-        for c in (1.0, 4.0):
-            spec = product_spec(c=c)
-            for p0 in (0.0, 0.7):
-                lam0 = PhasePoint(np.zeros(2), np.array([p0, 0.0]))
-                calls.clear()
-                bound, ticks = exit_lower_bound(spec, omega_unit(), lam0,
-                                                horizon=horizon, step=step)
-                assert bound == full_horizon_bound(spec, lam0, horizon, step)
-                # both sign patterns march in one stack, one step per tick
-                assert len(calls) == ticks
-                if p0 == 0.0:
-                    # the stack stops at the exit √(2/c), not at the horizon
-                    assert ticks <= np.ceil(np.sqrt(2.0 / c) / step) + 1
-
-    @pytest.mark.parametrize("p0", [(0.0, 0.0), (0.4, -0.9), (-1.1, 0.3)])
-    def test_plane_base_stack_matches_each_pattern(self, monkeypatch, p0):
-        # n₁ = 2: the four sign patterns march as one stack, one rk4_step per
-        # tick, and give bitwise the least of their one-at-a-time exits
-        omega = BoxRegion(((-1.0, 0.8), (-0.7, 1.2), None))
-        lam0 = PhasePoint(np.array([0.1, 0.2, 0.5]), np.array([*p0, 0.0]))
-        calls = []
-        real_step = exit_mod.rk4_step
-        monkeypatch.setattr(exit_mod, "rk4_step",
-                            lambda *args: calls.append(args[2].shape) or real_step(*args))
-        bound, ticks = exit_lower_bound(plane_base_spec(), omega, lam0, horizon=1.5,
-                                        step=1e-3)
-        assert 0.0 < bound < 1.5
-        assert bound == full_horizon_bound(plane_base_spec(), lam0, 1.5, 1e-3,
-                                           BoxRegion(omega.bounds[:2]), (0, 1))
-        assert calls == [(4, 4)] * ticks
-        assert ticks == int(np.ceil(bound / 1e-3))
 
     def test_boundary_start_is_zero(self):
         spec = product_spec()
         lam0 = PhasePoint(np.array([1.0, 0.0]), np.zeros(2))
-        assert exit_lower_bound(spec, omega_unit(), lam0) == (0.0, 0)
+        assert exit_lower_bound(spec, omega_unit(), lam0) == 0.0
 
     def test_zero_force_rest_state_hits_horizon(self):
         spec = product_spec(c=1.0)
-        zero_c = PotentialField(value=spec.V.value, gradient=spec.V.gradient,
-                                c_bound=lambda x: 0.0)
+        zero_c = PotentialField(value=spec.V.value, gradient=spec.V.gradient, c_bound=0.0)
         spec0 = HamiltonianSpec(space=spec.space, V=zero_c, W=spec.W[0])
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        assert exit_lower_bound(spec0, omega_unit(), lam0, horizon=7.5) == (7.5, 7500)
+        assert exit_lower_bound(spec0, omega_unit(), lam0, horizon=7.5) == 7.5
 
     def test_monotone_in_region(self):
         spec = product_spec()
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        big, _ = exit_lower_bound(spec, omega_unit(), lam0)
-        small, _ = exit_lower_bound(spec, BoxRegion(((-0.5, 0.5), None)), lam0)
+        big = exit_lower_bound(spec, omega_unit(), lam0)
+        small = exit_lower_bound(spec, BoxRegion(((-0.5, 0.5), None)), lam0)
         assert small <= big + 1e-12
 
     def test_hypothesis_check_fires(self):
@@ -238,7 +195,7 @@ class TestExitLowerBound:
             space=space,
             V=PotentialField(value=lambda xy: 0.0 * np.asarray(xy)[..., 0],
                              gradient=lambda xy: np.zeros_like(np.asarray(xy, dtype=float)),
-                             c_bound=lambda x: 0.0),
+                             c_bound=0.0),
             W=make_potential("linear", 2, slope=[1.0, 0.0]),  # W = x on N1
         )
         with pytest.raises(HypothesisViolated):
@@ -283,7 +240,7 @@ class TestSampledExit:
             space=space,
             V=PotentialField(value=lambda x: 0.0 * np.asarray(x)[..., 0],
                              gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                             c_bound=lambda x: 0.0),
+                             c_bound=0.0),
             W=make_potential("linear", 1, slope=1.0),
         )
         lam0 = PhasePoint(np.zeros(1), np.zeros(1))

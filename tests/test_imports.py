@@ -1,6 +1,7 @@
 """Every name a `sclab` module imports is used in it, every module-level
 function and class is used somewhere in `sclab`, every `ObstructionConfig`
-field is set by the CLI or has a stated reason not to be, and nothing in
+field is set by the CLI and every `PotentialField` field by some call in
+`sclab`, or has a stated reason not to be, and nothing in
 `sclab` imports scipy, which is a test-only reference, and no benchmark run
 loads numpy.ma.
 
@@ -191,6 +192,38 @@ def test_harness_passes_every_obstruction_field():
                              "ObstructionConfig")
     unset = {f.name for f in dataclasses.fields(ObstructionConfig)} - passed
     assert sorted(unset) == sorted(OBSTRUCTION_FIELDS_UNSET)
+
+
+# PotentialField fields that no PotentialField(...) call in sclab passes,
+# each with the reason; any other field is a knob no run can set
+POTENTIAL_FIELDS_UNSET: dict[str, str] = {}
+
+
+def fields_passed(source: str, callee: str, fields: tuple[str, ...]) -> set[str]:
+    """Names of the `fields` (in constructor order) that some call to
+    `callee` in source passes, positionally or by keyword."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == callee):
+            passed.update(fields[:len(node.args)])
+            passed.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+def test_checker_sees_positional_and_keyword_fields():
+    source = ("def f(v, g):\n    return Field(v, g, name='x')\n\n"
+              "Field(1, hessian=2)\nOther(1, 2, 3, bound=4)\n")
+    fields = ("value", "gradient", "bound", "name", "hessian")
+    assert fields_passed(source, "Field", fields) == {"value", "gradient", "name", "hessian"}
+
+
+def test_sclab_passes_every_potential_field():
+    from sclab.geometry import PotentialField
+    fields = tuple(f.name for f in dataclasses.fields(PotentialField))
+    passed = set().union(*(fields_passed(p.read_text(), "PotentialField", fields)
+                           for p in MODULES))
+    assert sorted(set(fields) - passed) == sorted(POTENTIAL_FIELDS_UNSET)
 
 
 def imported_modules(source: str) -> set[str]:

@@ -162,6 +162,19 @@ class TestBatchedEvolution:
             # a finished member must not take the stack's FFT round trip
             assert np.array_equal(stack.values[j], single.values)
 
+    def test_broadcast_view_evolves_like_its_copy(self):
+        # a zero-stride view of one state is taken in row by row, like its
+        # np.repeat copy, and its rows evolve bit for bit as the copy's do
+        grid = torus(64)
+        V, W = make_potential("cosine", 1), make_potential("cosine", 1, freq=2.0)
+        psi0 = gaussian_packet(grid, 0.1, 0.4).values
+        laws = [ControlSignal.constant(u, 0.1) for u in (3.0, -1.0, 0.5)]
+        view = WaveStack(grid, np.broadcast_to(psi0, (3, psi0.size)))
+        copy = WaveStack(grid, np.repeat(psi0[None], 3, axis=0))
+        for stack in (view, copy):
+            split_step_evolve(stack, V, W, laws, 0.1, 1e-2)
+        assert np.array_equal(view.values, copy.values)
+
     @settings(max_examples=40)
     @given(stack_case(), st.data())
     def test_one_call_through_stops_matches_window_calls(self, case, data):

@@ -127,14 +127,14 @@ class TestCutoffCoupling:
 
 class TestConnectivity:
     def test_identity_disconnected(self):
-        B = CouplingMatrix(np.eye(2), -1.0, 0.0, 0.0)
+        B = CouplingMatrix(np.eye(2))
         connected, parts = minor_connectivity(B, 2, 1e-12)
         assert not connected
         assert parts == [[0], [1]]
 
     def test_tridiagonal_chain_connected(self):
         m = np.diag(np.ones(5)) + np.diag(0.5 * np.ones(4), 1) + np.diag(0.5 * np.ones(4), -1)
-        B = CouplingMatrix(m, -1.0, 0.0, 0.0)
+        B = CouplingMatrix(m)
         for k in range(2, 6):
             assert minor_connectivity(B, k, 1e-12)[0]
 
