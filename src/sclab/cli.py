@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .config import ExperimentConfig, parse_config
+from .config import GLOBAL_FIELDS, ExperimentConfig, _cast, parse_config
 from .errors import SclabError
 from .harness import run_experiment
 
@@ -20,36 +21,27 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("steer", "exit-time", "wkb", "obstruction", "spectral"):
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--seed", type=int, default=None, help="override the rng seed")
+        p.add_argument("--seed", default=None,
+                       help="override the rng seed (checked as the config's seed key)")
         p.add_argument("--out", default=None, help="override the output directory")
-        if name == "spectral":
-            p.add_argument("--a", type=float, default=None)
-            p.add_argument("--b", type=float, default=None)
-            p.add_argument("--c", type=float, default=None)
-            p.add_argument("--eps", type=float, default=None)
-            p.add_argument("--N", type=int, default=None)
     return parser
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    values = dict(config.values)
-    seed = config.seed if args.seed is None else args.seed
+    """The config with --seed and --out applied; ValidationError naming
+    `seed` for a seed the config's own rule refuses."""
+    seed = config.seed
+    if args.seed is not None:
+        seed = _cast("seed", GLOBAL_FIELDS["seed"], args.seed)
     out = config.out if args.out is None else args.out
-    if config.kind == "spectral":
-        for flag, key in (("a", "spectral.a"), ("b", "spectral.b"),
-                          ("c", "spectral.c"), ("eps", "spectral.eps"),
-                          ("N", "spectral.N")):
-            val = getattr(args, flag, None)
-            if val is not None:
-                values[key] = val
-    return ExperimentConfig(kind=config.kind, seed=seed, out=out, values=values)
+    return dataclasses.replace(config, seed=seed, out=out)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = parse_config(fh.read())
+            config = _apply_overrides(parse_config(fh.read()), args)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -60,7 +52,6 @@ def main(argv=None) -> int:
         print(f"error: config declares experiment '{config.kind}' but the "
               f"subcommand is '{args.command}'", file=sys.stderr)
         return 1
-    config = _apply_overrides(config, args)
     status = run_experiment(config)
     summary_path = os.path.join(config.out, "summary.json")
     if os.path.exists(summary_path):

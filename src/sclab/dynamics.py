@@ -60,11 +60,11 @@ class ControlSignal:
     def duration(self) -> float:
         return float(self.breakpoints[-1])
 
-    def value_at(self, t: float):
-        """Right-continuous value; the final instant takes the last segment."""
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        idx = min(max(idx, 0), self.values.shape[0] - 1)
-        return self.values[idx]
+    def value_at(self, t):
+        """Right-continuous value at a time, or values at an array of times;
+        a time outside [0, duration), the final instant too, takes the
+        nearest segment: the search runs over the interior breakpoints."""
+        return self.values[np.searchsorted(self.breakpoints[1:-1], t, side="right")]
 
     def segments(self) -> Iterable[tuple[float, float, np.ndarray]]:
         for k in range(self.values.shape[0]):
@@ -205,6 +205,29 @@ def sorted_unique(values) -> np.ndarray:
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
+
+
+def control_pieces(controls: Sequence[ControlSignal], bounds):
+    """Every law cut at each bound and at its own breakpoints strictly
+    inside the bounds, flat over the members: member j owns the pieces
+    [first[j], first[j+1]), in time order.
+
+    bounds are nondecreasing.  Piece p is [start[p], end[p]] in window[p],
+    the last k with bounds[k] ≤ start[p], so a repeated bound opens an empty
+    window.  u[p] is the law's value on the piece, from one `value_at` call
+    per member at the pieces' starts: a start is exact, where a midpoint
+    can round onto the next cut.  Returns (first, window, start, end, u).
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[0], bounds[-1]
+    cuts = [sorted_unique(np.concatenate([bounds, bp[(bp > lo) & (bp < hi)]]))
+            for bp in (c.breakpoints for c in controls)]
+    first = np.cumsum([0] + [c.size - 1 for c in cuts])
+    start = np.concatenate([c[:-1] for c in cuts])
+    end = np.concatenate([c[1:] for c in cuts])
+    window = np.searchsorted(bounds, start, side="right") - 1
+    u = np.concatenate([c.value_at(t[:-1]) for c, t in zip(controls, cuts)])
+    return first, window, start, end, u
 
 
 def sample_controls(seed, count: int, duration: float, amplitude: float,

@@ -14,8 +14,9 @@ ensemble sampler probes empirically.  The comparison is x₀ + p₀t ± c·t²/2
 each axis, and the bound is its first root, in closed form.  A force bound
 that varies over Ω is passed as its sup over Ω, a number.
 
-The sampler marches every member on its own grid, cut at its own switches,
-and runs the step-halving check in the same lockstep stack: one row per
+The sampler marches every member on its own grid, cut at its own switches
+by `dynamics.control_pieces` (the cutter the split-step march uses too), and
+runs the step-halving check in the same lockstep stack: one row per
 (pass, member), each with its own step, leaving when it exits or when its
 schedule ends.  The stack is column-major, and the rows that leave Ω in a
 tick are located by one bisection.  A member's exit time therefore depends
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ControlSignal, HamiltonianSpec, controlled_rhs
+from .dynamics import ControlSignal, HamiltonianSpec, control_pieces, controlled_rhs
 from .errors import HypothesisViolated, StepTooCoarse
 from .geometry import BoxRegion, PhasePoint
 from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_step
@@ -224,28 +225,6 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
 # Ensemble sampling
 
 
-def _member_schedule(controls: Sequence[ControlSignal], horizon: float, step: float):
-    """Every member's own segments, flat: member j owns [first[j], first[j+1]).
-
-    A member's cuts are 0, the horizon and its breakpoints in between.  A
-    segment [a, b] has n = ⌈(b − a)/step_p⌉ steps of h = (b − a)/n, with
-    step_p = step for the coarse pass (row 0 of n and h) and step/2 for the
-    fine pass (row 1).  Each segment's control value is looked up once, at
-    its midpoint, and serves both passes.  Returns (first, a, n, h, u).
-    """
-    cuts = []
-    for ctrl in controls:
-        bp = ctrl.breakpoints
-        cuts.append(np.concatenate(([0.0], bp[(bp > 0.0) & (bp < horizon)], [horizon])))
-    first = np.cumsum([0] + [c.size - 1 for c in cuts])
-    a = np.concatenate([c[:-1] for c in cuts])
-    b = np.concatenate([c[1:] for c in cuts])
-    u = np.stack([np.atleast_1d(ctrl.value_at(t_mid)) for ctrl, c in zip(controls, cuts)
-                  for t_mid in 0.5 * (c[:-1] + c[1:])])
-    n = np.stack([_nsteps(a, b, step), _nsteps(a, b, 0.5 * step)])
-    return first, a, n, (b - a) / n, u
-
-
 def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                  controls: Sequence[ControlSignal], horizon: float,
                  step: float) -> tuple[np.ndarray, int]:
@@ -270,7 +249,11 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     lo, n1 = min(n1_axes, default=0), len(n1_axes)
     axes = slice(lo, lo + n1) if n1_axes == tuple(range(lo, lo + n1)) else list(n1_axes)
     omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
-    first, seg_a, seg_n, seg_h, seg_u = _member_schedule(controls, horizon, step)
+    # row 0 of seg_n and seg_h is the coarse pass, row 1 the fine pass
+    first, _, seg_a, seg_b, seg_u = control_pieces(controls, (0.0, horizon))
+    seg_u = seg_u.reshape(seg_a.size, -1)
+    seg_n = np.stack([_nsteps(seg_a, seg_b, step), _nsteps(seg_a, seg_b, 0.5 * step)])
+    seg_h = (seg_b - seg_a) / seg_n
     exits = np.full((2, m), horizon)
     # per live row: its index into exits.flat, its pass (1 = fine), its
     # segment, its member's last segment and the tick its segment ends
@@ -339,10 +322,10 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
 
     Each member marches on its own grid: its cuts are 0, the horizon and its
     breakpoints in between, and each segment between cuts gets a whole number
-    of equal steps no longer than step.  The control is looked up once per
-    segment, at its midpoint.  The pass at step and the halved-step pass run
-    as one lockstep stack (`_march_exits`), so a member's exit time depends on
-    its own control alone.  Each exit is located by bisection to 1e-8 on the
+    of equal steps no longer than step (`control_pieces`, `_nsteps`).  The
+    control is looked up once per segment, at its start.  The pass at step
+    and the halved-step pass run as one lockstep stack (`_march_exits`), so a
+    member's exit time depends on its own control alone.  Each exit is located by bisection to 1e-8 on the
     cubic Hermite dense output of the step that leaves Ω.  The halved-step
     pass must reproduce every exit time to `halving_allowed` (StepTooCoarse
     otherwise); the report carries the halved-step exits and `halving_drift`.

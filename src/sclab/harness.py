@@ -77,7 +77,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     except HypothesisViolated as exc:
         _write_summary(config, {"error": str(exc), "error_kind": "HypothesisViolated"})
         return STATUS_HYPOTHESIS
-    except SclabError as exc:
+    except (SclabError, ValueError) as exc:
+        # a ValueError is a library check refusing the config's values
         _write_summary(config, {"error": str(exc),
                                 "error_kind": type(exc).__name__})
         return STATUS_ERROR
@@ -124,8 +125,7 @@ def _run_steer(config: ExperimentConfig) -> None:
         else:
             lam1 = PhasePoint(_leading(config, "steer.target", dim),
                               _leading(config, "steer.target_p", dim))
-            plan = steer_mod.full_rank_steer(spec, lam0, lam1, eps,
-                                             tol=config["steer.tol"])
+            plan = steer_mod.full_rank_steer(spec, lam0, lam1, eps)
         rows.append([eps,
                      " ".join(repr(float(v)) for v in plan.predicted_endpoint.x),
                      " ".join(repr(float(v)) for v in plan.realized_endpoint.x),

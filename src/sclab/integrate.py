@@ -3,8 +3,12 @@
 Every module integrates through this one: classical explicit Runge–Kutta 4
 with a deterministic step count per interval.
 
+* `_nsteps` is the one step-count rule: an interval of length ℓ takes
+  n = max(1, ⌈ℓ/step − 1e-12⌉) steps of h = ℓ/n.  The marcher below, the
+  exit-time stack and the split-step march all count their steps with it.
 * `rk4_trajectory` is the one fixed-interval marcher.  It returns every state
-  on the grid h = (t1 − t0)/n, n = ⌈(t1 − t0)/step⌉, both ends included.  The
+  on the grid h = (t1 − t0)/n, n = `_nsteps`(t0, t1, step), both ends
+  included.  The
   state may have any shape (an (m, d) array advances a whole ensemble at
   once), and the result keeps it: (n + 1, *z0.shape).
 * `rk4_step` is the step itself.  A batch of rows may step with an (m, 1)

@@ -16,11 +16,14 @@ sequence of times inside it to hand the stack to a callback.  Every member
 keeps its own substep schedule and the stack steps in lockstep, with one
 FFT over the whole stack per step; a single state is the m = 1 stack.  The
 work that does not change from step to step is done once per call: the
-potentials, k², the top-mode mask and the piece plans are built once, and a
+potentials, k², the top-mode mask and the pieces are built once, and a
 member's phase factors are exponentiated again only when its step size or
-control value changes.  The resolution check (`TOP_MODE_MASS_TOL`) runs as
-one batched spectrum on the input, on every member at each of its own
-control segment ends, and on the whole stack at every stop.
+control value changes.  The pieces are the controls cut by
+`dynamics.control_pieces`, the cutter the classical exit march uses too,
+with `integrate._nsteps` steps each.  The resolution check
+(`TOP_MODE_MASS_TOL`) runs as one batched spectrum on the input, on every
+member at each of its own control segment ends, and on the whole stack at
+every stop.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ import numpy as np
 # perfbench/tracer.py can wrap fftn/ifftn before a run makes its first FFT
 from numpy import fft
 
-from .dynamics import ControlSignal, sorted_unique
+from .dynamics import control_pieces
 from .errors import GridMismatch, GridTooCoarse
 from .geometry import PotentialField
+from .integrate import _nsteps
 
 TOP_MODE_FRACTION = 0.10
 TOP_MODE_MASS_TOL = 1e-8
@@ -207,56 +211,39 @@ def _potential_array(grid: SpatialGrid, field: Optional[PotentialField]) -> np.n
     return np.asarray(field.value(grid.mesh()), dtype=float)
 
 
-def _pieces(u: ControlSignal, bounds: np.ndarray, dt: float):
-    """u's pieces on the windows between consecutive bounds, cut at every
-    bound and at u's breakpoints strictly inside a window.
-
-    Returns arrays over the pieces in time order: window index, h, substeps
-    and u's value.  Lengths are measured from the window's
-    start, nseg = ceil(len/dt − 1e-12) and h = len/nseg, so a window's
-    pieces are the same whether it is marched alone or with others.
-    """
-    bp = u.breakpoints
-    cuts = sorted_unique(np.concatenate([bounds, bp[(bp > bounds[0]) & (bp < bounds[-1])]]))
-    starts, ends = cuts[:-1], cuts[1:]
-    window = np.searchsorted(bounds, starts, side="right") - 1
-    origin = bounds[window]
-    length = (ends - origin) - (starts - origin)
-    nseg = np.maximum(1.0, np.ceil(length / dt - 1e-12))
-    value = np.minimum(np.searchsorted(bp, starts, side="right") - 1, u.values.shape[0] - 1)
-    return window, length / nseg, nseg.astype(int), u.values[value]
-
-
-def _lockstep_schedule(plans: list, n_windows: int):
+def _lockstep_schedule(first, window, h, nseg, values, n_windows: int):
     """The step schedule of a march of the members through consecutive windows.
 
-    plans[j] is member j's `_pieces`.  The members step together, and
-    window k takes as many steps as its longest plan, so every member
-    reaches each window's end at the same step.  Returns (n_win, opens,
-    flags): n_win[k] is window k's step count; opens[g] lists the (member,
-    h, value) of each piece that starts at step g; flags holds the (G, m)
+    The pieces are flat, as `control_pieces` gives them: member j owns
+    [first[j], first[j+1]), and piece p takes nseg[p] steps of h[p] in
+    window[p] under values[p].  The members step together, and window k
+    takes as many steps as its longest member, so every member reaches each
+    window's end at the same step.  Returns (n_win, opens, flags): n_win[k]
+    is window k's step count; opens[g] lists the (member, h, value) of each
+    piece that starts at step g, members in order; flags holds the (G, m)
     masks active, opening, closing and inner_end (a piece ends at step g
     before its member's window does).
     """
-    m = len(plans)
+    m = first.size - 1
+    member = np.repeat(np.arange(m), np.diff(first))
     steps = np.zeros((n_windows, m), dtype=int)
-    for j, (window, _, nseg, _) in enumerate(plans):
-        np.add.at(steps[:, j], window, nseg)
+    np.add.at(steps, (window, member), nseg)
     n_win = steps.max(axis=1, initial=0)
     start = np.concatenate([[0], np.cumsum(n_win)])
     G = int(start[-1])
-    opens = [[] for _ in range(G)]
+    # a piece's first step: its window's first step plus the substeps of its
+    # member's earlier pieces, less those of the member's earlier windows
+    before = np.cumsum(nseg) - nseg
+    earlier = np.cumsum(steps, axis=0) - steps
+    g0 = start[window] + before - before[first[member]] - earlier[window, member]
     opening = np.zeros((G, m), dtype=bool)
     closing = np.zeros((G, m), dtype=bool)
-    for j, (window, h, nseg, values) in enumerate(plans):
-        # a piece's first step: its window's first step plus the substeps
-        # of the member's earlier pieces in that window
-        before = np.cumsum(nseg) - nseg
-        first = start[window] + before - np.concatenate([[0], np.cumsum(steps[:, j])])[window]
-        opening[first, j] = True
-        closing[first + nseg - 1, j] = True
-        for g, hp, uval in zip(first.tolist(), h.tolist(), values):
-            opens[g].append((j, hp, uval))
+    opening[g0, member] = True
+    closing[g0 + nseg - 1, member] = True
+    order = np.argsort(g0, kind="stable")
+    pieces = zip(member[order].tolist(), h[order].tolist(), values[order])
+    counts = np.bincount(g0, minlength=G).tolist()
+    opens = [list(itertools.islice(pieces, c)) for c in counts]
     # each step's index inside its window, and its window's per-member totals
     local = (np.arange(G) - np.repeat(start[:-1], n_win))[:, None]
     totals = np.repeat(steps, n_win, axis=0)
@@ -279,19 +266,20 @@ def split_step_evolve(psi0, V: Optional[PotentialField], W: Optional[PotentialFi
     once the whole stack has reached stop k.  During it the stack's scratch
     is free.
 
-    Each member cuts [t0, T] at every stop and at its own breakpoints; on
-    each piece dt is adjusted downward to divide it and the member applies
-    half_v, then (FFT, kin, IFFT, half_v²)…, then half_v.  The members step
-    in lockstep on the step index, one FFT over the whole stack per step,
-    and a member with fewer steps in a window waits, unchanged, for the
-    others at the window's stop.  Potentials, k² and the piece plans are
-    built once per call; a member's half phase is exponentiated again only
-    when its (h, u) changes, the step's new ones in one batched np.exp, and
-    its kinetic phase only when its h changes.  Norms are preserved to
-    machine precision.  The momentum-resolution guard runs on the input
-    (unless check_input is False, for an input a previous call already
-    checked), on every member at each of its piece ends and on the whole
-    stack at each stop, where every state is also checked finite.
+    Each member cuts [t0, T] at every stop and at its own breakpoints
+    (`control_pieces`); on each piece dt is adjusted downward to divide it
+    (`_nsteps`), and the member applies half_v, then (FFT, kin, IFFT,
+    half_v²)…, then half_v.  The members step in lockstep on the step
+    index, one FFT over the whole stack per step, and a member with fewer
+    steps in a window waits, unchanged, for the others at the window's
+    stop.  Potentials, k² and the pieces are built once per call; a
+    member's half phase is exponentiated again only when its (h, u)
+    changes, the step's new ones in one batched np.exp, and its kinetic
+    phase only when its h changes.  Norms are preserved to machine
+    precision.  The momentum-resolution guard runs on the input (unless
+    check_input is False, for an input a previous call already checked), on
+    every member at each of its piece ends and on the whole stack at each
+    stop, where every state is also checked finite.
     """
     single = isinstance(psi0, WaveGrid)
     stack = WaveStack(psi0.grid, psi0.values[None], psi0.hbar) if single else psi0
@@ -315,8 +303,13 @@ def split_step_evolve(psi0, V: Optional[PotentialField], W: Optional[PotentialFi
     if check_input:
         _check_resolution(psi, grid, spectra, power, top)
     bounds = np.array([t0] + stops)
-    plans = [_pieces(c, bounds, dt) for c in controls]
-    n_win, opens, (active, opening, closing, inner_end) = _lockstep_schedule(plans, len(stops))
+    # lengths from the window's start, so a window's pieces are the same
+    # whether it is marched alone or with others
+    first, window, start, end, values = control_pieces(controls, bounds)
+    a, b = start - bounds[window], end - bounds[window]
+    nseg = _nsteps(a, b, dt)
+    n_win, opens, (active, opening, closing, inner_end) = _lockstep_schedule(
+        first, window, (b - a) / nseg, nseg, values, len(stops))
     masks = zip(*(_row_masks(flags, rows)
                   for flags in (active, opening, active & ~opening, closing)))
     schedule = zip(opens, masks, inner_end)

@@ -259,7 +259,7 @@ def _solve_coefficients(frame: np.ndarray, target_covector: np.ndarray) -> np.nd
 
 
 def full_rank_steer(spec: HamiltonianSpec, lam0: PhasePoint, lam1: PhasePoint,
-                    eps: float, tol: float) -> SteeringPlan:
+                    eps: float) -> SteeringPlan:
     """Reach an arbitrary phase-space target with n independent controls.
 
     Steps: (a) decompose the covector x₁ − x₀ of the connecting line in the

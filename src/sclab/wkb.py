@@ -421,8 +421,8 @@ def _bump_d2(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffTable:
-    """A cutoff tabulated on a grid: χ, ∇χ (shape (*grid.shape, dim)), Δχ,
-    and the support where any of them is nonzero; arrays are read-only."""
+    """A cutoff tabulated on a grid: χ, χ′, χ″ (each of the grid's shape) and
+    the support where any of them is nonzero; arrays are read-only."""
 
     chi: np.ndarray
     grad: np.ndarray
@@ -432,56 +432,43 @@ class CutoffTable:
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """Smooth cutoff with support exactly the closure of a box: the product
-    of bumps exp(1 − 1/(1−s²)) over the axes.  `on_grid` tabulates it once
-    per grid.
+    """Smooth cutoff on a line with support exactly the closure of an
+    interval: the bump exp(1 − 1/(1−s²)) with s the position scaled to
+    [−1, 1].  The box has one bounded axis, as the obstruction's Ω′ does.
+    `on_grid` tabulates it once per grid.
     """
 
     box: BoxRegion
 
     def __post_init__(self):
-        if any(b is None for b in self.box.bounds):
-            raise ValueError("cutoff box must constrain every axis")
-        centers = np.array([(lo + hi) / 2 for lo, hi in self.box.bounds])
-        halfw = np.array([(hi - lo) / 2 for lo, hi in self.box.bounds])
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_halfw", halfw)
+        if len(self.box.bounds) != 1 or self.box.bounds[0] is None:
+            raise ValueError("the cutoff is one-dimensional: its box needs exactly "
+                             "one axis, bounded")
+        lo, hi = self.box.bounds[0]
+        object.__setattr__(self, "_center", (lo + hi) / 2)
+        object.__setattr__(self, "_halfw", (hi - lo) / 2)
         object.__setattr__(self, "_tables", {})
 
     def _profile(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _bump(s), _bump_d1(s), _bump_d2(s)
 
     def _values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(χ, ∇χ, Δχ) at the points x (last axis the coordinates), from one
-        profile evaluation."""
-        s = (np.asarray(x, dtype=float) - self._centers) / self._halfw
+        """(χ, χ′, χ″) at the points x (last axis the one coordinate), from
+        one profile evaluation."""
+        s = (np.asarray(x, dtype=float)[..., 0] - self._center) / self._halfw
         val, d1, d2 = self._profile(s)
-        grad = np.empty_like(s)
-        lap = np.zeros(s.shape[:-1])
-        for a in range(s.shape[-1]):
-            others = self._partial_prod(val, a)
-            grad[..., a] = (d1[..., a] / self._halfw[a]) * others
-            lap = lap + (d2[..., a] / self._halfw[a] ** 2) * others
-        return np.prod(val, axis=-1), grad, lap
+        return val, d1 / self._halfw, d2 / self._halfw ** 2
 
     def on_grid(self, grid: SpatialGrid) -> CutoffTable:
         """The cutoff tabulated on the grid's mesh, computed once per grid."""
         table = self._tables.get(grid)
         if table is None:
             chi, grad, lap = self._values(grid.mesh())
-            support = (chi != 0.0) | np.any(grad != 0.0, axis=-1) | (lap != 0.0)
+            support = (chi != 0.0) | (grad != 0.0) | (lap != 0.0)
             for arr in (chi, grad, lap, support):
                 arr.setflags(write=False)
             table = self._tables[grid] = CutoffTable(chi, grad, lap, support)
         return table
-
-    @staticmethod
-    def _partial_prod(val: np.ndarray, skip: int) -> np.ndarray:
-        prod = np.ones(val.shape[:-1])
-        for b in range(val.shape[-1]):
-            if b != skip:
-                prod = prod * val[..., b]
-        return prod
 
 
 def wkb_residual(field: WKBField, chi: CutoffFunction) -> np.ndarray:
@@ -505,5 +492,5 @@ def wkb_residual(field: WKBField, chi: CutoffFunction) -> np.ndarray:
     grad_psi = (field.da + 1j * field.a * field.dS / hbar) * phase
     grad_psi = np.where(field.valid_mask, grad_psi, 0.0)
     lap_term = np.where(field.valid_mask, 0.5 * field.lap_a * phase, 0.0)
-    return hbar ** 2 * (table.chi * lap_term + table.grad[..., 0] * grad_psi
+    return hbar ** 2 * (table.chi * lap_term + table.grad * grad_psi
                         + 0.5 * table.lap * psi_tilde)

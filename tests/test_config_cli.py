@@ -215,11 +215,12 @@ class TestRunExperiment:
 
 class TestCLI:
     def test_cli_spectral_with_flags(self, tmp_path, capsys):
+        # the model's coefficients come from the config file; the flag is --out
         cfg_path = tmp_path / "spec.cfg"
-        cfg_path.write_text(MINIMAL_SPECTRAL)
+        cfg_path.write_text("experiment = spectral\nseed = 7\n"
+                            "spectral.b = 0.0\nspectral.N = 6\n")
         status = cli_main(["spectral", "--config", str(cfg_path),
-                           "--out", str(tmp_path / "out"), "--a", "-1.0",
-                           "--b", "0.0", "--N", "6"])
+                           "--out", str(tmp_path / "out")])
         assert status == 0
         out = capsys.readouterr().out
         assert "b00" in out
@@ -258,6 +259,35 @@ class TestCLI:
         out = tmp_path / "out"
         assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
         assert f"error: {key}: needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, line, message", [
+        ("spectral", "spectral.N = 30", "need N ≤ N_big/2"),
+        ("obstruction", "obstruction.omega_prime = -1.0,1.0", "compactly inside omega"),
+        ("obstruction", "obstruction.eps_grid = 0.04,0.02", "positive and ascending"),
+        ("exit-time", "exit.omega = 1,-1", "degenerate interval"),
+    ], ids=["spectral-N", "obstruction-omega_prime", "obstruction-eps_grid", "exit-omega"])
+    def test_cli_library_value_error_recorded(self, tmp_path, capsys, kind, line, message):
+        # a library check that refuses the config's values ends, like any
+        # SclabError, in exit 1 and an error record, not a traceback
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"experiment = {kind}\n{line}\n")
+        out = tmp_path / "out"
+        assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error_kind"] == "ValueError"
+        assert message in summary["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_cli_seed_override_checked(self, tmp_path, capsys):
+        # --seed obeys the config's seed rule: refused before any output
+        cfg_path = tmp_path / "spec.cfg"
+        cfg_path.write_text(MINIMAL_SPECTRAL)
+        out = tmp_path / "out"
+        assert cli_main(["spectral", "--config", str(cfg_path), "--out", str(out),
+                         "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: seed: value -1 out of range" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_cli_missing_config(self):

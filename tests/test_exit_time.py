@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sclab.exit_time as exit_mod
 from sclab.config import parse_config
-from sclab.dynamics import ControlSignal, HamiltonianSpec, sample_controls
+from sclab.dynamics import ControlSignal, HamiltonianSpec, control_pieces, sample_controls
 from sclab.errors import HypothesisViolated, StepTooCoarse
 from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
                              sampled_exit_time)
@@ -332,6 +332,50 @@ def member_schedule(u, horizon, step):
     return cuts, n, [(b - a) / k for a, b, k in zip(cuts[:-1], cuts[1:], n)]
 
 
+def member_pieces(u, bounds):
+    """Independent model of one law's pieces on consecutive windows: the
+    (window, start, end, value) of each gap between its cuts, with the value
+    looked up at the piece's midpoint."""
+    lo, hi = bounds[0], bounds[-1]
+    cuts = sorted(set(bounds) | {float(b) for b in u.breakpoints if lo < b < hi})
+    return [(max(k for k, t in enumerate(bounds) if t <= a), a, b,
+             u.value_at(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class TestControlPieces:
+    @settings(max_examples=60, deadline=None)
+    @given(control_ensembles(),
+           st.lists(st.integers(0, 10), min_size=2, max_size=5).map(sorted))
+    def test_pieces_match_each_member_and_each_window(self, controls, ticks):
+        # bounds on a 1/8 grid up to 1.25, so a law (its end 0.25 to 1.5)
+        # may stop short of them or run past them, a breakpoint may sit on a
+        # bound, a repeated bound makes an empty window, and every midpoint
+        # lies strictly inside its piece
+        bounds = [0.125 * k for k in ticks]
+        first, window, start, end, u = control_pieces(controls, bounds)
+        assert first[0] == 0 and first[-1] == start.size
+        assert window.size == end.size == u.shape[0] == start.size
+        for j, law in enumerate(controls):
+            mine = slice(first[j], first[j + 1])
+            got = list(zip(window[mine].tolist(), start[mine].tolist(),
+                           end[mine].tolist(), u[mine]))
+            want = member_pieces(law, bounds)
+            assert [g[:3] for g in got] == [w[:3] for w in want]
+            for g, w in zip(got, want):
+                assert np.array_equal(g[3], w[3])
+        # cutting one window alone gives that window's pieces
+        for k in range(len(bounds) - 1):
+            f1, w1, s1, e1, u1 = control_pieces(controls, bounds[k:k + 2])
+            assert not w1.any()
+            for j in range(len(controls)):
+                mine = np.arange(first[j], first[j + 1])
+                mine = mine[window[mine] == k]
+                alone = slice(f1[j], f1[j + 1])
+                assert np.array_equal(s1[alone], start[mine])
+                assert np.array_equal(e1[alone], end[mine])
+                assert np.array_equal(u1[alone], u[mine])
+
+
 class TestSweepControlLookup:
     @settings(max_examples=40, deadline=None)
     @given(control_ensembles())
@@ -363,7 +407,7 @@ class TestSweepControlLookup:
                                   BoxRegion(((-1e9, 1e9),)), controls, horizon, step)
         rows = [(u, *member_schedule(u, horizon, step_p))
                 for step_p in (step, 0.5 * step) for u in controls]
-        assert len(lookups) == sum(len(n) for _, _, n, _ in rows[:len(controls)])
+        assert len(lookups) == len(controls)  # one array lookup per member
         assert len(seen) == max(sum(n) for _, _, n, _ in rows)
         for tick, (u_vals, t, h) in enumerate(seen):
             live = [r for r in rows if tick < sum(r[2])]

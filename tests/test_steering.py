@@ -169,7 +169,7 @@ class TestFullRank:
         rng = np.random.default_rng(11)
         lam0 = PhasePoint(rng.normal(size=2), rng.normal(size=2))
         lam1 = PhasePoint(rng.normal(size=2), rng.normal(size=2))
-        plan = full_rank_steer(spec, lam0, lam1, eps=1e-3, tol=1e-2)
+        plan = full_rank_steer(spec, lam0, lam1, eps=1e-3)
         assert plan.achieved_error < 1e-2
         assert plan.total_duration < 0.01
 
@@ -177,7 +177,7 @@ class TestFullRank:
         spec = self.plane_spec()
         lam0 = PhasePoint(np.zeros(2), np.zeros(2))
         lam1 = PhasePoint(np.array([1.0, -0.5]), np.array([0.3, 0.8]))
-        errs = [full_rank_steer(spec, lam0, lam1, eps=e, tol=1e-2).achieved_error
+        errs = [full_rank_steer(spec, lam0, lam1, eps=e).achieved_error
                 for e in (1e-1, 1e-2, 1e-3)]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-2
@@ -198,7 +198,7 @@ class TestFullRank:
         spec = self.plane_spec()
         lam0 = PhasePoint(np.array([0.3, 0.4]), np.zeros(2))
         lam1 = PhasePoint(lam0.x, np.array([1.0, -1.0]))
-        plan = full_rank_steer(spec, lam0, lam1, eps=1e-2, tol=1e-2)
+        plan = full_rank_steer(spec, lam0, lam1, eps=1e-2)
         assert plan.achieved_error < 1e-2
 
     def test_repeated_potential_degenerate(self):
@@ -207,11 +207,11 @@ class TestFullRank:
         spec = HamiltonianSpec(space=space, V=make_potential("zero", 2), W=[w, w])
         with pytest.raises(WedgeDegenerate):
             full_rank_steer(spec, PhasePoint(np.zeros(2), np.zeros(2)),
-                            PhasePoint(np.ones(2), np.zeros(2)), eps=1e-2, tol=1e-2)
+                            PhasePoint(np.ones(2), np.zeros(2)), eps=1e-2)
 
     def test_one_dimensional_target(self):
         spec = spec_1d(V="zero")
         lam0 = PhasePoint(np.array([0.0]), np.array([0.0]))
         lam1 = PhasePoint(np.array([2.0]), np.array([3.0]))
-        plan = full_rank_steer(spec, lam0, lam1, eps=1e-3, tol=1e-2)
+        plan = full_rank_steer(spec, lam0, lam1, eps=1e-3)
         assert plan.achieved_error < 1e-2

@@ -317,14 +317,13 @@ class TestCutoff:
         v_plus, v_minus = chi._values(x + h)[0], chi._values(x - h)[0]
         fd1 = (v_plus - v_minus) / (2 * h)
         fd2 = (v_plus - 2 * v + v_minus) / h ** 2
-        assert np.max(np.abs(grad[:, 0] - fd1)) < 1e-5
+        assert np.max(np.abs(grad - fd1)) < 1e-5
         assert np.max(np.abs(lap - fd2)) < 2e-3
 
-    def test_2d_product(self):
-        chi = CutoffFunction(BoxRegion(((-0.5, 0.5), (-0.4, 0.4))))
-        pt = np.array([0.0, 0.0])
-        assert chi._values(pt)[0] == pytest.approx(1.0)
-        assert chi._values(np.array([0.6, 0.0]))[0] == 0.0
+    @pytest.mark.parametrize("bounds", [((-0.5, 0.5), (-0.4, 0.4)), (None,)])
+    def test_box_needs_one_bounded_axis(self, bounds):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            CutoffFunction(BoxRegion(bounds))
 
 
 class TestResidual:
