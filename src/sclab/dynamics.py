@@ -9,12 +9,17 @@ coordinates,
 restarting the integrator at every control breakpoint so RK4 never straddles a
 jump.  On each constant-control subinterval the full Hamiltonian is a
 conserved quantity, which the tests use as the primary integration oracle.
+
+Two pieces of code read a law's breakpoints, and nothing outside this module
+does: `ControlSignal._segment` is the one lookup (u(t) and ∫₀ᵗu use it), and
+`control_pieces` is the one cutter (the exit-time and split-step marches,
+`evolve` and `ControlSignal.window` take their pieces from it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,25 +65,32 @@ class ControlSignal:
     def duration(self) -> float:
         return float(self.breakpoints[-1])
 
-    def value_at(self, t):
-        """Right-continuous value at a time, or values at an array of times;
-        a time outside [0, duration), the final instant too, takes the
-        nearest segment: the search runs over the interior breakpoints."""
-        return self.values[np.searchsorted(self.breakpoints[1:-1], t, side="right")]
+    def _segment(self, t):
+        """Index of the segment holding t, or of each of an array of times:
+        right-continuous, and a time outside [0, duration), the final
+        instant too, takes the nearest segment, since the search runs over
+        the interior breakpoints."""
+        return np.searchsorted(self.breakpoints[1:-1], t, side="right")
 
-    def segments(self) -> Iterable[tuple[float, float, np.ndarray]]:
-        for k in range(self.values.shape[0]):
-            yield float(self.breakpoints[k]), float(self.breakpoints[k + 1]), self.values[k]
+    def value_at(self, t):
+        """Value at a time, or values at an array of times (`_segment`'s rule)."""
+        return self.values[self._segment(t)]
+
+    def integral(self, t):
+        """∫₀^min(t, duration) u of a scalar law, at a time or an array of
+        times: the whole segments before t summed in time order, then the
+        part of t's own segment."""
+        bp, vals = self.breakpoints, self.values
+        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
+        k = self._segment(t)
+        return cum[k] + vals[k] * (np.minimum(t, bp[-1]) - bp[k])
 
     def window(self, a: float, b: float) -> "ControlSignal":
         """The law on [a, b], shifted to start at 0."""
         if not (0.0 <= a < b <= self.duration + 1e-12):
             raise ValueError("window must lie inside the control's support")
-        inner = [float(t) for t in self.breakpoints if a < t < b]
-        bp = np.array([a] + inner + [b]) - a
-        vals = [self.value_at(0.5 * (lo + hi + 2 * a))
-                for lo, hi in zip(bp[:-1], bp[1:])]
-        return ControlSignal(bp, np.asarray(vals))
+        _, _, start, end, u = control_pieces([self], (a, b))
+        return ControlSignal(np.append(start, end[-1]) - a, u)
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,8 @@ def _march_segments(rhs_for: Callable, z0: np.ndarray, u: ControlSignal,
     """RK4 through the control's segments, restarting at every breakpoint so
     no step straddles a jump; rhs_for(value) is the field under that value."""
     times, states = [np.zeros(1)], [np.asarray(z0, dtype=float)[None]]
-    for a, b, uval in u.segments():
+    _, _, start, end, vals = control_pieces([u], (0.0, u.duration))
+    for a, b, uval in zip(start.tolist(), end.tolist(), vals):
         t, z = rk4_trajectory(rhs_for(uval), states[-1][-1], a, b, step)
         times.append(t[1:])
         states.append(z[1:])

@@ -310,7 +310,7 @@ def _run_spectral(config: ExperimentConfig) -> None:
                                               config["spectral.precision"])
     floor = spec_mod.relation_floor(gaps, config["spectral.coeff_bound"])
     # the free rotation keeps the disc of radius r0 out of the control's
-    # support {x > eps}, so it is invariant under every control, iff r0 <= eps
+    # support {|x| > eps}, so it is invariant under every control, iff r0 <= eps
     eps, r0 = config["spectral.eps"], config["spectral.disc_r0"]
     _write(config.out, "coupling.csv", _csv_table(
         _header(config), ["i", "j", "b_ij", "b_hat_ij", "f_ij"],

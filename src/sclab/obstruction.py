@@ -340,12 +340,13 @@ class AnsatzEngine:
         control phase, which no norm sees, plus the control term
         u·(W − c)·χψ̃.  The control-free grids come by block, once per
         index, and χψ̃ and ‖r‖ are kept as `assemble` keeps them."""
-        out = np.empty((len(controls), np.size(idx)))
+        idx = np.asarray(idx, dtype=int)
+        u = np.array([c.value_at(self.fan.times[idx]) for c in controls])
+        out = np.empty((len(controls), idx.size))
         col = 0
-        for k, chi_psi, r in self._blocks(np.asarray(idx, dtype=int)):
-            for t, r_k, chi_psi_k in zip(self.fan.times[k].tolist(), r, chi_psi):
-                u = np.array([c.value_at(min(t, c.duration - 1e-15)) for c in controls])
-                rows = r_k + u[:, None] * (self.w_vals - self.c_ref) * chi_psi_k
+        for _, chi_psi, r in self._blocks(idx):
+            for r_k, chi_psi_k in zip(r, chi_psi):
+                rows = r_k + u[:, col, None] * (self.w_vals - self.c_ref) * chi_psi_k
                 out[:, col] = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1)
                                       * self.grid.cell_volume)
                 col += 1
@@ -382,26 +383,6 @@ def build_ansatz(engine: AnsatzEngine, t: float, phases: np.ndarray,
     return np.multiply(engine.chi_psi_at(t), phases[:, None], out=out)
 
 
-def _integrals_at(controls: list):
-    """t ↦ [∫₀^min(t, T_j) u_j] over scalar controls, exact for the
-    piecewise-constant laws: each member's segments are summed in time order."""
-    n = max(u.values.shape[0] for u in controls)
-    # pad each law with empty segments at its own end, where t never passes
-    bp = np.array([np.pad(u.breakpoints, (0, n + 1 - u.breakpoints.size), mode="edge")
-                   for u in controls])
-    vals = np.array([np.pad(u.values, (0, n - u.values.shape[0])) for u in controls])
-
-    def at(t: float) -> np.ndarray:
-        t = np.minimum(t, bp[:, -1])
-        total = np.zeros(len(controls))
-        for k in range(n):
-            a, b = bp[:, k], bp[:, k + 1]
-            total += np.where(t > a, vals[:, k] * (np.minimum(t, b) - a), 0.0)
-        return total
-
-    return at
-
-
 def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     """Evolve the true equation over a control ensemble and verify, per record,
     the Duhamel bound, the control uniformity of δ, and the witness-distance
@@ -417,17 +398,23 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     per member), so the engine's χψ̃ array then holds the row of every
     sample time.  At each stop `build_ansatz` builds φ for every row in one
     broadcast multiply (the shared χψ̃(t_k) row times each member's phase
-    e^{-ic∫u/ħ}, all phases in one np.exp), and ‖ψ − φ‖, the witness
+    e^{-ic∫u/ħ}; per ε, one `integral` call per member gives the (m, K)
+    table of ∫u and one np.exp its phases), and ‖ψ − φ‖, the witness
     distance and the Duhamel margin are taken per row.  The working set is
     the stack and its fixed buffers, updated in place: φ is built in the
     stack's scratch buffer, and no array of the stack's size is allocated
     per stop.  The engine's horizon must reach max(eps_grid), and its
     ansatz must stay valid to the largest sample time (CausticReached
-    otherwise).
+    otherwise).  Each ε snaps to its nearest fan time, and a grid whose
+    snapped times are not strictly increasing is a ValueError.
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
-    engine.require_valid(float(engine.fan.times[samples[-1][-1]]))
+    ends = engine.fan.times[[idx[-1] for idx in samples]]
+    if np.any(np.diff(ends) <= 0):
+        raise ValueError(f"eps_grid snaps to the fan times {ends.tolist()}, "
+                         "which must be strictly increasing")
+    engine.require_valid(float(ends[-1]))
     # every residual norm the run needs, each sample index once
     union = sorted_unique(np.concatenate(samples))
     rng = np.random.default_rng(config.seed)
@@ -442,7 +429,6 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     spread_by_eps: dict[float, float] = {}
     initial_tail = None
 
-    integrals_at = _integrals_at(controls)
     m = len(controls)
     # grid points outside Ω, where the outside probabilities sum |ψ|²
     outside = ~config.omega.contains(config.grid.mesh()).reshape(config.grid.shape)
@@ -451,8 +437,7 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
 
     def set_phi(k: int) -> None:
         """φ of every member at sample time k."""
-        t = float(times[k])
-        build_ansatz(engine, t, engine.phase(integrals_at(t)), phi)
+        build_ansatz(engine, float(times[k]), phases[:, k], phi)
 
     if engine.w_vals is None:
         # the residual is control independent: one row serves every member
@@ -462,6 +447,7 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
 
     for idx in samples:
         times = engine.fan.times[idx]
+        phases = engine.phase(np.array([u.integral(times) for u in controls]))
         eps_eff = float(times[-1])
         norms = all_norms[:, np.searchsorted(union, idx)]
         delta_t = np.array([_cumulative_upper(row, times) for row in norms]) / config.hbar

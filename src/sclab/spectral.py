@@ -14,8 +14,8 @@ polynomial factor φ_i·e^{x²/2} in orthonormal Hermite polynomials of y, and
 checked downstream: connectivity of the leading minors of (b_ij) and absence
 of rational relations among the spectral gaps (a finite search can refute
 independence, never prove it).  The classical counterpart is a theorem, not
-a simulation: with the control cut off to {x > ε}, the classical flow of
-p² + x² is the free rotation wherever x ≤ ε, so a phase-space disc of radius
+a simulation: with the control cut off to {|x| > ε}, the classical flow of
+p² + x² is the free rotation wherever |x| ≤ ε, so a phase-space disc of radius
 r₀ ≤ ε never meets the control's support and is invariant under every
 control.  The verdict is r₀ ≤ ε with margin ε − r₀, which witnesses
 classical non-controllability.

@@ -386,37 +386,17 @@ def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,
 # Cutoff functions
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
+def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bump exp(1 − 1/(1−s²)) and its first two derivatives at s, from
+    one exponential; all three are zero where |s| ≥ 1 − 1e-12."""
     s = np.asarray(s, dtype=float)
     inside = np.abs(s) < 1.0 - 1e-12
-    out = np.zeros_like(s)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = 1.0 / (1.0 - s ** 2)
-        vals = np.exp(1.0 - t)
-    out[inside] = vals[inside]
-    return out
-
-
-def _bump_d1(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0 - 1e-12
-    out = np.zeros_like(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = 1.0 - s ** 2
-        vals = _bump(s) * (-2.0 * s / q ** 2)
-    out[inside] = vals[inside]
-    return out
-
-
-def _bump_d2(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0 - 1e-12
-    out = np.zeros_like(s)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = 1.0 - s ** 2
-        vals = _bump(s) * (4.0 * s ** 2 / q ** 4 - 2.0 * (1.0 + 3.0 * s ** 2) / q ** 3)
-    out[inside] = vals[inside]
-    return out
+        val = np.exp(1.0 - 1.0 / q)
+        d1 = val * (-2.0 * s / q ** 2)
+        d2 = val * (4.0 * s ** 2 / q ** 4 - 2.0 * (1.0 + 3.0 * s ** 2) / q ** 3)
+    return tuple(np.where(inside, v, 0.0) for v in (val, d1, d2))
 
 
 @dataclass(frozen=True)
@@ -449,14 +429,11 @@ class CutoffFunction:
         object.__setattr__(self, "_halfw", (hi - lo) / 2)
         object.__setattr__(self, "_tables", {})
 
-    def _profile(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _bump(s), _bump_d1(s), _bump_d2(s)
-
     def _values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(χ, χ′, χ″) at the points x (last axis the one coordinate), from
-        one profile evaluation."""
+        one bump evaluation."""
         s = (np.asarray(x, dtype=float)[..., 0] - self._center) / self._halfw
-        val, d1, d2 = self._profile(s)
+        val, d1, d2 = _bump(s)
         return val, d1 / self._halfw, d2 / self._halfw ** 2
 
     def on_grid(self, grid: SpatialGrid) -> CutoffTable:

@@ -124,7 +124,8 @@ def flow_jacobian(spec: HamiltonianSpec, lam0: PhasePoint, u,
 def control_integral(u, t: float) -> float:
     """∫₀ᵗ u for a scalar piecewise-constant law, one segment at a time."""
     total = 0.0
-    for a, b, value in u.segments():
+    bp = u.breakpoints
+    for a, b, value in zip(bp[:-1].tolist(), bp[1:].tolist(), u.values):
         if t <= a:
             break
         total += value * (min(t, b) - a)

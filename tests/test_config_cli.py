@@ -266,7 +266,13 @@ class TestCLI:
         ("obstruction", "obstruction.omega_prime = -1.0,1.0", "compactly inside omega"),
         ("obstruction", "obstruction.eps_grid = 0.04,0.02", "positive and ascending"),
         ("exit-time", "exit.omega = 1,-1", "degenerate interval"),
-    ], ids=["spectral-N", "obstruction-omega_prime", "obstruction-eps_grid", "exit-omega"])
+        # two entries on one fan time would march the ensemble twice
+        ("obstruction", "obstruction.eps_grid = 0.01,0.01\nobstruction.ensemble = 2",
+         "snaps to the fan times [0.01, 0.01]"),
+        ("obstruction", "obstruction.eps_grid = 0.0100,0.0101\nobstruction.ensemble = 2",
+         "snaps to the fan times [0.0101, 0.0101]"),
+    ], ids=["spectral-N", "obstruction-omega_prime", "obstruction-eps_grid", "exit-omega",
+            "obstruction-eps_grid-repeated", "obstruction-eps_grid-snapped"])
     def test_cli_library_value_error_recorded(self, tmp_path, capsys, kind, line, message):
         # a library check that refuses the config's values ends, like any
         # SclabError, in exit 1 and an error record, not a traceback

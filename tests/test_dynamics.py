@@ -13,7 +13,6 @@ from sclab.geometry import ChartSpace, PhasePoint, make_potential
 from sclab.integrate import ESCAPE_GUARD, check_escape, hermite_state, rk4_step
 from sclab.config import parse_config
 from sclab.harness import _exit_time_spec
-from sclab.obstruction import _integrals_at
 
 
 def harmonic_linear_spec():
@@ -78,7 +77,7 @@ class TestEvolve:
         u = ControlSignal(np.array([0.0, 0.7, 1.5]), np.array([2.0, -1.0]))
         lam0 = PhasePoint(np.array([0.4]), np.array([-0.3]))
         traj = evolve(spec, lam0, u, 1e-3)
-        for a, b, uval in u.segments():
+        for a, b, uval in zip(u.breakpoints[:-1], u.breakpoints[1:], u.values):
             idx = np.where((traj.times >= a - 1e-12) & (traj.times <= b + 1e-12))[0]
             energies = [hamiltonian(spec, traj.state(i), uval) for i in idx]
             e0 = energies[0]
@@ -145,8 +144,21 @@ class TestControlSignal:
         assert u.value_at(1.0) == -1.0
         assert u.value_at(3.0) == -1.0
         # ∫₀ᵗu in closed form: 2t on [0, 1], then 2 − (t − 1)
-        assert list(_integrals_at([u])(2.0)) == [2.0 - 1.0]
-        assert list(_integrals_at([u])(3.0)) == [0.0]
+        assert u.integral(2.0) == 2.0 - 1.0
+        assert u.integral(3.0) == 0.0
+        assert list(u.integral(np.array([0.0, 0.5, 4.0]))) == [0.0, 1.0, 0.0]
+
+    def test_window_keeps_segments_a_midpoint_would_skip(self):
+        # the middle segment is one ulp long, so its midpoint rounds onto
+        # the next breakpoint; the window reads each piece at its start
+        u = ControlSignal(np.array([0.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 2.0]),
+                          np.array([1.0, 2.0, 3.0]))
+        w = u.window(0.0, 2.0)
+        assert np.array_equal(w.breakpoints, u.breakpoints)
+        assert list(w.values) == [1.0, 2.0, 3.0]
+        w = u.window(0.5, 2.0)
+        assert list(w.breakpoints) == [0.0, 0.5 + 2.0 ** -52, 0.5 + 2.0 ** -51, 1.5]
+        assert list(w.values) == [1.0, 2.0, 3.0]
 
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import control_integral
 import sclab.exit_time as exit_mod
 from sclab.config import parse_config
 from sclab.dynamics import ControlSignal, HamiltonianSpec, control_pieces, sample_controls
@@ -374,6 +375,24 @@ class TestControlPieces:
                 assert np.array_equal(s1[alone], start[mine])
                 assert np.array_equal(e1[alone], end[mine])
                 assert np.array_equal(u1[alone], u[mine])
+
+
+class TestControlIntegral:
+    @settings(max_examples=60, deadline=None)
+    @given(control_ensembles())
+    def test_integral_matches_segment_sum(self, controls):
+        # ∫u of every scalar law (each column of a two-column law taken
+        # alone) at 0, its breakpoints, a 1/16 grid and times past its end
+        # equals the oracle's segment-by-segment sum, bit for bit
+        for law in controls:
+            for column in law.values.reshape(law.values.shape[0], -1).T:
+                u = ControlSignal(law.breakpoints, column)
+                T = u.duration
+                times = np.concatenate([[0.0], u.breakpoints, np.arange(0.0, 2.0, 0.0625),
+                                        [T, T + 1e-9, T + 0.5]])
+                want = [control_integral(u, min(t, T)) for t in times]
+                assert np.array_equal(u.integral(times), want)
+                assert [u.integral(t) for t in times] == want
 
 
 class TestSweepControlLookup:

@@ -1,9 +1,9 @@
 """Every name a `sclab` module imports is used in it, every module-level
 function and class is used somewhere in `sclab`, every `ObstructionConfig`
 field is set by the CLI and every `PotentialField` field by some call in
-`sclab`, or has a stated reason not to be, and nothing in
-`sclab` imports scipy, which is a test-only reference, and no benchmark run
-loads numpy.ma.
+`sclab`, or has a stated reason not to be, only `dynamics` reads a control
+law's breakpoints, nothing in `sclab` imports scipy, which is a test-only
+reference, and no benchmark run loads numpy.ma.
 
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
@@ -159,6 +159,29 @@ def test_checker_sees_a_method_behind_a_local_of_its_name():
         "b.py": "from .a import Box, caller\nprint(caller([Box()]))\n",
     }
     assert unreferenced_definitions(sources) == ["a.py:Box.inner"]
+
+
+def attribute_readers(sources: dict[str, str], attr: str) -> list[str]:
+    """The modules of `sources` that refer to some object's attribute `attr`."""
+    return sorted(mod for mod, text in sources.items()
+                  if any(isinstance(node, ast.Attribute) and node.attr == attr
+                         for node in ast.walk(ast.parse(text))))
+
+
+def test_checker_sees_attribute_readers():
+    sources = {
+        "a.py": "def f(u):\n    return u.breakpoints[1:]\n",
+        "b.py": "breakpoints = cfg['exit.breakpoints']\nmax_breakpoints = 8\n",
+        "c.py": "n = len(laws[0].breakpoints)\n",
+    }
+    assert attribute_readers(sources, "breakpoints") == ["a.py", "c.py"]
+
+
+def test_breakpoints_read_only_in_dynamics():
+    # ControlSignal._segment is the one lookup and control_pieces the one
+    # cutter; every other module reads a law through them
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert attribute_readers(sources, "breakpoints") == ["dynamics.py"]
 
 
 # ObstructionConfig fields that harness._run_obstruction does not pass, each

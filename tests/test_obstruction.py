@@ -13,10 +13,9 @@ from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential, pullback
 from sclab.harness import run_experiment
 from sclab.obstruction import (DUHAMEL_SLACK, FIELD_BLOCK, AnsatzEngine, ObstructionConfig,
-                               _integrals_at, _sample_indices, build_ansatz,
+                               _sample_indices, build_ansatz,
                                estimate_Tq_lower_bound, run_localization_experiment)
 from sclab.schrodinger import SpatialGrid, WaveStack, split_step_evolve
-from sclab.wkb import CutoffFunction
 
 
 def scalar_config(**overrides):
@@ -43,7 +42,7 @@ def ansatz(cfg, controls, t):
     """φ(t) of every control, from the control phases the localization
     experiment hands build_ansatz."""
     engine = AnsatzEngine(cfg, max(cfg.eps_grid))
-    phases = engine.phase(_integrals_at(controls)(t))
+    phases = engine.phase(np.array([u.integral(t) for u in controls]))
     return build_ansatz(engine, t, phases, np.empty((len(controls),) + cfg.grid.shape, complex))
 
 
@@ -101,11 +100,12 @@ class TestBuildAnsatz:
         engine = AnsatzEngine(cfg, max(cfg.eps_grid))
         controls = sample_controls(7, 30, 0.04, 50.0, 8, scheme="lhs",
                                    include_extremes=True)
-        integrals_at = _integrals_at(controls)
-        for t in np.linspace(0.0, 0.05, 51):  # past the horizon too
+        times = np.linspace(0.0, 0.05, 51)  # past the horizon too
+        table = np.array([u.integral(times) for u in controls])
+        for k, t in enumerate(times):
             alone = np.array([control_integral(u, min(t, u.duration)) for u in controls])
-            assert np.array_equal(integrals_at(t), alone)
-            assert np.array_equal(engine.phase(integrals_at(t)),
+            assert np.array_equal(table[:, k], alone)
+            assert np.array_equal(engine.phase(table)[:, k],
                                   [engine.phase(a) for a in alone])
 
 
@@ -403,9 +403,9 @@ class TestWorkCounts:
 
     def test_cutoff_tabulated_once_per_engine(self, monkeypatch):
         profiles = []
-        profile = CutoffFunction._profile
-        monkeypatch.setattr(CutoffFunction, "_profile",
-                            lambda chi, s: profiles.append(s.shape) or profile(chi, s))
+        bump = sclab.wkb._bump
+        monkeypatch.setattr(sclab.wkb, "_bump",
+                            lambda s: profiles.append(s.shape) or bump(s))
         counts = []
         for eps_grid in ((0.01,), (0.01, 0.02, 0.04)):
             cfg = scalar_config(eps_grid=eps_grid, ensemble_count=2)

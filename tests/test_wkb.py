@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conjugate_times_per_seed, knot_system_condition
+import sclab.wkb
 from sclab.config import parse_config
 from sclab.errors import (CausticReached, MaskViolation, StepTooCoarse,
                           TrajectoryEscape)
@@ -389,9 +390,9 @@ class TestResidual:
         # cutoff on [−0.8, 0.8] is covered at t = 0 and leaves the valid
         # region by t = 0.3, after its table was made at t = 0
         profiles = []
-        profile = CutoffFunction._profile
-        monkeypatch.setattr(CutoffFunction, "_profile",
-                            lambda chi, s: profiles.append(s.shape) or profile(chi, s))
+        bump = sclab.wkb._bump
+        monkeypatch.setattr(sclab.wkb, "_bump",
+                            lambda s: profiles.append(s.shape) or bump(s))
         fan = shoot_characteristics(quad_phase(-1.0), None, seeds_on(), 0.3, 1e-3)
         a0 = make_potential("gaussian", 1, width=0.2)
         chi = CutoffFunction(BoxRegion(((-0.8, 0.8),)))
