@@ -284,6 +284,8 @@ def _run_obstruction(config: ExperimentConfig) -> None:
         "tq_lower_bound": tq,
         "duhamel_violations": report.duhamel_violations,
         "witness_violations": report.witness_violations,
+        "duhamel_margin_min": report.duhamel_margin_min,
+        "witness_margin_min": report.witness_margin_min,
         "delta_spread_max": max(report.delta_spread_by_eps.values()),
         "ensemble_spread": report.ensemble_spread,
         "hypothesis_uniform": report.hypothesis_uniform,

@@ -59,7 +59,10 @@ class ObstructionConfig:
     separable N₁ × N₂ system gives the δ and verdict of this scalar run on
     N₁ (module docstring), so no second factor is configured.  The ansatz is
     cut off by the bump χ on `omega_prime`, and the witness state sits at the
-    antipode of Ω's center.
+    antipode of Ω's center.  `dt` is the split-step step of the ensemble
+    march; None, the default, takes min(1e-3, ε_max/64), with ε_max the
+    largest ε snapped to its fan time.  One march serves every ε, so each
+    ε's records are samples of the trajectory the largest ε certifies.
     """
 
     grid: SpatialGrid
@@ -115,6 +118,12 @@ class ObstructionRecord:
     def duhamel_ok(self) -> bool:
         return self.duhamel_margin >= 0.0
 
+    @property
+    def witness_margin(self) -> float:
+        """min_witness_distance − (1 − δ − slack): negative when ψ came
+        closer to the witness than δ allows."""
+        return self.min_witness_distance - (1.0 - self.delta - DUHAMEL_SLACK)
+
 
 @dataclass(frozen=True)
 class ObstructionReport:
@@ -138,6 +147,18 @@ class ObstructionReport:
         for r in self.records:
             by_eps.setdefault(r.eps, []).append(r.max_deviation)
         return max((max(v) - min(v) for v in by_eps.values()), default=0.0)
+
+    @property
+    def duhamel_margin_min(self) -> float:
+        """The least Duhamel margin of any record: negative iff a Duhamel
+        check failed."""
+        return min(r.duhamel_margin for r in self.records)
+
+    @property
+    def witness_margin_min(self) -> float:
+        """The least witness margin of any record: negative iff a witness
+        check failed."""
+        return min(r.witness_margin for r in self.records)
 
     def to_json(self) -> str:
         payload = {
@@ -389,24 +410,29 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     floor; certify the largest ε with uniform δ(ε) < 1 − floor, or 0 when
     any record fails its Duhamel or witness check.
 
-    For each ε the whole ensemble evolves as one WaveStack (m, n): one
-    split_step_evolve call advances every member under its own control and
-    stops at each sample time.  δ(t) integrates ‖r‖ over the sample times
-    with `_cumulative_upper`, so it is rounded up where ‖r‖ is monotone
-    between samples.  The residual norms of every sample time come first,
-    from the engine's norm array (or, with the hypothesis broken, one row
-    per member), so the engine's χψ̃ array then holds the row of every
-    sample time.  At each stop `build_ansatz` builds φ for every row in one
-    broadcast multiply (the shared χψ̃(t_k) row times each member's phase
-    e^{-ic∫u/ħ}; per ε, one `integral` call per member gives the (m, K)
-    table of ∫u and one np.exp its phases), and ‖ψ − φ‖, the witness
-    distance and the Duhamel margin are taken per row.  The working set is
-    the stack and its fixed buffers, updated in place: φ is built in the
-    stack's scratch buffer, and no array of the stack's size is allocated
-    per stop.  The engine's horizon must reach max(eps_grid), and its
-    ansatz must stay valid to the largest sample time (CausticReached
-    otherwise).  Each ε snaps to its nearest fan time, and a grid whose
-    snapped times are not strictly increasing is a ValueError.
+    The whole ensemble evolves once, as one WaveStack (m, n): one
+    split_step_evolve call over [0, ε_max] advances every member under its
+    own control and stops at the union of every ε's sample times, at the
+    step `ObstructionConfig.dt` (by default the one ε_max alone would take).
+    At each stop `build_ansatz` builds φ for every row in one broadcast
+    multiply (the shared χψ̃(t_k) row times each member's phase e^{-ic∫u/ħ};
+    one `integral` call per member gives the (m, K) table of ∫u over the
+    stops and one np.exp its phases), and ‖ψ − φ‖ and the witness distance
+    are taken once per row.  They are then folded into the running extremes
+    of each ε that samples the stop: its max deviation, its least Duhamel
+    margin and its least witness distance.  Each ε keeps its own δ(t),
+    integrated over its own sample times with `_cumulative_upper` (rounded
+    up where ‖r‖ is monotone between samples), and reads its outside
+    probabilities at its own end stop.  The residual norms of every stop
+    come first, from the engine's norm array (or, with the hypothesis
+    broken, one row per member), so the engine's χψ̃ array then holds the
+    row of every stop.  The working set is the stack and its fixed buffers,
+    updated in place: φ is built in the stack's scratch buffer, and no
+    array of the stack's size is allocated per stop.  The engine's horizon
+    must reach max(eps_grid), and its ansatz must stay valid to the largest
+    sample time (CausticReached otherwise).  Each ε snaps to its nearest
+    fan time, and a grid whose snapped times are not strictly increasing is
+    a ValueError.
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
@@ -415,8 +441,9 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
         raise ValueError(f"eps_grid snaps to the fan times {ends.tolist()}, "
                          "which must be strictly increasing")
     engine.require_valid(float(ends[-1]))
-    # every residual norm the run needs, each sample index once
+    # the march's stops: every sample time of every ε, each once
     union = sorted_unique(np.concatenate(samples))
+    times = engine.fan.times[union]
     rng = np.random.default_rng(config.seed)
     controls = sample_controls(rng, config.ensemble_count, max(config.eps_grid),
                                config.ensemble_amplitude,
@@ -424,71 +451,83 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
                                scheme="lhs", include_extremes=True)
     psi1 = _witness_state(config)
 
-    records: list[ObstructionRecord] = []
-    delta_by_eps: dict[float, float] = {}
-    spread_by_eps: dict[float, float] = {}
-    initial_tail = None
-
     m = len(controls)
     # grid points outside Ω, where the outside probabilities sum |ψ|²
     outside = ~config.omega.contains(config.grid.mesh()).reshape(config.grid.shape)
     stack = WaveStack(config.grid, np.zeros((m,) + config.grid.shape), config.hbar)
     psi, phi = stack.values, stack.scratch  # φ rows go to the stack's scratch
 
-    def set_phi(k: int) -> None:
-        """φ of every member at sample time k."""
-        build_ansatz(engine, float(times[k]), phases[:, k], phi)
-
     if engine.w_vals is None:
         # the residual is control independent: one row serves every member
         all_norms = engine.residual_norms(union)[None, :]
     else:
         all_norms = engine.member_residual_norms(union, controls)
+    phases = engine.phase(np.array([u.integral(times) for u in controls]))
+    # per ε: its stops, its δ(t) at them and its running extremes
+    cols = [np.searchsorted(union, idx) for idx in samples]
+    delta_t = [np.array([_cumulative_upper(row, times[c]) for row in all_norms[:, c]])
+               / config.hbar for c in cols]
+    max_dev = np.zeros((len(cols), m))
+    min_margin = np.full((len(cols), m), np.inf)
+    sampled_by = [[] for _ in union]  # (ε, its sample number) at each stop
+    for i, c in enumerate(cols):
+        for p, s in enumerate(c.tolist()):
+            sampled_by[s].append((i, p))
 
-    for idx in samples:
-        times = engine.fan.times[idx]
-        phases = engine.phase(np.array([u.integral(times) for u in controls]))
-        eps_eff = float(times[-1])
-        norms = all_norms[:, np.searchsorted(union, idx)]
-        delta_t = np.array([_cumulative_upper(row, times) for row in norms]) / config.hbar
-        deltas = np.broadcast_to(delta_t[:, -1], (m,))
+    def set_phi(s: int) -> None:
+        """φ of every member at stop s."""
+        build_ansatz(engine, float(times[s]), phases[:, s], phi)
 
-        set_phi(0)
-        psi[...] = phi
-        if initial_tail is None:
-            psi0 = stack.member(0).normalized().values
-            initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * config.grid.cell_volume
-        max_dev = np.zeros(m)
-        min_margin = np.full(m, np.inf)
-        min_witness = stack.distances(psi1.values)
+    def outside_mass() -> np.ndarray:
+        """The probability of every member outside Ω."""
+        return np.sum(np.abs(psi[:, outside]) ** 2, axis=1) * config.grid.cell_volume
 
-        def compare(k: int, _stack: WaveStack) -> None:
-            """Fold ‖ψ − φ‖, the Duhamel margin and the witness distance at
-            sample k + 1 into the per-member extremes."""
-            set_phi(k + 1)
-            dev = stack.distances(phi)
-            np.maximum(max_dev, dev, out=max_dev)
-            np.minimum(min_margin, delta_t[:, k + 1] + DUHAMEL_SLACK - dev, out=min_margin)
-            np.minimum(min_witness, stack.distances(psi1.values), out=min_witness)
+    set_phi(0)
+    psi[...] = phi
+    psi0 = stack.member(0).normalized().values
+    initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * config.grid.cell_volume
+    # every ε starts from the t = 0 values: later stops fold into its witness
+    # distances, and its end stop overwrites its outside masses
+    min_witness = np.tile(stack.distances(psi1.values), (len(cols), 1))
+    outside_p = np.tile(outside_mass(), (len(cols), 1))
 
-        if times.size > 1:
-            split_step_evolve(stack, config.V, config.W, controls, times[1:],
-                              config.dt or min(1e-3, eps_eff / 64.0),
-                              t0=float(times[0]), on_stop=compare)
-        outside_p = np.sum(np.abs(psi[:, outside]) ** 2, axis=1) * config.grid.cell_volume
+    def fold(k: int, _stack: WaveStack) -> None:
+        """Fold ‖ψ − φ‖, the Duhamel margin and the witness distance at stop
+        k + 1 into the extremes of each ε that samples it, and take the
+        outside probabilities of each ε that ends there."""
+        set_phi(k + 1)
+        dev = stack.distances(phi)
+        witness = stack.distances(psi1.values)
+        for i, p in sampled_by[k + 1]:
+            np.maximum(max_dev[i], dev, out=max_dev[i])
+            np.minimum(min_margin[i], delta_t[i][:, p] + DUHAMEL_SLACK - dev,
+                       out=min_margin[i])
+            np.minimum(min_witness[i], witness, out=min_witness[i])
+            if p == cols[i].size - 1:
+                outside_p[i] = outside_mass()
+
+    if times.size > 1:
+        split_step_evolve(stack, config.V, config.W, controls, times[1:],
+                          config.dt or min(1e-3, float(times[-1]) / 64.0),
+                          t0=float(times[0]), on_stop=fold)
+
+    records: list[ObstructionRecord] = []
+    delta_by_eps: dict[float, float] = {}
+    spread_by_eps: dict[float, float] = {}
+    for i, eps_eff in enumerate(ends.tolist()):
+        deltas = np.broadcast_to(delta_t[i][:, -1], (m,))
         for j in range(m):
             records.append(ObstructionRecord(
                 eps=eps_eff, control_index=j, delta=float(deltas[j]),
-                max_deviation=float(max_dev[j]),
-                min_witness_distance=float(min_witness[j]),
-                outside_probability=float(outside_p[j]),
-                duhamel_margin=float(min_margin[j])))
+                max_deviation=float(max_dev[i, j]),
+                min_witness_distance=float(min_witness[i, j]),
+                outside_probability=float(outside_p[i, j]),
+                duhamel_margin=float(min_margin[i, j])))
         delta_by_eps[eps_eff] = float(np.max(deltas))
         spread_by_eps[eps_eff] = float(np.max(deltas) - np.min(deltas))
 
     duh_bad = sum(1 for r in records if not r.duhamel_ok)
-    wit_bad = sum(1 for r in records
-                  if r.min_witness_distance < 1.0 - r.delta - DUHAMEL_SLACK)
+    wit_bad = sum(1 for r in records if r.witness_margin < 0.0)
     threshold = 1.0 - config.target_distance_floor
     certified = 0.0
     if duh_bad == 0 and wit_bad == 0:  # a run whose own checks fail certifies nothing

@@ -78,7 +78,12 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     Attribute or import alias in `sources` refers to outside its own body,
     and "module:Class.method" of each non-dunder method of one that no
     Attribute refers to there.  `__init__.py` sources are skipped, so a
-    re-export alone keeps nothing."""
+    re-export alone keeps nothing.
+
+    References are matched by bare name, not by the receiver's type: a
+    method stays unflagged while any attribute of the same name is read,
+    whatever object it is read on.  A dead `CutoffFunction.chi` once went
+    unflagged because `CutoffTable.chi` was read."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()
              if Path(mod).name != "__init__.py"}
     refs = []

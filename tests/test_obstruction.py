@@ -247,6 +247,78 @@ class TestLocalizationExperiment:
         assert max(rep.delta_by_eps.values()) < 1.0 - 0.1  # δ alone would certify
         assert rep.certified_bound == 0.0
 
+    def test_margins_turn_negative_when_the_checks_fail(self, tmp_path, monkeypatch):
+        # summary.json's least Duhamel and witness margins are positive on a
+        # run that passes, and negative under the violation of
+        # test_violation_withholds_certificate
+        def summary(out):
+            cfg = parse_config("experiment = obstruction\nseed = 3\n"
+                               "obstruction.eps_grid = 0.02\nobstruction.ensemble = 2\n"
+                               f"out = {out}\n")
+            assert run_experiment(cfg) == 0
+            return json.loads((out / "summary.json").read_text())
+
+        passed = summary(tmp_path / "passed")
+        assert passed["duhamel_violations"] == passed["witness_violations"] == 0
+        assert passed["duhamel_margin_min"] > 0.0
+        assert passed["witness_margin_min"] > 0.0
+        monkeypatch.setattr(sclab.obstruction, "DUHAMEL_SLACK", -1.0)
+        failed = summary(tmp_path / "failed")
+        assert failed["duhamel_violations"] > 0
+        assert failed["witness_violations"] > 0
+        assert failed["duhamel_margin_min"] < 0.0
+        assert failed["witness_margin_min"] < 0.0
+
+    def test_nested_samples_keep_the_bits_of_the_largest_eps(self):
+        # 0.01's sample times are among 0.02's, so the one march of
+        # (0.01, 0.02) is the march of (0.02,) and 0.02's rows keep their bits
+        V = make_potential("harmonic", 1)
+        rows = []
+        for eps_grid in ((0.01, 0.02), (0.02,)):
+            cfg = scalar_config(V=V, ensemble_count=6, eps_grid=eps_grid)
+            engine = AnsatzEngine(cfg, max(eps_grid))
+            samples = [set(_sample_indices(engine, eps, cfg.n_samples)) for eps in eps_grid]
+            assert samples[0] <= samples[-1]
+            rep = run_localization_experiment(engine)
+            eps_max = repr(max(rep.eps_grid))
+            rows.append([line for line in rep.to_csv().splitlines()[1:]
+                         if line.split(",")[0] == eps_max])
+        assert len(rows[0]) == 6 + 2  # with the two extreme constants
+        assert rows[0] == rows[1]
+
+    def test_coarser_step_stays_inside_the_slack(self, monkeypatch):
+        # every ε takes the step of the largest; each ε's max_deviation
+        # stays within DUHAMEL_SLACK of that ε marched alone at the step it
+        # would take alone, min(1e-3, ε/64)
+        cfg = scalar_config(V=make_potential("harmonic", 1, k=4.0),
+                            eps_grid=(0.01, 0.02, 0.04, 0.08))
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid))
+        ensembles = []
+        evolve = sclab.obstruction.split_step_evolve
+        monkeypatch.setattr(sclab.obstruction, "split_step_evolve",
+                            lambda stack, V, W, controls, *args, **kwargs:
+                            ensembles.append(controls) or evolve(stack, V, W, controls,
+                                                                 *args, **kwargs))
+        rep = run_localization_experiment(engine)
+        assert rep.duhamel_violations == rep.witness_violations == 0
+        controls = ensembles[0]
+        phi = np.empty((len(controls),) + cfg.grid.shape, complex)
+        for eps in cfg.eps_grid:
+            times = engine.fan.times[_sample_indices(engine, eps, cfg.n_samples)]
+            phases = engine.phase(np.array([u.integral(times) for u in controls]))
+            stack = WaveStack(cfg.grid, build_ansatz(engine, 0.0, phases[:, 0], phi), cfg.hbar)
+            alone = np.zeros(len(controls))
+
+            def compare(k, stack):
+                build_ansatz(engine, float(times[k + 1]), phases[:, k + 1], phi)
+                np.maximum(alone, stack.distances(phi), out=alone)
+
+            split_step_evolve(stack, cfg.V, cfg.W, controls, times[1:],
+                              min(1e-3, times[-1] / 64.0), on_stop=compare)
+            shared = [r.max_deviation for r in rep.records if r.eps == times[-1]]
+            assert len(shared) == len(controls)
+            assert np.max(np.abs(np.subtract(shared, alone))) <= DUHAMEL_SLACK
+
     def test_distance_floor_holds_per_record(self):
         rep = localize(scalar_config(ensemble_count=4))
         for r in rep.records:
@@ -416,19 +488,25 @@ class TestWorkCounts:
             profiles.clear()
         assert counts == [1, 1]
 
-    def test_one_split_step_call_per_eps(self, monkeypatch):
-        windows = []
+    def test_one_split_step_call_per_run(self, monkeypatch):
+        # one march from t = 0 stops at every sample time of every ε; 0.08's
+        # samples (stride 3) are not among 0.04's (stride 1)
+        stops = []
         evolve = sclab.obstruction.split_step_evolve
 
         def counted(stack, V, W, controls, T, *args, **kwargs):
-            windows.append(np.size(T))
+            stops.append(np.array(T))
             return evolve(stack, V, W, controls, T, *args, **kwargs)
 
         monkeypatch.setattr(sclab.obstruction, "split_step_evolve", counted)
-        cfg = scalar_config(ensemble_count=3)
-        localize(cfg)
-        assert len(windows) == len(cfg.eps_grid)
-        assert min(windows) > 1  # each call stops at every sample time
+        cfg = scalar_config(ensemble_count=3, eps_grid=(0.01, 0.02, 0.04, 0.08))
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid))
+        run_localization_experiment(engine)
+        union = np.unique(np.concatenate([_sample_indices(engine, eps, cfg.n_samples)
+                                          for eps in cfg.eps_grid]))
+        assert union[0] == 0
+        assert len(stops) == 1
+        assert np.array_equal(stops[0], engine.fan.times[union[1:]])
 
     def test_w_tabulated_once_when_the_hypothesis_is_broken(self):
         calls = []
@@ -547,9 +625,11 @@ class TestBenchmarkConfig:
         out = tmp_path_factory.mktemp("bench")
         config = out / "config.txt"
         config.write_text(BENCHMARK_CONFIG + f"out = {out}\n")
-        counts = {"fans": 0, "slope_solves": 0, "field_times": 0}
+        counts = {"fans": 0, "slope_solves": 0, "field_times": 0, "marches": 0, "ffts": 0}
         shoot, slopes = sclab.obstruction.shoot_characteristics, sclab.wkb._not_a_knot_slopes
         field = sclab.obstruction.wkb_field
+        evolve = sclab.obstruction.split_step_evolve
+        fftn, ifftn = np.fft.fftn, np.fft.ifftn
 
         def counted_shoot(*args, **kwargs):
             counts["fans"] += 1
@@ -563,8 +643,21 @@ class TestBenchmarkConfig:
             counts["field_times"] += np.size(t)
             return field(fan, a0, grid, t)
 
+        def counted_evolve(*args, **kwargs):
+            counts["marches"] += 1
+            return evolve(*args, **kwargs)
+
+        def counted_fft(transform):
+            def call(*args, **kwargs):
+                counts["ffts"] += 1
+                return transform(*args, **kwargs)
+            return call
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sclab.obstruction, "shoot_characteristics", counted_shoot)
+            mp.setattr(sclab.obstruction, "split_step_evolve", counted_evolve)
+            mp.setattr(np.fft, "fftn", counted_fft(fftn))
+            mp.setattr(np.fft, "ifftn", counted_fft(ifftn))
             mp.setattr(sclab.wkb, "_not_a_knot_slopes", counted_slopes)
             mp.setattr(sclab.obstruction, "wkb_field", counted_field)
             assert cli_main(["obstruction", "--config", str(config)]) == 0
@@ -578,6 +671,8 @@ class TestBenchmarkConfig:
         assert summary["duhamel_violations"] == 0
         assert summary["witness_violations"] == 0
         assert summary["hypothesis_uniform"] is True
+        assert summary["duhamel_margin_min"] > 0.0
+        assert summary["witness_margin_min"] > 0.0
 
     def test_one_fan_and_a_slope_solve_per_block(self, run):
         # 161 fan times on [0, 0.08], each assembled once, FIELD_BLOCK per
@@ -586,3 +681,13 @@ class TestBenchmarkConfig:
         assert counts["fans"] == 1
         assert counts["field_times"] == 161
         assert counts["slope_solves"] == -(-161 // FIELD_BLOCK) == 21
+
+    def test_one_march_and_its_ffts(self, run):
+        # one split-step march at dt = 1e-3 stops at the 68 sample times
+        # after t = 0 of the ε grid (0.01, 0.02, 0.04, 0.08): 156 lockstep
+        # steps of two FFTs each, and one resolution spectrum each for the
+        # input, the 68 stops and the 76 steps where some piece ends before
+        # its window does (156·2 + 1 + 68 + 76)
+        _, counts = run
+        assert counts["marches"] == 1
+        assert counts["ffts"] == 457
