@@ -10,7 +10,6 @@ sub-schema.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -194,6 +193,9 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
+        # imported here: hashlib loads OpenSSL (+3.5 MB RSS), which an
+        # obstruction run otherwise needs only after its engine is built
+        import hashlib
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 

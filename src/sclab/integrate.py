@@ -119,8 +119,10 @@ def halving_checked(run: Callable[[float], tuple[np.ndarray, np.ndarray]],
                     step: float) -> tuple[np.ndarray, np.ndarray]:
     """run(step) and run(step/2) must end within HALVING_REL_TOL relative of
     each other (StepTooCoarse otherwise); returns the fine run's (times, states).
+    The coarse run's endpoint is copied, so its trajectory is freed before
+    the fine run starts.
     """
-    coarse = run(step)[1][-1]
+    coarse = run(step)[1][-1].copy()
     fine = run(0.5 * step)
     scale = max(1.0, float(np.max(np.abs(fine[1][-1]))))
     if np.max(np.abs(coarse - fine[1][-1])) > HALVING_REL_TOL * scale:

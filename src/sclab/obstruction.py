@@ -39,12 +39,13 @@ from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
 
 DUHAMEL_SLACK = 1e-6
 # Fan times whose fields the engine assembles in one pass.  A block's knot
-# systems, Hermite values and residual grids are alive together, at most
-# 0.36 MB per fan time at 1,200 seeds and 512 grid points.  On the seed-0
-# obstruction benchmark config the run's peak RSS read 48.5 / 50.0 / 54.0 MB
-# at blocks of 4 / 8 / 16 (50.4 MB with one cached field per fan time), and
-# the 161 fields took 123 / 94 / 86 ms: 8 is the largest block whose
-# temporaries fit under what the per-time cache held.
+# systems, Hermite values and residual grids are alive together with the
+# fan, at most 0.36 MB per fan time at 1,200 seeds and 512 grid points, and
+# the block passes are the run's memory high-water mark.  On the seed-0
+# obstruction benchmark config (2-core Xeon, numpy 2.4) the run's peak RSS
+# read 41.6 / 43.2 / 46.6 MB at blocks of 4 / 8 / 16, and the 161 fields
+# took 98–108 / 79–89 / 81–84 ms: 8 is as fast as 16 at 3.4 MB less, where
+# 4 saves 1.6 MB for some 20 ms more.
 FIELD_BLOCK = 8
 UNIFORMITY_TOL = 1e-9
 # max |W'| on Ω at or above which W counts as varying there
@@ -209,23 +210,29 @@ def check_hypothesis(config: ObstructionConfig) -> float:
 
 
 class AnsatzEngine:
-    """The fan, cutoff arrays, χψ̃ and residual norms of one config up to horizon.
+    """χψ̃ and the residual norms of one config at every fan time its stages read.
 
     It runs `check_hypothesis` first, so a broken config fails before the
     fan is shot.  It records the caustic and guard floors and never raises
     for them; `require_valid` does, up to the time a stage needs.
 
-    Instead of one field per fan time, the engine keeps two arrays: χψ̃(t_k)
-    (`chi_psi`, one grid row per assembled fan index) and the control-free
-    ‖r(t_k)‖ (`norms`); `_row` maps a fan index to its row.  They are
-    assembled FIELD_BLOCK fan times per `wkb_field` and `wkb_residual` call,
-    and each fan index once.  When the residual is control free (`w_vals`
-    is None), the engine assembles its T_q grid (`tq_idx`: the fan times up
-    to the usable horizon, thinned to fewer than 512 when there are more)
-    as it is built, so K fan times take ⌈K/FIELD_BLOCK⌉ block passes; a
-    stage that needs another fan time assembles it when it asks for it.  On
-    the seed-0 benchmark config (161 fan times, 512 grid points) the χψ̃
-    array is 1.3 MB.
+    The fan lives only while the engine is built.  At build the engine
+    works out its served set (`served`), every fan index a stage reads: the
+    T_q grid (`tq_idx`: the fan times up to the usable horizon, thinned to
+    fewer than 512 when there are more) and the sample indices of each ε of
+    the config's grid whose snapped time is a fan time at or before the
+    guard floor (`_sample_indices`).  For the K served indices it assembles
+    χψ̃ (`chi_psi`, one grid row each) and the control-free ‖r‖ (`norms`),
+    FIELD_BLOCK fan times per `wkb_field` and `wkb_residual` call and each
+    index once, in ⌈K/FIELD_BLOCK⌉ block passes into arrays allocated once.
+    With the hypothesis broken (`w_vals` is not None) it assembles t = 0
+    alone first, for the scale of a0, and also keeps the control-free
+    residual grids at the sample indices (`residuals`), so
+    `member_residual_norms` needs no fan.  Then it drops the fan: of it the engine keeps `times`
+    and the floors.  A read at a fan time outside the served set is a
+    ValueError.  On the seed-0 benchmark config (161 fan times, 1,200 seeds,
+    512 grid points) the χψ̃ array is 1.3 MB, and the fan freed after the
+    build 7.7 MB.
     """
 
     def __init__(self, config: ObstructionConfig, horizon: float):
@@ -236,22 +243,23 @@ class AnsatzEngine:
         margin = 0.02 * (hi_o - lo_o)
         self.seeds = np.linspace(lo_o + margin, hi_o - margin, config.n_seeds)
         self.chi = CutoffFunction(config.omega_prime)
-        self.fan = shoot_characteristics(
+        fan = shoot_characteristics(
             config.S0, config.V, self.seeds, horizon, config.fan_step, hbar=config.hbar)
-        conj = first_conjugate_time(self.fan)
+        self.times = fan.times
+        conj = first_conjugate_time(fan)
         self.caustic_floor = float(np.min(conj))
         # first stored time at which any seed trips the amplitude guard
-        guarded = np.any(np.abs(self.fan.J) < CAUSTIC_GUARD, axis=1)
-        guard_floor = (float(self.fan.times[int(np.argmax(guarded))])
-                       if np.any(guarded) else self.fan.horizon)
+        guarded = np.any(np.abs(fan.J) < CAUSTIC_GUARD, axis=1)
+        guard_floor = (float(fan.times[int(np.argmax(guarded))])
+                       if np.any(guarded) else fan.horizon)
         # first time the transported seeds stop covering the cutoff support
         gx = self.grid.points(0)
         lo_p, hi_p = config.omega_prime.bounds[0]
         support = gx[(gx >= lo_p) & (gx <= hi_p)]
-        uncovered = ((self.fan.x[:, 0] > support[0])
-                     | (self.fan.x[:, -1] < support[-1]))
-        cover_floor = (float(self.fan.times[int(np.argmax(uncovered))])
-                       if np.any(uncovered) else self.fan.horizon)
+        uncovered = ((fan.x[:, 0] > support[0])
+                     | (fan.x[:, -1] < support[-1]))
+        cover_floor = (float(fan.times[int(np.argmax(uncovered))])
+                       if np.any(uncovered) else fan.horizon)
         self.guard_floor = min(guard_floor, cover_floor)
         self.chi_vals = self.chi.on_grid(self.grid).chi
         # control-potential reference value on Ω′ (the phase rate)
@@ -266,22 +274,41 @@ class AnsatzEngine:
                        if not (config.enforce_hypothesis or config.W is None) else None)
         # the fan times T_q reads: up to the last one before the guard floor,
         # thinned to fewer than 512
-        usable = self.fan.horizon if self.guard_floor >= self.fan.horizon \
+        usable = fan.horizon if self.guard_floor >= fan.horizon \
             else self.guard_floor - config.fan_step
-        n_usable = int(np.count_nonzero(self.fan.times <= usable + 1e-12))
+        n_usable = int(np.count_nonzero(fan.times <= usable + 1e-12))
         stride = max(1, n_usable // 256)
         self.tq_idx = (sorted_unique(np.append(np.arange(0, n_usable, stride), n_usable - 1))
                        if n_usable >= 2 else np.zeros(0, dtype=int))
-        self._row = np.full(self.fan.times.size, -1)
-        self.chi_psi = np.empty((0,) + self.grid.shape, dtype=complex)
-        self.norms = np.empty(0)
+        # t = 0, which scales a0, and the sample indices the localization run
+        # reads; an ε past the fan or the guard floor gets none, since the run
+        # refuses it before it reads
+        samples = [np.zeros(1, dtype=int)]
+        for eps in config.eps_grid:
+            try:
+                idx = _sample_indices(self, eps, config.n_samples)
+            except ValueError:
+                continue
+            if self.times[idx[-1]] <= self.guard_floor:
+                samples.append(idx)
+        stops = sorted_unique(np.concatenate(samples))
+        self.served = sorted_unique(np.concatenate([self.tq_idx, stops]))
+        # each fan index's row in chi_psi and norms, and in residuals; -1 if none
+        self._row = np.full(self.times.size, -1)
+        self._row[self.served] = np.arange(self.served.size)
+        self._stop_row = np.full(self.times.size, -1)
+        self.chi_psi = np.empty((self.served.size,) + self.grid.shape, dtype=complex)
+        self.norms = np.empty(self.served.size)
+        self.residuals = None
+        if self.w_vals is not None:
+            self._stop_row[stops] = np.arange(stops.size)
+            self.residuals = np.empty((stops.size,) + self.grid.shape, dtype=complex)
         # a0 is scaled so that ‖χ·a0‖ = 1 on the grid.  The field is linear
-        # in a0, so when the T_q grid is assembled here its first block,
-        # assembled with the raw a0, supplies the scale from its t = 0 row
-        # and is kept divided by it
-        first = (self.tq_idx[:FIELD_BLOCK] if self.w_vals is None and self.tq_idx.size
-                 else np.zeros(1, dtype=int))
-        field = wkb_field(self.fan, config.a0, self.grid, self.fan.times[first])
+        # in a0, so without the control term the first block, assembled with
+        # the raw a0, supplies the scale from its t = 0 row and is kept
+        # divided by it; with it, t = 0 is assembled alone for the scale
+        first = self.served[:FIELD_BLOCK if self.w_vals is None else 1]
+        field = wkb_field(fan, config.a0, self.grid, fan.times[first])
         nrm = np.sqrt(np.sum((self.chi_vals * field.a[0]) ** 2) * self.grid.cell_volume)
         if nrm == 0:
             raise ValueError("χ·a0 vanishes on the grid")
@@ -289,12 +316,17 @@ class AnsatzEngine:
             value=lambda x, f=config.a0, s=nrm: np.asarray(f.value(x)) / s,
             gradient=lambda x, f=config.a0, s=nrm: np.asarray(f.gradient(x)) / s,
             name="a0-normalized")
+        done = 0
         if self.w_vals is None:
-            self._add_rows(first)
             self._keep(first, self.chi_vals * field.psi_tilde() / nrm,
                        wkb_residual(field, self.chi), nrm)
-            del field  # a block's grids, not held while the rest is assembled
-            self.assemble(self.tq_idx)
+            done = first.size
+        del field  # a block's grids, not held while the next is assembled
+        for start in range(done, self.served.size, FIELD_BLOCK):
+            k = self.served[start:start + FIELD_BLOCK]
+            field = wkb_field(fan, self.a0, self.grid, fan.times[k])
+            self._keep(k, self.chi_vals * field.psi_tilde(), wkb_residual(field, self.chi))
+            del field
 
     def require_valid(self, t: float) -> None:
         """Raise CausticReached if the ansatz stops being valid before t."""
@@ -303,52 +335,38 @@ class AnsatzEngine:
                 f"ansatz validity ends at t={self.guard_floor:.4g} before "
                 f"t={t:.4g}; shrink the ε grid")
 
-    def _add_rows(self, idx: np.ndarray) -> None:
-        """Give every fan index of idx not yet held a row of the arrays."""
-        new = sorted_unique(idx[self._row[idx] < 0])
-        if new.size:
-            self._row[new] = self.norms.size + np.arange(new.size)
-            self.chi_psi = np.concatenate(
-                [self.chi_psi, np.empty((new.size,) + self.grid.shape, dtype=complex)])
-            self.norms = np.concatenate([self.norms, np.empty(new.size)])
-
     def _keep(self, k: np.ndarray, chi_psi: np.ndarray, r: np.ndarray,
               scale: float = 1.0) -> None:
-        """Store the χψ̃ rows and ‖r‖/scale of the fan indices k."""
+        """Store the χψ̃ rows and ‖r‖/scale of the fan indices k and, where
+        the engine keeps them, their residual grids r."""
         self.chi_psi[self._row[k]] = chi_psi
         self.norms[self._row[k]] = np.sqrt(np.sum(np.abs(r) ** 2, axis=-1)
                                            * self.grid.cell_volume) / scale
+        if self.residuals is not None:
+            stop = self._stop_row[k]
+            self.residuals[stop[stop >= 0]] = r[stop >= 0]
 
-    def _blocks(self, idx: np.ndarray):
-        """Yield (fan indices, χψ̃, residual grids) for each block of at most
-        FIELD_BLOCK of the fan indices idx, in order, after storing the
-        block's χψ̃ and ‖r‖ in the engine's arrays."""
-        self._add_rows(idx)
-        for start in range(0, idx.size, FIELD_BLOCK):
-            k = idx[start:start + FIELD_BLOCK]
-            field = wkb_field(self.fan, self.a0, self.grid, self.fan.times[k])
-            chi_psi = self.chi_vals * field.psi_tilde()
-            r = wkb_residual(field, self.chi)
-            self._keep(k, chi_psi, r)
-            yield k, chi_psi, r
-
-    def assemble(self, idx) -> None:
-        """Assemble χψ̃ and ‖r‖ at every fan index of idx not yet held."""
+    def _rows(self, idx, row_of: np.ndarray) -> np.ndarray:
+        """The rows row_of gives the fan indices idx; ValueError naming the
+        first fan time of idx that it gives none."""
         idx = np.asarray(idx, dtype=int)
-        for _ in self._blocks(idx[self._row[idx] < 0]):
-            pass
+        rows = row_of[idx]
+        if np.any(rows < 0):
+            t = float(self.times[idx[rows < 0].flat[0]])
+            raise ValueError(f"the engine serves no row at the fan time t={t!r}; see "
+                             "AnsatzEngine for the times it serves")
+        return rows
 
     def chi_psi_at(self, t: float) -> np.ndarray:
-        """χψ̃ at the fan time t, assembled first if it is not held."""
-        k = self.fan.time_index(t)
-        if self._row[k] < 0:
-            self.assemble([k])
-        return self.chi_psi[self._row[k]]
+        """χψ̃ at the served fan time t."""
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"t={t} is not a stored fan time (nearest {self.times[k]})")
+        return self.chi_psi[self._rows(k, self._row)]
 
     def residual_norms(self, idx) -> np.ndarray:
-        """‖r(t_k)‖ of the control-free residual at fan indices idx."""
-        self.assemble(idx)
-        return self.norms[self._row[np.asarray(idx, dtype=int)]]
+        """‖r(t_k)‖ of the control-free residual at served fan indices idx."""
+        return self.norms[self._rows(idx, self._row)]
 
     def phase(self, integral):
         """The control phase e^{-ic∫₀ᵗu/ħ} of the scalar ansatz, from ∫₀ᵗu
@@ -356,27 +374,24 @@ class AnsatzEngine:
         return np.exp(-1j * self.c_ref * integral / self.config.hbar)
 
     def member_residual_norms(self, idx, controls: list) -> np.ndarray:
-        """‖r(t_k)‖ of every member at fan indices idx, shape (m, len(idx)),
-        for a deliberately broken hypothesis: the residual without its
-        control phase, which no norm sees, plus the control term
-        u·(W − c)·χψ̃.  The control-free grids come by block, once per
-        index, and χψ̃ and ‖r‖ are kept as `assemble` keeps them."""
+        """‖r(t_k)‖ of every member at served fan indices idx, shape
+        (m, len(idx)), for a deliberately broken hypothesis: the residual
+        without its control phase, which no norm sees, plus the control term
+        u·(W − c)·χψ̃, both from the engine's rows."""
         idx = np.asarray(idx, dtype=int)
-        u = np.array([c.value_at(self.fan.times[idx]) for c in controls])
+        rows, stops = self._rows(idx, self._row), self._rows(idx, self._stop_row)
+        u = np.array([c.value_at(self.times[idx]) for c in controls])
         out = np.empty((len(controls), idx.size))
-        col = 0
-        for _, chi_psi, r in self._blocks(idx):
-            for r_k, chi_psi_k in zip(r, chi_psi):
-                rows = r_k + u[:, col, None] * (self.w_vals - self.c_ref) * chi_psi_k
-                out[:, col] = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1)
-                                      * self.grid.cell_volume)
-                col += 1
+        for col, (row, stop) in enumerate(zip(rows.tolist(), stops.tolist())):
+            terms = (self.residuals[stop]
+                     + u[:, col, None] * (self.w_vals - self.c_ref) * self.chi_psi[row])
+            out[:, col] = np.sqrt(np.sum(np.abs(terms) ** 2, axis=1) * self.grid.cell_volume)
         return out
 
 
 def _sample_indices(engine: AnsatzEngine, eps: float, n_samples: int) -> np.ndarray:
     """Fan-grid indices of times covering [0, ε] with about n_samples entries."""
-    times = engine.fan.times
+    times = engine.times
     k_end = int(np.argmin(np.abs(times - eps)))
     if abs(times[k_end] - eps) > engine.config.fan_step:
         raise ValueError(f"ε={eps} is beyond the fan horizon")
@@ -424,9 +439,9 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     integrated over its own sample times with `_cumulative_upper` (rounded
     up where ‖r‖ is monotone between samples), and reads its outside
     probabilities at its own end stop.  The residual norms of every stop
-    come first, from the engine's norm array (or, with the hypothesis
-    broken, one row per member), so the engine's χψ̃ array then holds the
-    row of every stop.  The working set is the stack and its fixed buffers,
+    come from the engine's norm array (or, with the hypothesis broken, one
+    row per member from its residual grids), and χψ̃ from its rows: the
+    engine serves every stop.  The working set is the stack and its fixed buffers,
     updated in place: φ is built in the stack's scratch buffer, and no
     array of the stack's size is allocated per stop.  The engine's horizon
     must reach max(eps_grid), and its ansatz must stay valid to the largest
@@ -436,14 +451,14 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
-    ends = engine.fan.times[[idx[-1] for idx in samples]]
+    ends = engine.times[[idx[-1] for idx in samples]]
     if np.any(np.diff(ends) <= 0):
         raise ValueError(f"eps_grid snaps to the fan times {ends.tolist()}, "
                          "which must be strictly increasing")
     engine.require_valid(float(ends[-1]))
     # the march's stops: every sample time of every ε, each once
     union = sorted_unique(np.concatenate(samples))
-    times = engine.fan.times[union]
+    times = engine.times[union]
     rng = np.random.default_rng(config.seed)
     controls = sample_controls(rng, config.ensemble_count, max(config.eps_grid),
                                config.ensemble_amplitude,
@@ -574,7 +589,7 @@ def estimate_Tq_lower_bound(engine: AnsatzEngine, threshold: float = 1.0) -> flo
     idx = engine.tq_idx
     if idx.size < 2:
         return 0.0
-    ts = engine.fan.times[idx]
+    ts = engine.times[idx]
     delta = _cumulative_upper(engine.residual_norms(idx), ts) / engine.config.hbar
     below = delta < threshold
     if delta[0] >= threshold:

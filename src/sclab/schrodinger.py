@@ -219,10 +219,11 @@ def _lockstep_schedule(first, window, h, nseg, values, n_windows: int):
     window[p] under values[p].  The members step together, and window k
     takes as many steps as its longest member, so every member reaches each
     window's end at the same step.  Returns (n_win, opens, flags): n_win[k]
-    is window k's step count; opens[g] lists the (member, h, value) of each
-    piece that starts at step g, members in order; flags holds the (G, m)
-    masks active, opening, closing and inner_end (a piece ends at step g
-    before its member's window does).
+    is window k's step count; opens yields, step by step, the (member, h,
+    value) of each piece that starts at that step, members in order, from
+    the flat arrays sorted by first step (no tuple per piece is held); flags
+    holds the (G, m) masks active, opening, closing and inner_end (a piece
+    ends at step g before its member's window does).
     """
     m = first.size - 1
     member = np.repeat(np.arange(m), np.diff(first))
@@ -241,9 +242,10 @@ def _lockstep_schedule(first, window, h, nseg, values, n_windows: int):
     opening[g0, member] = True
     closing[g0 + nseg - 1, member] = True
     order = np.argsort(g0, kind="stable")
-    pieces = zip(member[order].tolist(), h[order].tolist(), values[order])
-    counts = np.bincount(g0, minlength=G).tolist()
-    opens = [list(itertools.islice(pieces, c)) for c in counts]
+    member_o, h_o, values_o = member[order], h[order], values[order]
+    at = np.concatenate([[0], np.cumsum(np.bincount(g0, minlength=G))]).tolist()
+    opens = (zip(member_o[a:b].tolist(), h_o[a:b].tolist(), values_o[a:b])
+             for a, b in zip(at[:-1], at[1:]))
     # each step's index inside its window, and its window's per-member totals
     local = (np.arange(G) - np.repeat(start[:-1], n_win))[:, None]
     totals = np.repeat(steps, n_win, axis=0)

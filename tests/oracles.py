@@ -10,7 +10,7 @@ import numpy as np
 from sclab.dynamics import HamiltonianSpec, evolve
 from sclab.geometry import BoxRegion, PhasePoint, PotentialField
 from sclab.integrate import bisect_event, hermite_state
-from sclab.wkb import wkb_field, wkb_residual
+from sclab.wkb import shoot_characteristics, wkb_field, wkb_residual
 
 # Relative step of fd_jacobian's central differences.
 FD_REL_STEP = 1e-5
@@ -139,13 +139,29 @@ def region_probability(psi, region: BoxRegion) -> float:
     return float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.grid.cell_volume)
 
 
-def member_residual_norm(engine, u, k: int) -> float:
+def engine_fan(engine, horizon: float):
+    """The fan an AnsatzEngine built at horizon shoots and then drops, shot
+    again by the same call, so with the same bits."""
+    cfg = engine.config
+    return shoot_characteristics(cfg.S0, cfg.V, engine.seeds, horizon, cfg.fan_step,
+                                 hbar=cfg.hbar)
+
+
+def residual_norms(engine, fan, idx) -> np.ndarray:
+    """‖r(t_k)‖ of the control-free residual at the fan indices idx, from
+    the fields of the engine's normalized a0 on the fan `engine_fan` gives."""
+    field = wkb_field(fan, engine.a0, engine.grid, fan.times[idx])
+    r = wkb_residual(field, engine.chi)
+    return np.sqrt(np.sum(np.abs(r) ** 2, axis=-1) * engine.grid.cell_volume)
+
+
+def member_residual_norm(engine, fan, u, k: int) -> float:
     """‖r(t_k)‖ of the ansatz for one control u with the constancy hypothesis
     broken, formed for this (member, time) alone: the control-free residual
-    of the field assembled at t_k alone, plus u(t_k)·(W − c)·χψ̃, as a fresh
-    grid."""
-    t = float(engine.fan.times[k])
-    field = wkb_field(engine.fan, engine.a0, engine.grid, t)
+    of the field assembled at t_k alone on the fan `engine_fan` gives, plus
+    u(t_k)·(W − c)·χψ̃, as a fresh grid."""
+    t = float(fan.times[k])
+    field = wkb_field(fan, engine.a0, engine.grid, t)
     uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
     r = (wkb_residual(field, engine.chi)
          + uval * (engine.w_vals - engine.c_ref) * (engine.chi_vals * field.psi_tilde()))

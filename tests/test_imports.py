@@ -3,7 +3,8 @@ function and class is used somewhere in `sclab`, every `ObstructionConfig`
 field is set by the CLI and every `PotentialField` field by some call in
 `sclab`, or has a stated reason not to be, only `dynamics` reads a control
 law's breakpoints, nothing in `sclab` imports scipy, which is a test-only
-reference, and no benchmark run loads numpy.ma.
+reference, `import sclab.cli` loads no OpenSSL, the config hash of a fixed
+text is pinned, and no benchmark run loads numpy.ma.
 
 Each module is parsed with `ast`.  An imported name that no `Name` node in the
 module refers to is reported, unless its import statement carries
@@ -280,6 +281,26 @@ def test_cli_import_loads_no_scipy():
     # no scipy module, and numpy.fft loaded (scipy used to load it; the
     # tracer of perfbench/tracer.py binds to it before a run starts)
     assert json.loads(out.stdout) == [True]
+
+
+def test_cli_import_loads_no_openssl():
+    # hashlib loads OpenSSL's _hashlib (+3.5 MB RSS); config imports it only
+    # when a config hash is taken, after an obstruction run's engine build
+    code = ("import json, sys\nimport sclab.cli\n"
+            "print(json.dumps([m for m in ('hashlib', '_hashlib') if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert json.loads(out.stdout) == []
+
+
+def test_content_hash_is_pinned():
+    # the obstruction benchmark's config text; every default enters the
+    # canonical text, so this digest moves with any key, default or format
+    from sclab.config import parse_config
+    text = ("experiment = obstruction\nseed = 0\nobstruction.w.name = linear\n"
+            "obstruction.w.slope = 0.0\nobstruction.w.offset = 1.0\n"
+            "obstruction.ensemble = 40\n")
+    assert parse_config(text).content_hash() == "8bf2ef64bd777680"
 
 
 def test_benchmark_runs_load_no_numpy_ma(tmp_path, bench):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,21 @@ class TestHalvingChecked:
 
         with pytest.raises(StepTooCoarse):
             halving_checked(run, 0.25)
+
+    def test_coarse_trajectory_freed_before_the_fine_run(self):
+        # only the coarse endpoint is compared, so the coarse states are
+        # dead by the time run(step/2) starts
+        coarse = []
+
+        def run(h):
+            if coarse:
+                assert coarse[0]() is None
+            times, states = rk4_trajectory(lambda t, z: -z, np.ones(3), 0.0, 1.0, h)
+            coarse.append(weakref.ref(states))
+            return times, states
+
+        halving_checked(run, 1e-2)
+        assert len(coarse) == 2
 
 
 class TestFdJacobian:

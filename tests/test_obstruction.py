@@ -1,9 +1,13 @@
+import gc
 import json
+import types
+import weakref
 
 import numpy as np
 import pytest
 
-from oracles import control_integral, cumulative_trapezoid, member_residual_norm
+from oracles import (control_integral, cumulative_trapezoid, engine_fan,
+                     member_residual_norm, residual_norms)
 import sclab.obstruction
 import sclab.wkb
 from sclab.cli import main as cli_main
@@ -235,7 +239,7 @@ class TestLocalizationExperiment:
         rep = run_localization_experiment(engine)
         for eps in cfg.eps_grid:
             idx = _sample_indices(engine, eps, cfg.n_samples)
-            norms, times = engine.residual_norms(idx), engine.fan.times[idx]
+            norms, times = engine.residual_norms(idx), engine.times[idx]
             assert np.all(np.diff(norms) < 0)
             trapezoid = cumulative_trapezoid(norms, times)[-1] / cfg.hbar
             assert rep.delta_by_eps[float(times[-1])] > trapezoid
@@ -304,7 +308,7 @@ class TestLocalizationExperiment:
         controls = ensembles[0]
         phi = np.empty((len(controls),) + cfg.grid.shape, complex)
         for eps in cfg.eps_grid:
-            times = engine.fan.times[_sample_indices(engine, eps, cfg.n_samples)]
+            times = engine.times[_sample_indices(engine, eps, cfg.n_samples)]
             phases = engine.phase(np.array([u.integral(times) for u in controls]))
             stack = WaveStack(cfg.grid, build_ansatz(engine, 0.0, phases[:, 0], phi), cfg.hbar)
             alone = np.zeros(len(controls))
@@ -418,8 +422,13 @@ class TestTqEstimate:
         cfg = scalar_config(S0=make_potential("harmonic", 1, k=1.0), eps_grid=(0.04,))
         engine = AnsatzEngine(cfg, 0.4)
         assert engine.tq_idx[1] == 3  # the T_q grid is coarser than the fan's
+        # the engine serves the T_q grid alone; every fan time's ‖r‖ comes
+        # from the fan shot again, which past the a0-scaling first block
+        # gives the engine's bits
         every = np.arange(engine.tq_idx[-1] + 1)
-        norms = engine.residual_norms(every)
+        norms = residual_norms(engine, engine_fan(engine, 0.4), every)
+        later = engine.tq_idx[FIELD_BLOCK:]
+        assert np.array_equal(norms[later], engine.residual_norms(later))
         assert norms[-1] < 0.75 * norms[0]
 
         def crossing(delta, times, thr):
@@ -427,7 +436,7 @@ class TestTqEstimate:
             return times[k - 1] + (thr - delta[k - 1]) / (delta[k] - delta[k - 1]) \
                 * (times[k] - times[k - 1])
 
-        times = engine.fan.times
+        times = engine.times
         fan_grid = cumulative_trapezoid(norms, times[every])
         coarse = cumulative_trapezoid(engine.residual_norms(engine.tq_idx),
                                        times[engine.tq_idx])
@@ -506,7 +515,7 @@ class TestWorkCounts:
                                           for eps in cfg.eps_grid]))
         assert union[0] == 0
         assert len(stops) == 1
-        assert np.array_equal(stops[0], engine.fan.times[union[1:]])
+        assert np.array_equal(stops[0], engine.times[union[1:]])
 
     def test_w_tabulated_once_when_the_hypothesis_is_broken(self):
         calls = []
@@ -547,11 +556,12 @@ class TestWorkCounts:
         cfg = scalar_config(W=make_potential("cosine", 1), enforce_hypothesis=False,
                             eps_grid=(0.02,))
         engine = AnsatzEngine(cfg, 0.02)
+        fan = engine_fan(engine, 0.02)
         controls = sample_controls(4, 6, 0.02, 50.0, 4, include_extremes=True)
         idx = _sample_indices(engine, 0.02, cfg.n_samples)
         rows = engine.member_residual_norms(idx, controls)
         assert rows.shape == (len(controls), idx.size)
-        assert np.array_equal(rows, [[member_residual_norm(engine, u, k) for k in idx]
+        assert np.array_equal(rows, [[member_residual_norm(engine, fan, u, k) for k in idx]
                                      for u in controls])
 
 
@@ -625,15 +635,24 @@ class TestBenchmarkConfig:
         out = tmp_path_factory.mktemp("bench")
         config = out / "config.txt"
         config.write_text(BENCHMARK_CONFIG + f"out = {out}\n")
-        counts = {"fans": 0, "slope_solves": 0, "field_times": 0, "marches": 0, "ffts": 0}
+        counts = {"fans": 0, "slope_solves": 0, "field_times": 0, "field_calls": 0,
+                  "marches": 0, "ffts": 0}
+        # the times each wkb_field call assembles, the engine, and weak
+        # references to the fan's frame arrays with their size
+        seen = {"field_times": [], "engines": [], "frames": [], "frame_bytes": 0}
         shoot, slopes = sclab.obstruction.shoot_characteristics, sclab.wkb._not_a_knot_slopes
         field = sclab.obstruction.wkb_field
         evolve = sclab.obstruction.split_step_evolve
+        engine = sclab.obstruction.AnsatzEngine
         fftn, ifftn = np.fft.fftn, np.fft.ifftn
 
         def counted_shoot(*args, **kwargs):
             counts["fans"] += 1
-            return shoot(*args, **kwargs)
+            fan = shoot(*args, **kwargs)
+            arrays = (fan.x, fan.p, fan.S, fan.J, fan.delta_p)
+            seen["frames"] = [weakref.ref(a) for a in arrays + (fan.x.base,)]
+            seen["frame_bytes"] = min(a.nbytes for a in arrays)
+            return fan
 
         def counted_slopes(x, y):
             counts["slope_solves"] += 1
@@ -641,7 +660,13 @@ class TestBenchmarkConfig:
 
         def counted_field(fan, a0, grid, t):
             counts["field_times"] += np.size(t)
+            counts["field_calls"] += 1
+            seen["field_times"].extend(np.atleast_1d(t).tolist())
             return field(fan, a0, grid, t)
+
+        def kept_engine(*args):
+            seen["engines"].append(engine(*args))
+            return seen["engines"][-1]
 
         def counted_evolve(*args, **kwargs):
             counts["marches"] += 1
@@ -660,11 +685,12 @@ class TestBenchmarkConfig:
             mp.setattr(np.fft, "ifftn", counted_fft(ifftn))
             mp.setattr(sclab.wkb, "_not_a_knot_slopes", counted_slopes)
             mp.setattr(sclab.obstruction, "wkb_field", counted_field)
+            mp.setattr(sclab.obstruction, "AnsatzEngine", kept_engine)
             assert cli_main(["obstruction", "--config", str(config)]) == 0
-        return json.loads((out / "summary.json").read_text()), counts
+        return json.loads((out / "summary.json").read_text()), counts, seen
 
     def test_summary_numbers(self, run):
-        summary, _ = run
+        summary, _, _ = run
         assert summary["certified_bound"] == 0.04
         assert summary["caustic_floor"] == 0.08
         assert summary["tq_lower_bound"] == pytest.approx(0.055515979827057985, abs=1e-8)
@@ -677,7 +703,7 @@ class TestBenchmarkConfig:
     def test_one_fan_and_a_slope_solve_per_block(self, run):
         # 161 fan times on [0, 0.08], each assembled once, FIELD_BLOCK per
         # knot solve; the first block's t = 0 row normalizes a0
-        _, counts = run
+        _, counts, _ = run
         assert counts["fans"] == 1
         assert counts["field_times"] == 161
         assert counts["slope_solves"] == -(-161 // FIELD_BLOCK) == 21
@@ -688,6 +714,75 @@ class TestBenchmarkConfig:
         # steps of two FFTs each, and one resolution spectrum each for the
         # input, the 68 stops and the 76 steps where some piece ends before
         # its window does (156·2 + 1 + 68 + 76)
-        _, counts = run
+        _, counts, _ = run
         assert counts["marches"] == 1
         assert counts["ffts"] == 457
+
+    def test_each_served_time_assembled_once(self, run):
+        # the engine serves the 161 fan times of the T_q grid, which hold
+        # every sample time of the ε grid, in 21 wkb_field calls
+        _, counts, seen = run
+        (engine,) = seen["engines"]
+        assert engine.served.size == 161
+        assert counts["field_calls"] == -(-161 // FIELD_BLOCK) == 21
+        assert sorted(seen["field_times"]) == engine.times[engine.served].tolist()
+
+    def test_engine_holds_no_fan(self, run):
+        # the fan's frames are freed with the build, and nothing the engine
+        # still reaches is as large as one of them
+        _, _, seen = run
+        (engine,) = seen["engines"]
+        assert len(seen["frames"]) == 6
+        assert all(ref() is None for ref in seen["frames"])
+        sizes = [a.nbytes for a in reachable_arrays(engine)]
+        assert engine.chi_psi.nbytes in sizes
+        assert max(sizes) < seen["frame_bytes"]
+
+
+def reachable_arrays(root) -> list:
+    """Every ndarray reachable from root through object references, array
+    bases and function closures and defaults, but not through modules,
+    classes or a function's globals."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return out
+
+
+class TestServedSet:
+    """The engine answers for the fan times it serves and refuses the rest."""
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_unserved_time_raises(self, broken):
+        # at horizon 0.4 the T_q grid and ε = 0.04's samples take every
+        # third fan time, so t_1 = 0.0005 is not served
+        W = make_potential("linear", 1, slope=1.0) if broken else None
+        cfg = scalar_config(W=W, enforce_hypothesis=not broken, eps_grid=(0.04,))
+        engine = AnsatzEngine(cfg, 0.4)
+        assert 1 not in engine.served and 3 in engine.served
+        engine.residual_norms([0, 3])
+        with pytest.raises(ValueError, match="t=0.0005"):
+            engine.residual_norms([0, 1, 3])
+        with pytest.raises(ValueError, match="t=0.0005"):
+            engine.chi_psi_at(0.0005)
+        if broken:
+            # residual grids are kept at ε's sample indices alone, not at the
+            # rest of the T_q grid
+            controls = [ControlSignal.constant(1.0, 0.4)]
+            stops = _sample_indices(engine, 0.04, cfg.n_samples)
+            assert engine.residuals.shape[0] == stops.size
+            assert engine.member_residual_norms(stops, controls).shape == (1, stops.size)
+            for k in (1, engine.tq_idx[-1]):
+                with pytest.raises(ValueError, match=f"t={float(engine.times[k])!r}"):
+                    engine.member_residual_norms([0, k], controls)
