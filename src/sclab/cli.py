@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .config import GLOBAL_FIELDS, ExperimentConfig, _cast, parse_config
+from .config import EXPERIMENT_KINDS, GLOBAL_FIELDS, ExperimentConfig, _cast, parse_config
 from .errors import SclabError
 from .harness import run_experiment
 
@@ -18,7 +18,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sclab",
         description="small-time controllability laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("steer", "exit-time", "wkb", "obstruction", "spectral"):
+    for name in EXPERIMENT_KINDS:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--seed", default=None,

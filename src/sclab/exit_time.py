@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import ControlSignal, HamiltonianSpec, control_pieces, controlled_rhs
 from .errors import HypothesisViolated, StepTooCoarse
-from .geometry import BoxRegion, PhasePoint
+from .geometry import W_CONSTANCY_TOL, BoxRegion, PhasePoint
 from .integrate import _nsteps, bisect_event, check_escape, hermite_state, rk4_step
 
 EXIT_TIME_TOL = 1e-8
@@ -53,6 +53,8 @@ CLOSED_FORM_REL_MARGIN = 16 * 2.0 ** -53
 # 2⁻¹⁰⁰ relative of a sum of at least 2⁻⁹⁶⁸, whose root is _SQUARES_FLOOR.
 _TINY = 2.0 ** -1022
 _SQUARES_FLOOR = 2.0 ** -484
+# Points per base axis of the Ω grid on which W's constancy is checked.
+OMEGA_GRID_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -109,17 +111,16 @@ def _split_axes(spec: HamiltonianSpec) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(range(spec.space.dimension)), ()
 
 
-def _omega_grid(Omega: BoxRegion, n1_axes: Sequence[int], pts_per_axis: int = 9) -> np.ndarray:
+def _omega_grid(Omega: BoxRegion, n1_axes: Sequence[int]) -> np.ndarray:
     axes = []
     for k in n1_axes:
         lo, hi = Omega.bounds[k]
-        axes.append(np.linspace(lo, hi, pts_per_axis))
+        axes.append(np.linspace(lo, hi, OMEGA_GRID_POINTS))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
-                      tol: float = 1e-9) -> float:
+def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint) -> float:
     """Max over an Ω × (sample y) grid of ‖d₁W‖; raises HypothesisViolated."""
     n1_axes, n2_axes = _split_axes(spec)
     grid1 = _omega_grid(Omega, n1_axes)
@@ -136,7 +137,7 @@ def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
                 pts[:, list(n2_axes)] = y
             grads = np.asarray(W.gradient(pts), dtype=float)
             worst = max(worst, float(np.max(np.abs(grads[:, list(n1_axes)]))))
-    if worst >= tol:
+    if worst >= W_CONSTANCY_TOL:
         raise HypothesisViolated(
             f"control potential varies along the base factor on Ω (max ‖d₁W‖ = {worst:.3e})")
     return worst

@@ -17,6 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# max |∂W| on Ω along the base axes at or above which a control potential W
+# counts as varying there (the exit-time and obstruction hypothesis checks)
+W_CONSTANCY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ChartSpace:

@@ -45,6 +45,8 @@ from .errors import StepTooCoarse, TrajectoryEscape
 HALVING_REL_TOL = 1e-8
 # Overflow guard for all trajectory integration (finite-time escape detector).
 ESCAPE_GUARD = 1e12
+# Bisection steps after which bisect_event stops short of its tolerance.
+BISECT_MAX_ITER = 200
 
 
 def _nsteps(t0, t1, step: float):
@@ -146,7 +148,7 @@ def hermite_state(z0, z1, f0, f1, h: float, s: float):
     return h00 * z0 + h10 * h * f0 + h01 * z1 + h11 * h * f1
 
 
-def bisect_event(f: Callable, lo, hi, tol: float = 1e-10, max_iter: int = 200):
+def bisect_event(f: Callable, lo, hi, tol: float = 1e-10):
     """Root of a sign-changing function by plain bisection.
 
     lo and hi may be arrays of brackets, one root each; f then maps an array
@@ -162,7 +164,7 @@ def bisect_event(f: Callable, lo, hi, tol: float = 1e-10, max_iter: int = 200):
     if np.any(~found & (flo * fhi > 0)):
         raise ValueError("event function does not change sign on the bracket")
     live = ~found & (hi - lo > tol)
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         if not live.any():
             break
         mid = 0.5 * (lo + hi)

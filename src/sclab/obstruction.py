@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import sample_controls, sorted_unique
 from .errors import CausticReached, HypothesisViolated
-from .geometry import BoxRegion, PotentialField, make_potential
+from .geometry import W_CONSTANCY_TOL, BoxRegion, PotentialField, make_potential
 from .schrodinger import SpatialGrid, WaveGrid, WaveStack, split_step_evolve
 from .wkb import (CAUSTIC_GUARD, CutoffFunction, first_conjugate_time,
                   shoot_characteristics, wkb_field, wkb_residual)
@@ -48,8 +48,6 @@ DUHAMEL_SLACK = 1e-6
 # 4 saves 1.6 MB for some 20 ms more.
 FIELD_BLOCK = 8
 UNIFORMITY_TOL = 1e-9
-# max |W'| on Ω at or above which W counts as varying there
-W_CONSTANCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,11 @@ class ObstructionConfig:
     march; None, the default, takes min(1e-3, ε_max/64), with ε_max the
     largest ε snapped to its fan time.  One march serves every ε, so each
     ε's records are samples of the trajectory the largest ε certifies.
+
+    `enforce_hypothesis = False` runs a W that varies on Ω instead of
+    refusing it: each member's residual norms then add u·(W − c)·χψ̃ to the
+    residual grids the engine keeps at the stops, and T_q reads 0 once
+    max|W′| on Ω ≥ W_CONSTANCY_TOL.
     """
 
     grid: SpatialGrid
@@ -217,19 +220,22 @@ class AnsatzEngine:
     for them; `require_valid` does, up to the time a stage needs.
 
     The fan lives only while the engine is built.  At build the engine
-    works out its served set (`served`), every fan index a stage reads: the
-    T_q grid (`tq_idx`: the fan times up to the usable horizon, thinned to
+    works out its served set (`served`), every fan index a stage reads: t = 0,
+    the T_q grid (`tq_idx`: the fan times up to the usable horizon, thinned to
     fewer than 512 when there are more) and the sample indices of each ε of
     the config's grid whose snapped time is a fan time at or before the
-    guard floor (`_sample_indices`).  For the K served indices it assembles
-    χψ̃ (`chi_psi`, one grid row each) and the control-free ‖r‖ (`norms`),
-    FIELD_BLOCK fan times per `wkb_field` and `wkb_residual` call and each
-    index once, in ⌈K/FIELD_BLOCK⌉ block passes into arrays allocated once.
-    With the hypothesis broken (`w_vals` is not None) it assembles t = 0
-    alone first, for the scale of a0, and also keeps the control-free
-    residual grids at the sample indices (`residuals`), so
-    `member_residual_norms` needs no fan.  Then it drops the fan: of it the engine keeps `times`
-    and the floors.  A read at a fan time outside the served set is a
+    guard floor (`_sample_indices`).  One loop assembles the K served
+    indices from the config's raw a0, FIELD_BLOCK fan times per `wkb_field`
+    and `wkb_residual` call and each index once, in ⌈K/FIELD_BLOCK⌉ block
+    passes into arrays allocated once: χψ̃ (`chi_psi`, one grid row each),
+    the control-free ‖r‖ (`norms`) and, with the hypothesis broken
+    (`w_vals` is not None), the control-free residual grids at the sample
+    indices (`residuals`), so `member_residual_norms` needs no fan.  The
+    fields are linear in a0, which is scaled so that ‖χ·a0‖ = 1: at the end
+    each of these arrays is divided in place by ‖χ·a0‖ (`a0_norm`), the
+    norm of the t = 0 row, which is served first.  Then it drops the fan: of
+    it the engine keeps `times` and the floors.  `rows` gives the rows of
+    served fan indices, and a read at a fan time outside the served set is a
     ValueError.  On the seed-0 benchmark config (161 fan times, 1,200 seeds,
     512 grid points) the χψ̃ array is 1.3 MB, and the fan freed after the
     build 7.7 MB.
@@ -280,9 +286,9 @@ class AnsatzEngine:
         stride = max(1, n_usable // 256)
         self.tq_idx = (sorted_unique(np.append(np.arange(0, n_usable, stride), n_usable - 1))
                        if n_usable >= 2 else np.zeros(0, dtype=int))
-        # t = 0, which scales a0, and the sample indices the localization run
-        # reads; an ε past the fan or the guard floor gets none, since the run
-        # refuses it before it reads
+        # t = 0, whose row gives the scale of a0, and the sample indices the
+        # localization run reads; an ε past the fan or the guard floor gets
+        # none, since the run refuses it before it reads
         samples = [np.zeros(1, dtype=int)]
         for eps in config.eps_grid:
             try:
@@ -303,30 +309,27 @@ class AnsatzEngine:
         if self.w_vals is not None:
             self._stop_row[stops] = np.arange(stops.size)
             self.residuals = np.empty((stops.size,) + self.grid.shape, dtype=complex)
-        # a0 is scaled so that ‖χ·a0‖ = 1 on the grid.  The field is linear
-        # in a0, so without the control term the first block, assembled with
-        # the raw a0, supplies the scale from its t = 0 row and is kept
-        # divided by it; with it, t = 0 is assembled alone for the scale
-        first = self.served[:FIELD_BLOCK if self.w_vals is None else 1]
-        field = wkb_field(fan, config.a0, self.grid, fan.times[first])
-        nrm = np.sqrt(np.sum((self.chi_vals * field.a[0]) ** 2) * self.grid.cell_volume)
-        if nrm == 0:
+        for start in range(0, self.served.size, FIELD_BLOCK):
+            block = slice(start, start + FIELD_BLOCK)
+            k = self.served[block]
+            field = wkb_field(fan, config.a0, self.grid, fan.times[k])
+            r = wkb_residual(field, self.chi)
+            self.chi_psi[block] = self.chi_vals * field.psi_tilde()
+            self.norms[block] = np.sqrt(np.sum(np.abs(r) ** 2, axis=-1) * self.grid.cell_volume)
+            if self.residuals is not None:
+                stop = self._stop_row[k]
+                self.residuals[stop[stop >= 0]] = r[stop >= 0]
+            del field, r  # a block's grids, not held while the next is assembled
+        # a0 is scaled so that ‖χ·a0‖ = 1 on the grid.  Every kept array is
+        # linear in a0, so each is divided by ‖χ·a0‖, the norm of the row of
+        # t = 0, which is served first
+        self.a0_norm = float(np.sqrt(np.sum(np.abs(self.chi_psi[0]) ** 2)
+                                     * self.grid.cell_volume))
+        if self.a0_norm == 0:
             raise ValueError("χ·a0 vanishes on the grid")
-        self.a0 = PotentialField(
-            value=lambda x, f=config.a0, s=nrm: np.asarray(f.value(x)) / s,
-            gradient=lambda x, f=config.a0, s=nrm: np.asarray(f.gradient(x)) / s,
-            name="a0-normalized")
-        done = 0
-        if self.w_vals is None:
-            self._keep(first, self.chi_vals * field.psi_tilde() / nrm,
-                       wkb_residual(field, self.chi), nrm)
-            done = first.size
-        del field  # a block's grids, not held while the next is assembled
-        for start in range(done, self.served.size, FIELD_BLOCK):
-            k = self.served[start:start + FIELD_BLOCK]
-            field = wkb_field(fan, self.a0, self.grid, fan.times[k])
-            self._keep(k, self.chi_vals * field.psi_tilde(), wkb_residual(field, self.chi))
-            del field
+        for kept in (self.chi_psi, self.norms, self.residuals):
+            if kept is not None:
+                kept /= self.a0_norm
 
     def require_valid(self, t: float) -> None:
         """Raise CausticReached if the ansatz stops being valid before t."""
@@ -334,17 +337,6 @@ class AnsatzEngine:
             raise CausticReached(
                 f"ansatz validity ends at t={self.guard_floor:.4g} before "
                 f"t={t:.4g}; shrink the ε grid")
-
-    def _keep(self, k: np.ndarray, chi_psi: np.ndarray, r: np.ndarray,
-              scale: float = 1.0) -> None:
-        """Store the χψ̃ rows and ‖r‖/scale of the fan indices k and, where
-        the engine keeps them, their residual grids r."""
-        self.chi_psi[self._row[k]] = chi_psi
-        self.norms[self._row[k]] = np.sqrt(np.sum(np.abs(r) ** 2, axis=-1)
-                                           * self.grid.cell_volume) / scale
-        if self.residuals is not None:
-            stop = self._stop_row[k]
-            self.residuals[stop[stop >= 0]] = r[stop >= 0]
 
     def _rows(self, idx, row_of: np.ndarray) -> np.ndarray:
         """The rows row_of gives the fan indices idx; ValueError naming the
@@ -357,16 +349,13 @@ class AnsatzEngine:
                              "AnsatzEngine for the times it serves")
         return rows
 
-    def chi_psi_at(self, t: float) -> np.ndarray:
-        """χψ̃ at the served fan time t."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a stored fan time (nearest {self.times[k]})")
-        return self.chi_psi[self._rows(k, self._row)]
+    def rows(self, idx) -> np.ndarray:
+        """The rows of chi_psi and norms at the served fan indices idx."""
+        return self._rows(idx, self._row)
 
     def residual_norms(self, idx) -> np.ndarray:
         """‖r(t_k)‖ of the control-free residual at served fan indices idx."""
-        return self.norms[self._rows(idx, self._row)]
+        return self.norms[self.rows(idx)]
 
     def phase(self, integral):
         """The control phase e^{-ic∫₀ᵗu/ħ} of the scalar ansatz, from ∫₀ᵗu
@@ -379,7 +368,7 @@ class AnsatzEngine:
         without its control phase, which no norm sees, plus the control term
         u·(W − c)·χψ̃, both from the engine's rows."""
         idx = np.asarray(idx, dtype=int)
-        rows, stops = self._rows(idx, self._row), self._rows(idx, self._stop_row)
+        rows, stops = self.rows(idx), self._rows(idx, self._stop_row)
         u = np.array([c.value_at(self.times[idx]) for c in controls])
         out = np.empty((len(controls), idx.size))
         for col, (row, stop) in enumerate(zip(rows.tolist(), stops.tolist())):
@@ -411,14 +400,6 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
     return WaveGrid(config.grid, vals, config.hbar).normalized()
 
 
-def build_ansatz(engine: AnsatzEngine, t: float, phases: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """The cutoff approximate solution φ(t) of every member, written to out:
-    φ_j = χψ̃(t), the engine's row for t, times member j's control phase
-    e^{-ic∫₀ᵗu_j/ħ}.  phases has shape (m,) and out (m, *grid.shape)."""
-    return np.multiply(engine.chi_psi_at(t), phases[:, None], out=out)
-
-
 def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     """Evolve the true equation over a control ensemble and verify, per record,
     the Duhamel bound, the control uniformity of δ, and the witness-distance
@@ -429,25 +410,24 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     split_step_evolve call over [0, ε_max] advances every member under its
     own control and stops at the union of every ε's sample times, at the
     step `ObstructionConfig.dt` (by default the one ε_max alone would take).
-    At each stop `build_ansatz` builds φ for every row in one broadcast
-    multiply (the shared χψ̃(t_k) row times each member's phase e^{-ic∫u/ħ};
-    one `integral` call per member gives the (m, K) table of ∫u over the
-    stops and one np.exp its phases), and ‖ψ − φ‖ and the witness distance
-    are taken once per row.  They are then folded into the running extremes
-    of each ε that samples the stop: its max deviation, its least Duhamel
-    margin and its least witness distance.  Each ε keeps its own δ(t),
-    integrated over its own sample times with `_cumulative_upper` (rounded
-    up where ‖r‖ is monotone between samples), and reads its outside
-    probabilities at its own end stop.  The residual norms of every stop
-    come from the engine's norm array (or, with the hypothesis broken, one
-    row per member from its residual grids), and χψ̃ from its rows: the
-    engine serves every stop.  The working set is the stack and its fixed buffers,
-    updated in place: φ is built in the stack's scratch buffer, and no
-    array of the stack's size is allocated per stop.  The engine's horizon
-    must reach max(eps_grid), and its ansatz must stay valid to the largest
-    sample time (CausticReached otherwise).  Each ε snaps to its nearest
-    fan time, and a grid whose snapped times are not strictly increasing is
-    a ValueError.
+    At each of the K stops one recorder builds φ for every row in one
+    broadcast multiply, the engine's χψ̃ row of the stop's fan index times
+    each member's phase e^{-ic∫u/ħ} (one `integral` call per member gives
+    the (m, K) table of ∫u over the stops and one np.exp its phases), and
+    writes the stop's row of three (K, m) arrays: ‖ψ − φ‖, the witness
+    distance and the outside probability of every member.  Each ε then
+    reduces its own stop columns c: its δ(t), integrated over its sample
+    times with `_cumulative_upper` (rounded up where ‖r‖ is monotone between
+    samples); its max deviation and least Duhamel margin (δ + slack) − ‖ψ − φ‖
+    over c[1:]; its least witness distance over c; and its outside
+    probabilities at c[-1].  The residual norms of every stop come from the
+    engine's norm array (or, with the hypothesis broken, one row per member
+    from its residual grids): the engine serves every stop.  φ is built in
+    the stack's scratch buffer, and no array of the stack's size is
+    allocated per stop.  The engine's horizon must reach max(eps_grid), and
+    its ansatz must stay valid to the largest sample time (CausticReached
+    otherwise).  Each ε snaps to its nearest fan time, and a grid whose
+    snapped times are not strictly increasing is a ValueError.
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
@@ -471,73 +451,52 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     outside = ~config.omega.contains(config.grid.mesh()).reshape(config.grid.shape)
     stack = WaveStack(config.grid, np.zeros((m,) + config.grid.shape), config.hbar)
     psi, phi = stack.values, stack.scratch  # φ rows go to the stack's scratch
+    rows = engine.rows(union)
+    phases = engine.phase(np.array([u.integral(times) for u in controls]))
+    # ‖ψ − φ‖, the witness distance and the outside mass of every member at
+    # every stop
+    dev, witness, outside_p = (np.empty((union.size, m)) for _ in range(3))
+
+    def record(s: int) -> None:
+        """Build φ of every member at stop s and record the stop's row."""
+        np.multiply(engine.chi_psi[rows[s]], phases[:, s, None], out=phi)
+        dev[s] = stack.distances(phi)
+        witness[s] = stack.distances(psi1.values)
+        outside_p[s] = np.sum(np.abs(psi[:, outside]) ** 2, axis=1) * config.grid.cell_volume
+
+    np.multiply(engine.chi_psi[rows[0]], phases[:, 0, None], out=psi)
+    psi0 = stack.member(0).normalized().values
+    initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * config.grid.cell_volume
+    record(0)
+    if times.size > 1:
+        split_step_evolve(stack, config.V, config.W, controls, times[1:],
+                          config.dt or min(1e-3, float(times[-1]) / 64.0),
+                          t0=float(times[0]), on_stop=lambda k, _stack: record(k + 1))
 
     if engine.w_vals is None:
         # the residual is control independent: one row serves every member
         all_norms = engine.residual_norms(union)[None, :]
     else:
         all_norms = engine.member_residual_norms(union, controls)
-    phases = engine.phase(np.array([u.integral(times) for u in controls]))
-    # per ε: its stops, its δ(t) at them and its running extremes
-    cols = [np.searchsorted(union, idx) for idx in samples]
-    delta_t = [np.array([_cumulative_upper(row, times[c]) for row in all_norms[:, c]])
-               / config.hbar for c in cols]
-    max_dev = np.zeros((len(cols), m))
-    min_margin = np.full((len(cols), m), np.inf)
-    sampled_by = [[] for _ in union]  # (ε, its sample number) at each stop
-    for i, c in enumerate(cols):
-        for p, s in enumerate(c.tolist()):
-            sampled_by[s].append((i, p))
-
-    def set_phi(s: int) -> None:
-        """φ of every member at stop s."""
-        build_ansatz(engine, float(times[s]), phases[:, s], phi)
-
-    def outside_mass() -> np.ndarray:
-        """The probability of every member outside Ω."""
-        return np.sum(np.abs(psi[:, outside]) ** 2, axis=1) * config.grid.cell_volume
-
-    set_phi(0)
-    psi[...] = phi
-    psi0 = stack.member(0).normalized().values
-    initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * config.grid.cell_volume
-    # every ε starts from the t = 0 values: later stops fold into its witness
-    # distances, and its end stop overwrites its outside masses
-    min_witness = np.tile(stack.distances(psi1.values), (len(cols), 1))
-    outside_p = np.tile(outside_mass(), (len(cols), 1))
-
-    def fold(k: int, _stack: WaveStack) -> None:
-        """Fold ‖ψ − φ‖, the Duhamel margin and the witness distance at stop
-        k + 1 into the extremes of each ε that samples it, and take the
-        outside probabilities of each ε that ends there."""
-        set_phi(k + 1)
-        dev = stack.distances(phi)
-        witness = stack.distances(psi1.values)
-        for i, p in sampled_by[k + 1]:
-            np.maximum(max_dev[i], dev, out=max_dev[i])
-            np.minimum(min_margin[i], delta_t[i][:, p] + DUHAMEL_SLACK - dev,
-                       out=min_margin[i])
-            np.minimum(min_witness[i], witness, out=min_witness[i])
-            if p == cols[i].size - 1:
-                outside_p[i] = outside_mass()
-
-    if times.size > 1:
-        split_step_evolve(stack, config.V, config.W, controls, times[1:],
-                          config.dt or min(1e-3, float(times[-1]) / 64.0),
-                          t0=float(times[0]), on_stop=fold)
-
     records: list[ObstructionRecord] = []
     delta_by_eps: dict[float, float] = {}
     spread_by_eps: dict[float, float] = {}
-    for i, eps_eff in enumerate(ends.tolist()):
-        deltas = np.broadcast_to(delta_t[i][:, -1], (m,))
+    for eps_eff, idx in zip(ends.tolist(), samples):
+        # this ε's stops, its δ(t) there, and its extremes over them
+        c = np.searchsorted(union, idx)
+        delta_t = np.array([_cumulative_upper(row, times[c]) for row in all_norms[:, c]]) \
+            / config.hbar
+        max_dev = np.max(dev[c[1:]], axis=0, initial=0.0)
+        margin = np.min(delta_t.T[1:] + DUHAMEL_SLACK - dev[c[1:]], axis=0, initial=np.inf)
+        min_witness = np.min(witness[c], axis=0)
+        deltas = np.broadcast_to(delta_t[:, -1], (m,))
         for j in range(m):
             records.append(ObstructionRecord(
                 eps=eps_eff, control_index=j, delta=float(deltas[j]),
-                max_deviation=float(max_dev[i, j]),
-                min_witness_distance=float(min_witness[i, j]),
-                outside_probability=float(outside_p[i, j]),
-                duhamel_margin=float(min_margin[i, j])))
+                max_deviation=float(max_dev[j]),
+                min_witness_distance=float(min_witness[j]),
+                outside_probability=float(outside_p[c[-1], j]),
+                duhamel_margin=float(margin[j])))
         delta_by_eps[eps_eff] = float(np.max(deltas))
         spread_by_eps[eps_eff] = float(np.max(deltas) - np.min(deltas))
 

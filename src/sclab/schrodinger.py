@@ -380,19 +380,18 @@ def l2_distance(psi: WaveGrid, phi: WaveGrid) -> float:
                          * psi.grid.cell_volume))
 
 
-def plane_wave(grid: SpatialGrid, mode: int, hbar: float = 1.0) -> WaveGrid:
-    """Normalized e^{ikx} with k the given integer mode (1D)."""
+def plane_wave(grid: SpatialGrid, mode: int) -> WaveGrid:
+    """Normalized e^{ikx} with k the given integer mode (1D), at ħ = 1."""
     if grid.dim != 1:
         raise ValueError("plane_wave is one-dimensional")
     s, L, n = grid.axes[0]
     k = 2 * np.pi * mode / L
     vals = np.exp(1j * k * grid.points(0)) / np.sqrt(L)
-    return WaveGrid(grid, vals, hbar)
+    return WaveGrid(grid, vals)
 
 
-def gaussian_packet(grid: SpatialGrid, center, sigma, momentum=None,
-                    hbar: float = 1.0) -> WaveGrid:
-    """Normalized Gaussian bump exp(-(x-c)²/4σ² + ik·x) on the grid."""
+def gaussian_packet(grid: SpatialGrid, center, sigma, momentum=None) -> WaveGrid:
+    """Normalized Gaussian bump exp(-(x-c)²/4σ² + ik·x) on the grid, at ħ = 1."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), center.shape)
     mesh = grid.mesh()
@@ -401,5 +400,5 @@ def gaussian_packet(grid: SpatialGrid, center, sigma, momentum=None,
     if momentum is not None:
         momentum = np.atleast_1d(np.asarray(momentum, dtype=float))
         phase = sum(momentum[a] * mesh[..., a] for a in range(grid.dim))
-        vals = vals * np.exp(1j * phase / hbar)
-    return WaveGrid(grid, vals, hbar).normalized()
+        vals = vals * np.exp(1j * phase)
+    return WaveGrid(grid, vals).normalized()

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import QuadratureDivergence, TruncationNotConverged
 
 SEARCH_BUDGET = 10 ** 7
-CUTOFF_MAX_ORDER = 4096  # Gauss–Legendre order at which cutoff_coupling gives up
+CUTOFF_MAX_ORDER = 4096  # Gauss–Legendre orders above this cutoff_coupling never builds
 
 
 def _hermite_recurrence(N: int, h0: np.ndarray, times_x) -> np.ndarray:
@@ -171,9 +171,11 @@ def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
     Returns (coupling with entries b_ij − f_ij(ε), f matrix).  The integrand
     is entire, so one Gauss–Legendre rule gives every entry at once,
     f = Φ·diag(w·e^{ax²+bx+c})·Φᵀ with Φ the φ_i at the nodes; the order
-    doubles until two orders agree to 1e-13.  The integrand is a polynomial
-    of degree ≤ 2N−2 times a Gaussian of width σ = 1/√(2(1−a)) centred at
-    x_c = b/(2(1−a)), so the rule runs on [−ε, ε] ∩ [x_c − L, x_c + L] with
+    doubles until two orders agree to 1e-13, and the first order above
+    CUTOFF_MAX_ORDER is refused (QuadratureDivergence) before its rule is
+    built.  The integrand is a polynomial of degree ≤ 2N−2 times a Gaussian
+    of width σ = 1/√(2(1−a)) centred at x_c = b/(2(1−a)), so the rule runs
+    on [−ε, ε] ∩ [x_c − L, x_c + L] with
     L = (√(4N) + 9)·σ, outside which it is below e^{−40} of its peak.  Without
     the clip a wide window puts every node of the first orders outside the
     bump, and two orders "agree" on f = 0.  Each side of the product carries
@@ -192,6 +194,9 @@ def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
         mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
         order, prev = 2 * N, None
         while True:
+            if order > CUTOFF_MAX_ORDER:
+                raise QuadratureDivergence(
+                    f"window integral not converged by Gauss–Legendre order {CUTOFF_MAX_ORDER}")
             nodes, weights = np.polynomial.legendre.leggauss(order)
             x, w = mid + rad * nodes, rad * weights
             root = hermite_polynomial_values(N, x) * np.exp(
@@ -200,9 +205,6 @@ def cutoff_coupling(a: float, b: float, c: float, eps: float, N: int
             f = 0.5 * (f + f.T)
             if prev is not None and np.max(np.abs(f - prev)) <= 1e-13 * max(1.0, np.max(np.abs(f))):
                 break
-            if order >= CUTOFF_MAX_ORDER:
-                raise QuadratureDivergence(
-                    f"window integral not converged at Gauss–Legendre order {order}")
             order, prev = 2 * order, f
     hat = full.entries - f
     hat = 0.5 * (hat + hat.T)

@@ -31,6 +31,9 @@ from .integrate import rk4_step
 
 WEDGE_TOL = 1e-10
 SUBSTEPS = 2000  # least RK4 steps per plan segment
+# How long, and at what RK4 step, the gradient curve is followed each way.
+GRADIENT_CURVE_MAX_TIME = 60.0
+GRADIENT_CURVE_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ def geodesic_burst(spec: HamiltonianSpec, lam0: PhasePoint, k,
 
 
 def _gradient_curve(spec: HamiltonianSpec, x0: np.ndarray, target: np.ndarray,
-                    tol: float, max_time: float = 60.0, step: float = 1e-3):
+                    tol: float):
     """Follow ẋ = ∇W from x0 in both time directions until the target is met.
 
     Returns the sampled arc from x0 to the (near-)hit, or raises
@@ -144,9 +147,9 @@ def _gradient_curve(spec: HamiltonianSpec, x0: np.ndarray, target: np.ndarray,
         xs = [np.array(x0, dtype=float)]
         t, x = 0.0, np.array(x0, dtype=float)
         best = d0
-        while t < max_time:
-            x = rk4_step(rhs, t, x, step)
-            t += step
+        while t < GRADIENT_CURVE_MAX_TIME:
+            x = rk4_step(rhs, t, x, GRADIENT_CURVE_STEP)
+            t += GRADIENT_CURVE_STEP
             xs.append(x.copy())
             d = np.linalg.norm(x - target)
             best = min(best, d)

@@ -149,22 +149,25 @@ def engine_fan(engine, horizon: float):
 
 def residual_norms(engine, fan, idx) -> np.ndarray:
     """‖r(t_k)‖ of the control-free residual at the fan indices idx, from
-    the fields of the engine's normalized a0 on the fan `engine_fan` gives."""
-    field = wkb_field(fan, engine.a0, engine.grid, fan.times[idx])
+    the fields of the config's a0 on the fan `engine_fan` gives, divided by
+    the engine's ‖χ·a0‖."""
+    field = wkb_field(fan, engine.config.a0, engine.grid, fan.times[idx])
     r = wkb_residual(field, engine.chi)
-    return np.sqrt(np.sum(np.abs(r) ** 2, axis=-1) * engine.grid.cell_volume)
+    return np.sqrt(np.sum(np.abs(r) ** 2, axis=-1) * engine.grid.cell_volume) / engine.a0_norm
 
 
 def member_residual_norm(engine, fan, u, k: int) -> float:
     """‖r(t_k)‖ of the ansatz for one control u with the constancy hypothesis
     broken, formed for this (member, time) alone: the control-free residual
-    of the field assembled at t_k alone on the fan `engine_fan` gives, plus
-    u(t_k)·(W − c)·χψ̃, as a fresh grid."""
+    of the config's a0 field assembled at t_k alone on the fan `engine_fan`
+    gives, plus u(t_k)·(W − c)·χψ̃, both divided by the engine's ‖χ·a0‖, as
+    a fresh grid."""
     t = float(fan.times[k])
-    field = wkb_field(fan, engine.a0, engine.grid, t)
+    field = wkb_field(fan, engine.config.a0, engine.grid, t)
     uval = float(np.atleast_1d(u.value_at(min(t, u.duration - 1e-15)))[0])
-    r = (wkb_residual(field, engine.chi)
-         + uval * (engine.w_vals - engine.c_ref) * (engine.chi_vals * field.psi_tilde()))
+    r = (wkb_residual(field, engine.chi) / engine.a0_norm
+         + uval * (engine.w_vals - engine.c_ref)
+         * (engine.chi_vals * field.psi_tilde() / engine.a0_norm))
     return float(np.sqrt(np.sum(np.abs(r) ** 2) * engine.grid.cell_volume))
 
 

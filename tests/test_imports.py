@@ -1,8 +1,9 @@
 """Every name a `sclab` module imports is used in it, every module-level
 function and class is used somewhere in `sclab`, every `ObstructionConfig`
 field is set by the CLI and every `PotentialField` field by some call in
-`sclab`, or has a stated reason not to be, only `dynamics` reads a control
-law's breakpoints, nothing in `sclab` imports scipy, which is a test-only
+`sclab`, or has a stated reason not to be, every defaulted parameter of a
+`sclab` function is passed by some call in `sclab`, or has a stated reason not
+to be, only `dynamics` reads a control law's breakpoints, nothing in `sclab` imports scipy, which is a test-only
 reference, `import sclab.cli` loads no OpenSSL, the config hash of a fixed
 text is pinned, and no benchmark run loads numpy.ma.
 
@@ -165,6 +166,96 @@ def test_checker_sees_a_method_behind_a_local_of_its_name():
         "b.py": "from .a import Box, caller\nprint(caller([Box()]))\n",
     }
     assert unreferenced_definitions(sources) == ["a.py:Box.inner"]
+
+
+# defaulted parameters no call in sclab passes, each with the reason it stays
+# a parameter rather than a module constant
+UNSET_DEFAULTS_ALLOWED = {
+    "cli.py:main(argv)": "the tests and perfbench/child.py pass it; the sclab script "
+                         "reads sys.argv",
+    "exit_time.py:sampled_exit_time(analytic_bound)": "the tests skip the closed-form "
+                                                      "bound with it",
+    "schrodinger.py:gaussian_packet(momentum)": "the split-step tests' moving packet",
+    "schrodinger.py:split_step_evolve(check_input)": "the tests march windows after the "
+                                                     "first without the input check",
+}
+
+
+def passes(call: ast.Call, param: str, position) -> bool:
+    """Whether call passes param, by keyword or, when position is not None,
+    as its positional argument number position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """"module:function(param)" of each defaulted parameter of a module-level
+    function, or "module:Class.method(param)" of a method of a module-level
+    class, that no call in `sources` passes, by keyword or by position.  A
+    call to a class counts for its `__init__`, and a method's positions
+    start after self or cls (not for a staticmethod).  A call with *args or
+    **kwargs counts as passing every positional or keyword parameter.
+
+    Calls are matched by the callee's bare name (`f(...)` or `x.f(...)`),
+    as `unreferenced_definitions` matches references: a parameter stays
+    unflagged while any callable of the same name is called with it."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unset = []
+    for mod, tree in trees.items():
+        defs = []  # (definition, label, the name calls use, leading positions bound)
+        for node in tree.body:
+            if isinstance(node, functions):
+                defs.append((node, node.name, node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, functions):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in meth.decorator_list)
+                        defs.append((meth, f"{node.name}.{meth.name}",
+                                     node.name if meth.name == "__init__" else meth.name,
+                                     0 if static else 1))
+        for d, label, name, bound in defs:
+            args = d.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(p.arg, i - bound) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for param, position in defaulted:
+                if not any(passes(call, param, position) for call in calls.get(name, ())):
+                    unset.append(f"{mod}:{label}({param})")
+    return sorted(unset)
+
+
+def test_every_default_is_set_by_some_call():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unset_defaults(sources) == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+def test_checker_sees_unset_defaults():
+    sources = {
+        "a.py": ("def f(x, by_position=1, by_keyword=2, unset=3, *, only=4):\n"
+                 "    return x\n\n"
+                 "def splat(x=1, y=2):\n    return x\n\n"
+                 "class Box:\n"
+                 "    def __init__(self, size=1, colour=None):\n        self.size = size\n\n"
+                 "    def grow(self, by=1, times=1):\n        return self\n\n"
+                 "    @staticmethod\n    def make(n=1):\n        return n\n"),
+        "b.py": ("from .a import Box, f, splat\n\n"
+                 "f(0, 1, by_keyword=5)\nsplat(*[1])\n"
+                 "Box(2).grow(3).make(4)\n"),
+    }
+    assert unset_defaults(sources) == [
+        "a.py:Box.__init__(colour)", "a.py:Box.grow(times)", "a.py:f(only)", "a.py:f(unset)"]
 
 
 def attribute_readers(sources: dict[str, str], attr: str) -> list[str]:

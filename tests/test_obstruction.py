@@ -17,8 +17,8 @@ from sclab.errors import CausticReached, HypothesisViolated
 from sclab.geometry import BoxRegion, PotentialField, make_potential, pullback
 from sclab.harness import run_experiment
 from sclab.obstruction import (DUHAMEL_SLACK, FIELD_BLOCK, AnsatzEngine, ObstructionConfig,
-                               _sample_indices, build_ansatz,
-                               estimate_Tq_lower_bound, run_localization_experiment)
+                               _sample_indices, estimate_Tq_lower_bound,
+                               run_localization_experiment)
 from sclab.schrodinger import SpatialGrid, WaveStack, split_step_evolve
 
 
@@ -42,12 +42,17 @@ def localize(cfg):
     return run_localization_experiment(AnsatzEngine(cfg, max(cfg.eps_grid)))
 
 
+def chi_psi_at(engine, t):
+    """The engine's χψ̃ row at the fan time t."""
+    return engine.chi_psi[engine.rows(int(np.argmin(np.abs(engine.times - t))))]
+
+
 def ansatz(cfg, controls, t):
-    """φ(t) of every control, from the control phases the localization
-    experiment hands build_ansatz."""
+    """φ(t) of every control as the localization experiment builds it: the
+    engine's χψ̃ row at t times each control's phase e^{-ic∫₀ᵗu/ħ}."""
     engine = AnsatzEngine(cfg, max(cfg.eps_grid))
     phases = engine.phase(np.array([u.integral(t) for u in controls]))
-    return build_ansatz(engine, t, phases, np.empty((len(controls),) + cfg.grid.shape, complex))
+    return np.multiply(chi_psi_at(engine, t), phases[:, None])
 
 
 class TestBuildAnsatz:
@@ -89,7 +94,7 @@ class TestBuildAnsatz:
         # N₁ in the scalar run: ‖ψ − φ₁ ⊗ U₂ψ₂‖ with the phase-free φ₁ is the
         # scalar ‖ψ − φ‖, which the scalar δ bounds
         r = degenerate_run
-        phi1 = AnsatzEngine(r["cfg"], max(r["cfg"].eps_grid)).chi_psi_at(r["T"])
+        phi1 = chi_psi_at(AnsatzEngine(r["cfg"], max(r["cfg"].eps_grid)), r["T"])
         product = r["psi"].distances(phi1[None, :, None] * r["second"].values[:, None, :])
         scalar = r["scalar"].distances(ansatz(r["cfg"], r["controls"], r["T"]))
         assert np.allclose(product, scalar, rtol=0.0, atol=1e-12)
@@ -149,7 +154,7 @@ def separable_run():
     T = 0.05
     engine = AnsatzEngine(cfg, T)
     psi2 = gaussian_on_n2()
-    psi, free, second = product_evolution(cfg, controls, T, engine.chi_psi_at(0.0), psi2,
+    psi, free, second = product_evolution(cfg, controls, T, chi_psi_at(engine, 0.0), psi2,
                                           V2, W2)
     return dict(cfg=cfg, controls=controls, T=T, engine=engine, psi2=psi2, V2=V2, W2=W2,
                 psi=psi, free=free, second=second)
@@ -192,7 +197,7 @@ class TestProductReduction:
         psi, free, second = r["psi"], r["free"], r["second"]
         factored = free.values[:, :, None] * second.values[:, None, :]
         assert np.max(psi.distances(factored)) <= 1e-12
-        phi1 = r["engine"].chi_psi_at(r["T"])
+        phi1 = chi_psi_at(r["engine"], r["T"])
         assert np.allclose(psi.distances(phi1[None, :, None] * second.values[:, None, :]),
                            free.distances(phi1), rtol=0.0, atol=1e-12)
         # the factor check can fail: ψ₂·e^{i·10⁻³y} on N₂ misses ψ by far more
@@ -306,15 +311,15 @@ class TestLocalizationExperiment:
         rep = run_localization_experiment(engine)
         assert rep.duhamel_violations == rep.witness_violations == 0
         controls = ensembles[0]
-        phi = np.empty((len(controls),) + cfg.grid.shape, complex)
         for eps in cfg.eps_grid:
-            times = engine.times[_sample_indices(engine, eps, cfg.n_samples)]
+            idx = _sample_indices(engine, eps, cfg.n_samples)
+            rows, times = engine.rows(idx), engine.times[idx]
             phases = engine.phase(np.array([u.integral(times) for u in controls]))
-            stack = WaveStack(cfg.grid, build_ansatz(engine, 0.0, phases[:, 0], phi), cfg.hbar)
+            stack = WaveStack(cfg.grid, engine.chi_psi[rows[0]] * phases[:, :1], cfg.hbar)
             alone = np.zeros(len(controls))
 
             def compare(k, stack):
-                build_ansatz(engine, float(times[k + 1]), phases[:, k + 1], phi)
+                phi = engine.chi_psi[rows[k + 1]] * phases[:, k + 1, None]
                 np.maximum(alone, stack.distances(phi), out=alone)
 
             split_step_evolve(stack, cfg.V, cfg.W, controls, times[1:],
@@ -423,12 +428,11 @@ class TestTqEstimate:
         engine = AnsatzEngine(cfg, 0.4)
         assert engine.tq_idx[1] == 3  # the T_q grid is coarser than the fan's
         # the engine serves the T_q grid alone; every fan time's ‖r‖ comes
-        # from the fan shot again, which past the a0-scaling first block
-        # gives the engine's bits
+        # from the fan shot again, which gives the engine's bits on every
+        # block
         every = np.arange(engine.tq_idx[-1] + 1)
         norms = residual_norms(engine, engine_fan(engine, 0.4), every)
-        later = engine.tq_idx[FIELD_BLOCK:]
-        assert np.array_equal(norms[later], engine.residual_norms(later))
+        assert np.array_equal(norms[engine.tq_idx], engine.residual_norms(engine.tq_idx))
         assert norms[-1] < 0.75 * norms[0]
 
         def crossing(delta, times, thr):
@@ -549,6 +553,21 @@ class TestWorkCounts:
                         for k in _sample_indices(engine, eps, cfg.n_samples)}
         assert sum(grids) == len(sample_times)
         assert len(grids) == -(-len(sample_times) // FIELD_BLOCK)
+
+    def test_broken_hypothesis_assembles_each_served_time_once(self, monkeypatch):
+        # with W = x and the hypothesis not enforced, t = 0, whose row scales
+        # a0, is assembled in the first block like any other served time
+        field_times = []
+        field = sclab.obstruction.wkb_field
+        monkeypatch.setattr(sclab.obstruction, "wkb_field",
+                            lambda fan, a0, grid, t: field_times.append(np.atleast_1d(t))
+                            or field(fan, a0, grid, t))
+        cfg = scalar_config(W=make_potential("linear", 1, slope=1.0), enforce_hypothesis=False)
+        engine = AnsatzEngine(cfg, max(cfg.eps_grid))
+        assert engine.residuals is not None
+        assert sorted(np.concatenate(field_times).tolist()) == \
+            engine.times[engine.served].tolist()
+        assert len(field_times) == -(-engine.served.size // FIELD_BLOCK)
 
     def test_member_norms_match_the_per_member_formula(self):
         # one row per member, taken on the shared control-free grid, gives
@@ -775,7 +794,7 @@ class TestServedSet:
         with pytest.raises(ValueError, match="t=0.0005"):
             engine.residual_norms([0, 1, 3])
         with pytest.raises(ValueError, match="t=0.0005"):
-            engine.chi_psi_at(0.0005)
+            engine.rows(1)
         if broken:
             # residual grids are kept at ε's sample indices alone, not at the
             # rest of the T_q grid

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sclab.spectral
 from sclab.config import parse_config
 from sclab.errors import QuadratureDivergence, TruncationNotConverged
 from sclab.harness import run_experiment
@@ -96,6 +97,19 @@ class TestCutoffCoupling:
         scale = np.max(np.abs(full))
         assert np.max(np.abs(f - full)) < 1e-10 * scale
         assert np.max(np.abs(hat.entries)) < 1e-10 * scale
+
+    def test_refuses_before_building_an_order_above_the_cap(self, monkeypatch):
+        # a = 0.5, b = 0.4, ε = 5, N = 24 never meets the agreement rule (its
+        # differences sit on a rounding floor), so the orders double from 48
+        # until the cap refuses the next one: none above it is ever built
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: orders.append(n) or leggauss(n))
+        monkeypatch.setattr(sclab.spectral, "CUTOFF_MAX_ORDER", 200)
+        with pytest.raises(QuadratureDivergence, match="order 200"):
+            cutoff_coupling(0.5, 0.4, 0.0, 5.0, 24)
+        assert orders == [48, 96, 192]
 
     def test_f00_monotone_in_eps(self):
         vals = [cutoff_coupling(-1.0, 0.0, 0.0, e, 4)[1][0, 0]
