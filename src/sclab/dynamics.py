@@ -131,11 +131,6 @@ class Trajectory:
     times: np.ndarray
     xs: np.ndarray
     ps: np.ndarray
-    control_used: ControlSignal
-    space: ChartSpace
-
-    def __len__(self) -> int:
-        return self.times.size
 
     def state(self, i: int) -> PhasePoint:
         return PhasePoint(self.xs[i], self.ps[i])
@@ -178,14 +173,14 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
     return rhs
 
 
-def _march_segments(rhs_for: Callable, z0: np.ndarray, u: ControlSignal,
+def _march_segments(spec: HamiltonianSpec, z0: np.ndarray, u: ControlSignal,
                     step: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 through the control's segments, restarting at every breakpoint so
-    no step straddles a jump; rhs_for(value) is the field under that value."""
+    no step straddles a jump."""
     times, states = [np.zeros(1)], [np.asarray(z0, dtype=float)[None]]
     _, _, start, end, vals = control_pieces([u], (0.0, u.duration))
     for a, b, uval in zip(start.tolist(), end.tolist(), vals):
-        t, z = rk4_trajectory(rhs_for(uval), states[-1][-1], a, b, step)
+        t, z = rk4_trajectory(controlled_rhs(spec, uval), states[-1][-1], a, b, step)
         times.append(t[1:])
         states.append(z[1:])
     return np.concatenate(times), np.concatenate(states)
@@ -199,11 +194,9 @@ def evolve(spec: HamiltonianSpec, lam0: PhasePoint, u: ControlSignal,
     halved-step endpoint to agree to 1e-8 relative (StepTooCoarse otherwise).
     """
     times, states = halving_checked(
-        lambda h: _march_segments(lambda uval: controlled_rhs(spec, uval),
-                                  lam0.as_state(), u, h), step)
+        lambda h: _march_segments(spec, lam0.as_state(), u, h), step)
     n = spec.space.dimension
-    return Trajectory(times=times, xs=states[:, :n], ps=states[:, n:],
-                      control_used=u, space=spec.space)
+    return Trajectory(times=times, xs=states[:, :n], ps=states[:, n:])
 
 
 # ---------------------------------------------------------------------------

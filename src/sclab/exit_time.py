@@ -1,9 +1,11 @@
 """Control-uniform lower bounds on the exit time from a region.
 
-When the control potential W is constant in the base-factor coordinates on a
-box Ω (so the control force has no component along those axes) and the drift
-force is bounded there, ‖d₁V(x, y)‖ ≤ c, the (x, pˣ) dynamics are sandwiched
-between the autonomous comparison systems
+The chart is a product N₁ × N₂, and the box Ω states the split: its bounded
+axes are the base N₁ (coordinates x) and the chart's other axes are the
+fibre N₂ (coordinates y).  When the control potential W is constant along
+the base on Ω (so the control force has no component along those axes) and
+the drift force is bounded there, ‖d₁V(x, y)‖ ≤ c, the (x, pˣ) dynamics are
+sandwiched between the autonomous comparison systems
 
     ẋ = pˣ,   ṗˣ_i = ± c,
 
@@ -105,45 +107,39 @@ class ExitReport:
         return buf.getvalue()
 
 
-def _split_axes(spec: HamiltonianSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if spec.space.product_split is not None:
-        return spec.space.product_split
-    return tuple(range(spec.space.dimension)), ()
-
-
-def _omega_grid(Omega: BoxRegion, n1_axes: Sequence[int]) -> np.ndarray:
-    axes = []
-    for k in n1_axes:
-        lo, hi = Omega.bounds[k]
-        axes.append(np.linspace(lo, hi, OMEGA_GRID_POINTS))
+def _omega_grid(Omega: BoxRegion) -> np.ndarray:
+    """The grid of OMEGA_GRID_POINTS per bounded axis of Ω, one row a point."""
+    axes = [np.linspace(b[0], b[1], OMEGA_GRID_POINTS) for b in Omega.bounds if b is not None]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def check_w_constancy(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint) -> float:
-    """Max over an Ω × (sample y) grid of ‖d₁W‖; raises HypothesisViolated."""
-    n1_axes, n2_axes = _split_axes(spec)
-    grid1 = _omega_grid(Omega, n1_axes)
-    y_samples = [np.asarray(lam0.x, dtype=float)[list(n2_axes)]] if n2_axes else [np.empty(0)]
-    if n2_axes:
-        base = y_samples[0]
-        y_samples += [base + 0.7, base - 1.3, np.zeros_like(base)]
+    """Max over an Ω × (sample y) grid of ‖d₁W‖; raises HypothesisViolated.
+
+    The base axes are Ω's bounded axes, gridded over Ω; the fibre axes are
+    the chart's others, sampled at y₀ and three points off it.
+    """
+    n1_axes = [k for k, b in enumerate(Omega.bounds) if b is not None]
+    n2_axes = [k for k in range(spec.space.dimension) if k not in n1_axes]
+    grid1 = _omega_grid(Omega)
+    y0 = lam0.x[n2_axes]
+    y_samples = [y0, y0 + 0.7, y0 - 1.3, np.zeros_like(y0)] if n2_axes else [y0]
     worst = 0.0
     for W in spec.W:
         for y in y_samples:
             pts = np.zeros((grid1.shape[0], spec.space.dimension))
-            pts[:, list(n1_axes)] = grid1
-            if n2_axes:
-                pts[:, list(n2_axes)] = y
+            pts[:, n1_axes] = grid1
+            pts[:, n2_axes] = y
             grads = np.asarray(W.gradient(pts), dtype=float)
-            worst = max(worst, float(np.max(np.abs(grads[:, list(n1_axes)]))))
+            worst = max(worst, float(np.max(np.abs(grads[:, n1_axes]))))
     if worst >= W_CONSTANCY_TOL:
         raise HypothesisViolated(
             f"control potential varies along the base factor on Ω (max ‖d₁W‖ = {worst:.3e})")
     return worst
 
 
-def _locate_exits(omega1: BoxRegion, axes, lo: np.ndarray, hi: np.ndarray,
+def _locate_exits(Omega: BoxRegion, lo: np.ndarray, hi: np.ndarray,
                   Z_lo: np.ndarray, Z_hi: np.ndarray,
                   F_lo: np.ndarray, F_hi: np.ndarray) -> np.ndarray:
     """Exit time from Ω of every row that leaves it during its step.
@@ -154,11 +150,11 @@ def _locate_exits(omega1: BoxRegion, axes, lo: np.ndarray, hi: np.ndarray,
     steps' cubic Hermite dense output, so a probe costs no rhs call, and the
     bracket is consistent: the probe at hi sees Z_hi itself.
     """
-    h, start = (hi - lo)[:, None], lo[:, None]
+    h, start, n = (hi - lo)[:, None], lo[:, None], Z_lo.shape[1] // 2
 
     def gap_at(t):
         z = hermite_state(Z_lo, Z_hi, F_lo, F_hi, h, (t[:, None] - start) / h)
-        return omega1.signed_gap(z[:, axes])
+        return Omega.signed_gap(z[:, :n])
 
     return bisect_event(gap_at, lo, hi, tol=EXIT_TIME_TOL)
 
@@ -183,21 +179,22 @@ def _wall_time(v: float, a: float, d: float) -> float:
 
 
 def _closed_form_bound(x0: np.ndarray, p0: np.ndarray, c: float,
-                       omega1: BoxRegion) -> float:
+                       Omega: BoxRegion) -> float:
     """Exit time from Ω of the comparison systems under the constant forcing
     c, rounded down (inf if none leaves).
 
     The axes decouple, and on each the sign that pushes toward a wall
     reaches it first, so the least exit over the 2^n₁ sign patterns is the
-    least over axes and walls of the first root of p·t + c·t²/2 = d, with d
-    the distance to the wall and p the momentum toward it.
+    least over Ω's bounded axes and walls of the first root of
+    p·t + c·t²/2 = d, with d the distance to the wall and p the momentum
+    toward it.
     """
     if not (isinstance(c, numbers.Real) and 0.0 <= c < math.inf):
         raise ValueError(f"the force bound c_bound = {c!r} must be a finite number ≥ 0: "
                          "pass the sup of |∂ₓV| over Ω")
     a = float(c)
     best = math.inf
-    for x, p, b in zip(x0.tolist(), p0.tolist(), omega1.bounds):
+    for x, p, b in zip(x0.tolist(), p0.tolist(), Omega.bounds):
         if b is not None:
             best = min(best, _wall_time(p, a, b[1] - x), _wall_time(-p, a, x - b[0]))
     return best
@@ -212,14 +209,10 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     Ω), `_closed_form_bound`, capped at the horizon.  A start on ∂Ω or
     outside Ω gives 0.
     """
-    n1_axes, _ = _split_axes(spec)
     check_w_constancy(spec, Omega, lam0)
-    x1_0 = np.asarray(lam0.x, dtype=float)[list(n1_axes)]
-    p1_0 = np.asarray(lam0.p, dtype=float)[list(n1_axes)]
-    omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
-    if omega1.signed_gap(x1_0) <= 0.0:
+    if Omega.signed_gap(lam0.x) <= 0.0:
         return 0.0
-    return float(min(horizon, _closed_form_bound(x1_0, p1_0, spec.V.c_bound, omega1)))
+    return float(min(horizon, _closed_form_bound(lam0.x, lam0.p, spec.V.c_bound, Omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +237,7 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     arithmetic is its own, so a member's exit does not depend on the rest
     of the ensemble.
     """
-    m = len(controls)
-    n1_axes, _ = _split_axes(spec)
-    # the base columns, as a slice (a view, not a copy) when they are contiguous
-    lo, n1 = min(n1_axes, default=0), len(n1_axes)
-    axes = slice(lo, lo + n1) if n1_axes == tuple(range(lo, lo + n1)) else list(n1_axes)
-    omega1 = BoxRegion(tuple(Omega.bounds[k] for k in n1_axes))
+    m, n = len(controls), spec.space.dimension
     # row 0 of seg_n and seg_h is the coarse pass, row 1 the fine pass
     first, _, seg_a, seg_b, seg_u = control_pieces(controls, (0.0, horizon))
     seg_u = seg_u.reshape(seg_a.size, -1)
@@ -275,19 +263,19 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
         T = T + H
         tick += 1
         check_escape(Z, T)
-        keep = omega1.contains(Z[:, axes])
+        keep = Omega.contains(Z[:, :n])
         kept = keep.all()
         if not kept:
             crossed = np.flatnonzero(~keep)
             # a row with gap ≤ 0 at its step's start (on ∂Ω, or started
             # outside Ω) exits there; the rest are bisected
             t_exit = T_prev[crossed, 0]
-            inside = omega1.signed_gap(Z_prev[crossed][:, axes]) > 0.0
+            inside = Omega.signed_gap(Z_prev[crossed, :n]) > 0.0
             if inside.any():
                 j = crossed[inside]
                 rhs_x = controlled_rhs(spec, U[j])
                 t_exit[inside] = _locate_exits(
-                    omega1, axes, T_prev[j, 0], T[j, 0], Z_prev[j], Z[j],
+                    Omega, T_prev[j, 0], T[j, 0], Z_prev[j], Z[j],
                     rhs_x(T_prev[j], Z_prev[j]), rhs_x(T[j], Z[j]))
             exits.flat[row[crossed]] = t_exit
         switched = tick == next_end

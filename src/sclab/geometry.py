@@ -24,23 +24,13 @@ W_CONSTANCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ChartSpace:
-    """A flat chart R^n: the kinetic term is ½‖p‖².
-
-    product_split: optional (N1 axes, N2 axes) partition used by the
-    product-manifold experiments.
-    """
+    """A flat chart R^n: the kinetic term is ½‖p‖²."""
 
     dimension: int
-    product_split: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.product_split is not None:
-            n1, n2 = self.product_split
-            if sorted(tuple(n1) + tuple(n2)) != list(range(self.dimension)):
-                raise ValueError("product_split must partition the axes exactly")
-            object.__setattr__(self, "product_split", (tuple(n1), tuple(n2)))
 
 
 @dataclass(frozen=True)
@@ -100,8 +90,10 @@ class PotentialField:
 class BoxRegion:
     """Axis-aligned box constraining a subset of axes; None = unconstrained.
 
-    bounds[k] is (lo, hi) for a constrained axis k.  Used both as the exit
-    region Ω on the N1 factor and as an occupation-probability window.
+    bounds[k] is (lo, hi) for a constrained axis k.  Used both as an
+    occupation-probability window and as the exit region Ω of a product
+    N₁ × N₂, where it states the split: its bounded axes are the base N₁
+    and the rest are the fibre N₂.
     """
 
     bounds: tuple[Optional[tuple[float, float]], ...]

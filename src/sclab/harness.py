@@ -148,12 +148,13 @@ def _run_steer(config: ExperimentConfig) -> None:
 
 def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
     """Canned product family: flat (x) × (y), V = ½c·x² + cos y, W on N2.
+    The run's Ω bounds x alone, which makes x the base N1.
 
     V's c_bound is the sup of |∂ₓV| = c|x| over Ω, c·max(|lo|, |hi|).
     """
     c = config["exit.force_bound"]
     lo, hi = _leading(config, "exit.omega", 2)
-    space = ChartSpace(dimension=2, product_split=((0,), (1,)))
+    space = ChartSpace(dimension=2)
 
     def grad_V(xy):
         xy = np.asarray(xy, dtype=float)

@@ -27,7 +27,7 @@ from .dynamics import ControlSignal, HamiltonianSpec, evolve
 from .errors import (DegenerateDirection, LinearSolveFailed, TargetOffCurve,
                      WedgeDegenerate)
 from .geometry import PhasePoint
-from .integrate import rk4_step
+from .integrate import check_escape, rk4_step
 
 WEDGE_TOL = 1e-10
 SUBSTEPS = 2000  # least RK4 steps per plan segment
@@ -135,7 +135,9 @@ def _gradient_curve(spec: HamiltonianSpec, x0: np.ndarray, target: np.ndarray,
     """Follow ẋ = ∇W from x0 in both time directions until the target is met.
 
     Returns the sampled arc from x0 to the (near-)hit, or raises
-    TargetOffCurve when both directions stall or wander without approaching.
+    TargetOffCurve when both directions stall or wander without approaching,
+    and TrajectoryEscape when the flow leaves the overflow guard or turns
+    non-finite.
     """
     W = spec.W[0]
 
@@ -146,26 +148,25 @@ def _gradient_curve(spec: HamiltonianSpec, x0: np.ndarray, target: np.ndarray,
             return sign * W.grad(x)
         xs = [np.array(x0, dtype=float)]
         t, x = 0.0, np.array(x0, dtype=float)
-        best = d0
         while t < GRADIENT_CURVE_MAX_TIME:
             x = rk4_step(rhs, t, x, GRADIENT_CURVE_STEP)
             t += GRADIENT_CURVE_STEP
+            check_escape(x, t)
             xs.append(x.copy())
             d = np.linalg.norm(x - target)
-            best = min(best, d)
             if d < tol:
-                return xs, True, best
-            if d > 10.0 * (d0 + 1.0) or np.max(np.abs(x)) > 1e6:
+                return xs, True
+            if d > 10.0 * (d0 + 1.0):
                 break  # running away from the target
             speed = np.linalg.norm(W.grad(x))
             if speed < 1e-8:
                 break  # stalled near a critical point
-        return xs, False, best
+        return xs, False
 
     if np.linalg.norm(target - np.asarray(x0, dtype=float)) < tol:
         return [np.array(x0, dtype=float)]
     for sign in (+1.0, -1.0):
-        xs, hit, _ = flow_dir(sign)
+        xs, hit = flow_dir(sign)
         if hit:
             return xs
     raise TargetOffCurve(

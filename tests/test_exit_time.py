@@ -20,7 +20,7 @@ from sclab.integrate import _nsteps
 
 def product_spec(c=1.0):
     """Flat plane split into (x) × (y): V = (c/2)x² + cos y, W = cos y."""
-    space = ChartSpace(dimension=2, product_split=((0,), (1,)))
+    space = ChartSpace(dimension=2)
     V = PotentialField(
         value=lambda xy: 0.5 * c * np.asarray(xy)[..., 0] ** 2
         + np.cos(np.asarray(xy)[..., 1]),
@@ -55,7 +55,7 @@ def constant_force_cases(draw):
 def constant_bound_spec(n1, c):
     """V = cos y on the fibre axis, with the force bound c declared as given;
     W = cos y."""
-    space = ChartSpace(dimension=n1 + 1, product_split=(tuple(range(n1)), (n1,)))
+    space = ChartSpace(dimension=n1 + 1)
     V = PotentialField(
         value=lambda x: np.cos(np.asarray(x)[..., -1]),
         gradient=lambda x: np.concatenate(
@@ -191,7 +191,7 @@ class TestExitLowerBound:
         assert small <= big + 1e-12
 
     def test_hypothesis_check_fires(self):
-        space = ChartSpace(dimension=2, product_split=((0,), (1,)))
+        space = ChartSpace(dimension=2)
         spec = HamiltonianSpec(
             space=space,
             V=PotentialField(value=lambda xy: 0.0 * np.asarray(xy)[..., 0],
@@ -201,6 +201,17 @@ class TestExitLowerBound:
         )
         with pytest.raises(HypothesisViolated):
             check_w_constancy(spec, omega_unit(), PhasePoint(np.zeros(2), np.zeros(2)))
+
+    def test_omega_bounding_a_fibre_axis_puts_it_in_the_base(self):
+        # W = cos z on (x, y, z): constant along the base x of an Ω that
+        # bounds x alone, but an Ω that also bounds z makes z a base axis,
+        # along which W varies
+        spec = HamiltonianSpec(space=ChartSpace(dimension=3), V=make_potential("zero", 3),
+                               W=make_potential("cosine", 3, amplitude=[0.0, 0.0, 1.0]))
+        lam0 = PhasePoint(np.zeros(3), np.zeros(3))
+        assert check_w_constancy(spec, BoxRegion(((-1.0, 1.0), None, None)), lam0) == 0.0
+        with pytest.raises(HypothesisViolated):
+            exit_lower_bound(spec, BoxRegion(((-1.0, 1.0), None, (-0.5, 0.5))), lam0)
 
 
 class TestSampledExit:
@@ -236,7 +247,7 @@ class TestSampledExit:
 
     def test_violated_hypothesis_exits_fast(self):
         # W = x on the base factor: strong controls leave Ω arbitrarily fast
-        space = ChartSpace(dimension=1, product_split=((0,), ()))
+        space = ChartSpace(dimension=1)
         spec = HamiltonianSpec(
             space=space,
             V=PotentialField(value=lambda x: 0.0 * np.asarray(x)[..., 0],
@@ -256,6 +267,25 @@ class TestSampledExit:
         assert mins[0] > mins[1] > mins[2]
         # constant force amp: exit when x = ½·amp·t² = 1
         assert mins[2] == pytest.approx(np.sqrt(2.0 / 1000.0), rel=1e-3)
+
+    @pytest.mark.parametrize("x0, p0", [(0.0, 1.5), (0.3, -0.9)], ids=["exits", "stays"])
+    def test_plane_run_is_the_base_line_run(self, x0, p0):
+        # Ω = ((−1, 1), None) makes x the base of the plane: under V = ½x²
+        # + cos y and W = cos y, x obeys the line's ẍ = −x with a zero
+        # control force, so the plane run equals the line run bit for bit
+        controls = sample_controls(0, 10, 3.0, 100.0)
+        plane = sampled_exit_time(product_spec(), PhasePoint([x0, 0.2], [p0, 0.4]),
+                                  omega_unit(), controls, horizon=3.0)
+        on_line = HamiltonianSpec(
+            space=ChartSpace(dimension=1),
+            V=PotentialField(value=lambda x: 0.5 * x[..., 0] ** 2,
+                             gradient=lambda x: 1.0 * x, c_bound=1.0),
+            W=make_potential("linear", 1, slope=0.0))
+        line = sampled_exit_time(on_line, PhasePoint([x0], [p0]),
+                                 BoxRegion(((-1.0, 1.0),)), controls, horizon=3.0)
+        assert np.array_equal(plane.exit_times, line.exit_times)
+        assert (plane.analytic_bound, plane.halving_drift, plane.march_ticks) == \
+            (line.analytic_bound, line.halving_drift, line.march_ticks)
 
     def test_report_csv(self):
         spec = product_spec()
@@ -304,7 +334,7 @@ class TestHalvingMargin:
 
 def line_spec(columns):
     """Flat line, V = ½x², and W = x (one column) or W = (x, x/2) (two)."""
-    space = ChartSpace(dimension=1, product_split=((0,), ()))
+    space = ChartSpace(dimension=1)
     W = [make_potential("linear", 1, slope=1.0), make_potential("linear", 1, slope=0.5)]
     return HamiltonianSpec(space=space, V=make_potential("harmonic", 1), W=W[:columns])
 

@@ -1,5 +1,5 @@
-"""Every name a `sclab` module imports is used in it, every module-level
-function and class is used somewhere in `sclab`, every `ObstructionConfig`
+"""Every name a `sclab` module or a test module imports is used in it, every
+module-level function and class is used somewhere in `sclab`, every `ObstructionConfig`
 field is set by the CLI and every `PotentialField` field by some call in
 `sclab`, or has a stated reason not to be, every defaulted parameter of a
 `sclab` function is passed by some call in `sclab`, or has a stated reason not
@@ -33,6 +33,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sclab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 # definitions nothing in sclab calls, each with the reason it is kept
 UNREFERENCED_ALLOWED = {
@@ -63,7 +64,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import sclab.spectral
 from sclab.config import parse_config
-from sclab.errors import QuadratureDivergence, TruncationNotConverged
+from sclab.errors import QuadratureDivergence
 from sclab.harness import run_experiment
-from sclab.spectral import (CouplingMatrix, GapVector, cutoff_coupling,
+from sclab.spectral import (CouplingMatrix, cutoff_coupling,
                             default_zero_tol, gap_rational_relation,
                             gaussian_coupling, hermite_polynomial_values,
                             minor_connectivity, perturbed_spectrum,

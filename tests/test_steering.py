@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sclab.dynamics import ControlSignal, HamiltonianSpec
-from sclab.errors import DegenerateDirection, TargetOffCurve, WedgeDegenerate
-from sclab.geometry import ChartSpace, PhasePoint, make_potential
+from sclab.dynamics import HamiltonianSpec
+from sclab.errors import (DegenerateDirection, TargetOffCurve, TrajectoryEscape,
+                          WedgeDegenerate)
+from sclab.geometry import ChartSpace, PhasePoint, PotentialField, make_potential
 from sclab.steering import (execute_plan, full_rank_steer, geodesic_burst,
                             gradient_curve_steer, impulse_steer)
 
@@ -148,6 +149,19 @@ class TestGradientCurve:
         lam0 = PhasePoint(np.array([1.0]), np.array([0.0]))
         with pytest.raises(TargetOffCurve):
             gradient_curve_steer(spec, lam0, [-1.0], tol=1e-2, eps=1e-2)
+
+    def test_non_finite_flow_escapes(self):
+        # W′ = √(1 − x): the flow from 0 reaches x = 1 at t = 2, where RK4
+        # steps past it into NaN, which must stop the march there rather
+        # than run on to a TargetOffCurve
+        root = PotentialField(value=lambda x: -(2.0 / 3.0) * (1.0 - x[..., 0]) ** 1.5,
+                              gradient=lambda x: np.sqrt(1.0 - x))
+        spec = HamiltonianSpec(space=ChartSpace(dimension=1),
+                               V=make_potential("zero", 1), W=root)
+        lam0 = PhasePoint(np.array([0.0]), np.array([0.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(TrajectoryEscape) as escape:
+            gradient_curve_steer(spec, lam0, [5.0], tol=1e-2, eps=1e-2)
+        assert float(str(escape.value).rpartition("t=")[2]) == pytest.approx(2.0, abs=1e-2)
 
     def test_degenerate_start(self):
         spec = spec_1d(V="zero", W="harmonic")
