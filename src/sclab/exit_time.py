@@ -107,6 +107,15 @@ class ExitReport:
         return buf.getvalue()
 
 
+def _check_fit(spec: HamiltonianSpec, Omega: BoxRegion) -> None:
+    """ValueError naming Ω and the chart unless Ω bounds some axis and has
+    no more entries than the chart has axes."""
+    n = spec.space.dimension
+    if len(Omega.bounds) > n or all(b is None for b in Omega.bounds):
+        raise ValueError(f"Ω = {Omega.bounds} does not fit the {n}-dimensional chart: "
+                         f"it must bound at least one axis and have at most {n} entries")
+
+
 def _omega_grid(Omega: BoxRegion) -> np.ndarray:
     """The grid of OMEGA_GRID_POINTS per bounded axis of Ω, one row a point."""
     axes = [np.linspace(b[0], b[1], OMEGA_GRID_POINTS) for b in Omega.bounds if b is not None]
@@ -207,8 +216,9 @@ def exit_lower_bound(spec: HamiltonianSpec, Omega: BoxRegion, lam0: PhasePoint,
     Checks that W is constant along the base on Ω, then returns the exit
     time of the comparison systems under V's c_bound (the sup of |∂ₓV| over
     Ω), `_closed_form_bound`, capped at the horizon.  A start on ∂Ω or
-    outside Ω gives 0.
+    outside Ω gives 0.  An Ω that does not fit the chart raises ValueError.
     """
+    _check_fit(spec, Omega)
     check_w_constancy(spec, Omega, lam0)
     if Omega.signed_gap(lam0.x) <= 0.0:
         return 0.0
@@ -318,7 +328,9 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     cubic Hermite dense output of the step that leaves Ω.  The halved-step
     pass must reproduce every exit time to `halving_allowed` (StepTooCoarse
     otherwise); the report carries the halved-step exits and `halving_drift`.
+    An Ω that does not fit the chart raises ValueError.
     """
+    _check_fit(spec, Omega)
     controls = list(ensemble)
     if analytic_bound is None:
         analytic_bound = exit_lower_bound(spec, Omega, lam0, horizon=horizon)

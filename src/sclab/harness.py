@@ -4,30 +4,60 @@ Every runner is deterministic given (config, seed): all randomness flows from
 one seeded generator, and every emitted file starts with a header comment
 carrying the config hash and the seed.  Exit status: 0 success, 2 hypothesis
 violations, 1 any other error (with an error record in summary.json).
+
+Each kind loads only its own modules: exit-time `exit_time`, steer
+`steering`, spectral `spectral`, wkb `wkb` and `schrodinger`, obstruction
+`obstruction` (which imports `wkb` and `schrodinger`).  The shared layers,
+`config`, `dynamics`, `geometry`, `integrate` and `errors`, load with this
+module.  The six kind modules are registered with `importlib.util.LazyLoader`
+when this module is imported: each is in sys.modules and on the `sclab`
+package from then on, but is compiled and executed only when a run first
+reads one of its attributes, so an exit-time run never compiles the
+quantum, spectral and steering code.  They are registered rather than
+imported inside the runners because perfbench/tracer.py looks every traced
+module up in sys.modules right after `import sclab.cli`, before the run.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import os
+import sys
 from typing import Callable
 
 import numpy as np
 
-from . import exit_time as exit_mod
-from . import obstruction as obs_mod
-from . import spectral as spec_mod
-from . import steering as steer_mod
 from .config import ExperimentConfig, build_potential
 from .dynamics import HamiltonianSpec, sample_controls
 from .errors import HypothesisViolated, SclabError, ValidationError
 from .geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField,
                        make_potential, pullback)
-from .obstruction import ObstructionConfig
-from .schrodinger import SpatialGrid
-from .wkb import first_conjugate_time, shoot_characteristics, wkb_field
+
+
+def _lazy(name: str):
+    """`sclab.<name>`, registered in sys.modules and on the package now, and
+    compiled and executed when one of its attributes is first read."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:  # one imported before the harness is used as it is
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+exit_mod = _lazy("exit_time")
+obs_mod = _lazy("obstruction")
+schro_mod = _lazy("schrodinger")
+spec_mod = _lazy("spectral")
+steer_mod = _lazy("steering")
+wkb_mod = _lazy("wkb")
 
 STATUS_OK = 0
 STATUS_ERROR = 1
@@ -208,14 +238,14 @@ def _run_wkb(config: ExperimentConfig) -> None:
     S0 = build_potential(config, "wkb.s0", 1)
     V = build_potential(config, "wkb.v", 1)
     a0 = build_potential(config, "wkb.a0", 1)
-    fan = shoot_characteristics(S0, V, seeds, config["wkb.horizon"],
-                                config["wkb.step"], hbar=config["wkb.hbar"])
-    conj = first_conjugate_time(fan)
-    grid = SpatialGrid(((config["wkb.grid_lo"], config["wkb.grid_len"],
-                         config["wkb.grid_n"]),))
+    fan = wkb_mod.shoot_characteristics(S0, V, seeds, config["wkb.horizon"],
+                                        config["wkb.step"], hbar=config["wkb.hbar"])
+    conj = wkb_mod.first_conjugate_time(fan)
+    grid = schro_mod.SpatialGrid(((config["wkb.grid_lo"], config["wkb.grid_len"],
+                                   config["wkb.grid_n"]),))
     # the stored fan time nearest the requested one
     t_snap = float(fan.times[np.argmin(np.abs(fan.times - config["wkb.snapshot_t"]))])
-    field = wkb_field(fan, a0, grid, t_snap)
+    field = wkb_mod.wkb_field(fan, a0, grid, t_snap)
     stride = max(1, fan.times.size // 64)
     rows = [[float(t), float(np.min(np.abs(fan.J[k]))), float(np.max(np.abs(fan.J[k])))]
             for k, t in enumerate(fan.times) if k % stride == 0]
@@ -244,16 +274,16 @@ def _run_wkb(config: ExperimentConfig) -> None:
 
 
 def _run_obstruction(config: ExperimentConfig) -> None:
-    grid = SpatialGrid(((config["obstruction.grid_lo"],
-                         config["obstruction.grid_len"],
-                         config["obstruction.grid_n"]),))
+    grid = schro_mod.SpatialGrid(((config["obstruction.grid_lo"],
+                                   config["obstruction.grid_len"],
+                                   config["obstruction.grid_n"]),))
     lo, hi = _leading(config, "obstruction.omega", 2)
     lop, hip = _leading(config, "obstruction.omega_prime", 2)
     w_field = build_potential(config, "obstruction.w", 1)
     if w_field.name == "zero":
         w_field = make_potential("linear", 1, slope=0.0, offset=1.0)
     v_field = build_potential(config, "obstruction.v", 1)
-    ocfg = ObstructionConfig(
+    ocfg = obs_mod.ObstructionConfig(
         grid=grid,
         omega=BoxRegion(((lo, hi),)),
         omega_prime=BoxRegion(((lop, hip),)),

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-# numpy loads numpy.fft lazily; importing it here loads it with sclab, so
-# perfbench/tracer.py can wrap fftn/ifftn before a run makes its first FFT
+# numpy loads numpy.fft lazily; importing it here loads it with this module,
+# which perfbench/tracer.py reads before it wraps fftn/ifftn, so the tracer
+# binds to them before a run makes its first FFT
 from numpy import fft
 
 from .dynamics import control_pieces

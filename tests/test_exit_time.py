@@ -214,6 +214,23 @@ class TestExitLowerBound:
             exit_lower_bound(spec, BoxRegion(((-1.0, 1.0), None, (-0.5, 0.5))), lam0)
 
 
+@pytest.mark.parametrize("bounds", [(None,), ((-1.0, 1.0), (-1.0, 1.0))],
+                         ids=["bounds-no-axis", "more-entries-than-axes"])
+@pytest.mark.parametrize("entry", ["exit_lower_bound", "sampled_exit_time"])
+def test_omega_that_does_not_fit_the_chart_is_refused(bounds, entry):
+    # a 1-D chart: Ω must bound its one axis; sampled_exit_time is given its
+    # bound, so it cannot lean on exit_lower_bound's check
+    spec = HamiltonianSpec(space=ChartSpace(dimension=1), V=make_potential("zero", 1),
+                           W=make_potential("linear", 1, slope=0.0))
+    lam0 = PhasePoint(np.zeros(1), np.zeros(1))
+    call = {"exit_lower_bound": lambda omega: exit_lower_bound(spec, omega, lam0),
+            "sampled_exit_time": lambda omega: sampled_exit_time(
+                spec, lam0, omega, sample_controls(0, 2, 1.0, 1.0), horizon=1.0,
+                analytic_bound=0.0)}[entry]
+    with pytest.raises(ValueError, match=r"Ω = .* does not fit the 1-dimensional chart"):
+        call(BoxRegion(bounds))
+
+
 class TestSampledExit:
     def test_ensemble_respects_bound(self):
         spec = product_spec()

@@ -292,20 +292,21 @@ OBSTRUCTION_FIELDS_UNSET = {
 
 
 def keywords_passed(source: str, function: str, callee: str) -> set[str]:
-    """Keyword names of every call to `callee` inside the module-level
-    `function` of source."""
+    """Keyword names of every call to `callee` (`callee(...)` or
+    `x.callee(...)`) inside the module-level `function` of source."""
     tree = ast.parse(source)
     body = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == function)
-    return {kw.arg for node in ast.walk(body)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == callee for kw in node.keywords}
+    return {kw.arg for node in ast.walk(body) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == callee
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == callee)
+            for kw in node.keywords}
 
 
 def test_checker_sees_passed_keywords():
-    source = ("def run():\n    Cfg(a=1, b=g(c=2))\n    Cfg(d=3)\n\n"
+    source = ("def run():\n    Cfg(a=1, b=g(c=2))\n    Cfg(d=3)\n    mod.Cfg(f=5)\n\n"
               "def other():\n    Cfg(e=4)\n")
-    assert keywords_passed(source, "run", "Cfg") == {"a", "b", "d"}
+    assert keywords_passed(source, "run", "Cfg") == {"a", "b", "d", "f"}
 
 
 def test_harness_passes_every_obstruction_field():
@@ -367,13 +368,62 @@ def test_no_scipy_import(path):
 
 def test_cli_import_loads_no_scipy():
     code = ("import json, sys\nimport sclab.cli\n"
-            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']"
-            " + ['numpy.fft' in sys.modules]))")
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
-    # no scipy module, and numpy.fft loaded (scipy used to load it; the
-    # tracer of perfbench/tracer.py binds to it before a run starts)
-    assert json.loads(out.stdout) == [True]
+    assert json.loads(out.stdout) == []
+
+
+# counts the traced benchmark runs must read: each proves the tracer bound
+# to the layer (numpy.fft for the FFTs) before the run made its first call
+TRACED_COUNTS = {
+    "exit-crossing": {"integrate.rk4_step.calls": 732},
+    "obstruction": {"schrodinger.fft.calls": 457},
+}
+
+
+def test_traced_benchmark_runs(tmp_path, bench):
+    # perfbench/child.py, as the benchmark's --trace 1 run starts it: it
+    # looks every traced module up in sys.modules right after import sclab.cli
+    totals = {}
+    for name, workload in sorted(bench.WORKLOADS.items()):
+        config, trace = tmp_path / f"{name}.cfg", tmp_path / f"{name}.json"
+        config.write_text(bench.config_text(workload, 0, tmp_path / name, shipped_sizes=False))
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), workload.kind,
+             str(config), str(tmp_path / f"{name}.stamp"), str(trace)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert run.returncode == 0, run.stderr
+        totals[name] = json.loads(trace.read_text())
+    for name, counts in TRACED_COUNTS.items():
+        assert {k: totals[name].get(k) for k in counts} == counts
+
+
+def executed_kind_modules(kind: str, config_text: str, tmp_path) -> list:
+    """In a fresh interpreter, the kinds' modules that one `sclab <kind>`
+    run executed, then whether numpy.fft was imported.  A module's dict is
+    read past LazyLoader's hook, which would execute it; exec adds
+    __builtins__ to it."""
+    config = tmp_path / f"{kind}.cfg"
+    config.write_text(config_text + f"out = {tmp_path / kind}\n")
+    code = ("import json, sys\nimport sclab.cli\n"
+            f"assert sclab.cli.main([{kind!r}, '--config', {str(config)!r}]) == 0\n"
+            "names = ['exit_time', 'obstruction', 'schrodinger', 'spectral', 'steering', 'wkb']\n"
+            "print(json.dumps([[n for n in names if '__builtins__' in "
+            "object.__getattribute__(sys.modules['sclab.' + n], '__dict__')],"
+            " 'numpy.fft' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_runs_execute_only_their_kinds_modules(tmp_path):
+    exit_run = executed_kind_modules(
+        "exit-time", "experiment = exit-time\nexit.ensemble = 4\nexit.horizon = 0.5\n",
+        tmp_path)
+    assert exit_run == [["exit_time"], False]
+    spectral_run = executed_kind_modules("spectral", "experiment = spectral\n", tmp_path)
+    assert spectral_run == [["spectral"], False]
 
 
 def test_cli_import_loads_no_openssl():
