@@ -1,15 +1,16 @@
 """Flat key-value experiment configs with dotted section prefixes.
 
 Grammar: one `key = value` pair per line, `#` comments, blank lines ignored.
-Values are typed by the schema (int, float, bool, str, non-empty float
-list); unknown keys are rejected with the full dotted path, syntax errors
-with the line number.  Every experiment kind declares its own key set;
-potential-shaped sub-sections (name + registry coefficients) share one
-sub-schema.
+Values are typed by the schema (int, finite float, bool, str, non-empty
+list of finite floats); unknown keys and non-finite floats are rejected with
+the full dotted path, syntax errors with the line number.  Every experiment
+kind declares its own key set; potential-shaped sub-sections (name +
+registry coefficients) share one sub-schema.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -28,8 +29,15 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _as_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _as_float_list(raw: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+    values = tuple(_as_float(v) for v in raw.split(",") if v.strip() != "")
     if not values:
         raise ValueError("needs at least one value")
     return values
@@ -47,7 +55,7 @@ POTENTIAL_FIELDS = {
     "k": Field(_as_float_list, (1.0,)),
     "center": Field(_as_float_list, (0.0,)),
     "slope": Field(_as_float_list, (1.0,)),
-    "offset": Field(float, 0.0),
+    "offset": Field(_as_float, 0.0),
     "amplitude": Field(_as_float_list, (1.0,)),
     "width": Field(_as_float_list, (1.0,)),
     "freq": Field(_as_float_list, (1.0,)),
@@ -92,9 +100,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                                 lambda v: v in ("impulse", "burst",
                                                 "gradient-curve", "full-rank")),
         "steer.dimension": Field(int, 1, _positive),
-        "steer.k": Field(float, 1.0),
+        "steer.k": Field(_as_float, 1.0),
         "steer.eps_sweep": Field(_as_float_list, (1e-1, 1e-2, 1e-3)),
-        "steer.tol": Field(float, 1e-2, _positive),
+        "steer.tol": Field(_as_float, 1e-2, _positive),
         "steer.x0": Field(_as_float_list, (0.0,)),
         "steer.p0": Field(_as_float_list, (0.0,)),
         "steer.target": Field(_as_float_list, (1.0,)),
@@ -104,63 +112,63 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_potential_section("steer.w2"),
     },
     "exit-time": {
-        "exit.force_bound": Field(float, 1.0, _positive),
+        "exit.force_bound": Field(_as_float, 1.0, _positive),
         "exit.omega": Field(_as_float_list, (-1.0, 1.0)),
         "exit.x0": Field(_as_float_list, (0.0, 0.0)),
         "exit.p0": Field(_as_float_list, (0.0, 0.0)),
         "exit.ensemble": Field(int, 1000, _nonnegative),
-        "exit.amplitude": Field(float, 100.0, _positive),
+        "exit.amplitude": Field(_as_float, 100.0, _positive),
         "exit.breakpoints": Field(int, 6, _positive),
-        "exit.horizon": Field(float, 3.0, _positive),
-        "exit.step": Field(float, 2e-3, _positive),
+        "exit.horizon": Field(_as_float, 3.0, _positive),
+        "exit.step": Field(_as_float, 2e-3, _positive),
         **_potential_section("exit.w2"),
     },
     "wkb": {
-        "wkb.seed_lo": Field(float, -1.0),
-        "wkb.seed_hi": Field(float, 1.0),
+        "wkb.seed_lo": Field(_as_float, -1.0),
+        "wkb.seed_hi": Field(_as_float, 1.0),
         "wkb.n_seeds": Field(int, 400, lambda v: v >= 8),
-        "wkb.horizon": Field(float, 0.5, _positive),
-        "wkb.step": Field(float, 1e-3, _positive),
-        "wkb.hbar": Field(float, 1.0, _positive),
+        "wkb.horizon": Field(_as_float, 0.5, _positive),
+        "wkb.step": Field(_as_float, 1e-3, _positive),
+        "wkb.hbar": Field(_as_float, 1.0, _positive),
         "wkb.grid_n": Field(int, 512, lambda v: v >= 4),
-        "wkb.grid_lo": Field(float, -3.141592653589793),
-        "wkb.grid_len": Field(float, 6.283185307179586, _positive),
-        "wkb.snapshot_t": Field(float, 0.2, _nonnegative),
+        "wkb.grid_lo": Field(_as_float, -3.141592653589793),
+        "wkb.grid_len": Field(_as_float, 6.283185307179586, _positive),
+        "wkb.snapshot_t": Field(_as_float, 0.2, _nonnegative),
         **_potential_section("wkb.s0"),
         **_potential_section("wkb.v"),
         **_potential_section("wkb.a0"),
     },
     "obstruction": {
         "obstruction.grid_n": Field(int, 512, lambda v: v >= 4),
-        "obstruction.grid_lo": Field(float, -3.141592653589793),
-        "obstruction.grid_len": Field(float, 6.283185307179586, _positive),
+        "obstruction.grid_lo": Field(_as_float, -3.141592653589793),
+        "obstruction.grid_len": Field(_as_float, 6.283185307179586, _positive),
         "obstruction.omega": Field(_as_float_list, (-0.9, 0.9)),
         "obstruction.omega_prime": Field(_as_float_list, (-0.6, 0.6)),
         "obstruction.eps_grid": Field(_as_float_list, (0.01, 0.02, 0.04, 0.08)),
         "obstruction.n_seeds": Field(int, 1200, lambda v: v >= 8),
-        "obstruction.fan_step": Field(float, 1e-3, _positive),
+        "obstruction.fan_step": Field(_as_float, 1e-3, _positive),
         "obstruction.n_samples": Field(int, 24, lambda v: v >= 2),
         "obstruction.ensemble": Field(int, 200, _nonnegative),
-        "obstruction.amplitude": Field(float, 50.0, _positive),
+        "obstruction.amplitude": Field(_as_float, 50.0, _positive),
         "obstruction.breakpoints": Field(int, 8, _positive),
-        "obstruction.distance_floor": Field(float, 0.1, lambda v: 0.0 <= v < 1.0),
+        "obstruction.distance_floor": Field(_as_float, 0.1, lambda v: 0.0 <= v < 1.0),
         "obstruction.enforce_hypothesis": Field(_as_bool, True),
-        "obstruction.a0_width": Field(float, 0.18, _positive),
+        "obstruction.a0_width": Field(_as_float, 0.18, _positive),
         **_potential_section("obstruction.v"),
         **_potential_section("obstruction.w"),
         **_potential_section("obstruction.s0"),
     },
     "spectral": {
-        "spectral.a": Field(float, -1.0, lambda v: v < 1.0),
-        "spectral.b": Field(float, 1.0),
-        "spectral.c": Field(float, 0.0),
-        "spectral.eps": Field(float, 0.5, _nonnegative),
+        "spectral.a": Field(_as_float, -1.0, lambda v: v < 1.0),
+        "spectral.b": Field(_as_float, 1.0),
+        "spectral.c": Field(_as_float, 0.0),
+        "spectral.eps": Field(_as_float, 0.5, _nonnegative),
         "spectral.N": Field(int, 12, lambda v: v >= 2),
         "spectral.coeff_bound": Field(int, 50, _positive),
-        "spectral.precision": Field(float, 1e-9, _positive),
-        "spectral.mu": Field(float, 1.0),
+        "spectral.precision": Field(_as_float, 1e-9, _positive),
+        "spectral.mu": Field(_as_float, 1.0),
         "spectral.N_big": Field(int, 48, lambda v: v >= 4),
-        "spectral.disc_r0": Field(float, 0.1, _positive),
+        "spectral.disc_r0": Field(_as_float, 0.1, _positive),
     },
 }
 

@@ -152,13 +152,22 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
 
     The field calls the `gradient` callbacks on the view z[..., :n] and
     builds ṗ in place in the output: −∇V, then each u_a·∇W_a subtracted in
-    turn.  Negation is exact, so (−a) − b is −(a + b) to the bit, up to the
-    sign of an exact zero.
+    turn, the gradient scaled by u_a in place.  A W built by `pullback(f, k)`
+    is nonzero in force column k alone, so its term evaluates f′ on the
+    (..., 1) view z[..., k:k + 1] and subtracts u_a·f′ from that column
+    only; the other columns would only subtract ±0.  Negation is exact, so
+    (−a) − b is −(a + b) to the bit, up to the sign of an exact zero.
     """
     n = spec.space.dimension
     u = spec.control_rows(u)
     grad_V = spec.V.gradient
-    terms = [(u[..., a, None], W.gradient) for a, W in enumerate(spec.W) if u[..., a].any()]
+    # (u_a column, gradient, the force columns it reaches)
+    terms = []
+    for a, W in enumerate(spec.W):
+        if u[..., a].any():
+            k, f = W.axis_factor or (None, W)
+            cols = slice(None) if k is None else slice(k, k + 1)
+            terms.append((u[..., a, None], f.gradient, cols))
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
         x = z[..., :n]
@@ -166,8 +175,11 @@ def controlled_rhs(spec: HamiltonianSpec, u) -> Callable:
         out[..., :n] = z[..., n:]
         force = out[..., n:]
         np.negative(grad_V(x), out=force)
-        for ua, grad_W in terms:
-            force -= ua * grad_W(x)
+        for ua, grad_W, cols in terms:
+            g = grad_W(x[..., cols])
+            g *= ua
+            reached = force[..., cols]
+            reached -= g
         return out
 
     return rhs

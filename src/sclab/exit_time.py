@@ -234,6 +234,8 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
                  step: float) -> tuple[np.ndarray, int]:
     """Exit times of every member at step and at step/2, (2, m) with the
     horizon where a row does not exit, and the number of ticks marched.
+    StepTooCoarse if some member's every segment takes one step in both
+    passes, since its two passes would then be one grid.
 
     One stack holds a row per (pass, member), in that order, and advances
     all live rows together, one `rk4_step` per tick, each with its own step
@@ -253,6 +255,12 @@ def _march_exits(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     seg_u = seg_u.reshape(seg_a.size, -1)
     seg_n = np.stack([_nsteps(seg_a, seg_b, step), _nsteps(seg_a, seg_b, 0.5 * step)])
     seg_h = (seg_b - seg_a) / seg_n
+    # such a member would march its one grid twice and always pass halving
+    unhalved = np.logical_and.reduceat(seg_n[0] == seg_n[1], first[:-1])
+    if unhalved.any():
+        raise StepTooCoarse(
+            f"member {int(np.argmax(unhalved))} takes the same steps at step {step!r} and "
+            "at step/2 on every segment, so step halving checks nothing; refine the step")
     exits = np.full((2, m), horizon)
     # per live row: its index into exits.flat, its pass (1 = fine), its
     # segment, its member's last segment and the tick its segment ends
@@ -327,8 +335,9 @@ def sampled_exit_time(spec: HamiltonianSpec, lam0: PhasePoint, Omega: BoxRegion,
     member's exit time depends on its own control alone.  Each exit is located by bisection to 1e-8 on the
     cubic Hermite dense output of the step that leaves Ω.  The halved-step
     pass must reproduce every exit time to `halving_allowed` (StepTooCoarse
-    otherwise); the report carries the halved-step exits and `halving_drift`.
-    An Ω that does not fit the chart raises ValueError.
+    otherwise, and also for a member whose halved pass takes the same steps
+    on every segment); the report carries the halved-step exits and
+    `halving_drift`.  An Ω that does not fit the chart raises ValueError.
     """
     _check_fit(spec, Omega)
     controls = list(ensemble)

@@ -68,9 +68,12 @@ class PotentialField:
 
     value/gradient/hessian must broadcast over batched inputs of shape
     (..., dim); hessian(x)[..., k] is ∂²f/∂x_k², shaped like the gradient
-    (the WKB fan's V″ needs it).  c_bound is a number, the sup over the
-    exit region Ω of the base-factor differential norm |∂ₓV|; the exit-time
-    comparison systems are forced by it, and their exit is in closed form.
+    (the WKB fan's V″ needs it).  gradient returns a new float array, which
+    the controlled field scales in place.  c_bound is a number, the sup over
+    the exit region Ω of the base-factor differential norm |∂ₓV|; the
+    exit-time comparison systems are forced by it, and their exit is in
+    closed form.  axis_factor is (k, f) for a field f(x_k) of one axis,
+    which only `pullback` sets.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -78,6 +81,7 @@ class PotentialField:
     c_bound: Optional[float] = None
     name: str = "custom"
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    axis_factor: Optional[tuple[int, "PotentialField"]] = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
@@ -149,7 +153,13 @@ class BoxRegion:
 
 
 def pullback(field: PotentialField, axis: int) -> PotentialField:
-    """The 1-D field f as a field on a product chart: F(x) = f(x[axis])."""
+    """The 1-D field f as a field on a product chart: F(x) = f(x[axis]).
+
+    Its gradient is the full-width (..., dim) array, zero off the axis.  The
+    result carries (axis, f) as its axis_factor, so the controlled field
+    evaluates f′ on the (..., 1) column x[..., axis:axis + 1] alone and
+    subtracts u·f′ from that force column, with the same bits.
+    """
 
     def val(x):
         return np.asarray(field.value(np.asarray(x)[..., axis:axis + 1]))
@@ -163,7 +173,7 @@ def pullback(field: PotentialField, axis: int) -> PotentialField:
         g[..., axis] = np.asarray(field.gradient(x[..., axis:axis + 1]))[..., 0]
         return g
 
-    return PotentialField(val, grad, name=f"pullback-axis{axis}")
+    return PotentialField(val, grad, name=f"pullback-axis{axis}", axis_factor=(axis, field))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,19 @@ def _per_axis(coeff, dim: int) -> np.ndarray:
     return arr
 
 
+def _shared(coeff: np.ndarray):
+    """A per-axis coefficient as a Python float when every axis holds the
+    same bits, else the array itself."""
+    bits = coeff.view(np.uint64)
+    return float(coeff[0]) if (bits == bits[0]).all() else coeff
+
+
+def _all_plus_zero(coeff: np.ndarray) -> bool:
+    """Every entry +0.0: x − 0.0 is x for every float, but x − (−0.0) is
+    x + 0.0, which turns −0.0 into +0.0."""
+    return bool(((coeff == 0.0) & ~np.signbit(coeff)).all())
+
+
 def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
     """Build a named potential; all registry fields are smooth and vectorized,
     with analytic gradient and diagonal second derivative.
@@ -186,6 +209,14 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
     Names: zero, harmonic (k, center), linear (slope, offset),
     gaussian (amplitude, center, width), cosine (amplitude, freq, phase),
     polynomial (per-axis coefficient lists c0, c1, ... ascending).
+
+    The harmonic and cosine gradients fold their coefficients once, here,
+    where the fold keeps every bit, −0.0 included: a coefficient that every
+    axis shares becomes a Python float; a cosine freq of 1.0 on every axis
+    drops its multiply (1.0·x is x); a harmonic center of +0.0 on every axis
+    drops its subtract (x − 0.0 is x).  The cosine's + phase always stays,
+    since x + 0.0 turns −0.0 into +0.0, and the (zero-signed) gradient would
+    change with it.
     """
     name = name.lower().replace("_", "-")
 
@@ -205,7 +236,14 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
             d = np.asarray(x, dtype=float) - center
             return 0.5 * np.sum(k * d * d, axis=-1)
 
-        return PotentialField(val, lambda x: k * (np.asarray(x, dtype=float) - center),
+        g_k = _shared(k)
+        g_center = None if _all_plus_zero(center) else _shared(center)
+
+        def h_grad(x):
+            x = np.asarray(x, dtype=float)
+            return g_k * (x if g_center is None else x - g_center)
+
+        return PotentialField(val, h_grad,
                               hessian=lambda x: np.broadcast_to(k, np.shape(x)).astype(float),
                               name="harmonic")
     if name == "linear":
@@ -243,12 +281,15 @@ def make_potential(name: str, dim: int = 1, **coeffs) -> PotentialField:
         # -amp * freq is (-amp) * freq, so hoisting it keeps the gradient's bits
         grad_coeff = -amp * freq
         hess_coeff = grad_coeff * freq
+        g_coeff, g_phase = _shared(grad_coeff), _shared(phase)
+        g_freq = None if (freq == 1.0).all() else _shared(freq)
 
         def c_val(x):
             return np.sum(amp * np.cos(freq * np.asarray(x, dtype=float) + phase), axis=-1)
 
         def c_grad(x):
-            return grad_coeff * np.sin(freq * np.asarray(x, dtype=float) + phase)
+            x = np.asarray(x, dtype=float)
+            return g_coeff * np.sin((x if g_freq is None else g_freq * x) + g_phase)
 
         def c_hess(x):
             return hess_coeff * np.cos(freq * np.asarray(x, dtype=float) + phase)

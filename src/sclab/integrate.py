@@ -22,7 +22,8 @@ with a deterministic step count per interval.
   a non-finite entry or one above `ESCAPE_GUARD` raises TrajectoryEscape.
 * `halving_checked` is the acceptance rule: run again with the step halved
   and require the endpoint to move by less than `HALVING_REL_TOL` relative,
-  otherwise StepTooCoarse.  It returns the fine run.
+  otherwise StepTooCoarse; a halved run on the same time grid raises it
+  too.  It returns the fine run.
 * No finite-difference derivative lives here: the WKB fan's V″ is the
   potential's analytic `PotentialField.hessian`, and the central-difference
   Jacobian the tests check derivatives against is `tests/oracles.py`'s.
@@ -121,11 +122,16 @@ def halving_checked(run: Callable[[float], tuple[np.ndarray, np.ndarray]],
                     step: float) -> tuple[np.ndarray, np.ndarray]:
     """run(step) and run(step/2) must end within HALVING_REL_TOL relative of
     each other (StepTooCoarse otherwise); returns the fine run's (times, states).
-    The coarse run's endpoint is copied, so its trajectory is freed before
-    the fine run starts.
+    Two runs on the same time grid check nothing, so they raise StepTooCoarse
+    too.  The coarse run's endpoint is copied, so its trajectory is freed
+    before the fine run starts.
     """
-    coarse = run(step)[1][-1].copy()
+    coarse_times, coarse = run(step)
+    coarse = coarse[-1].copy()
     fine = run(0.5 * step)
+    if np.array_equal(coarse_times, fine[0]):
+        raise StepTooCoarse(f"step {step!r} and step/2 give the same time grid, so step "
+                            "halving checks nothing; refine the step")
     scale = max(1.0, float(np.max(np.abs(fine[1][-1]))))
     if np.max(np.abs(coarse - fine[1][-1])) > HALVING_REL_TOL * scale:
         raise StepTooCoarse(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sclab.cli import main as cli_main
-from sclab.config import parse_config
+from sclab.config import GLOBAL_FIELDS, SCHEMAS, _as_float, _as_float_list, parse_config
 from sclab.errors import ParseError, ValidationError
 from sclab.exit_time import EXIT_TIME_TOL
 from sclab.harness import run_experiment
@@ -80,6 +80,23 @@ class TestParseConfig:
     def test_duplicate_key(self):
         with pytest.raises(ParseError):
             parse_config("experiment = spectral\nseed = 1\nseed = 2\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400", "0.5,nan", "-Infinity,1"])
+    def test_non_finite_float_rejected_naming_the_key(self, raw):
+        # every float and float-list key of every kind refuses a value that
+        # is not a finite number, and names its key; no key reads a bare
+        # float(), which would let one through
+        fields = [*GLOBAL_FIELDS.values(), *(f for sc in SCHEMAS.values() for f in sc.values())]
+        assert all(f.caster is not float for f in fields)
+        keys = [(kind, key) for kind, schema in SCHEMAS.items()
+                for key, fld in schema.items()
+                if fld.caster is _as_float_list or (fld.caster is _as_float and "," not in raw)]
+        assert ("exit-time", "exit.horizon") in keys or "," in raw
+        for kind, key in keys:
+            with pytest.raises(ValidationError) as err:
+                parse_config(f"experiment = {kind}\n{key} = {raw}\n")
+            assert err.value.key == key
+            assert str(err.value).startswith(f"{key}: not a finite number")
 
     def test_hash_stable(self):
         a = parse_config(MINIMAL_SPECTRAL)
@@ -187,6 +204,30 @@ class TestRunExperiment:
         assert summary["sampled_min_exit"] == pytest.approx(2.4451, abs=1e-4)
         assert summary["bound_respected"] is True
         assert summary["analytic_bound"] <= summary["sampled_min_exit"]
+
+    @pytest.mark.parametrize("body", [
+        "experiment = exit-time\nexit.p0 = 1.5,0.0\nexit.ensemble = 100\nexit.step = 10",
+        "experiment = wkb\nwkb.step = 10",
+    ], ids=["exit-time", "wkb"])
+    def test_step_past_every_segment_refused(self, tmp_path, body):
+        # a step so coarse that the halved pass takes the same steps cannot
+        # fail the halving check, so it is refused, not reported as checked
+        cfg = parse_config(f"{body}\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error_kind"] == "StepTooCoarse"
+        assert "step halving checks nothing" in summary["error"]
+
+    @pytest.mark.parametrize("line", ["exit.horizon = inf", "exit.amplitude = inf"])
+    def test_cli_non_finite_exit_value_named(self, tmp_path, capsys, line):
+        # refused while the config is read: no numpy traceback, no output
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(f"experiment = exit-time\n{line}\n")
+        out = tmp_path / "out"
+        assert cli_main(["exit-time", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {line.split(' =')[0]}: not a finite number: 'inf'" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_wkb_runner(self, tmp_path):
         cfg = parse_config(

@@ -9,7 +9,7 @@ from oracles import controlled_field, flow_jacobian, hamiltonian
 from sclab.dynamics import (ControlSignal, HamiltonianSpec, controlled_rhs, evolve,
                             sample_controls)
 from sclab.errors import StepTooCoarse, TrajectoryEscape
-from sclab.geometry import ChartSpace, PhasePoint, make_potential
+from sclab.geometry import ChartSpace, PhasePoint, make_potential, pullback
 from sclab.integrate import ESCAPE_GUARD, check_escape, hermite_state, rk4_step
 from sclab.config import parse_config
 from sclab.harness import _exit_time_spec
@@ -220,14 +220,29 @@ class TestHermiteState:
         assert np.array_equal(np.atleast_1d(one), batch)
 
 
-def registry_fields(dim):
-    """A few vectorized registry potentials on a dim-axis chart."""
-    return st.sampled_from([
+def plain_fields(dim):
+    """A few vectorized registry potentials on a dim-axis chart, with shared
+    and (on a plane) per-axis coefficients, among them the ones whose
+    gradient folds: cosine with freq 1 and phase 0, harmonic with center 0."""
+    return [
         make_potential("harmonic", dim, k=[1.0, 2.5][:dim], center=0.3),
+        make_potential("harmonic", dim, k=2.0, center=0.0),
+        make_potential("harmonic", dim, k=[1.5, -3.0][:dim], center=[0.0, 0.0][:dim]),
         make_potential("linear", dim, slope=[1.0, -0.5][:dim], offset=0.2),
         make_potential("cosine", dim, amplitude=[0.0, 1.0][-dim:], freq=1.7, phase=0.4),
+        make_potential("cosine", dim, amplitude=1.3, freq=1.0, phase=0.0),
+        make_potential("cosine", dim, amplitude=[-0.8, 1.1][:dim], freq=[1.0, 2.0][:dim],
+                       phase=[0.0, -0.6][:dim]),
         make_potential("gaussian", dim, amplitude=2.0, center=-0.2, width=0.7),
-    ])
+    ]
+
+
+def registry_fields(dim):
+    """The plain fields of a dim-axis chart, and 1-D ones pulled back onto
+    any of its axes, whose control term reaches one force column."""
+    return st.one_of(st.sampled_from(plain_fields(dim)),
+                     st.builds(pullback, st.sampled_from(plain_fields(1)),
+                               st.integers(0, dim - 1)))
 
 
 @st.composite

@@ -13,7 +13,8 @@ from sclab.dynamics import ControlSignal, HamiltonianSpec, control_pieces, sampl
 from sclab.errors import HypothesisViolated, StepTooCoarse
 from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
                              sampled_exit_time)
-from sclab.geometry import BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential
+from sclab.geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential,
+                            pullback)
 from sclab.harness import _exit_time_spec
 from sclab.integrate import _nsteps
 
@@ -339,6 +340,21 @@ class TestHalvingMargin:
         assert report.members_exited == 10
         assert 0.0 < report.halving_drift <= report.halving_allowed == 1e-5 * 3.0
 
+    def test_member_on_one_grid_in_both_passes_raises(self):
+        # the second law's two segments (0.5 each) take one step at step 1
+        # and at step/2 alike, so its halved pass repeats its coarse one;
+        # the constant law's one segment halves (1 step, then 2), and its
+        # step is refused only by the drift it shows
+        lam0 = PhasePoint(np.zeros(2), np.array([1.5, 0.0]))
+        controls = [ControlSignal.constant(1.0, 1.0),
+                    ControlSignal(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0]))]
+        with pytest.raises(StepTooCoarse, match="member 1 takes the same steps"):
+            sampled_exit_time(product_spec(), lam0, omega_unit(), controls, horizon=1.0,
+                              step=1.0, analytic_bound=0.0)
+        with pytest.raises(StepTooCoarse, match="under step halving"):
+            sampled_exit_time(product_spec(), lam0, omega_unit(), controls[:1],
+                              horizon=1.0, step=1.0, analytic_bound=0.0)
+
     def test_drift_past_allowed_raises(self, monkeypatch):
         # the fine pass moves one exit by twice the allowance
         monkeypatch.setattr(exit_mod, "_march_exits",
@@ -347,6 +363,36 @@ class TestHalvingMargin:
             sampled_exit_time(product_spec(), PhasePoint(np.zeros(2), np.zeros(2)),
                               omega_unit(), sample_controls(0, 2, 3.0, 1.0),
                               horizon=3.0, analytic_bound=0.0)
+
+
+def test_march_evaluates_the_control_force_on_its_axis():
+    # the exit-ensemble benchmark config (300 laws, seed 0), W = cos y
+    # pulled back onto y: each tick's four field calls evaluate the 1-D
+    # cosine gradient on the y column alone, never W's full-width gradient,
+    # which the hypothesis check still reads
+    config = parse_config("experiment = exit-time\nseed = 0\nexit.ensemble = 300\n")
+    spec = _exit_time_spec(config)
+    axis, f = spec.W[0].axis_factor
+    calls = {"axis": 0, "full": 0}
+
+    def counted(key, gradient):
+        def wrapped(x):
+            calls[key] += 1
+            return gradient(x)
+        return wrapped
+
+    W = pullback(dataclasses.replace(f, gradient=counted("axis", f.gradient)), axis)
+    W = dataclasses.replace(W, gradient=counted("full", W.gradient))
+    spec = dataclasses.replace(spec, W=W)
+    controls = sample_controls(config.seed, config["exit.ensemble"], config["exit.horizon"],
+                               config["exit.amplitude"], config["exit.breakpoints"])
+    lam0 = PhasePoint(np.zeros(2), np.zeros(2))
+    _, ticks = exit_mod._march_exits(spec, lam0, omega_unit(), controls,
+                                     config["exit.horizon"], config["exit.step"])
+    assert ticks == 3004
+    assert calls == {"axis": 4 * ticks, "full": 0}
+    check_w_constancy(spec, omega_unit(), lam0)
+    assert calls == {"axis": 4 * ticks + 4, "full": 4}
 
 
 def line_spec(columns):

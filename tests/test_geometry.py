@@ -59,6 +59,33 @@ class TestRegistry:
                        for k in range(dim)], axis=-1)
         assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hess))))
 
+    @pytest.mark.parametrize("name,dim,kwargs", [
+        ("harmonic", 1, {"k": 2.0, "center": 0.0}),
+        ("harmonic", 1, {"k": 2.0, "center": -0.0}),
+        ("harmonic", 2, {"k": [2.0, 0.5], "center": [0.0, 0.0]}),
+        ("harmonic", 2, {"k": 1.5, "center": [0.0, -0.0]}),
+        ("harmonic", 2, {"k": [1.0, 1.0], "center": [0.3, -0.2]}),
+        ("cosine", 1, {"amplitude": 0.7, "freq": 1.0, "phase": 0.0}),
+        ("cosine", 1, {"amplitude": 0.7, "freq": 1.0, "phase": -0.0}),
+        ("cosine", 2, {"amplitude": [0.7, 1.2], "freq": [1.0, 1.0], "phase": [0.0, 0.4]}),
+        ("cosine", 2, {"amplitude": 1.0, "freq": [2.0, 0.5], "phase": [0.0, -0.0]}),
+    ])
+    def test_folded_gradient_keeps_every_bit(self, name, dim, kwargs):
+        # the gradient with its coefficients folded against the per-axis
+        # formula, bit for bit and zero sign included, at ±0 and elsewhere
+        f = make_potential(name, dim, **kwargs)
+        coeff = {k: np.broadcast_to(np.asarray(v, dtype=float), (dim,)) for k, v in kwargs.items()}
+        x = np.stack([np.array([0.0, -0.0, 1e-300, -2.5, 3.25, -np.pi, 7.0])] * dim, axis=-1)
+        x[::2, -1] *= -1.0
+        if name == "harmonic":
+            plain = coeff["k"] * (x - coeff["center"])
+        else:
+            plain = -coeff["amplitude"] * coeff["freq"] * np.sin(coeff["freq"] * x
+                                                                  + coeff["phase"])
+        got = f.gradient(x)
+        assert got.shape == plain.shape
+        assert np.array_equal(got.view(np.uint64), plain.view(np.uint64))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_potential("quartic-oscillator")

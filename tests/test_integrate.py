@@ -110,6 +110,15 @@ class TestHalvingChecked:
         with pytest.raises(StepTooCoarse):
             halving_checked(run, 0.25)
 
+    def test_same_grid_raises(self):
+        # a step past the whole interval gives one step at step and at
+        # step/2: the two runs are one run, and their agreement shows nothing
+        def run(h):
+            return rk4_trajectory(lambda t, z: -z, np.ones(1), 0.0, 1.0, h)
+
+        with pytest.raises(StepTooCoarse, match="same time grid"):
+            halving_checked(run, 10.0)
+
     def test_coarse_trajectory_freed_before_the_fine_run(self):
         # only the coarse endpoint is compared, so the coarse states are
         # dead by the time run(step/2) starts
