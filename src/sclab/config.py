@@ -68,9 +68,22 @@ def _potential_section(prefix: str) -> dict[str, Field]:
     return {f"{prefix}.{key}": fld for key, fld in POTENTIAL_FIELDS.items()}
 
 
+# the coefficient lists each registry potential takes one value of, or one
+# per axis
+PER_AXIS_KEYS = {"harmonic": ("k", "center"), "linear": ("slope",),
+                 "gaussian": ("center", "width"), "cosine": ("amplitude", "freq", "phase")}
+
+
 def build_potential(cfg: "ExperimentConfig", prefix: str, dim: int) -> PotentialField:
-    """Instantiate the registry potential described by a config sub-section."""
+    """Instantiate the registry potential described by a config sub-section;
+    ValidationError naming the key of a per-axis list whose length is
+    neither 1 nor dim, or of a gaussian amplitude with more than one value."""
     name = cfg[f"{prefix}.name"]
+    for key in PER_AXIS_KEYS.get(name, ()):
+        count = len(cfg[f"{prefix}.{key}"])
+        if count not in (1, dim):
+            raise ValidationError(f"needs 1 or {dim} values, got {count}",
+                                  key=f"{prefix}.{key}")
     if name == "zero":
         return make_potential("zero", dim)
     if name == "harmonic":
@@ -80,7 +93,11 @@ def build_potential(cfg: "ExperimentConfig", prefix: str, dim: int) -> Potential
         return make_potential("linear", dim, slope=cfg[f"{prefix}.slope"],
                               offset=cfg[f"{prefix}.offset"])
     if name == "gaussian":
-        return make_potential("gaussian", dim, amplitude=cfg[f"{prefix}.amplitude"][0],
+        amplitude = cfg[f"{prefix}.amplitude"]
+        if len(amplitude) != 1:
+            raise ValidationError(f"a gaussian takes one amplitude, got {len(amplitude)}",
+                                  key=f"{prefix}.amplitude")
+        return make_potential("gaussian", dim, amplitude=amplitude[0],
                               center=cfg[f"{prefix}.center"],
                               width=cfg[f"{prefix}.width"])
     if name == "cosine":

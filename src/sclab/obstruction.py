@@ -61,7 +61,7 @@ class ObstructionConfig:
     antipode of Ω's center.  `dt` is the split-step step of the ensemble
     march; None, the default, takes min(1e-3, ε_max/64), with ε_max the
     largest ε snapped to its fan time.  One march serves every ε, so each
-    ε's records are samples of the trajectory the largest ε certifies.
+    ε's row of the report samples the trajectory the largest ε certifies.
 
     `enforce_hypothesis = False` runs a W that varies on Ω instead of
     refusing it: each member's residual norms then add u·(W − c)·χψ̃ to the
@@ -107,69 +107,82 @@ class ObstructionConfig:
 
 
 @dataclass(frozen=True)
-class ObstructionRecord:
-    """Per-(ε, control) outcome of one localization run."""
+class ObstructionReport:
+    """One localization run as an (ε, control) table: row e of each of the
+    five arrays is the outcome of every member at `eps_grid[e]`, the e-th ε
+    snapped to its fan time.  Each verdict and minimum reduces them."""
 
-    eps: float
-    control_index: int
-    delta: float
-    max_deviation: float
-    min_witness_distance: float
-    outside_probability: float
-    duhamel_margin: float  # min over samples of δ(t) + slack − ‖ψ−φ‖
+    eps_grid: tuple[float, ...]
+    delta: np.ndarray
+    max_deviation: np.ndarray
+    min_witness_distance: np.ndarray
+    outside_probability: np.ndarray
+    duhamel_margin: np.ndarray  # min over the samples of δ(t) + slack − ‖ψ − φ‖
+    target_distance_floor: float
+    initial_tail: float
+    caustic_floor: float
+    max_d1w: float
 
     @property
-    def duhamel_ok(self) -> bool:
-        return self.duhamel_margin >= 0.0
-
-    @property
-    def witness_margin(self) -> float:
-        """min_witness_distance − (1 − δ − slack): negative when ψ came
+    def witness_margin(self) -> np.ndarray:
+        """min_witness_distance − (1 − δ − slack): negative where ψ came
         closer to the witness than δ allows."""
         return self.min_witness_distance - (1.0 - self.delta - DUHAMEL_SLACK)
 
+    @property
+    def duhamel_violations(self) -> int:
+        return int(np.count_nonzero(~(self.duhamel_margin >= 0.0)))  # a NaN fails
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    records: tuple[ObstructionRecord, ...]
-    eps_grid: tuple[float, ...]
-    delta_by_eps: dict
-    delta_spread_by_eps: dict
-    certified_bound: float
-    duhamel_violations: int
-    witness_violations: int
-    initial_tail: float
-    caustic_floor: float
-    hypothesis_uniform: bool
-    max_d1w: float
+    @property
+    def witness_violations(self) -> int:
+        return int(np.count_nonzero(self.witness_margin < 0.0))
+
+    @property
+    def duhamel_margin_min(self) -> float:
+        """The least Duhamel margin: negative iff a Duhamel check failed."""
+        return float(np.min(self.duhamel_margin))
+
+    @property
+    def witness_margin_min(self) -> float:
+        """The least witness margin: negative iff a witness check failed."""
+        return float(np.min(self.witness_margin))
+
+    @property
+    def delta_by_eps(self) -> dict:
+        """{ε: max δ over the ensemble}."""
+        return dict(zip(self.eps_grid, np.max(self.delta, axis=1).tolist()))
+
+    @property
+    def delta_spread_by_eps(self) -> dict:
+        """{ε: max − min of δ over the ensemble}."""
+        return dict(zip(self.eps_grid, np.ptp(self.delta, axis=1).tolist()))
+
+    @property
+    def hypothesis_uniform(self) -> bool:
+        """δ is the same for every member at every ε, to UNIFORMITY_TOL."""
+        return bool(np.all(np.ptp(self.delta, axis=1) < UNIFORMITY_TOL))
 
     @property
     def ensemble_spread(self) -> float:
         """Max over ε of the spread (max − min) of max_deviation across the
         ensemble: round-off size when the control cannot move ψ off φ."""
-        by_eps: dict[float, list[float]] = {}
-        for r in self.records:
-            by_eps.setdefault(r.eps, []).append(r.max_deviation)
-        return max((max(v) - min(v) for v in by_eps.values()), default=0.0)
+        return float(np.max(np.ptp(self.max_deviation, axis=1)))
 
     @property
-    def duhamel_margin_min(self) -> float:
-        """The least Duhamel margin of any record: negative iff a Duhamel
-        check failed."""
-        return min(r.duhamel_margin for r in self.records)
-
-    @property
-    def witness_margin_min(self) -> float:
-        """The least witness margin of any record: negative iff a witness
-        check failed."""
-        return min(r.witness_margin for r in self.records)
+    def certified_bound(self) -> float:
+        """The largest ε whose max δ is below 1 − floor, or 0 when any
+        Duhamel or witness check failed: a run whose own checks fail
+        certifies nothing."""
+        below = np.max(self.delta, axis=1) < 1.0 - self.target_distance_floor
+        if self.duhamel_violations or self.witness_violations or not np.any(below):
+            return 0.0
+        return self.eps_grid[int(np.flatnonzero(below)[-1])]
 
     def to_json(self) -> str:
         payload = {
             "eps_grid": list(self.eps_grid),
-            "delta_by_eps": {repr(k): v for k, v in sorted(self.delta_by_eps.items())},
-            "delta_spread_by_eps": {repr(k): v for k, v in
-                                    sorted(self.delta_spread_by_eps.items())},
+            "delta_by_eps": {repr(k): v for k, v in self.delta_by_eps.items()},
+            "delta_spread_by_eps": {repr(k): v for k, v in self.delta_spread_by_eps.items()},
             "certified_bound": self.certified_bound,
             "duhamel_violations": self.duhamel_violations,
             "witness_violations": self.witness_violations,
@@ -177,11 +190,12 @@ class ObstructionReport:
             "caustic_floor": self.caustic_floor,
             "hypothesis_uniform": self.hypothesis_uniform,
             "max_d1w": self.max_d1w,
-            "n_records": len(self.records),
+            "n_records": self.delta.size,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_csv(self, header_comment: str = "") -> str:
+        """One row per (ε, member), ε-major, floats by repr."""
         import csv as _csv
         import io as _io
         buf = _io.StringIO()
@@ -190,10 +204,10 @@ class ObstructionReport:
         w = _csv.writer(buf)
         w.writerow(["eps", "control_index", "delta", "max_deviation",
                     "min_witness_distance", "outside_probability"])
-        for r in self.records:
-            w.writerow([repr(r.eps), r.control_index, repr(r.delta),
-                        repr(r.max_deviation), repr(r.min_witness_distance),
-                        repr(r.outside_probability)])
+        table = np.stack([self.delta, self.max_deviation, self.min_witness_distance,
+                          self.outside_probability], axis=-1).tolist()
+        for eps, rows in zip(self.eps_grid, table):
+            w.writerows([repr(eps), j, *map(repr, row)] for j, row in enumerate(rows))
         return buf.getvalue()
 
 
@@ -401,10 +415,10 @@ def _witness_state(config: ObstructionConfig) -> WaveGrid:
 
 
 def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
-    """Evolve the true equation over a control ensemble and verify, per record,
-    the Duhamel bound, the control uniformity of δ, and the witness-distance
-    floor; certify the largest ε with uniform δ(ε) < 1 − floor, or 0 when
-    any record fails its Duhamel or witness check.
+    """Evolve the true equation over a control ensemble and tabulate, per
+    (ε, control), the Duhamel bound, the control uniformity of δ and the
+    witness-distance floor, which the report checks; it certifies the
+    largest ε with uniform δ(ε) < 1 − floor, or 0 when any check fails.
 
     The whole ensemble evolves once, as one WaveStack (m, n): one
     split_step_evolve call over [0, ε_max] advances every member under its
@@ -416,22 +430,26 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     the (m, K) table of ∫u over the stops and one np.exp its phases), and
     writes the stop's row of three (K, m) arrays: ‖ψ − φ‖, the witness
     distance and the outside probability of every member.  Each ε then
-    reduces its own stop columns c: its δ(t), integrated over its sample
-    times with `_cumulative_upper` (rounded up where ‖r‖ is monotone between
-    samples); its max deviation and least Duhamel margin (δ + slack) − ‖ψ − φ‖
-    over c[1:]; its least witness distance over c; and its outside
-    probabilities at c[-1].  The residual norms of every stop come from the
-    engine's norm array (or, with the hypothesis broken, one row per member
-    from its residual grids): the engine serves every stop.  φ is built in
-    the stack's scratch buffer, and no array of the stack's size is
-    allocated per stop.  The engine's horizon must reach max(eps_grid), and
-    its ansatz must stay valid to the largest sample time (CausticReached
-    otherwise).  Each ε snaps to its nearest fan time, and a grid whose
-    snapped times are not strictly increasing is a ValueError.
+    reduces its own stops c into its row of the report's (ε, control)
+    arrays: δ, the end of its δ(t) integrated over c with `_cumulative_upper`
+    (rounded up where ‖r‖ is monotone between samples); the max deviation
+    and least Duhamel margin (δ + slack) − ‖ψ − φ‖ over c[1:]; the least
+    witness distance over c; and the outside probability at c[-1].  The
+    residual norms of every stop come from the engine's norm array (or, with
+    the hypothesis broken, one row per member from its residual grids): the
+    engine serves every stop.  φ is built in the stack's scratch buffer, and
+    no array of the stack's size is allocated per stop.  The engine's
+    horizon must reach max(eps_grid), and its ansatz must stay valid to the
+    largest sample time (CausticReached otherwise).  Each ε snaps to its
+    nearest fan time; an ε on t = 0, whose checks have no interval to fail
+    on, or snapped times that do not strictly increase are a ValueError.
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
     ends = engine.times[[idx[-1] for idx in samples]]
+    if ends[0] == 0.0:
+        raise ValueError(f"ε={config.eps_grid[0]!r} snaps to the fan time 0.0, "
+                         "where δ bounds no interval")
     if np.any(np.diff(ends) <= 0):
         raise ValueError(f"eps_grid snaps to the fan times {ends.tolist()}, "
                          "which must be strictly increasing")
@@ -468,63 +486,41 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     psi0 = stack.member(0).normalized().values
     initial_tail = np.sum(np.abs(psi0[outside]) ** 2) * config.grid.cell_volume
     record(0)
-    if times.size > 1:
-        split_step_evolve(stack, config.V, config.W, controls, times[1:],
-                          config.dt or min(1e-3, float(times[-1]) / 64.0),
-                          t0=float(times[0]), on_stop=lambda k, _stack: record(k + 1))
+    split_step_evolve(stack, config.V, config.W, controls, times[1:],
+                      config.dt or min(1e-3, float(times[-1]) / 64.0),
+                      t0=float(times[0]), on_stop=lambda k, _stack: record(k + 1))
 
     if engine.w_vals is None:
         # the residual is control independent: one row serves every member
         all_norms = engine.residual_norms(union)[None, :]
     else:
         all_norms = engine.member_residual_norms(union, controls)
-    records: list[ObstructionRecord] = []
-    delta_by_eps: dict[float, float] = {}
-    spread_by_eps: dict[float, float] = {}
-    for eps_eff, idx in zip(ends.tolist(), samples):
+    delta, max_dev, min_witness, outside_end, margin = (np.empty((ends.size, m))
+                                                        for _ in range(5))
+    for e, idx in enumerate(samples):
         # this ε's stops, its δ(t) there, and its extremes over them
         c = np.searchsorted(union, idx)
-        delta_t = np.array([_cumulative_upper(row, times[c]) for row in all_norms[:, c]]) \
-            / config.hbar
-        max_dev = np.max(dev[c[1:]], axis=0, initial=0.0)
-        margin = np.min(delta_t.T[1:] + DUHAMEL_SLACK - dev[c[1:]], axis=0, initial=np.inf)
-        min_witness = np.min(witness[c], axis=0)
-        deltas = np.broadcast_to(delta_t[:, -1], (m,))
-        for j in range(m):
-            records.append(ObstructionRecord(
-                eps=eps_eff, control_index=j, delta=float(deltas[j]),
-                max_deviation=float(max_dev[j]),
-                min_witness_distance=float(min_witness[j]),
-                outside_probability=float(outside_p[c[-1], j]),
-                duhamel_margin=float(margin[j])))
-        delta_by_eps[eps_eff] = float(np.max(deltas))
-        spread_by_eps[eps_eff] = float(np.max(deltas) - np.min(deltas))
-
-    duh_bad = sum(1 for r in records if not r.duhamel_ok)
-    wit_bad = sum(1 for r in records if r.witness_margin < 0.0)
-    threshold = 1.0 - config.target_distance_floor
-    certified = 0.0
-    if duh_bad == 0 and wit_bad == 0:  # a run whose own checks fail certifies nothing
-        for eps_eff, dmax in sorted(delta_by_eps.items()):
-            if dmax < threshold:
-                certified = eps_eff
+        delta_t = _cumulative_upper(all_norms[:, c], times[c]) / config.hbar
+        delta[e] = delta_t[:, -1]
+        max_dev[e] = np.max(dev[c[1:]], axis=0)
+        margin[e] = np.min(delta_t.T[1:] + DUHAMEL_SLACK - dev[c[1:]], axis=0)
+        min_witness[e] = np.min(witness[c], axis=0)
+        outside_end[e] = outside_p[c[-1]]
     return ObstructionReport(
-        records=tuple(records), eps_grid=tuple(sorted(delta_by_eps)),
-        delta_by_eps=delta_by_eps, delta_spread_by_eps=spread_by_eps,
-        certified_bound=certified, duhamel_violations=duh_bad,
-        witness_violations=wit_bad, initial_tail=float(initial_tail),
-        caustic_floor=engine.caustic_floor,
-        hypothesis_uniform=all(v < UNIFORMITY_TOL for v in spread_by_eps.values()),
+        eps_grid=tuple(ends.tolist()), delta=delta, max_deviation=max_dev,
+        min_witness_distance=min_witness, outside_probability=outside_end,
+        duhamel_margin=margin, target_distance_floor=config.target_distance_floor,
+        initial_tail=float(initial_tail), caustic_floor=engine.caustic_floor,
         max_d1w=engine.max_d1w)
 
 
 def _cumulative_upper(norms: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """∫‖r‖ at each sample time, taking on each interval the larger of its
-    two end norms: at or above the trapezoid, it rounds δ up where ‖r‖ is
-    monotone over an interval, and equals the trapezoid where ‖r‖ is
-    constant."""
+    """∫‖r‖ at each sample time, along the last axis of norms, taking on
+    each interval the larger of its two end norms: at or above the
+    trapezoid, it rounds δ up where ‖r‖ is monotone over an interval, and
+    equals the trapezoid where ‖r‖ is constant."""
     out = np.zeros_like(norms)
-    out[1:] = np.cumsum(np.maximum(norms[1:], norms[:-1]) * np.diff(times))
+    out[..., 1:] = np.cumsum(np.maximum(norms[..., 1:], norms[..., :-1]) * np.diff(times), -1)
     return out
 
 

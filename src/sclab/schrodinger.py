@@ -381,16 +381,6 @@ def l2_distance(psi: WaveGrid, phi: WaveGrid) -> float:
                          * psi.grid.cell_volume))
 
 
-def plane_wave(grid: SpatialGrid, mode: int) -> WaveGrid:
-    """Normalized e^{ikx} with k the given integer mode (1D), at ħ = 1."""
-    if grid.dim != 1:
-        raise ValueError("plane_wave is one-dimensional")
-    s, L, n = grid.axes[0]
-    k = 2 * np.pi * mode / L
-    vals = np.exp(1j * k * grid.points(0)) / np.sqrt(L)
-    return WaveGrid(grid, vals)
-
-
 def gaussian_packet(grid: SpatialGrid, center, sigma, momentum=None) -> WaveGrid:
     """Normalized Gaussian bump exp(-(x-c)²/4σ² + ik·x) on the grid, at ħ = 1."""
     center = np.atleast_1d(np.asarray(center, dtype=float))

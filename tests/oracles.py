@@ -10,6 +10,7 @@ import numpy as np
 from sclab.dynamics import HamiltonianSpec, evolve
 from sclab.geometry import BoxRegion, PhasePoint, PotentialField
 from sclab.integrate import bisect_event, hermite_state
+from sclab.schrodinger import SpatialGrid, WaveGrid
 from sclab.wkb import shoot_characteristics, wkb_field, wkb_residual
 
 # Relative step of fd_jacobian's central differences.
@@ -137,6 +138,17 @@ def region_probability(psi, region: BoxRegion) -> float:
     pts = psi.grid.mesh().reshape(-1, psi.grid.dim)
     mask = region.contains(pts).reshape(psi.grid.shape)
     return float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.grid.cell_volume)
+
+
+def plane_wave(grid: SpatialGrid, mode: int) -> WaveGrid:
+    """Normalized e^{ikx} with k the given integer mode (1D), at ħ = 1: the
+    split-step tests' reference state."""
+    if grid.dim != 1:
+        raise ValueError("plane_wave is one-dimensional")
+    s, L, n = grid.axes[0]
+    k = 2 * np.pi * mode / L
+    vals = np.exp(1j * k * grid.points(0)) / np.sqrt(L)
+    return WaveGrid(grid, vals)
 
 
 def engine_fan(engine, horizon: float):

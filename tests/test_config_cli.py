@@ -105,6 +105,20 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("body, key, message", [
+        # gaussian takes one amplitude; a second one was dropped unread
+        ("steer.v.name = gaussian\nsteer.v.amplitude = 1.0, 5.0", "steer.v.amplitude",
+         "a gaussian takes one amplitude, got 2"),
+        ("steer.dimension = 2\nsteer.v.name = harmonic\nsteer.v.k = 1,2,3", "steer.v.k",
+         "needs 1 or 2 values, got 3"),
+    ], ids=["gaussian-amplitude", "harmonic-k"])
+    def test_potential_coefficient_count_names_its_key(self, tmp_path, body, key, message):
+        cfg = parse_config(f"experiment = steer\n{body}\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error_kind"] == "ValidationError"
+        assert summary["error"] == f"{key}: {message}"
+
     def test_spectral_runner(self, tmp_path):
         cfg = parse_config(MINIMAL_SPECTRAL + f"out = {tmp_path}/spec\n")
         assert run_experiment(cfg) == 0

@@ -40,7 +40,6 @@ UNREFERENCED_ALLOWED = {
     "dynamics.py:ControlSignal.window": "perfbench/tracer.py counts its calls",
     "schrodinger.py:gaussian_packet": "perfbench/probes.py builds its states with it",
     "schrodinger.py:l2_distance": "perfbench/tracer.py times it",
-    "schrodinger.py:plane_wave": "the split-step tests' reference state",
     "schrodinger.py:top_mode_mass": "perfbench/tracer.py times it",
 }
 

@@ -98,9 +98,9 @@ class TestBuildAnsatz:
         product = r["psi"].distances(phi1[None, :, None] * r["second"].values[:, None, :])
         scalar = r["scalar"].distances(ansatz(r["cfg"], r["controls"], r["T"]))
         assert np.allclose(product, scalar, rtol=0.0, atol=1e-12)
-        for rec, dev in zip(r["rep"].records, product):
-            assert dev <= rec.max_deviation + 1e-12
-            assert dev <= rec.delta + DUHAMEL_SLACK
+        (max_deviation,), (delta,) = r["rep"].max_deviation, r["rep"].delta
+        assert np.all(product <= max_deviation + 1e-12)
+        assert np.all(product <= delta + DUHAMEL_SLACK)
 
     def test_ensemble_phases_match_each_control_alone(self):
         # the ensemble's ∫u and control phases are those of each control
@@ -218,7 +218,7 @@ class TestLocalizationExperiment:
         assert rep.certified_bound > 0.0
         assert rep.initial_tail < 1e-10
         assert rep.initial_tail >= 0.0
-        assert all(r.outside_probability >= 0.0 for r in rep.records)
+        assert np.all(rep.outside_probability >= 0.0)
         # δ grows linearly for the static-phase demo
         eps = sorted(rep.delta_by_eps)
         deltas = [rep.delta_by_eps[e] for e in eps]
@@ -324,14 +324,13 @@ class TestLocalizationExperiment:
 
             split_step_evolve(stack, cfg.V, cfg.W, controls, times[1:],
                               min(1e-3, times[-1] / 64.0), on_stop=compare)
-            shared = [r.max_deviation for r in rep.records if r.eps == times[-1]]
+            shared = rep.max_deviation[rep.eps_grid.index(times[-1])]
             assert len(shared) == len(controls)
             assert np.max(np.abs(np.subtract(shared, alone))) <= DUHAMEL_SLACK
 
     def test_distance_floor_holds_per_record(self):
         rep = localize(scalar_config(ensemble_count=4))
-        for r in rep.records:
-            assert r.min_witness_distance >= 1.0 - r.delta - 1e-6
+        assert np.all(rep.min_witness_distance >= 1.0 - rep.delta - 1e-6)
 
     def test_hypothesis_enforcement(self):
         cfg = scalar_config(W=make_potential("linear", 1, slope=1.0),
@@ -375,9 +374,9 @@ class TestLocalizationExperiment:
         assert rep.duhamel_violations == 0
         outside = ~cfg.omega.contains(cfg.grid.mesh()).reshape(cfg.grid.shape)
         mass = np.sum(np.abs(psi.values[:, outside]) ** 2, axis=(1, 2)) * psi.grid.cell_volume
-        for rec, p in zip(rep.records, mass):
-            assert p == pytest.approx(rec.outside_probability, rel=1e-9, abs=1e-15)
-            assert p <= rec.delta + rep.initial_tail + 1e-9
+        (outside_probability,), (delta,) = rep.outside_probability, rep.delta
+        assert mass == pytest.approx(outside_probability, rel=1e-9, abs=1e-15)
+        assert np.all(mass <= delta + rep.initial_tail + 1e-9)
 
     def test_report_serialization(self):
         rep = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
@@ -385,7 +384,33 @@ class TestLocalizationExperiment:
         assert '"certified_bound"' in js
         csv_text = rep.to_csv(header_comment="seed=3")
         assert csv_text.splitlines()[0] == "# seed=3"
-        assert len(csv_text.strip().splitlines()) == 2 + len(rep.records)
+        assert len(csv_text.strip().splitlines()) == 2 + rep.delta.size
+
+    def test_csv_lists_the_table_eps_major(self):
+        # 2 ε × 3 members (one drawn, two extreme constants): one row per
+        # cell, ε-major then member, each float the table's own bits
+        rep = localize(scalar_config(ensemble_count=1, eps_grid=(0.01, 0.02)))
+        tables = (rep.delta, rep.max_deviation, rep.min_witness_distance,
+                  rep.outside_probability)
+        assert all(t.shape == (2, 3) for t in tables + (rep.duhamel_margin,))
+        rows = [line.split(",") for line in rep.to_csv().splitlines()[1:]]
+        assert [(float(row[0]), int(row[1])) for row in rows] == \
+            [(eps, j) for eps in rep.eps_grid for j in range(3)]
+        for i, row in enumerate(rows):
+            e, j = divmod(i, 3)
+            assert [float(cell) for cell in row[2:]] == [t[e, j] for t in tables]
+        assert json.loads(rep.to_json())["n_records"] == len(rows) == 2 * 3
+
+    def test_eps_on_the_first_fan_time_refused(self, tmp_path):
+        # ε = 0.0002 snaps to t = 0, where δ, the max deviation and the
+        # Duhamel margin would read 0, 0 and +inf: a check that cannot fail
+        cfg = parse_config("experiment = obstruction\nobstruction.eps_grid = 0.0002,0.01\n"
+                           f"obstruction.ensemble = 2\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error_kind"] == "ValueError"
+        assert "ε=0.0002 snaps to the fan time 0.0" in summary["error"]
+        assert not (tmp_path / "records.csv").exists()
 
 
 class TestTqEstimate:

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import region_probability
+from oracles import plane_wave, region_probability
 from sclab.dynamics import ControlSignal
 from sclab.errors import GridMismatch, GridTooCoarse
 from sclab.geometry import BoxRegion, make_potential
 from sclab.schrodinger import (SpatialGrid, WaveGrid, WaveStack, gaussian_packet,
-                               l2_distance, plane_wave, split_step_evolve,
-                               top_mode_mass)
+                               l2_distance, split_step_evolve, top_mode_mass)
 from sclab.spectral import hermite_polynomial_values
 
 
