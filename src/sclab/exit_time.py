@@ -29,8 +29,6 @@ the ticks of the stack.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -94,17 +92,6 @@ class ExitReport:
     def members_exited(self) -> int:
         """Members that leave Ω before the horizon."""
         return int(np.count_nonzero(self.exit_times < self.horizon))
-
-    def to_csv(self, header_comment: str = "") -> str:
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        buf.write(f"# analytic_bound={self.analytic_bound!r} horizon={self.horizon!r}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["control_index", "exit_time"])
-        for i, t in enumerate(self.exit_times):
-            writer.writerow([i, repr(float(t))])
-        return buf.getvalue()
 
 
 def _check_fit(spec: HamiltonianSpec, Omega: BoxRegion) -> None:

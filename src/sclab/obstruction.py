@@ -24,7 +24,6 @@ take one `AnsatzEngine`: one hypothesis check and one fan serve them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -178,38 +177,6 @@ class ObstructionReport:
             return 0.0
         return self.eps_grid[int(np.flatnonzero(below)[-1])]
 
-    def to_json(self) -> str:
-        payload = {
-            "eps_grid": list(self.eps_grid),
-            "delta_by_eps": {repr(k): v for k, v in self.delta_by_eps.items()},
-            "delta_spread_by_eps": {repr(k): v for k, v in self.delta_spread_by_eps.items()},
-            "certified_bound": self.certified_bound,
-            "duhamel_violations": self.duhamel_violations,
-            "witness_violations": self.witness_violations,
-            "initial_tail": self.initial_tail,
-            "caustic_floor": self.caustic_floor,
-            "hypothesis_uniform": self.hypothesis_uniform,
-            "max_d1w": self.max_d1w,
-            "n_records": self.delta.size,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_csv(self, header_comment: str = "") -> str:
-        """One row per (ε, member), ε-major, floats by repr."""
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        w = _csv.writer(buf)
-        w.writerow(["eps", "control_index", "delta", "max_deviation",
-                    "min_witness_distance", "outside_probability"])
-        table = np.stack([self.delta, self.max_deviation, self.min_witness_distance,
-                          self.outside_probability], axis=-1).tolist()
-        for eps, rows in zip(self.eps_grid, table):
-            w.writerows([repr(eps), j, *map(repr, row)] for j, row in enumerate(rows))
-        return buf.getvalue()
-
 
 def check_hypothesis(config: ObstructionConfig) -> float:
     """Max |W'| over an Ω grid on the base factor (0 without W); raises
@@ -231,7 +198,10 @@ class AnsatzEngine:
 
     It runs `check_hypothesis` first, so a broken config fails before the
     fan is shot.  It records the caustic and guard floors and never raises
-    for them; `require_valid` does, up to the time a stage needs.
+    for them; `require_valid` does, up to the time a stage needs.  Of the
+    ε grid's entries that the fan reaches, one that snaps to t = 0, or
+    snapped times that do not strictly increase, are a ValueError once the
+    fan is shot and before any field is assembled.
 
     The fan lives only while the engine is built.  At build the engine
     works out its served set (`served`), every fan index a stage reads: t = 0,
@@ -300,18 +270,27 @@ class AnsatzEngine:
         stride = max(1, n_usable // 256)
         self.tq_idx = (sorted_unique(np.append(np.arange(0, n_usable, stride), n_usable - 1))
                        if n_usable >= 2 else np.zeros(0, dtype=int))
-        # t = 0, whose row gives the scale of a0, and the sample indices the
-        # localization run reads; an ε past the fan or the guard floor gets
-        # none, since the run refuses it before it reads
-        samples = [np.zeros(1, dtype=int)]
+        # the sample indices of each ε the localization run reads; an ε past
+        # the fan (an engine built for T_q alone) gets none, since the run
+        # refuses it before it reads
+        samples = []
         for eps in config.eps_grid:
             try:
-                idx = _sample_indices(self, eps, config.n_samples)
+                samples.append(_sample_indices(self, eps, config.n_samples))
             except ValueError:
                 continue
-            if self.times[idx[-1]] <= self.guard_floor:
-                samples.append(idx)
-        stops = sorted_unique(np.concatenate(samples))
+        ends = self.times[[idx[-1] for idx in samples]]
+        if ends.size and ends[0] == 0.0:
+            raise ValueError(f"ε={config.eps_grid[0]!r} snaps to the fan time 0.0, "
+                             "where δ bounds no interval")
+        if np.any(np.diff(ends) <= 0):
+            raise ValueError(f"eps_grid snaps to the fan times {ends.tolist()}, "
+                             "which must be strictly increasing")
+        # t = 0, whose row gives the scale of a0, and the samples of each ε up
+        # to the guard floor: the run refuses a later one before it reads
+        stops = sorted_unique(np.concatenate(
+            [np.zeros(1, dtype=int)]
+            + [idx for idx in samples if self.times[idx[-1]] <= self.guard_floor]))
         self.served = sorted_unique(np.concatenate([self.tq_idx, stops]))
         # each fan index's row in chi_psi and norms, and in residuals; -1 if none
         self._row = np.full(self.times.size, -1)
@@ -441,18 +420,13 @@ def run_localization_experiment(engine: AnsatzEngine) -> ObstructionReport:
     no array of the stack's size is allocated per stop.  The engine's
     horizon must reach max(eps_grid), and its ansatz must stay valid to the
     largest sample time (CausticReached otherwise).  Each ε snaps to its
-    nearest fan time; an ε on t = 0, whose checks have no interval to fail
-    on, or snapped times that do not strictly increase are a ValueError.
+    nearest fan time; the engine has refused an ε on t = 0, whose checks
+    have no interval to fail on, and snapped times that do not strictly
+    increase.
     """
     config = engine.config
     samples = [_sample_indices(engine, eps, config.n_samples) for eps in config.eps_grid]
     ends = engine.times[[idx[-1] for idx in samples]]
-    if ends[0] == 0.0:
-        raise ValueError(f"ε={config.eps_grid[0]!r} snaps to the fan time 0.0, "
-                         "where δ bounds no interval")
-    if np.any(np.diff(ends) <= 0):
-        raise ValueError(f"eps_grid snaps to the fan times {ends.tolist()}, "
-                         "which must be strictly increasing")
     engine.require_valid(float(ends[-1]))
     # the march's stops: every sample time of every ε, each once
     union = sorted_unique(np.concatenate(samples))

@@ -97,18 +97,6 @@ class CharacteristicFan:
         """ΔS along each characteristic, exactly δp/δx from the variational pair."""
         return self.delta_p / self.J
 
-    def to_csv(self, header_comment: str = "") -> str:
-        """Rows t, seed, x, p, S, J of float reprs, ended by "\\r\\n" as
-        csv.writer ends them (a repr never needs quoting)."""
-        out = [f"# {header_comment}\n"] if header_comment else []
-        out.append("t,seed,x,p,S,J\r\n")
-        seeds = [repr(s) for s in self.seeds.tolist()]
-        for t, xs, ps, Ss, Js in zip(self.times.tolist(), self.x.tolist(),
-                                     self.p.tolist(), self.S.tolist(), self.J.tolist()):
-            out.extend(f"{t!r},{s},{x!r},{p!r},{S!r},{J!r}\r\n"
-                       for s, x, p, S, J in zip(seeds, xs, ps, Ss, Js))
-        return "".join(out)
-
 
 def shoot_characteristics(S0: PotentialField, V: Optional[PotentialField], seeds,
                           T: float, step: float, hbar: float = 1.0) -> CharacteristicFan:
@@ -311,20 +299,6 @@ class WKBField:
     def psi_tilde(self) -> np.ndarray:
         """The bare ansatz a·e^{iS/ħ} (zero where invalid), at each time."""
         return np.where(self.valid_mask, self.a * np.exp(1j * self.S / self.hbar), 0.0)
-
-    def to_csv(self, header_comment: str = "") -> str:
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        w = _csv.writer(buf)
-        w.writerow(["x", "S", "a", "valid"])
-        xs = self.grid.points(0)
-        for i in range(xs.size):
-            w.writerow([repr(float(xs[i])), repr(float(self.S[i])),
-                        repr(float(self.a[i])), int(self.valid_mask[i])])
-        return buf.getvalue()
 
 
 def wkb_field(fan: CharacteristicFan, a0: PotentialField, grid: SpatialGrid,

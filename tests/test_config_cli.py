@@ -293,9 +293,14 @@ class TestCLI:
         ("exit-time", "exit.x0 = 0.0", "exit.x0"),
         ("exit-time", "exit.omega = 1.0", "exit.omega"),
         ("obstruction", "obstruction.omega_prime = 0.6", "obstruction.omega_prime"),
-    ], ids=["steer-x0", "steer-target", "exit-x0", "exit-omega", "obstruction-omega_prime"])
+        ("exit-time", "exit.omega = -1,1,7", "exit.omega"),
+        ("exit-time", "exit.x0 = 0,0,9", "exit.x0"),
+        ("obstruction", "obstruction.omega_prime = -0.6,0.6,0.2", "obstruction.omega_prime"),
+    ], ids=["steer-x0", "steer-target", "exit-x0", "exit-omega", "obstruction-omega_prime",
+            "exit-omega-long", "exit-x0-long", "obstruction-omega_prime-long"])
     def test_cli_short_list_key_named(self, tmp_path, kind, body, key):
-        # a list key shorter than the chart ends in an error record naming it
+        # a list key with fewer or more entries than it needs ends in an
+        # error record naming it; an extra entry is not dropped
         cfg_path = tmp_path / "short.cfg"
         cfg_path.write_text(f"experiment = {kind}\n{body}\n")
         out = tmp_path / "out"

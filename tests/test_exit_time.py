@@ -15,7 +15,7 @@ from sclab.exit_time import (EXIT_TIME_TOL, check_w_constancy, exit_lower_bound,
                              sampled_exit_time)
 from sclab.geometry import (BoxRegion, ChartSpace, PhasePoint, PotentialField, make_potential,
                             pullback)
-from sclab.harness import _exit_time_spec
+from sclab.harness import _exit_time_spec, run_experiment
 from sclab.integrate import _nsteps
 
 
@@ -305,14 +305,25 @@ class TestSampledExit:
         assert (plane.analytic_bound, plane.halving_drift, plane.march_ticks) == \
             (line.analytic_bound, line.halving_drift, line.march_ticks)
 
-    def test_report_csv(self):
-        spec = product_spec()
-        lam0 = PhasePoint(np.zeros(2), np.zeros(2))
-        report = sampled_exit_time(spec, lam0, omega_unit(),
-                                   sample_controls(1, 5, 2.0, 10.0), horizon=2.0)
-        text = report.to_csv(header_comment="seed=1")
-        assert text.splitlines()[0] == "# seed=1"
-        assert len(text.strip().splitlines()) == 3 + 5
+    def test_report_csv(self, tmp_path, monkeypatch):
+        # exit_times.csv: the hash/seed comment, the bound and horizon, the
+        # header, then one row per member with the report's own bits
+        reports = []
+        sampled = exit_mod.sampled_exit_time
+        monkeypatch.setattr(exit_mod, "sampled_exit_time",
+                            lambda *args, **kwargs: reports.append(sampled(*args, **kwargs))
+                            or reports[-1])
+        cfg = parse_config("experiment = exit-time\nseed = 1\nexit.ensemble = 5\n"
+                           f"exit.horizon = 2.0\nexit.amplitude = 10.0\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 0
+        (report,) = reports
+        lines = (tmp_path / "exit_times.csv").read_text().splitlines()
+        assert lines[:3] == [f"# config_hash={cfg.content_hash()} seed=1",
+                             f"# analytic_bound={report.analytic_bound!r} horizon=2.0",
+                             "control_index,exit_time"]
+        rows = [line.split(",") for line in lines[3:]]
+        assert [int(row[0]) for row in rows] == list(range(5))
+        assert np.array([float(row[1]) for row in rows]).tobytes() == report.exit_times.tobytes()
 
     def test_crossing_at_default_step(self):
         # x = 1.5·sin t under V = ½x² whatever the control on y: exit at asin(2/3)

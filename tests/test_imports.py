@@ -3,7 +3,8 @@ module-level function and class is used somewhere in `sclab`, every `Obstruction
 field is set by the CLI and every `PotentialField` field by some call in
 `sclab`, or has a stated reason not to be, every defaulted parameter of a
 `sclab` function is passed by some call in `sclab`, or has a stated reason not
-to be, only `dynamics` reads a control law's breakpoints, nothing in `sclab` imports scipy, which is a test-only
+to be, only `dynamics` reads a control law's breakpoints, only `harness` and `cli`
+import csv, io or json or call open, nothing in `sclab` imports scipy, which is a test-only
 reference, `import sclab.cli` loads no OpenSSL, the config hash of a fixed
 text is pinned, and no benchmark run loads numpy.ma.
 
@@ -357,6 +358,41 @@ def imported_modules(source: str) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
     return names
+
+
+# the modules that may touch files: the harness writes every artifact, and
+# the CLI reads the config and the summary it prints
+FILE_MODULES = ("cli.py", "harness.py")
+
+
+def file_access(source: str) -> list[str]:
+    """Each import of csv, io or json (function-local ones too) and each call
+    of a function named open in source, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and imported_modules(ast.unparse(node)) & {"csv", "io", "json"}:
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+            found.append(f"{ast.unparse(node.func)}( (line {node.lineno})")
+    return found
+
+
+def test_checker_sees_file_access():
+    source = ("import numpy as np\nimport csv\nfrom json import dumps\n"
+              "def f(path):\n    import io as _io\n    with open(path) as fh:\n"
+              "        return os.open(path, 0)\n")
+    assert file_access(source) == ["import csv (line 2)", "from json import dumps (line 3)",
+                                   "import io as _io (line 5)", "open( (line 6)",
+                                   "os.open( (line 7)"]
+
+
+def test_only_the_harness_and_cli_touch_files():
+    # every artifact goes through the harness's writers; the numerical
+    # modules hand it arrays
+    assert {p.name: file_access(p.read_text()) for p in MODULES
+            if p.name not in FILE_MODULES and file_access(p.read_text())} == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -42,6 +42,19 @@ def localize(cfg):
     return run_localization_experiment(AnsatzEngine(cfg, max(cfg.eps_grid)))
 
 
+def cli_report(tmp_path, monkeypatch, body):
+    """run_experiment on an obstruction config with body at seed 3, writing
+    into tmp_path; the config and the report its files were written from."""
+    reports = []
+    run = sclab.obstruction.run_localization_experiment
+    monkeypatch.setattr(sclab.obstruction, "run_localization_experiment",
+                        lambda engine: reports.append(run(engine)) or reports[-1])
+    cfg = parse_config(f"experiment = obstruction\nseed = 3\n{body}\nout = {tmp_path}\n")
+    assert run_experiment(cfg) == 0
+    (rep,) = reports
+    return cfg, rep
+
+
 def chi_psi_at(engine, t):
     """The engine's χψ̃ row at the fan time t."""
     return engine.chi_psi[engine.rows(int(np.argmin(np.abs(engine.times - t))))]
@@ -289,11 +302,13 @@ class TestLocalizationExperiment:
             samples = [set(_sample_indices(engine, eps, cfg.n_samples)) for eps in eps_grid]
             assert samples[0] <= samples[-1]
             rep = run_localization_experiment(engine)
-            eps_max = repr(max(rep.eps_grid))
-            rows.append([line for line in rep.to_csv().splitlines()[1:]
-                         if line.split(",")[0] == eps_max])
-        assert len(rows[0]) == 6 + 2  # with the two extreme constants
-        assert rows[0] == rows[1]
+            e = rep.eps_grid.index(max(rep.eps_grid))
+            rows.append((rep.eps_grid[e], np.stack(
+                [t[e] for t in (rep.delta, rep.max_deviation, rep.min_witness_distance,
+                                rep.outside_probability, rep.duhamel_margin)])))
+        assert rows[0][1].shape == (5, 6 + 2)  # with the two extreme constants
+        assert rows[0][0] == rows[1][0]
+        assert rows[0][1].tobytes() == rows[1][1].tobytes()
 
     def test_coarser_step_stays_inside_the_slack(self, monkeypatch):
         # every ε takes the step of the largest; each ε's max_deviation
@@ -378,28 +393,36 @@ class TestLocalizationExperiment:
         assert mass == pytest.approx(outside_probability, rel=1e-9, abs=1e-15)
         assert np.all(mass <= delta + rep.initial_tail + 1e-9)
 
-    def test_report_serialization(self):
-        rep = localize(scalar_config(ensemble_count=2, eps_grid=(0.02,)))
-        js = rep.to_json()
-        assert '"certified_bound"' in js
-        csv_text = rep.to_csv(header_comment="seed=3")
-        assert csv_text.splitlines()[0] == "# seed=3"
-        assert len(csv_text.strip().splitlines()) == 2 + rep.delta.size
+    def test_report_serialization(self, tmp_path, monkeypatch):
+        # records.csv carries the hash and seed; report.json carries neither
+        cfg, rep = cli_report(tmp_path, monkeypatch,
+                              "obstruction.ensemble = 2\nobstruction.eps_grid = 0.02")
+        js = json.loads((tmp_path / "report.json").read_text())
+        assert js["certified_bound"] == rep.certified_bound
+        assert "config_hash" not in js and "seed" not in js
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash={cfg.content_hash()} seed=3"
+        assert len(lines) == 2 + rep.delta.size == 2 + js["n_records"]
 
-    def test_csv_lists_the_table_eps_major(self):
+    def test_csv_lists_the_table_eps_major(self, tmp_path, monkeypatch):
         # 2 ε × 3 members (one drawn, two extreme constants): one row per
         # cell, ε-major then member, each float the table's own bits
-        rep = localize(scalar_config(ensemble_count=1, eps_grid=(0.01, 0.02)))
+        _, rep = cli_report(tmp_path, monkeypatch,
+                            "obstruction.ensemble = 1\nobstruction.eps_grid = 0.01,0.02")
         tables = (rep.delta, rep.max_deviation, rep.min_witness_distance,
                   rep.outside_probability)
         assert all(t.shape == (2, 3) for t in tables + (rep.duhamel_margin,))
-        rows = [line.split(",") for line in rep.to_csv().splitlines()[1:]]
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert lines[1] == ("eps,control_index,delta,max_deviation,"
+                            "min_witness_distance,outside_probability")
+        rows = [line.split(",") for line in lines[2:]]
         assert [(float(row[0]), int(row[1])) for row in rows] == \
             [(eps, j) for eps in rep.eps_grid for j in range(3)]
         for i, row in enumerate(rows):
             e, j = divmod(i, 3)
             assert [float(cell) for cell in row[2:]] == [t[e, j] for t in tables]
-        assert json.loads(rep.to_json())["n_records"] == len(rows) == 2 * 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["n_records"] == len(rows) == 2 * 3
 
     def test_eps_on_the_first_fan_time_refused(self, tmp_path):
         # ε = 0.0002 snaps to t = 0, where δ, the max deviation and the
@@ -411,6 +434,23 @@ class TestLocalizationExperiment:
         assert summary["error_kind"] == "ValueError"
         assert "ε=0.0002 snaps to the fan time 0.0" in summary["error"]
         assert not (tmp_path / "records.csv").exists()
+
+    def test_refused_eps_grid_assembles_no_field(self, tmp_path, monkeypatch):
+        # the engine refuses the grid once the fan is shot, before its
+        # assembly loop; an engine for T_q alone, whose horizon is below
+        # max ε, still builds
+        calls = []
+        field = sclab.obstruction.wkb_field
+        monkeypatch.setattr(sclab.obstruction, "wkb_field",
+                            lambda *args: calls.append(1) or field(*args))
+        cfg = parse_config("experiment = obstruction\nobstruction.eps_grid = 0.0002,0.08\n"
+                           f"out = {tmp_path}\n")
+        assert run_experiment(cfg) == 1
+        assert "snaps to the fan time 0.0" in json.loads(
+            (tmp_path / "summary.json").read_text())["error"]
+        assert calls == []
+        engine = AnsatzEngine(scalar_config(eps_grid=(0.01, 0.08)), 0.04)
+        assert calls and estimate_Tq_lower_bound(engine) > 0.0
 
 
 class TestTqEstimate:

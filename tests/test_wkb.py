@@ -15,7 +15,7 @@ from sclab.config import parse_config
 from sclab.errors import (CausticReached, MaskViolation, StepTooCoarse,
                           TrajectoryEscape)
 from sclab.geometry import BoxRegion, PotentialField, make_potential
-from sclab.harness import run_experiment
+from sclab.harness import CSV_BLOCK, _write_csv, run_experiment
 from sclab.integrate import hermite_state
 from sclab.obstruction import _cumulative_upper
 from sclab.schrodinger import SpatialGrid
@@ -67,18 +67,47 @@ class TestShootCharacteristics:
         rel = np.abs(np.exp(integral) - fan.J) / np.abs(fan.J)
         assert np.max(rel[usable]) < 1e-4
 
-    def test_csv_matches_csv_writer(self):
-        # csv.writer, which the fan's f-string rows replaced, is the reference
-        fan = shoot_characteristics(quad_phase(+1.0), None, seeds_on(n=16), 0.05, 1e-2)
+    def test_csv_matches_csv_writer(self, tmp_path):
+        # csv.writer, which the harness's join rows replaced, is the
+        # reference: floats, ints, strs with spaces and an empty cell, on
+        # one row more than a block (a dropped or repeated boundary row
+        # fails) and on an empty table
+        cfg = parse_config(f"experiment = wkb\nseed = 4\nout = {tmp_path}\n")
+        n = CSV_BLOCK + 1
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[:3] = -0.0, np.inf, np.nan
+        label = ["a b", ""] * (n // 2) + ["c  d"]
+        for rows in (n, 0):
+            _write_csv(cfg, "table.csv", {"x": x[:rows], "k": np.arange(rows) - 7,
+                                          "label": label[:rows]}, note="step=0.5")
+            buf = io.StringIO()
+            buf.write(f"# config_hash={cfg.content_hash()} seed=4\n# step=0.5\n")
+            writer = csv.writer(buf)
+            writer.writerow(["x", "k", "label"])
+            writer.writerows(zip(x[:rows].tolist(), range(-7, rows - 7), label[:rows]))
+            assert (tmp_path / "table.csv").read_bytes() == buf.getvalue().encode()
+
+    def test_fan_csv_matches_csv_writer(self, tmp_path, monkeypatch):
+        # fan.csv, t-major, each time and seed formatted once and repeated
+        fans = []
+        shoot = sclab.wkb.shoot_characteristics
+        monkeypatch.setattr(sclab.wkb, "shoot_characteristics",
+                            lambda *args, **kwargs: fans.append(shoot(*args, **kwargs))
+                            or fans[-1])
+        cfg = parse_config("experiment = wkb\nwkb.n_seeds = 16\nwkb.horizon = 0.05\n"
+                           f"wkb.step = 1e-2\nwkb.snapshot_t = 0.0\nout = {tmp_path}\n")
+        assert run_experiment(cfg) == 0
+        (fan,) = fans
         buf = io.StringIO()
-        buf.write("# seed=0\n")
+        buf.write(f"# config_hash={cfg.content_hash()} seed=0\n")
         writer = csv.writer(buf)
         writer.writerow(["t", "seed", "x", "p", "S", "J"])
         for k, t in enumerate(fan.times):
             for j, s in enumerate(fan.seeds):
                 writer.writerow([repr(float(v)) for v in (t, s, fan.x[k, j], fan.p[k, j],
                                                           fan.S[k, j], fan.J[k, j])])
-        assert fan.to_csv("seed=0") == buf.getvalue()
+        assert (tmp_path / "fan.csv").read_bytes() == buf.getvalue().encode()
 
     def test_coarse_step_rejected(self):
         V = make_potential("harmonic", 1, k=4.0)
